@@ -12,11 +12,6 @@ the incremental checker across a process pool, and ``arena-parallel``
 does the same with the clause database in one zero-copy shared-memory
 arena.
 
-The ``vector`` variant runs the numpy kernel (skipped when numpy is
-not installed); the ``arena-forward``/``vector-forward`` pair is the
-rebuild-mode forward pass where the vectorized frontier batching pays
-off most — the speedup row the vector engine's acceptance rests on.
-
 The ``streaming`` family is different in kind: deletion-chain traces
 (``repro.benchgen.deletion_chain``) checked by the one-pass
 bounded-memory driver (``repro verify-stream``) under a
@@ -35,11 +30,11 @@ Runs in two forms:
   wall times are the **median of ``--repeats`` runs** (default 3;
   single-shot times on a noisy runner swing by ±25%), all raw times
   are kept in the record, and each invocation stamps an
-  ``environment`` record (python/numpy/platform) so speedup rows can
-  be traced to the stack that produced them.  Every row family also
+  ``environment`` record (python/platform/cpu count) so rows can be
+  traced to the stack that produced them.  Every row family also
   carries memory columns — measured ``peak_rss_bytes`` (kernel
-  watermark reset per repeat where supported) and, for arena-backed
-  engines, the ``arena_peak_bytes`` pool high-water mark — and the
+  watermark reset per repeat where supported) and, for the arena
+  engine, the ``arena_peak_bytes`` pool high-water mark — and the
   ``--overhead-instance`` record bounds both the metrics-only and the
   background-memory-sampler instrumentation cost.
 """
@@ -78,27 +73,17 @@ from benchmarks.conftest import (
 INCREMENTAL_INSTANCES = ("eq_add8", "barrel5", "stack8_8", "w6_10",
                          "pipe_2")
 
-# variant -> (engine, mode, order, parallel).  The ``*-forward``
-# variants check in chronological order with per-check rebuilds: early
-# checks then see tiny clause prefixes, which is where the vector
-# kernel's per-literal ceiling cut and frontier batching win biggest.
+# variant -> (engine, mode, order, parallel).
 VARIANT_SPECS = {
     "rebuild": (None, "rebuild", "backward", False),
     "incremental": (None, "incremental", "backward", False),
     "arena": ("arena", "incremental", "backward", False),
-    "vector": ("vector", "incremental", "backward", False),
-    "vector-inc": ("vector-inc", "incremental", "backward", False),
     "parallel": (None, "incremental", "backward", True),
     "arena-parallel": ("arena", "incremental", "backward", True),
     "arena-parallel-contiguous": ("arena", "incremental", "backward",
                                   True),
-    "arena-forward": ("arena", "rebuild", "forward", False),
-    "vector-forward": ("vector", "rebuild", "forward", False),
 }
 VARIANTS = tuple(VARIANT_SPECS)
-
-#: variants that need the numpy install
-_NUMPY_ENGINES = ("vector", "vector-inc")
 
 #: variant -> forced ``REPRO_SHARD_PLANNER`` value.  The parallel
 #: variants pin the planner explicitly so the pair of rows
@@ -111,24 +96,15 @@ VARIANT_PLANNER = {
     "arena-parallel-contiguous": "contiguous",
 }
 
-# The vector-vs-arena speedup demonstration (standalone runs): a
-# pipe-family instance big enough that per-round numpy overhead
-# amortizes.  Smaller instances (vliw, dlx_2) stay at parity — that is
-# expected, not a regression; see docs/verification.md.
-SPEEDUP_INSTANCES = ("pipe_5",)
-SPEEDUP_VARIANTS = ("arena-forward", "vector-forward")
-
-# The backward-incremental pair (standalone runs): the same pipe-family
-# instance checked backward in incremental mode across the engine
-# ladder, plus the planner-vs-contiguous parallel pair whose
-# attribution rows (predicted/measured skew, utilization) demonstrate
-# what the cost-model scheduler buys.  ``vector-inc`` is the batched
-# retraction kernel this family exists to measure; its record is
-# stamped with ``speedup_vs_arena`` (median ratio against the arena
-# row) and the planner rows with ``skew_vs_contiguous``.
+# The backward-incremental pair (standalone runs): a pipe-family
+# instance checked backward in incremental mode on the arena engine,
+# plus the planner-vs-contiguous parallel pair whose attribution rows
+# (predicted/measured skew, utilization) demonstrate what the
+# cost-model scheduler buys.  The planner row is stamped with
+# ``skew_vs_contiguous``.
 BACKWARD_PAIR_INSTANCES = ("pipe_5",)
-BACKWARD_PAIR_VARIANTS = ("arena", "vector-inc",
-                          "arena-parallel", "arena-parallel-contiguous")
+BACKWARD_PAIR_VARIANTS = ("arena", "arena-parallel",
+                          "arena-parallel-contiguous")
 
 # The streaming family: deletion-chain traces whose addition volume is
 # ~10x the live-clause cap they are verified under.  ``chain400`` is
@@ -140,15 +116,7 @@ STREAMING_SPECS = {
     "chain2000": (2000, 8, 200),
     "chain20000": (20000, 16, 2000),
 }
-STREAMING_ENGINES = ("watched", "arena", "vector")
-
-
-def _numpy_version():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy.__version__
+STREAMING_ENGINES = ("watched", "arena")
 
 
 class _PeakRssMeter:
@@ -227,9 +195,6 @@ def run_variant(formula, proof, variant: str, jobs: int, obs=None):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", INCREMENTAL_INSTANCES)
 def test_backward_incremental(benchmark, name, variant):
-    if VARIANT_SPECS[variant][0] in _NUMPY_ENGINES \
-            and _numpy_version() is None:
-        pytest.skip("vector engine needs numpy (repro[fast])")
     data = solved_instance(name)
     jobs = default_jobs() if VARIANT_SPECS[variant][3] else 1
 
@@ -269,7 +234,7 @@ def bench_records(instances, jobs: int, repeats: int = 3,
     so the trend log separates setup from check time, plus the memory
     columns: ``peak_rss_bytes`` (max measured peak across the timed
     repeats, watermark-reset per repeat where the kernel allows) and,
-    for arena-backed engines, ``arena_peak_bytes`` from an untimed
+    for the arena engine, ``arena_peak_bytes`` from an untimed
     metrics-attached run.
     """
     repeats = max(1, repeats)
@@ -277,11 +242,6 @@ def bench_records(instances, jobs: int, repeats: int = 3,
     for name in instances:
         data = solved_instance(name)
         for variant in variants:
-            if VARIANT_SPECS[variant][0] in _NUMPY_ENGINES \
-                    and _numpy_version() is None:
-                print(f"{name:<10} {variant:<15} skipped: vector "
-                      "engine needs numpy (repro[fast])")
-                continue
             used_jobs = jobs if VARIANT_SPECS[variant][3] else 1
             times = []
             report = None
@@ -298,14 +258,13 @@ def bench_records(instances, jobs: int, repeats: int = 3,
             # Parallel variants get one extra *untimed* instrumented
             # run so the record carries pool attribution (utilization,
             # skew, stragglers) without instrumenting the timed
-            # repeats; arena-backed engines piggyback their peak pool
+            # repeats; the arena engine piggybacks its peak pool
             # gauge on the same run (or get their own untimed metrics
             # run when sequential).
             attribution = None
             arena_peak = None
             plan_fields = {}
-            arena_engine = VARIANT_SPECS[variant][0] in (
-                "arena", "vector", "vector-inc")
+            arena_engine = VARIANT_SPECS[variant][0] == "arena"
             if used_jobs > 1:
                 from repro.verify.parallel import planned_shards
 
@@ -403,10 +362,6 @@ def streaming_records(names, repeats: int = 3,
             info = write_deletion_chain_drup(trace, n_vars,
                                              window=window)
             for engine in engines:
-                if engine == "vector" and _numpy_version() is None:
-                    print(f"{name:<10} streaming/{engine:<8} skipped: "
-                          "vector engine needs numpy (repro[fast])")
-                    continue
                 times = []
                 report = None
                 rss = _PeakRssMeter()
@@ -424,7 +379,7 @@ def streaming_records(names, repeats: int = 3,
                 # gauges the streaming driver records at every window
                 # shift and at the verdict.
                 arena_peak = None
-                if engine in ("arena", "vector"):
+                if engine == "arena":
                     metered = Obs(metrics=MetricsRegistry())
                     gauged = verify_stream(
                         formula, trace, engine_cls=engine,
@@ -469,63 +424,21 @@ def streaming_records(names, repeats: int = 3,
     return records
 
 
-def speedup_lines(records: list[dict]) -> list[str]:
-    """Per-instance vector-vs-arena median ratios for the forward pair.
-
-    The ratio is also stamped into the ``vector-forward`` record as
-    ``speedup_vs_arena`` so the trend log keeps the claim queryable.
-    """
-    medians: dict[tuple[str, str], dict] = {
-        (r["instance"], r["variant"]): r for r in records
-        if "variant" in r}
-    lines = []
-    for (name, variant), rec in medians.items():
-        if variant != "vector-forward":
-            continue
-        base = medians.get((name, "arena-forward"))
-        if base is None or not rec["verification_time"]:
-            continue
-        ratio = (base["verification_time"]
-                 / rec["verification_time"])
-        rec["speedup_vs_arena"] = round(ratio, 3)
-        lines.append(
-            f"{name}: arena-forward {base['verification_time']:.3f}s "
-            f"/ vector-forward {rec['verification_time']:.3f}s "
-            f"= {ratio:.2f}x")
-    return lines
-
-
 def backward_pair_lines(records: list[dict]) -> list[str]:
     """Stamp + summarize the backward-incremental pair records.
 
-    Two claims, both stamped into the records so the trend log keeps
-    them queryable:
-
-    * ``speedup_vs_arena`` on the ``vector-inc`` row — median wall
-      ratio of the batched retraction kernel against the arena
-      baseline on the same instance (sequential incremental backward).
-    * ``skew_vs_contiguous`` on the ``arena-parallel`` (cost planner)
-      row — measured shard-skew ratio of the cost-planned run against
-      the contiguous split's, from the untimed attribution runs
-      (values < 1.0 mean the planner flattened the pool).
+    ``skew_vs_contiguous`` is stamped on the ``arena-parallel`` (cost
+    planner) row so the trend log keeps it queryable: the measured
+    shard-skew ratio of the cost-planned run against the contiguous
+    split's, from the untimed attribution runs (values < 1.0 mean the
+    planner flattened the pool).
     """
     by_key: dict[tuple[str, str], dict] = {
         (r["instance"], r["variant"]): r for r in records
         if "variant" in r}
     lines = []
     for (name, variant), rec in by_key.items():
-        if variant == "vector-inc":
-            base = by_key.get((name, "arena"))
-            if base is None or not rec["verification_time"]:
-                continue
-            ratio = (base["verification_time"]
-                     / rec["verification_time"])
-            rec["speedup_vs_arena"] = round(ratio, 3)
-            lines.append(
-                f"{name}: arena {base['verification_time']:.3f}s / "
-                f"vector-inc {rec['verification_time']:.3f}s "
-                f"= {ratio:.2f}x (incremental backward)")
-        elif variant == "arena-parallel":
+        if variant == "arena-parallel":
             contiguous = by_key.get((name,
                                      "arena-parallel-contiguous"))
             planned_attr = rec.get("attribution") or {}
@@ -557,8 +470,7 @@ def backward_pair_lines(records: list[dict]) -> list[str]:
 
 
 def environment_record() -> dict:
-    """The stack a bench invocation ran on — numpy version above all,
-    since the vector rows are meaningless without it."""
+    """The stack a bench invocation ran on."""
     import os
     import platform
 
@@ -566,7 +478,6 @@ def environment_record() -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "kind": "environment",
         "python": platform.python_version(),
-        "numpy": _numpy_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
@@ -697,18 +608,11 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="runs per (instance, variant); the "
                              "recorded time is the median (default 3)")
-    parser.add_argument("--speedup-instances", nargs="*",
-                        default=list(SPEEDUP_INSTANCES),
-                        metavar="NAME",
-                        help="instances for the arena-forward vs "
-                             "vector-forward speedup pair (pass no "
-                             "names to skip; default: "
-                             f"{' '.join(SPEEDUP_INSTANCES)})")
     parser.add_argument("--backward-pair-instances", nargs="*",
                         default=list(BACKWARD_PAIR_INSTANCES),
                         metavar="NAME",
                         help="instances for the backward-incremental "
-                             "engine-ladder + planner pair (pass no "
+                             "arena + planner pair (pass no "
                              "names to skip; default: "
                              f"{' '.join(BACKWARD_PAIR_INSTANCES)})")
     parser.add_argument("--streaming-instances", nargs="*",
@@ -732,18 +636,9 @@ def main(argv=None) -> int:
                              "instance and append the record")
     args = parser.parse_args(argv)
 
-    base_variants = tuple(v for v in VARIANTS
-                          if v not in SPEEDUP_VARIANTS)
     records = [environment_record()]
     records += bench_records(args.instances, args.jobs,
-                             repeats=args.repeats,
-                             variants=base_variants)
-    if args.speedup_instances:
-        records += bench_records(args.speedup_instances, args.jobs,
-                                 repeats=args.repeats,
-                                 variants=SPEEDUP_VARIANTS)
-        for line in speedup_lines(records):
-            print(f"speedup: {line}")
+                             repeats=args.repeats)
     if args.backward_pair_instances:
         records += bench_records(args.backward_pair_instances,
                                  max(4, args.jobs),

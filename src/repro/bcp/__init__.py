@@ -1,6 +1,6 @@
 """Boolean Constraint Propagation engines.
 
-Four interchangeable implementations of the paper's only algorithmic
+Three interchangeable implementations of the paper's only algorithmic
 prerequisite (Section 2):
 
 * :class:`WatchedPropagator` — two-watched-literal scheme (the one the
@@ -9,20 +9,10 @@ prerequisite (Section 2):
   differential-testing oracle and ablation baseline;
 * :class:`ArenaPropagator` — watched literals with blockers over a flat
   :class:`ClauseArena` literal pool; serializes to shared memory for
-  the zero-copy parallel backend;
-* :class:`VectorPropagator` — frontier-batched counting scheme whose
-  hot loop runs as numpy bulk operations over the arena buffers
-  (available only when numpy is installed: ``pip install repro[fast]``);
-* :class:`VectorIncPropagator` — the arena watched engine specialized
-  for incremental (persistent-root-trail) backward verification:
-  batched blocker probes over long watch rows, vectorized watch-row
-  compaction and bulk trail retraction (numpy-only, like ``vector``).
+  the zero-copy parallel backend and the streaming verifier.
 
 The CLI and the verification drivers select engines by name through
-:data:`ENGINES` / :func:`resolve_engine`.  The pseudo-name ``"auto"``
-resolves to the fastest engine the environment supports for the
-workload: ``vector-inc`` for incremental mode / ``vector`` otherwise
-when numpy is importable, else ``arena``.
+:data:`ENGINES` / :func:`resolve_engine`.
 """
 
 from repro.bcp.arena import ArenaPropagator, ClauseArena
@@ -45,59 +35,19 @@ ENGINES: dict[str, type[PropagatorBase]] = {
     "arena": ArenaPropagator,
 }
 
-try:  # numpy is an optional extra (repro[fast]); base install runs without
-    from repro.bcp.vector import VectorPropagator
-    from repro.bcp.vector_inc import VectorIncPropagator
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    VectorPropagator = None
-    VectorIncPropagator = None
-else:
-    ENGINES["vector"] = VectorPropagator
-    ENGINES["vector-inc"] = VectorIncPropagator
 
-
-def numpy_available() -> bool:
-    """Whether the numpy-vectorized engines can be used."""
-    return VectorPropagator is not None
-
-
-def resolve_engine(engine, mode: str | None = None,
-                   order: str | None = None) -> type[PropagatorBase]:
+def resolve_engine(engine) -> type[PropagatorBase]:
     """An engine class from a registry name, a class, or ``None``
-    (the default watched engine).
-
-    The pseudo-name ``"auto"`` selects the fastest engine available
-    *for the workload*: with numpy importable, ``vector-inc`` for
-    incremental-mode verification (its batched blocker probe and bulk
-    retraction pay off exactly when a persistent root trail keeps
-    watch rows long) and ``vector`` otherwise; without numpy,
-    ``arena``.  The
-    ``mode``/``order`` hints are optional — callers that know the
-    workload pass them (the verification drivers do), and callers that
-    want the decision on record resolve through
-    :func:`repro.verify.verification._resolve_engine_cls`, which emits
-    a ``kernel_selected`` trace event with the reason.
-    """
+    (the default watched engine)."""
     if engine is None:
         return WatchedPropagator
     if isinstance(engine, str):
-        if engine == "auto":
-            if not numpy_available():
-                return ArenaPropagator
-            if mode == "incremental":
-                return ENGINES["vector-inc"]
-            return ENGINES["vector"]
         try:
             return ENGINES[engine]
         except KeyError:
-            if engine in ("vector", "vector-inc"):
-                raise ValueError(
-                    f"the {engine} engine needs numpy (pip install "
-                    "repro[fast]); use --engine auto to fall back "
-                    "automatically") from None
             raise ValueError(
                 f"unknown BCP engine {engine!r}; expected one of "
-                f"{tuple(ENGINES)} or 'auto'") from None
+                f"{tuple(ENGINES)}") from None
     if isinstance(engine, type) and issubclass(engine, PropagatorBase):
         return engine
     raise ValueError(f"engine must be a name, a PropagatorBase "
@@ -117,14 +67,11 @@ __all__ = [
     "WatchedPropagator",
     "CountingPropagator",
     "ArenaPropagator",
-    "VectorPropagator",
-    "VectorIncPropagator",
     "ClauseArena",
     "PropagationCounters",
     "ENGINES",
     "resolve_engine",
     "engine_name",
-    "numpy_available",
     "TRUE",
     "FALSE",
     "UNDEF",

@@ -307,8 +307,6 @@ def _dedup(enc_lits: list[int]) -> list[int]:
 class ArenaPropagator(PropagatorBase):
     """Two-watched-literal BCP over a flat clause arena, with blockers."""
 
-    arena_backed = True
-
     def __init__(self, num_vars: int = 0,
                  arena: ClauseArena | None = None):
         adopt = arena is not None

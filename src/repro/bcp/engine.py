@@ -86,18 +86,6 @@ class PropagatorBase:
     #: forward DRUP checker — must refuse it up front).
     supports_removal = True
 
-    #: Implementation of the hot loop: ``"python"`` for the pure-Python
-    #: engines, ``"numpy"`` for the vectorized kernel.  Recorded in the
-    #: ``kernel_selected`` obs event and the run-history fingerprint.
-    kernel = "python"
-
-    #: Whether the engine stores its clauses in a flat
-    #: :class:`~repro.bcp.arena.ClauseArena` and accepts ``arena=`` in
-    #: its constructor — the property the shared-memory parallel
-    #: transport needs (workers attach the parent's arena and build
-    #: the engine over it instead of pickling the clause database).
-    arena_backed = False
-
     def __init__(self, num_vars: int = 0):
         self.num_vars = 0
         # Indexed by encoded literal (size 2 * (num_vars + 1)).

@@ -108,19 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="worker processes for verification1 "
                                  "(default 1: sequential)")
     verify_cmd.add_argument("--engine", default=None,
-                            choices=["watched", "counting", "arena",
-                                     "vector", "vector-inc", "auto"],
+                            choices=["watched", "counting", "arena"],
                             help="BCP engine (default: watched, or "
                                  "counting when --depgraph-out needs "
                                  "deterministic reasons); arena is the "
-                                 "flat-pool kernel the shared-memory "
-                                 "parallel backend uses, vector its "
-                                 "numpy-vectorized twin and vector-inc "
-                                 "the incremental-backward specialist "
-                                 "(both need the repro[fast] extra); "
-                                 "auto picks per workload: vector-inc "
-                                 "for incremental mode, vector "
-                                 "otherwise, arena without numpy")
+                                 "flat-pool engine the shared-memory "
+                                 "parallel backend uses")
     strictness = verify_cmd.add_mutually_exclusive_group()
     strictness.add_argument("--strict", action="store_true",
                             help="require a DIMACS header whose counts "
@@ -145,12 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     drup_cmd.add_argument("cnf")
     drup_cmd.add_argument("drup")
     drup_cmd.add_argument("--engine", default=None,
-                          choices=["watched", "arena", "vector",
-                                   "vector-inc", "auto"],
+                          choices=["watched", "arena"],
                           help="BCP engine (counting is rejected: it "
-                               "cannot honor deletions; auto picks "
-                               "vector when numpy is importable, else "
-                               "arena)")
+                               "cannot honor deletions)")
     _add_budget_arguments(drup_cmd)
     _add_obs_arguments(drup_cmd)
 
@@ -162,8 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_cmd.add_argument("cnf")
     stream_cmd.add_argument("drup")
     stream_cmd.add_argument("--engine", default=None,
-                            choices=["watched", "arena", "vector",
-                                     "vector-inc", "auto"],
+                            choices=["watched", "arena"],
                             help="BCP engine (counting is rejected: "
                                  "streaming lives on deletion events)")
     _add_budget_arguments(stream_cmd)
@@ -499,7 +488,7 @@ def _write_obs_artifacts(obs: Obs | None, args: argparse.Namespace,
 def _mem_arena_section(obs: Obs | None) -> dict | None:
     """The mem artifact's ``arena`` section, recovered from the
     ``repro_mem_arena_*`` gauges (their max-merge already folded
-    worker peaks in); None when no arena-backed engine reported."""
+    worker peaks in); None when no arena engine reported."""
     if obs is None or obs.metrics is None:
         return None
     snapshot = obs.metrics.snapshot()

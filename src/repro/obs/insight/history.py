@@ -66,18 +66,6 @@ _COMPARED = (
 )
 
 
-def _engine_kernel(engine: str | None) -> str | None:
-    """The hot-loop implementation ("python"/"numpy") of a named
-    engine; ``None`` when the engine is unrecorded or unregistered
-    (e.g. a vector-engine record read on a machine without numpy)."""
-    if engine is None:
-        return None
-    from repro.bcp import ENGINES
-
-    cls = ENGINES.get(engine)
-    return cls.kernel if cls is not None else None
-
-
 def fingerprint(report, *, run_id: str, command: str,
                 instance: str | None = None,
                 analytics=None,
@@ -115,7 +103,6 @@ def fingerprint(report, *, run_id: str, command: str,
         "procedure": getattr(report, "procedure", command),
         "mode": getattr(report, "mode", None),
         "engine": getattr(report, "engine", None),
-        "kernel": _engine_kernel(getattr(report, "engine", None)),
         "jobs": getattr(report, "jobs", 1),
         "wall_time": round(wall, 6),
         "checks": checks,

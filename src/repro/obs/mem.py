@@ -263,13 +263,12 @@ class MemSampler:
 # -- arena-native gauges ---------------------------------------------------
 
 def arena_mem_stats(engine) -> dict | None:
-    """Engine-native memory accounting for arena-backed BCP engines.
+    """Engine-native memory accounting for the arena BCP engine.
 
     Duck-typed on the :class:`~repro.bcp.arena.ArenaPropagator`
-    surface (the vector kernel shares it): the arena's flat pool plus
-    the watch tables.  Returns ``None`` for engines without an arena
-    (watched/counting keep per-clause Python lists — there is no flat
-    pool to measure)."""
+    surface: the arena's flat pool plus the watch tables.  Returns
+    ``None`` for engines without an arena (watched/counting keep
+    per-clause Python lists — there is no flat pool to measure)."""
     arena = getattr(engine, "arena", None)
     if arena is None or not hasattr(arena, "live_words"):
         return None

@@ -102,8 +102,7 @@ class ProofChecker:
     @classmethod
     def from_arena(cls, arena, num_input: int, mode: str = "rebuild",
                    retire: bool = True,
-                   meter: "BudgetMeter | None" = None,
-                   engine_cls=None) -> "ProofChecker":
+                   meter: "BudgetMeter | None" = None) -> "ProofChecker":
         """A checker over a pre-built (typically shared-memory-attached)
         clause arena instead of a formula/proof pair.
 
@@ -114,35 +113,22 @@ class ProofChecker:
         process needs nothing but the (picklable) arena handle and
         ``num_input``.  ``formula``/``proof`` are ``None`` on the
         resulting checker; callers that format failure messages from
-        proof literals keep their own copy.
-
-        ``engine_cls`` picks which arena-backed engine (a
-        :data:`repro.bcp.ENGINES` name or class with
-        ``arena_backed=True``; default ``"arena"``) is built over the
-        adopted arena — this is how parallel workers run the numpy
-        vector kernel against the parent's shared-memory block.
+        proof literals keep their own copy.  The engine is always the
+        :class:`~repro.bcp.arena.ArenaPropagator`, built over the
+        adopted arena.
         """
-        from repro.bcp import resolve_engine
         from repro.bcp.arena import ArenaPropagator
 
         if mode not in CHECKER_MODES:
             raise ValueError(f"unknown checker mode {mode!r}; "
                              f"expected one of {CHECKER_MODES}")
-        if engine_cls is None:
-            engine_cls = ArenaPropagator
-        else:
-            engine_cls = resolve_engine(engine_cls)
-            if not engine_cls.arena_backed:
-                raise ValueError(
-                    f"{engine_cls.__name__} is not arena-backed and "
-                    "cannot adopt a pre-built clause arena")
         self = cls.__new__(cls)
         self.formula = None
         self.proof = None
         self.mode = mode
         self.meter = meter
         self.retire = retire and mode == "incremental"
-        self.engine = engine_cls(arena=arena)
+        self.engine = ArenaPropagator(arena=arena)
         self.num_input = num_input
         starts = arena.starts
         pool = arena.pool

@@ -23,16 +23,15 @@ Two transports carry the clause database to the workers:
     without ``fork`` — and under ``fork`` it also eliminates the
     copy-on-write page duplication.
 
-Backend selection (see :func:`select_backend`): arena-backed engines
-(``arena``, and the numpy ``vector`` kernel — workers build their
-numpy views over the very same shm block) always use the shared-memory
-transport; other engines use classic ``fork`` when available and are
-*substituted* with the arena engine (warning in the report, identical
-verdicts) when only ``spawn`` exists — never the old silent sequential
-degrade.  The chosen path is announced with a
-``backend_selected`` obs event; ``REPRO_START_METHOD`` (or the
-``start_method`` parameter) forces a specific start method, which is
-how the fork-vs-spawn report-identity guarantee is tested.
+Backend selection (see :func:`select_backend`): the ``arena`` engine
+always uses the shared-memory transport; other engines use classic
+``fork`` when available and are *substituted* with the arena engine
+(warning in the report, identical verdicts) when only ``spawn`` exists
+— never the old silent sequential degrade.  The chosen path is
+announced with a ``backend_selected`` obs event;
+``REPRO_START_METHOD`` (or the ``start_method`` parameter) forces a
+specific start method, which is how the fork-vs-spawn report-identity
+guarantee is tested.
 
 Failure reporting stays deterministic regardless of pool scheduling:
 every shard scans in the requested direction and reports the first
@@ -127,11 +126,9 @@ def select_backend(engine_cls: type[PropagatorBase],
                    ) -> tuple[str | None, bool, type[PropagatorBase]]:
     """Pick ``(start_method, use_shm, worker_engine_cls)`` for a run.
 
-    * arena-backed engines (``arena``, ``vector``) always ride the
-      shared-memory transport (under ``fork`` too — that is the
-      zero-copy point); vector workers rebuild their numpy views with
-      ``np.frombuffer`` over the attached block, so the clause
-      database is mapped, never copied;
+    * the arena engine always rides the shared-memory transport
+      (under ``fork`` too — that is the zero-copy point), so the
+      clause database is mapped, never copied;
     * other engines use classic ``fork`` inheritance when available;
     * without ``fork``, the workers run the arena engine over shared
       memory instead of degrading to sequential (the caller records the
@@ -158,13 +155,10 @@ def select_backend(engine_cls: type[PropagatorBase],
         method = "spawn"
     else:
         return None, False, engine_cls
-    use_shm = bool(getattr(engine_cls, "arena_backed", False))
-    worker_cls = engine_cls
-    if method != "fork" and not use_shm:
-        # Only the arena crosses a non-fork boundary without pickling
-        # the clause database; substitute it rather than degrade.
-        use_shm = True
-        worker_cls = ArenaPropagator
+    # Only the arena crosses a non-fork boundary without pickling the
+    # clause database; substitute it rather than degrade.
+    use_shm = method != "fork" or issubclass(engine_cls, ArenaPropagator)
+    worker_cls = ArenaPropagator if use_shm else engine_cls
     return method, use_shm, worker_cls
 
 
@@ -311,8 +305,7 @@ def _worker_checker() -> ProofChecker:
             arena = ClauseArena.from_shared_memory(handle)
             checker = ProofChecker.from_arena(
                 arena, _SHARED["num_input"], mode=_SHARED["mode"],
-                retire=False,
-                engine_cls=_SHARED.get("worker_engine"))
+                retire=False)
         else:
             checker = ProofChecker(
                 _SHARED["formula"], _SHARED["proof"],
@@ -674,7 +667,6 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
         handle = arena.to_shared_memory()
         initializer = _init_worker
         initargs = ({"arena": handle, "num_input": num_input,
-                     "worker_engine": engine_name(worker_cls),
                      "order": order, "mode": mode, "meter": meter,
                      "faults": dict(_FAULTS), **obs_fields},)
     else:
@@ -699,6 +691,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
             executor = ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending)), mp_context=context,
                 initializer=initializer, initargs=initargs)
+            not_done: set = set()
             try:
                 futures = {
                     executor.submit(_shard_worker, shard, attempt): shard
@@ -729,9 +722,15 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                                        attempt=attempt)
                     sink.queue_depth(len(not_done))
             finally:
-                # cancel_futures covers the deadline-passed early exit;
-                # wait=False so a straggler cannot wedge the parent.
-                executor.shutdown(wait=False, cancel_futures=True)
+                if not_done:
+                    # Deadline early exit: drop queued shards and do
+                    # not wait, so a straggler cannot wedge the parent.
+                    executor.shutdown(wait=False, cancel_futures=True)
+                else:
+                    # Every future finished: join the pool so no worker
+                    # or manager thread outlives the run (an unjoined
+                    # pool can print "Exception ignored" at exit).
+                    executor.shutdown(wait=True)
     finally:
         _SHARED.clear()
         if arena is not None:

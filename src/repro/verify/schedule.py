@@ -12,11 +12,10 @@ shard dominating wall-clock.
 
 This module plans shards by *predicted cost* instead:
 
-* :func:`predict_costs` — cheap static proxies, pure Python (the
-  planner must work on the no-numpy install): per-check cost scales
-  with the live clause count at the check's ceiling (proof position)
-  times an assumption-width factor, plus a root-replay term in rebuild
-  mode (every rebuild check re-asserts the unit prefix).  The width
+* :func:`predict_costs` — cheap static proxies, pure Python: per-check
+  cost scales with the live clause count at the check's ceiling (proof
+  position) times an assumption-width factor, plus a root-replay term
+  in rebuild mode (every rebuild check re-asserts the unit prefix).  The width
   factor doubles as a resolution-trace-length proxy: a wide conflict
   clause assumes more literals, opening a larger propagation frontier.
 * :func:`load_calibration` — optionally replaces the analytic position
@@ -34,13 +33,6 @@ This module plans shards by *predicted cost* instead:
   rely on contiguity, and a contiguous equal-cost partition already
   removes the systematic skew (the residual within-shard variance is
   what the 4x over-sharding absorbs).
-* :func:`plan_verification2` — the marked-clause-first variant: when a
-  marked set is known ahead of time (a previous run's marking, a
-  trimmed proof's kept set), the replay sweep should check marked
-  clauses first — they are the ones that extend the marking — and
-  only then the speculative remainder.  The plan orders indices
-  marked-first (descending within each group, matching the marking
-  pass's scan direction) and shards that ordering by predicted cost.
 
 ``REPRO_SHARD_PLANNER`` selects the planner globally: ``cost`` (the
 default) or ``contiguous`` (the legacy equal-count split, kept as an
@@ -120,10 +112,7 @@ class ShardPlan:
     ``shards`` are contiguous ``(lo, hi)`` bounds partitioning
     ``range(n)``; ``predicted`` the planner's cost estimate per shard
     (same order); ``dispatch`` the submission order as indices into
-    ``shards`` (largest predicted cost first).  ``indices`` is None
-    for an identity plan over ``range(n)``; a verification2 replay
-    plan stores the reordered check indices there, and shard bounds
-    then address *positions* in that sequence.
+    ``shards`` (largest predicted cost first).
     """
 
     shards: tuple[tuple[int, int], ...]
@@ -131,7 +120,6 @@ class ShardPlan:
     dispatch: tuple[int, ...]
     planner: str
     source: str
-    indices: tuple[int, ...] | None = None
 
     def predicted_skew(self) -> float:
         """Max/mean predicted shard cost — 1.0 is perfectly balanced
@@ -256,8 +244,7 @@ def predict_costs(num_input: int, widths: Sequence[int],
 def plan_shards(costs: Sequence[float], jobs: int,
                 planner: str | None = None,
                 min_checks: int = MIN_CHECKS_PER_SHARD,
-                source: str = "static",
-                indices: Sequence[int] | None = None) -> ShardPlan:
+                source: str = "static") -> ShardPlan:
     """Partition ``range(len(costs))`` into contiguous shards of equal
     predicted cost (``cost`` planner) or equal count (``contiguous``).
 
@@ -270,8 +257,7 @@ def plan_shards(costs: Sequence[float], jobs: int,
     n = len(costs)
     num_shards = shard_count(n, jobs, min_checks)
     if num_shards <= 0:
-        return ShardPlan((), (), (), planner, "empty",
-                         tuple(indices) if indices is not None else None)
+        return ShardPlan((), (), (), planner, "empty")
     total = float(sum(costs))
     if planner == "cost" and (num_shards == 1 or total <= 0
                               or total != total or total == float("inf")):
@@ -307,8 +293,7 @@ def plan_shards(costs: Sequence[float], jobs: int,
     predicted = tuple(float(sum(costs[lo:hi])) for lo, hi in shards)
     dispatch = tuple(sorted(range(len(shards)),
                             key=lambda k: (-predicted[k], k)))
-    return ShardPlan(shards, predicted, dispatch, planner_used, source,
-                     tuple(indices) if indices is not None else None)
+    return ShardPlan(shards, predicted, dispatch, planner_used, source)
 
 
 def plan_verification1(num_input: int, widths: Sequence[int],
@@ -333,36 +318,3 @@ def plan_verification1(num_input: int, widths: Sequence[int],
               if calibration is not None else "static")
     return plan_shards(costs, jobs, planner=planner, source=source)
 
-
-def marked_first_order(num_indices: int,
-                       marked: Sequence[int]) -> list[int]:
-    """Check order for a replay sweep with a known marked set: marked
-    indices first, then the rest, each group descending (the marking
-    pass's own direction, so marking extensions are met before the
-    speculative tail runs)."""
-    marked_set = {i for i in marked if 0 <= i < num_indices}
-    front = sorted(marked_set, reverse=True)
-    back = [i for i in range(num_indices - 1, -1, -1)
-            if i not in marked_set]
-    return front + back
-
-
-def plan_verification2(num_input: int, widths: Sequence[int],
-                       marked: Sequence[int], jobs: int,
-                       mode: str = "incremental",
-                       planner: str | None = None) -> ShardPlan:
-    """The verification2 replay plan: marked-clause-first ordering,
-    sharded by predicted cost over that ordering.
-
-    The plan's ``indices`` carries the reordered check sequence and
-    its shard bounds address positions in it — shard ``(lo, hi)``
-    covers ``plan.indices[lo:hi]``.  Used when a marked set is known
-    ahead of time (a prior run's marking, a trimmed proof's kept set)
-    and the replay should establish the core before spending workers
-    on the speculative remainder.
-    """
-    ordered = marked_first_order(len(widths), marked)
-    costs = predict_costs(num_input, widths, mode)
-    return plan_shards([costs[i] for i in ordered], jobs,
-                       planner=planner, source="marked-first",
-                       indices=ordered)

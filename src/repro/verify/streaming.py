@@ -273,7 +273,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         raise ValueError(
             f"engine '{engine_name(engine_cls)}' does not support "
             "clause removal; streaming verification lives on deletion "
-            "events — use the watched, arena, or vector engine")
+            "events — use the watched or arena engine")
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
 

@@ -115,40 +115,19 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
     dependency graph is then identical for any check order or sharding
     (the ``--jobs 1`` vs ``--jobs 4`` artifact-identity guarantee).
     An explicit ``engine_cls`` — a :data:`repro.bcp.ENGINES` name
-    (``"watched"``, ``"counting"``, ``"arena"``, ``"vector"``,
-    ``"vector-inc"``), the pseudo-name ``"auto"``, or a
+    (``"watched"``, ``"counting"``, ``"arena"``) or a
     :class:`~repro.bcp.engine.PropagatorBase` subclass — always wins
     over this default.
 
-    The ``auto`` ladder is *workload-aware*: the drivers pass their
-    ``mode``/``order`` here so incremental-mode runs get the
-    ``vector-inc`` kernel (batched blocker probes and retraction pay
-    off exactly on a persistent root trail) while rebuild/forward
-    workloads get ``vector``, with ``arena`` as the no-numpy floor.
-
     With instrumentation attached the decision is put on record as a
     ``kernel_selected`` trace event carrying what was requested, which
-    engine won, whether its hot loop is the numpy or the pure-Python
-    kernel, and the *reason* — the ladder rung (or default rule) that
-    picked it.
+    engine won, and the *reason* — the rule that picked it.
     """
     if engine_cls is not None:
         requested = engine_cls if isinstance(engine_cls, str) \
             else getattr(engine_cls, "__name__", repr(engine_cls))
-        resolved = resolve_engine(engine_cls, mode=mode, order=order)
-        if isinstance(engine_cls, str) and engine_cls == "auto":
-            from repro.bcp import numpy_available
-
-            if not numpy_available():
-                reason = "auto: numpy unavailable, arena fallback"
-            elif mode == "incremental":
-                reason = ("auto: incremental mode, persistent root "
-                          "trail favors the batched vector-inc kernel")
-            else:
-                reason = "auto: rebuild workload, frontier-batched " \
-                         "vector kernel"
-        else:
-            reason = "explicit request"
+        resolved = resolve_engine(engine_cls)
+        reason = "explicit request"
     elif obs is not None and obs.wants_depgraph:
         from repro.bcp.counting import CountingPropagator
 
@@ -162,8 +141,8 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
         reason = "default: the paper's watched-literal engine"
     if obs is not None:
         obs.event("kernel_selected", requested=requested,
-                  engine=engine_name(resolved), kernel=resolved.kernel,
-                  mode=mode, order=order, reason=reason)
+                  engine=engine_name(resolved), mode=mode, order=order,
+                  reason=reason)
     return resolved
 
 

@@ -351,3 +351,59 @@ class TestObservabilityCli:
                      "--metrics-out", str(metrics_path)])
         assert code == 1
         assert metrics_path.exists()
+
+
+def _run_cli_process(*args, code="from repro.cli import main; "
+                                  "raise SystemExit(main())"):
+    """Run the CLI (or ``code``) in a fresh interpreter with this
+    checkout's ``repro`` on the path."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessLevel:
+    """Properties only a fresh interpreter can show: what importing the
+    CLI pulls in, and what a finished run leaves on stderr at exit."""
+
+    def test_cli_import_does_not_load_numpy(self):
+        result = _run_cli_process(
+            code="import sys, repro.cli; "
+                 "print('numpy' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_engine_choices(self, capsys):
+        for command, choices in (("verify", "{watched,counting,arena}"),
+                                 ("verify-drup", "{watched,arena}"),
+                                 ("verify-stream", "{watched,arena}")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert f"--engine {choices}" in capsys.readouterr().out
+
+    def test_parallel_verify_exits_cleanly(self, tmp_path):
+        import multiprocessing
+
+        from repro.benchgen.registry import pigeonhole
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("parallel backend needs fork")
+        cnf, proof = tmp_path / "php.cnf", tmp_path / "php.ccp"
+        write_dimacs(pigeonhole(4), cnf)
+        assert main(["solve", str(cnf), "--proof", str(proof)]) \
+            == EXIT_UNSAT
+        for _ in range(5):
+            result = _run_cli_process(
+                "verify", str(cnf), str(proof),
+                "--procedure", "verification1", "--jobs", "2")
+            assert result.returncode == 0, result.stderr
+            assert "Exception ignored" not in result.stderr

@@ -1,8 +1,7 @@
 """Engine-parity differential tests.
 
-The BCP engines (watched, counting, arena, and — when numpy is
-installed — vector and vector-inc) are interchangeable by contract: every
-verification procedure must produce the same verdict,
+The BCP engines (watched, counting, arena) are interchangeable by
+contract: every verification procedure must produce the same verdict,
 the same failed/marked indices, and the same unsat core regardless of
 which engine ran the checks.  These tests pin that contract on the
 paper's worked example and on solved instances — including under the
@@ -113,9 +112,7 @@ class TestSolvedInstance:
         trimmed = trim_proof(formula, proof, engine_cls=engine).trimmed
         assert verify_proof_v1(report.core.as_formula(), trimmed).ok
 
-    @pytest.mark.parametrize("engine", [
-        e for e in ("watched", "arena", "vector", "vector-inc")
-        if e in ENGINES])
+    @pytest.mark.parametrize("engine", ["watched", "arena"])
     def test_forward_drup_verdict(self, solved, engine):
         formula, _, drup = solved
         report = check_drup(formula, drup, engine_cls=engine)
@@ -179,8 +176,7 @@ class TestDeletionParity:
     which removal-capable engine ran, and the counting engine (which
     cannot remove) must be refused identically everywhere."""
 
-    REMOVAL = [e for e in ("watched", "arena", "vector", "vector-inc")
-               if e in ENGINES]
+    REMOVAL = ["watched", "arena"]
 
     @pytest.fixture(scope="class")
     def chain_files(self, tmp_path_factory):
@@ -240,8 +236,7 @@ class TestDeletionParity:
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", [
-        e for e in ("arena", "vector", "vector-inc") if e in ENGINES])
+    @pytest.mark.parametrize("engine", ["arena"])
     def test_tombstones_cross_fork_and_spawn(self, solved,
                                              monkeypatch, engine):
         """Parallel v1 ships the clause arena over shared memory; a
@@ -274,8 +269,7 @@ class TestStartMethodIdentity:
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", [
-        e for e in ("arena", "vector", "vector-inc") if e in ENGINES])
+    @pytest.mark.parametrize("engine", ["arena"])
     def test_fork_and_spawn_reports_identical(self, solved,
                                               monkeypatch, engine):
         formula, proof, _ = solved

@@ -18,10 +18,8 @@ from repro.verify.schedule import (
     Calibration,
     ShardPlan,
     load_calibration,
-    marked_first_order,
     plan_shards,
     plan_verification1,
-    plan_verification2,
     planner_choice,
     predict_costs,
     shard_count,
@@ -210,23 +208,6 @@ class TestCalibration:
         assert load_calibration("x.cnf",
                                 directory=str(tmp_path / "no")) is None
         assert load_calibration(None) is None
-
-
-class TestPlanVerification2:
-    def test_marked_first_order(self):
-        order = marked_first_order(6, [1, 4])
-        assert order == [4, 1, 5, 3, 2, 0]
-        # Out-of-range marks are dropped, not crashed on.
-        assert marked_first_order(3, [7, -1, 2]) == [2, 1, 0]
-
-    def test_replay_plan_covers_every_position(self):
-        widths = [4] * 120
-        plan = plan_verification2(10, widths, [5, 80, 100], 4)
-        assert plan.source == "marked-first"
-        assert sorted(plan.indices) == list(range(120))
-        _assert_partition(plan, 120)  # bounds address positions
-        # The first positions are the marked set, descending.
-        assert list(plan.indices[:3]) == [100, 80, 5]
 
 
 class TestBackendIntegration:

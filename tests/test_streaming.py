@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.bcp import ENGINES
 from repro.benchgen.streaming import (
     deletion_chain,
     deletion_chain_formula,
@@ -42,8 +41,7 @@ from repro.verify.streaming import (
     verify_stream,
 )
 
-REMOVAL_ENGINES = [e for e in ("watched", "arena", "vector")
-                   if e in ENGINES]
+REMOVAL_ENGINES = ["watched", "arena"]
 
 N = 400
 WINDOW = 4
