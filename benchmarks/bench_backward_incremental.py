@@ -40,6 +40,7 @@ Runs in two forms:
 """
 
 import json
+import os
 import statistics
 import sys
 import time
@@ -80,31 +81,15 @@ VARIANT_SPECS = {
     "arena": ("arena", "incremental", "backward", False),
     "parallel": (None, "incremental", "backward", True),
     "arena-parallel": ("arena", "incremental", "backward", True),
-    "arena-parallel-contiguous": ("arena", "incremental", "backward",
-                                  True),
 }
 VARIANTS = tuple(VARIANT_SPECS)
 
-#: variant -> forced ``REPRO_SHARD_PLANNER`` value.  The parallel
-#: variants pin the planner explicitly so the pair of rows
-#: (``arena-parallel`` = cost planner, ``arena-parallel-contiguous`` =
-#: legacy equal-count split) is a controlled comparison regardless of
-#: the caller's environment.
-VARIANT_PLANNER = {
-    "parallel": "cost",
-    "arena-parallel": "cost",
-    "arena-parallel-contiguous": "contiguous",
-}
-
 # The backward-incremental pair (standalone runs): a pipe-family
 # instance checked backward in incremental mode on the arena engine,
-# plus the planner-vs-contiguous parallel pair whose attribution rows
-# (predicted/measured skew, utilization) demonstrate what the
-# cost-model scheduler buys.  The planner row is stamped with
-# ``skew_vs_contiguous``.
+# sequentially and across the pool, so the parallel row is compared
+# with the best sequential path (see backward_pair_lines).
 BACKWARD_PAIR_INSTANCES = ("pipe_5",)
-BACKWARD_PAIR_VARIANTS = ("arena", "arena-parallel",
-                          "arena-parallel-contiguous")
+BACKWARD_PAIR_VARIANTS = ("arena", "arena-parallel")
 
 # The streaming family: deletion-chain traces whose addition volume is
 # ~10x the live-clause cap they are verified under.  ``chain400`` is
@@ -171,25 +156,10 @@ _rebuild_counters: dict[str, dict[str, int]] = {}
 
 
 def run_variant(formula, proof, variant: str, jobs: int, obs=None):
-    import os
-
     engine, mode, order, parallel = VARIANT_SPECS[variant]
-    planner = VARIANT_PLANNER.get(variant)
-    if planner is None:
-        return verify_proof_v1(formula, proof, engine, order=order,
-                               mode=mode, jobs=jobs if parallel else 1,
-                               obs=obs)
-    previous = os.environ.get("REPRO_SHARD_PLANNER")
-    os.environ["REPRO_SHARD_PLANNER"] = planner
-    try:
-        return verify_proof_v1(formula, proof, engine, order=order,
-                               mode=mode, jobs=jobs if parallel else 1,
-                               obs=obs)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SHARD_PLANNER", None)
-        else:
-            os.environ["REPRO_SHARD_PLANNER"] = previous
+    return verify_proof_v1(formula, proof, engine, order=order,
+                           mode=mode, jobs=jobs if parallel else 1,
+                           obs=obs)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -263,18 +233,8 @@ def bench_records(instances, jobs: int, repeats: int = 3,
             # run when sequential).
             attribution = None
             arena_peak = None
-            plan_fields = {}
             arena_engine = VARIANT_SPECS[variant][0] == "arena"
             if used_jobs > 1:
-                from repro.verify.parallel import planned_shards
-
-                plan = planned_shards(
-                    data.formula, data.proof, used_jobs,
-                    mode=VARIANT_SPECS[variant][1],
-                    planner=VARIANT_PLANNER.get(variant))
-                plan_fields = {
-                    "predicted_skew": round(plan.predicted_skew(), 4),
-                    "num_shards": len(plan.shards)}
                 from repro.obs import Tracer
                 from repro.obs.timeline import attribution_summary
 
@@ -315,8 +275,7 @@ def bench_records(instances, jobs: int, repeats: int = 3,
                 "times": [round(t, 6) for t in times],
                 "counters": report.bcp_counters,
                 "stats": stats,
-                "planner": VARIANT_PLANNER.get(variant),
-                **plan_fields,
+                "cpu_count": os.cpu_count(),
                 "attribution": attribution,
                 "arena_peak_bytes": arena_peak,
                 **rss.fields(),
@@ -425,53 +384,31 @@ def streaming_records(names, repeats: int = 3,
 
 
 def backward_pair_lines(records: list[dict]) -> list[str]:
-    """Stamp + summarize the backward-incremental pair records.
-
-    ``skew_vs_contiguous`` is stamped on the ``arena-parallel`` (cost
-    planner) row so the trend log keeps it queryable: the measured
-    shard-skew ratio of the cost-planned run against the contiguous
-    split's, from the untimed attribution runs (values < 1.0 mean the
-    planner flattened the pool).
-    """
+    """Summarize each ``arena-parallel`` row against the sequential
+    ``arena`` row of the same instance: median wall-clock speedup and
+    the work counters (watch visits, purged entries) of both."""
     by_key: dict[tuple[str, str], dict] = {
         (r["instance"], r["variant"]): r for r in records
         if "variant" in r}
     lines = []
     for (name, variant), rec in by_key.items():
-        if variant == "arena-parallel":
-            contiguous = by_key.get((name,
-                                     "arena-parallel-contiguous"))
-            planned_attr = rec.get("attribution") or {}
-            contig_attr = ((contiguous or {}).get("attribution")
-                           or {})
-            planned_skew = planned_attr.get("skew_ratio")
-            contig_skew = contig_attr.get("skew_ratio")
-            if not planned_skew or not contig_skew:
-                continue
-            rec["skew_vs_contiguous"] = round(
-                planned_skew / contig_skew, 3)
-            predicted = rec.get("predicted_skew")
-            contig_predicted = (contiguous or {}).get("predicted_skew")
-            predicted_note = ""
-            if predicted and contig_predicted:
-                rec["predicted_skew_vs_contiguous"] = round(
-                    predicted / contig_predicted, 3)
-                predicted_note = (
-                    f"; predicted skew {predicted:.2f} vs "
-                    f"{contig_predicted:.2f}")
-            lines.append(
-                f"{name}: measured shard skew cost-planned "
-                f"{planned_skew:.2f} vs contiguous {contig_skew:.2f} "
-                f"({rec['skew_vs_contiguous']:.2f}x), utilization "
-                f"{planned_attr.get('utilization'):.2f} vs "
-                f"{contig_attr.get('utilization'):.2f}"
-                + predicted_note)
+        sequential = by_key.get((name, "arena"))
+        if variant != "arena-parallel" or sequential is None:
+            continue
+        par, seq = rec["counters"], sequential["counters"]
+        wall, seq_wall = (rec["verification_time"],
+                          sequential["verification_time"])
+        lines.append(
+            f"{name}: jobs={rec['jobs']} median {wall:.3f}s vs "
+            f"sequential {seq_wall:.3f}s ({seq_wall / wall:.2f}x); "
+            f"watch visits {par['watch_visits'] / seq['watch_visits']:.2f}x"
+            f" sequential; purged {par['purged']:,} vs "
+            f"{seq['purged']:,}")
     return lines
 
 
 def environment_record() -> dict:
     """The stack a bench invocation ran on."""
-    import os
     import platform
 
     return {
@@ -612,7 +549,7 @@ def main(argv=None) -> int:
                         default=list(BACKWARD_PAIR_INSTANCES),
                         metavar="NAME",
                         help="instances for the backward-incremental "
-                             "arena + planner pair (pass no "
+                             "arena sequential/parallel pair (pass no "
                              "names to skip; default: "
                              f"{' '.join(BACKWARD_PAIR_INSTANCES)})")
     parser.add_argument("--streaming-instances", nargs="*",
@@ -641,7 +578,7 @@ def main(argv=None) -> int:
                              repeats=args.repeats)
     if args.backward_pair_instances:
         records += bench_records(args.backward_pair_instances,
-                                 max(4, args.jobs),
+                                 args.jobs,
                                  repeats=args.repeats,
                                  variants=BACKWARD_PAIR_VARIANTS)
         for line in backward_pair_lines(records):

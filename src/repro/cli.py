@@ -776,7 +776,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             formula, proof, procedure=args.procedure,
             engine_cls=args.engine,
             order=args.order, mode=args.mode, jobs=args.jobs,
-            budget=_budget_from(args), obs=obs, instance=args.cnf),
+            budget=_budget_from(args), obs=obs),
         formula, proof)
     if report is None:
         return EXIT_INTERRUPT

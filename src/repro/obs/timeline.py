@@ -11,8 +11,7 @@ questions the raw log can't:
   renders as a Gantt chart;
 * **utilization / idle gaps** — per-worker busy time vs the worker
   window, with the explicit gap intervals;
-* **shard skew** — max/mean/min shard wall time and the skew ratio
-  the ROADMAP's cost-model scheduler needs to beat;
+* **shard skew** — max/mean/min shard wall time and their ratio;
 * **critical path** — the chain of spans that actually bounds
   wall-clock, computed by the classic trace-analysis walk: start at
   the span that ends last, recurse into the child that ends last

@@ -383,7 +383,7 @@ def scenario_worker_death(workdir: str) -> FaultOutcome:
         clear_faults,
         fork_available,
         install_fault,
-        planned_shards,
+        make_shards,
     )
 
     if not fork_available():
@@ -398,12 +398,8 @@ def scenario_worker_death(workdir: str) -> FaultOutcome:
     result = solve(formula, reduce_base=20, reduce_growth=10)
     proof = ConflictClauseProof.from_log(result.log)
     try:
-        # Key the fault by the bounds the run will actually execute
-        # (the cost planner's partition, not the legacy equal-count
-        # split).
-        install_fault(planned_shards(formula, proof, 4,
-                                     mode="incremental").shards[0],
-                      deaths=1)
+        # Key the fault by the bounds the run will actually execute.
+        install_fault(make_shards(len(proof), 4)[0], deaths=1)
         report = verify_proof_v1(formula, proof, jobs=4,
                                  mode="incremental")
     except BaseException as exc:                   # noqa: BLE001

@@ -85,8 +85,8 @@ class ProofChecker:
         self.meter = meter
         # Retirement permanently removes clauses above the ceiling from
         # the engine, which is only sound when the ceiling never rises
-        # again (a pure backward pass).  Shard workers that may revisit
-        # higher ceilings pass retire=False.
+        # again (a backward pass).  Forward passes and other callers
+        # that may revisit higher ceilings pass retire=False.
         self.retire = retire and mode == "incremental"
         num_vars = max(formula.num_vars, proof.max_var())
         self.engine = engine_cls(num_vars)

@@ -39,10 +39,17 @@ failure it meets, and the parent reduces shard failures with max (for a
 backward pass: the first failure a sequential backward scan would hit is
 the *highest* failing index) or min (forward).
 
-Workers run the incremental checker with ``retire=False``: a worker may
-receive non-adjacent shards in any order, so clauses must never be
-permanently retired, but the persistent root trail still amortizes the
-unit pass within each shard.
+The proof is cut into contiguous equal-count shards
+(:func:`make_shards`) and the shards are submitted in scan order:
+high→low for a backward pass, low→high for a forward one.  The pool
+hands work out first-in first-out, so every worker meets its shards
+with monotone ceilings, and on a backward pass each worker's
+incremental checker runs with ``retire=True``: clauses above the
+current shard are retired for good, as in a sequential backward scan.
+Submitting high→low is also largest-first, because high-index checks
+propagate over the most clauses.  Should a worker ever see a rising
+ceiling, the checker raises ``ValueError``; an ordering slip fails
+loudly and never flips a verdict.
 
 Fault tolerance
 ---------------
@@ -197,21 +204,45 @@ def clear_faults() -> None:
     _FAULTS.clear()
 
 
+#: Minimum checks a shard should carry: below this the per-shard
+#: overhead (span bookkeeping, IPC, result pickling) outweighs the
+#: balancing benefit of more shards.
+MIN_CHECKS_PER_SHARD = 16
+
+#: Over-sharding factor: shards per worker, so a worker that finishes
+#: early picks up more of the queue.
+SHARDS_PER_JOB = 4
+
+
+def shard_count(num_indices: int, jobs: int) -> int:
+    """How many shards to cut ``num_indices`` checks into.
+
+    Over-shards by :data:`SHARDS_PER_JOB` for dynamic balancing but
+    never cuts shards smaller than :data:`MIN_CHECKS_PER_SHARD` (tiny
+    shards pay per-shard span/IPC overhead for no balancing gain).  The
+    clamp trims the over-sharding only: the count never drops below
+    one shard per worker while there are enough checks to go around,
+    so a small proof still spreads across the pool instead of idling
+    every worker but one.
+    """
+    if num_indices <= 0:
+        return 0
+    jobs = max(1, jobs)
+    return max(1, min(num_indices,
+                      jobs * SHARDS_PER_JOB,
+                      max(jobs, num_indices // MIN_CHECKS_PER_SHARD)))
+
+
 def make_shards(num_indices: int, jobs: int) -> list[tuple[int, int]]:
     """Split ``range(num_indices)`` into contiguous ``(lo, hi)`` shards
-    of equal count.
+    of equal count, in ascending order.
 
-    More shards than workers (4x) so the pool can balance the uneven
-    per-check cost (high indices propagate over more clauses), clamped
-    so every shard carries at least
-    :data:`~repro.verify.schedule.MIN_CHECKS_PER_SHARD` checks — tiny
-    shards pay per-shard span/IPC overhead for no balancing gain.
-    This is the ``contiguous`` planner's partition; the default
-    ``cost`` planner cuts the same range by *predicted* cost instead
-    (see :mod:`repro.verify.schedule`).
+    This is the only partition :func:`run_sharded_v1` executes, so
+    tests and tooling can key faults by its exact bounds.  The shard
+    count comes from :func:`shard_count`; the backend submits the
+    shards in scan order, which lets every worker retire clauses on a
+    backward pass.
     """
-    from repro.verify.schedule import shard_count
-
     if num_indices <= 0:
         return []
     num_shards = shard_count(num_indices, jobs)
@@ -219,29 +250,6 @@ def make_shards(num_indices: int, jobs: int) -> list[tuple[int, int]]:
               for i in range(num_shards + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(num_shards)
             if bounds[i] < bounds[i + 1]]
-
-
-def planned_shards(formula: CnfFormula, proof: ConflictClauseProof,
-                   jobs: int, mode: str = "incremental",
-                   order: str = "backward",
-                   instance: str | None = None,
-                   planner: str | None = None):
-    """The :class:`~repro.verify.schedule.ShardPlan` a
-    :func:`run_sharded_v1` call with these arguments executes.
-
-    Exposed so tests (fault injection keys faults by shard bounds) and
-    tooling can reproduce the exact partition; the plan is a pure
-    function of its inputs plus the planner choice (argument, then the
-    ``REPRO_SHARD_PLANNER`` override) and any usable calibration
-    record for ``instance``.
-    """
-    from repro.verify.schedule import plan_verification1
-
-    return plan_verification1(
-        formula.num_clauses,
-        [len(proof[i]) for i in range(len(proof))],
-        jobs, mode=mode, order=order, instance=instance,
-        planner=planner)
 
 
 @dataclass
@@ -301,16 +309,19 @@ def _worker_checker() -> ProofChecker:
     if checker is None:
         meter: BudgetMeter | None = _SHARED.get("meter")
         handle = _SHARED.get("arena")
+        # Shards arrive in scan order (see run_sharded_v1), so a
+        # backward worker's ceilings only ever fall.
+        retire = _SHARED["order"] == "backward"
         if handle is not None:
             arena = ClauseArena.from_shared_memory(handle)
             checker = ProofChecker.from_arena(
                 arena, _SHARED["num_input"], mode=_SHARED["mode"],
-                retire=False)
+                retire=retire)
         else:
             checker = ProofChecker(
                 _SHARED["formula"], _SHARED["proof"],
                 _SHARED["engine_cls"], mode=_SHARED["mode"],
-                retire=False)
+                retire=retire)
         if meter is not None:
             # Fresh engine in this process: keep the shared deadline but
             # charge work units against this worker's own counters.
@@ -588,7 +599,6 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                    meter: BudgetMeter | None = None,
                    obs=None, builder=None,
                    start_method: str | None = None,
-                   plan=None, instance: str | None = None,
                    ) -> ShardRunResult:
     """Check every proof index across a process pool, surviving faults.
 
@@ -610,21 +620,16 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     attach the instrumentation layer; see the module docstring for
     what is collected where.
 
-    ``plan`` is the :class:`~repro.verify.schedule.ShardPlan` to
-    execute; ``None`` plans here (cost planner by default, with
-    best-effort history calibration when ``instance`` names the run's
-    input).  Shards are dispatched in the plan's LPT order — largest
-    predicted cost first — so the pool never starts a long shard
-    last; verdicts and failure indices are plan-independent.
+    The proof is cut by :func:`make_shards` and the shards are
+    submitted in scan order (high→low for ``backward``, low→high for
+    ``forward``); the retry round re-submits the pending shards in the
+    same order.  Each worker therefore sees monotone ceilings, which
+    is what lets backward workers retire clauses.
     """
-    if plan is None:
-        plan = planned_shards(formula, proof, jobs, mode, order,
-                              instance)
-    shards = list(plan.shards)
+    shards = make_shards(len(proof), jobs)
+    if order == "backward":
+        shards.reverse()
     sink = _ObsSink(obs, builder, len(shards))
-    sink.event("shard_plan", **plan.as_event())
-    dispatch_rank = {shard: rank for rank, shard
-                     in enumerate(plan.dispatch_shards())}
     requested = engine_name(engine_cls)
     method, use_shm, worker_cls = select_backend(engine_cls,
                                                  start_method)
@@ -676,8 +681,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     context = get_context(method)
     try:
         for attempt in (0, 1):
-            pending = sorted((s for s in shards if s not in results),
-                             key=lambda s: dispatch_rank.get(s, 0))
+            pending = [s for s in shards if s not in results]
             if not pending or _budget_hit(results):
                 break
             if attempt == 1:
@@ -775,10 +779,11 @@ def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
                   meter: BudgetMeter | None,
                   sink: "_ObsSink | None" = None) -> ShardRunResult:
     """In-process sequential fallback for shards the pool never
-    finished.  Scans shards in deterministic scan order so the reduced
-    failure index still matches a sequential run."""
+    finished.  ``remaining`` is in scan order, so the reduced failure
+    index still matches a sequential run and a backward scan can
+    retire clauses as it goes."""
     checker = ProofChecker(formula, proof, engine_cls, mode=mode,
-                           retire=False)
+                           retire=(order == "backward"))
     if meter is not None:
         checker.meter = meter.rebase(checker.engine.counters)
     instrument = sink is not None and sink.obs is not None
@@ -790,8 +795,7 @@ def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
         if tracer is not None else None
     run_id = sink.obs.run_id if instrument else None
     depgraph = instrument and sink.obs.wants_depgraph
-    ordered = sorted(remaining, reverse=(order == "backward"))
-    for shard in ordered:
+    for shard in remaining:
         results[shard] = _run_shard(checker, shard, order,
                                     instrument=instrument, epoch=epoch,
                                     run_id=run_id, depgraph=depgraph,

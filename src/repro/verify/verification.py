@@ -171,7 +171,6 @@ def verify_proof_v1(
         jobs: int | None = 1,
         budget: CheckBudget | None = None,
         obs=None,
-        instance: str | None = None,
 ) -> VerificationReport:
     """Proof_verification1: check the correctness of *every* clause of F*.
 
@@ -202,9 +201,7 @@ def verify_proof_v1(
     it carries a dependency-graph recorder and no explicit
     ``engine_cls`` is given, the counting engine is selected so the
     captured graph is independent of check order and sharding (see
-    :func:`_resolve_engine_cls`).  ``instance`` (a name or path for
-    the formula, optional) keys the parallel backend's best-effort
-    shard-plan calibration against the run-history store.
+    :func:`_resolve_engine_cls`).
     """
     _check_order(order)
     _check_mode(mode)
@@ -217,8 +214,7 @@ def verify_proof_v1(
         # no-fork platforms run spawn + shared-memory arena instead of
         # the old silent sequential degrade (see select_backend).
         return _verify_proof_v1_parallel(formula, proof, engine_cls,
-                                         order, mode, jobs, meter,
-                                         obs, instance=instance)
+                                         order, mode, jobs, meter, obs)
     build = ReportBuilder(
         VerificationReport, obs=obs, total_checks=len(proof),
         procedure="verification1", num_proof_clauses=len(proof),
@@ -284,7 +280,7 @@ def _verify_proof_v1_parallel(
         formula: CnfFormula, proof: ConflictClauseProof,
         engine_cls: type[PropagatorBase], order: str, mode: str,
         jobs: int, meter: BudgetMeter | None,
-        obs=None, instance: str | None = None) -> VerificationReport:
+        obs=None) -> VerificationReport:
     from repro.verify.parallel import run_sharded_v1
 
     jobs = min(jobs, len(proof))
@@ -295,8 +291,7 @@ def _verify_proof_v1_parallel(
     with build.phase("pool", procedure="verification1", mode=mode,
                      order=order, jobs=jobs):
         run = run_sharded_v1(formula, proof, engine_cls, order, mode,
-                             jobs, meter, obs=obs, builder=build,
-                             instance=instance)
+                             jobs, meter, obs=obs, builder=build)
     if obs is not None:
         obs.publish_depgraph_totals()
     if run.budget_reason is not None:
@@ -467,13 +462,11 @@ def verify_proof(formula: CnfFormula, proof: ConflictClauseProof,
                  jobs: int | None = 1,
                  budget: CheckBudget | None = None,
                  obs=None,
-                 instance: str | None = None,
                  ) -> VerificationReport:
     """Verify a conflict clause proof (``verification2`` by default).
 
     The dispatcher forwards every option the selected procedure
-    understands: ``order``, ``jobs`` and ``instance`` (the shard
-    planner's calibration key) apply to ``verification1`` only
+    understands: ``order`` and ``jobs`` apply to ``verification1`` only
     (``verification2``'s marking pass is inherently backward and
     sequential), ``mode``, ``engine_cls``, ``budget`` and ``obs`` to
     both.
@@ -481,7 +474,7 @@ def verify_proof(formula: CnfFormula, proof: ConflictClauseProof,
     if procedure == "verification1":
         return verify_proof_v1(formula, proof, engine_cls, order=order,
                                mode=mode, jobs=jobs, budget=budget,
-                               obs=obs, instance=instance)
+                               obs=obs)
     if procedure == "verification2":
         if order != "backward":
             raise ValueError(

@@ -9,8 +9,11 @@ clause surfaces first is not, so cores/marked sets are checked for
 validity rather than bit-equality.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro.bcp.arena import ArenaPropagator
 from repro.bcp.counting import CountingPropagator
 from repro.bcp.watched import WatchedPropagator
 from repro.benchgen.php import pigeonhole
@@ -23,7 +26,6 @@ from repro.proofs.conflict_clause import (
 )
 from repro.solver.cdcl import solve
 from repro.verify.checker import ProofChecker
-from repro.verify.parallel import make_shards
 from repro.verify.verification import (
     verify_proof,
     verify_proof_v1,
@@ -244,12 +246,41 @@ class TestDispatcherForwarding:
             verify_proof(self.formula, proof, jobs=2)
 
 
+@pytest.fixture(scope="module")
+def php5_proof():
+    formula = pigeonhole(5)
+    result = solve(formula, reduce_base=20, reduce_growth=10)
+    assert result.is_unsat
+    return formula, ConflictClauseProof.from_log(result.log)
+
+
 class TestParallelBackend:
-    def test_shards_cover_range_contiguously(self):
-        for num, jobs in ((0, 4), (1, 4), (7, 2), (100, 3), (5, 8)):
-            shards = make_shards(num, jobs)
-            covered = [i for lo, hi in shards for i in range(lo, hi)]
-            assert covered == list(range(num))
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_backward_workers_retire_clauses(self, php5_proof,
+                                             start_method, monkeypatch):
+        """Shards reach every worker high→low, so backward workers
+        retire clauses and together do about the sequential work."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"platform has no {start_method} start method")
+        monkeypatch.setenv("REPRO_START_METHOD", start_method)
+        formula, proof = php5_proof
+        # The arena engine on both sides: spawn workers run it anyway,
+        # so the counters compare like with like.
+        sequential = verify_proof_v1(formula, proof, ArenaPropagator,
+                                     mode="incremental")
+        parallel = verify_proof_v1(formula, proof, ArenaPropagator,
+                                   mode="incremental", jobs=2)
+        assert sequential.ok and parallel.ok
+        assert parallel.num_checked == sequential.num_checked
+        assert parallel.bcp_counters["purged"] > 0
+        assert (parallel.bcp_counters["watch_visits"]
+                <= 1.1 * sequential.bcp_counters["watch_visits"])
+        # Forward scans never retire, and still pass.
+        forward = verify_proof_v1(formula, proof, ArenaPropagator,
+                                  order="forward", mode="incremental",
+                                  jobs=2)
+        assert forward.ok
+        assert forward.num_checked == len(proof)
 
     def test_parallel_matches_sequential_on_failure(self):
         formula = pigeonhole(4)
