@@ -58,7 +58,6 @@ from repro.obs import (
     MemSampler,
     MetricsRegistry,
     Obs,
-    metrics_document,
     read_rss,
     reset_peak_rss,
 )
@@ -434,9 +433,9 @@ def overhead_record(name: str, repeats: int = 3,
     gate (memory sampling never attaches unless asked for, so the
     metrics-only row is the cost every instrumented run pays);
     ``mem_sampler_overhead_pct`` bounds the sampling thread on top of
-    that.  The instrumented run's metrics document (schema
-    ``repro.obs.metrics/v1`` — the same artifact ``repro verify
-    --metrics-out`` writes) is embedded so the trend log carries the
+    that.  The instrumented run's registry snapshot (the ``metrics``
+    field of the ``run_summary`` event that closes a ``repro verify
+    --trace-out`` trace) is embedded so the trend log carries the
     full metric set.
     """
     data = solved_instance(name)
@@ -445,17 +444,14 @@ def overhead_record(name: str, repeats: int = 3,
                     "incremental", 1).verification_time
         for _ in range(repeats))
     enabled_times = []
-    doc = None
+    snapshot = None
     for _ in range(repeats):
         obs = Obs(metrics=MetricsRegistry())
         report = run_variant(data.formula, data.proof, "incremental",
                              1, obs=obs)
         assert report.ok
         enabled_times.append(report.verification_time)
-        doc = metrics_document(
-            obs.metrics,
-            run={"id": obs.run_id, "command": "bench", "instance": name},
-            stats=report.stats.as_dict())
+        snapshot = obs.metrics.snapshot()
     enabled = min(enabled_times)
     mem_times = []
     mem_samples = 0
@@ -495,7 +491,7 @@ def overhead_record(name: str, repeats: int = 3,
         "mem_sampler_marginal_pct": (
             round(100.0 * (mem_enabled - enabled) / enabled, 2)
             if enabled > 0 else None),
-        "metrics": doc,
+        "metrics": snapshot,
     }
 
 

@@ -29,13 +29,7 @@ from repro.core.exceptions import (
     ProofFormatError,
     ReproError,
 )
-from repro.obs import (
-    METRICS_FORMATS,
-    Obs,
-    stats_footer,
-    write_metrics_json,
-    write_metrics_prometheus,
-)
+from repro.obs import Obs, run_summary, stats_footer
 from repro.obs.insight.history import (
     DEFAULT_HISTORY_DIR,
     default_history_dir,
@@ -223,9 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     timeline_cmd.add_argument("trace", metavar="TRACE.jsonl",
                               help="a repro.obs.trace/v1 file "
                                    "(--trace-out of a run)")
-    timeline_cmd.add_argument("--out", metavar="PATH", default=None,
-                              help="write the repro.obs.timeline/v1 "
-                                   "JSON document here")
     timeline_cmd.add_argument("--html", metavar="PATH", default=None,
                               help="write a self-contained Gantt+"
                                    "critical-path HTML rendering here")
@@ -328,16 +319,11 @@ def _budget_from(args: argparse.Namespace) -> CheckBudget | None:
 def _add_obs_arguments(cmd: argparse.ArgumentParser,
                        insight: bool = False) -> None:
     group = cmd.add_argument_group("observability")
-    group.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write a metrics artifact here after the "
-                            "run (see --metrics-format)")
-    group.add_argument("--metrics-format", default="json",
-                       choices=list(METRICS_FORMATS),
-                       help="metrics artifact format (default: json, "
-                            "schema repro.obs.metrics/v1)")
     group.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a JSONL span/event trace here "
-                            "(schema repro.obs.trace/v1)")
+                            "(schema repro.obs.trace/v1), closed by a "
+                            "run_summary event with the run's metrics, "
+                            "stats, memory, and analytics")
     group.add_argument("--progress", action="store_true",
                        help="heartbeat 'c progress:' lines on stderr")
     group.add_argument("--stats", action="store_true",
@@ -361,10 +347,6 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                        help="write a live status file here on every "
                             "progress beat, for 'repro obs top' "
                             "(default: $REPRO_LIVE_DIR)")
-    group.add_argument("--mem-out", metavar="PATH", default=None,
-                       help="write the measured-memory artifact here "
-                            "(schema repro.obs.mem/v1: RSS samples, "
-                            "peaks, arena gauges)")
     group.add_argument("--mem-sample-period", type=float, default=None,
                        metavar="SECONDS",
                        help="also sample RSS on a background thread "
@@ -373,8 +355,8 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
     group.add_argument("--mem-profile", action="store_true",
                        help="attribute allocation peaks to phases "
                             "with tracemalloc (expensive — adds a "
-                            "tracemalloc section to --mem-out and "
-                            "the history fingerprint)")
+                            "tracemalloc section to the trace's "
+                            "run_summary and the history fingerprint)")
     if insight:
         group.add_argument("--depgraph-out", metavar="PATH",
                            default=None,
@@ -384,29 +366,31 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                            default=None,
                            help="write the proof dependency graph here "
                                 "in Graphviz DOT")
-        group.add_argument("--analytics-out", metavar="PATH",
-                           default=None,
-                           help="write proof-shape analytics here "
-                                "(schema repro.obs.analytics/v1)")
 
 
 def _wants_insight(args: argparse.Namespace) -> bool:
     return (getattr(args, "depgraph_out", None) is not None
-            or getattr(args, "depgraph_dot", None) is not None
-            or getattr(args, "analytics_out", None) is not None)
+            or getattr(args, "depgraph_dot", None) is not None)
 
 
 def _obs_from(args: argparse.Namespace) -> Obs | None:
     """Build the instrumentation bundle the flags ask for (or None).
 
-    ``--stats`` alone still enables metrics: the footer's props and
-    slowest-check lines come from the instrumented per-check path.
-    Any insight output flag attaches a dependency-graph recorder (the
-    analytics are computed from its records).
+    A metrics registry comes only with ``--trace-out`` (the trace's
+    ``run_summary`` carries its snapshot), ``--stats`` (the footer's
+    props and slowest-check lines come from the instrumented per-check
+    path) and the memory flags (the arena gauges the history's memory
+    section reads live in it).  Any insight output flag attaches a
+    dependency-graph recorder (the analytics are computed from its
+    records).
     """
     from repro.obs import DepGraphRecorder, MetricsRegistry, Tracer
 
-    wants_metrics = (args.metrics_out is not None or args.stats)
+    mem_profile = getattr(args, "mem_profile", False)
+    wants_metrics = (args.trace_out is not None or args.stats
+                     or mem_profile
+                     or getattr(args, "mem_sample_period", None)
+                     is not None)
     # Parallel runs that will record history also get a tracer: its
     # shard-granularity spans are what the history ``attribution``
     # section (utilization / skew gating) is computed from, at a cost
@@ -416,14 +400,6 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
                        and not getattr(args, "no_history", True)))
     wants_depgraph = _wants_insight(args)
     live_dir = getattr(args, "live_dir", None)
-    wants_mem_doc = getattr(args, "mem_out", None) is not None
-    mem_profile = getattr(args, "mem_profile", False)
-    mem_period = getattr(args, "mem_sample_period", None)
-    # The mem artifact's gauges (RSS peaks, arena accounting) live in
-    # the metrics registry, so asking for memory telemetry implies one
-    # even without --metrics-out/--stats.
-    wants_metrics = (wants_metrics or wants_mem_doc or mem_profile
-                     or mem_period is not None)
     if not (wants_metrics or wants_trace or args.progress
             or wants_depgraph or live_dir is not None):
         return None
@@ -446,83 +422,37 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
         mem_profiler=MemProfiler() if mem_profile else None)
 
 
-def _write_obs_artifacts(obs: Obs | None, args: argparse.Namespace,
-                         report) -> None:
-    """Write --metrics-out / --trace-out artifacts.
+def _write_trace(obs: Obs | None, args: argparse.Namespace, report,
+                 analytics=None) -> None:
+    """Close the trace with its ``run_summary`` event and write it to
+    --trace-out.
 
-    ``report`` may be None (interrupted run): whatever the registries
+    ``report`` may be None (interrupted run): whatever the registry
     and tracer collected so far is still flushed — atomically, so the
-    artifact on disk is always complete and schema-valid.
+    trace on disk is always complete and schema-valid.
     """
-    if obs is None:
+    if obs is None or args.trace_out is None:
         return
-    stats = (report.stats.as_dict()
-             if report is not None and report.stats is not None
-             else None)
-    if args.metrics_out is not None and obs.metrics is not None:
-        if args.metrics_format == "prometheus":
-            write_metrics_prometheus(args.metrics_out, obs.metrics)
-        else:
-            run = {"id": obs.run_id, "command": args.command,
-                   "elapsed": (report.verification_time
-                               if report is not None else None),
-                   "interrupted": report is None}
-            write_metrics_json(args.metrics_out, obs.metrics, run,
-                               stats)
-        print(f"c metrics written to {args.metrics_out}")
-    if args.trace_out is not None and obs.tracer is not None:
-        obs.tracer.write_jsonl(args.trace_out)
-        print(f"c trace written to {args.trace_out}")
-    mem_out = getattr(args, "mem_out", None)
-    if mem_out is not None and obs.mem is not None:
-        from repro.obs.mem import write_mem_json
-
-        run = {"id": obs.run_id, "command": args.command,
-               "interrupted": report is None}
-        write_mem_json(mem_out, obs.mem, run,
-                       arena=_mem_arena_section(obs),
-                       profile=obs.mem_profiler)
-        print(f"c memory telemetry written to {mem_out}")
-
-
-def _mem_arena_section(obs: Obs | None) -> dict | None:
-    """The mem artifact's ``arena`` section, recovered from the
-    ``repro_mem_arena_*`` gauges (their max-merge already folded
-    worker peaks in); None when no arena engine reported."""
-    if obs is None or obs.metrics is None:
-        return None
-    snapshot = obs.metrics.snapshot()
-
-    def peak(name):
-        entry = snapshot.get(name)
-        if entry is None or entry.get("kind") != "gauge":
-            return None
-        return entry["value"]["max"]
-
-    pool = peak("repro_mem_arena_pool_bytes")
-    if pool is None:
-        return None
-    return {"pool_bytes": int(pool),
-            "live_bytes": int(peak("repro_mem_arena_live_bytes") or 0),
-            "watch_entries": int(peak("repro_mem_watch_entries") or 0),
-            "fragmentation": float(
-                peak("repro_mem_arena_fragmentation") or 0.0)}
+    obs.event("run_summary",
+              **run_summary(obs, args.command, report, analytics))
+    obs.tracer.write_jsonl(args.trace_out)
+    print(f"c trace written to {args.trace_out}")
 
 
 def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
                              report, formula, proof):
-    """Write --depgraph-out/--depgraph-dot/--analytics-out artifacts.
+    """Write --depgraph-out/--depgraph-dot artifacts.
 
     Returns the computed :class:`ProofShapeAnalytics` (or None), so
-    the stats footer and the history fingerprint reuse it.  Tolerates
-    ``report=None`` (interrupted run): the partial dependency graph is
-    still flushed; analytics need a report and are skipped.
+    the stats footer, the trace summary and the history fingerprint
+    reuse it.  Tolerates ``report=None`` (interrupted run): the
+    partial dependency graph is still flushed; analytics need a report
+    and are skipped.
     """
     if obs is None or obs.depgraph is None:
         return None
     from repro.obs import write_depgraph_dot, write_depgraph_jsonl
-    from repro.obs.insight import analyze_proof_shape, \
-        write_analytics_json
+    from repro.obs.insight import analyze_proof_shape
 
     run = {"id": obs.run_id, "command": args.command,
            "cnf": args.cnf, "interrupted": report is None}
@@ -549,11 +479,7 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
         print(f"c depgraph DOT written to {args.depgraph_dot}")
     if report is None:
         return None
-    analytics = analyze_proof_shape(proof, report, obs.depgraph)
-    if args.analytics_out is not None:
-        write_analytics_json(args.analytics_out, analytics, run)
-        print(f"c analytics written to {args.analytics_out}")
-    return analytics
+    return analyze_proof_shape(proof, report, obs.depgraph)
 
 
 def _record_history(obs: Obs | None, args: argparse.Namespace, report,
@@ -597,9 +523,11 @@ def _mem_history_section(obs: Obs | None) -> dict | None:
               "rss_bytes": summary["rss_bytes"],
               "source": summary["source"],
               "num_samples": summary["num_samples"]}
-    arena = _mem_arena_section(obs)
-    if arena is not None:
-        memory["arena_peak_bytes"] = arena["pool_bytes"]
+    # The arena gauge's max-merge already folded worker peaks in.
+    pool = (obs.metrics.snapshot().get("repro_mem_arena_pool_bytes")
+            if obs.metrics is not None else None)
+    if pool is not None:
+        memory["arena_peak_bytes"] = int(pool["value"]["max"])
     if obs.mem_profiler is not None:
         profile = obs.mem_profiler.document()
         if profile is not None:
@@ -613,8 +541,8 @@ def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
     interrupt-safe artifact flushing.
 
     Returns the report, or None when the run was interrupted — in
-    which case every requested artifact (metrics, trace, partial
-    depgraph, profile) has already been flushed atomically, so a ^C
+    which case every requested artifact (trace, partial depgraph,
+    profile) has already been flushed atomically, so a ^C
     never leaves a truncated or missing artifact behind.
     """
     profiler = None
@@ -633,7 +561,7 @@ def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
         print("c error: interrupted", file=sys.stderr)
         if formula is not None and proof is not None:
             _write_insight_artifacts(obs, args, None, formula, proof)
-        _write_obs_artifacts(obs, args, None)
+        _write_trace(obs, args, None)
         if profiler is not None:
             _write_profile(args, profiler, None)
         return None
@@ -797,7 +725,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     analytics = _write_insight_artifacts(obs, args, report, formula,
                                          proof)
     _print_stats_footer(args, report, report.bcp_counters, analytics)
-    _write_obs_artifacts(obs, args, report)
+    _write_trace(obs, args, report, analytics)
     _record_history(obs, args, report, analytics)
     if report.exhausted:
         print(f"c budget exhausted: {report.failure_reason}")
@@ -852,7 +780,7 @@ def _cmd_verify_drup(args: argparse.Namespace) -> int:
           f"peak_active={report.peak_active_clauses} "
           f"time={report.verification_time:.3f}s")
     _print_stats_footer(args, report, None)
-    _write_obs_artifacts(obs, args, report)
+    _write_trace(obs, args, report)
     _record_history(obs, args, report)
     if report.exhausted:
         print(f"c budget exhausted: {report.failure_reason}")
@@ -931,7 +859,7 @@ def _cmd_verify_stream(args: argparse.Namespace) -> int:
     for warning in report.warnings:
         print(f"c warning: {warning}")
     _print_stats_footer(args, report, report.bcp_counters)
-    _write_obs_artifacts(obs, args, report)
+    _write_trace(obs, args, report)
     _record_history(obs, args, report)
     if report.exhausted:
         print(f"c budget exhausted: {report.failure_reason}")
@@ -952,14 +880,9 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
         build_timeline,
         render_timeline_html,
         render_timeline_text,
-        write_timeline_json,
     )
 
-    events = read_jsonl(args.trace)
-    doc = build_timeline(events, top=args.top)
-    if args.out is not None:
-        write_timeline_json(doc, args.out)
-        print(f"c timeline written to {args.out}")
+    doc = build_timeline(read_jsonl(args.trace), top=args.top)
     if args.html is not None:
         from repro.obs import atomic_write_text
 

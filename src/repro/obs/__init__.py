@@ -7,18 +7,21 @@ A zero-dependency observability layer for the verification pipeline:
   aggregation);
 * :class:`Tracer` spans emitting a structured JSONL event log with a
   cross-process trace context (``trace_id`` + monotonic/wall epoch
-  anchors rebased into pool workers);
+  anchors rebased into pool workers).  The trace is the one telemetry
+  artifact: the CLI closes it with a ``run_summary`` event
+  (:func:`run_summary`) carrying the registry snapshot, the report's
+  stats, the memory summary, and the proof-shape analytics;
 * the :mod:`repro.obs.timeline` reconstructor — one global timeline
   per trace with utilization, idle gaps, shard skew, critical path,
-  and per-shard attribution;
+  and per-shard attribution, derived on demand by
+  ``repro obs timeline``;
 * :class:`ProgressReporter` heartbeat lines, optionally mirrored to
   :mod:`repro.obs.live` status files for ``repro obs top``;
 * the :mod:`repro.obs.mem` resource profiler — heartbeat-riding RSS
-  sampling (:class:`MemSampler`), arena-native memory gauges,
-  optional tracemalloc phase attribution (:class:`MemProfiler`), and
-  the ``repro.obs.mem/v1`` artifact;
-* exporters (JSON summary, Prometheus text, ``c stats:`` footer) and
-  schema validators for every artifact kind;
+  sampling (:class:`MemSampler`), arena-native memory gauges, and
+  optional tracemalloc phase attribution (:class:`MemProfiler`);
+* the ``c stats:`` footer and schema validators for the four artifact
+  kinds (trace, depgraph, checkpoint, live status);
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs,
   Section-5 shape analytics, the run-history store with regression
   detection, and cProfile/flamegraph hooks.
@@ -30,17 +33,12 @@ package (see :mod:`repro.obs.context`).
 
 from repro.obs.context import Obs
 from repro.obs.export import (
-    METRICS_FORMATS,
     atomic_write_text,
     collapsed_stack_text,
-    metrics_document,
-    prometheus_text,
+    run_summary,
     stats_footer,
-    write_metrics_json,
-    write_metrics_prometheus,
 )
 from repro.obs.insight import (
-    ANALYTICS_SCHEMA,
     DEPGRAPH_SCHEMA,
     RUN_SCHEMA,
     DepGraphRecorder,
@@ -51,7 +49,6 @@ from repro.obs.insight import (
     compare_runs,
     depgraph_deterministic_view,
     fingerprint,
-    write_analytics_json,
     write_depgraph_dot,
     write_depgraph_jsonl,
 )
@@ -65,12 +62,10 @@ from repro.obs.mem import (
     MemProfiler,
     MemSampler,
     arena_mem_stats,
-    mem_document,
     parse_proc_status,
     read_rss,
     record_arena_gauges,
     reset_peak_rss,
-    write_mem_json,
 )
 from repro.obs.progress import ProgressReporter
 from repro.obs.registry import (
@@ -85,19 +80,12 @@ from repro.obs.schema import (
     CHECKPOINT_SCHEMA,
     KNOWN_SCHEMAS,
     LIVE_SCHEMA,
-    MEM_SCHEMA,
-    METRICS_SCHEMA,
-    TIMELINE_SCHEMA,
     TRACE_SCHEMA,
     deterministic_view,
-    validate_analytics,
     validate_any,
     validate_checkpoint,
     validate_depgraph,
     validate_live,
-    validate_mem,
-    validate_metrics,
-    validate_timeline,
     validate_trace,
 )
 from repro.obs.spans import (
@@ -113,7 +101,6 @@ from repro.obs.timeline import (
     build_timeline,
     render_timeline_html,
     render_timeline_text,
-    write_timeline_json,
 )
 
 __all__ = [
@@ -124,15 +111,10 @@ __all__ = [
     "Histogram",
     "Tracer",
     "ProgressReporter",
-    "metrics_document",
-    "write_metrics_json",
-    "write_metrics_prometheus",
-    "prometheus_text",
+    "run_summary",
     "stats_footer",
-    "validate_metrics",
     "validate_trace",
     "validate_depgraph",
-    "validate_analytics",
     "validate_any",
     "deterministic_view",
     "depgraph_deterministic_view",
@@ -147,23 +129,17 @@ __all__ = [
     "check_regression",
     "compare_runs",
     "fingerprint",
-    "write_analytics_json",
     "write_depgraph_dot",
     "write_depgraph_jsonl",
     "KNOWN_SCHEMAS",
-    "METRICS_SCHEMA",
     "CHECKPOINT_SCHEMA",
     "validate_checkpoint",
     "TRACE_SCHEMA",
     "DEPGRAPH_SCHEMA",
-    "ANALYTICS_SCHEMA",
     "RUN_SCHEMA",
-    "METRICS_FORMATS",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_WORK_BUCKETS",
-    "TIMELINE_SCHEMA",
     "LIVE_SCHEMA",
-    "validate_timeline",
     "validate_live",
     "make_trace_id",
     "rebase_epoch",
@@ -172,13 +148,10 @@ __all__ = [
     "attribution_summary",
     "render_timeline_text",
     "render_timeline_html",
-    "write_timeline_json",
     "LiveStatusWriter",
     "read_live_statuses",
     "format_top_table",
     "format_bytes",
-    "MEM_SCHEMA",
-    "validate_mem",
     "MemSampler",
     "MemProfiler",
     "read_rss",
@@ -186,6 +159,4 @@ __all__ = [
     "parse_proc_status",
     "arena_mem_stats",
     "record_arena_gauges",
-    "mem_document",
-    "write_mem_json",
 ]

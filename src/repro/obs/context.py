@@ -133,7 +133,7 @@ class Obs:
     def counter_add(self, name: str, amount: int = 1,
                     help: str = "") -> None:
         # amount == 0 still registers the counter: a zero-valued
-        # worker_failures_total in the artifact says "measured, none"
+        # worker_failures_total in the snapshot says "measured, none"
         # rather than "never measured".
         if self.metrics is not None:
             self.metrics.counter(name, help=help).inc(amount)

@@ -1,12 +1,9 @@
-"""Exporters: JSON summary, Prometheus text format, human footer.
+"""Exporters: the trace's run summary and the human footer.
 
-Three consumers, three formats, one registry snapshot:
-
-* :func:`metrics_document` / :func:`write_metrics_json` — the JSON
-  summary the CLI writes for ``--metrics-out`` and the benchmarks embed
-  in ``BENCH_verification.json`` (schema ``repro.obs.metrics/v1``);
-* :func:`prometheus_text` — the Prometheus exposition text format, for
-  scraping or pushing from a long-running verification service;
+* :func:`run_summary` — the attrs of the ``run_summary`` event the CLI
+  appends to every ``--trace-out`` trace: the registry snapshot, the
+  report's stats, the memory summary, and the proof-shape analytics,
+  so the trace is the run's one telemetry artifact;
 * :func:`stats_footer` — the human ``c stats:`` lines the CLI prints
   with ``--stats`` (DIMACS-style comment lines, like DRAT-trim's
   verbose statistics).
@@ -23,14 +20,8 @@ exhaustion) leaves either the previous artifact or a complete new one.
 
 from __future__ import annotations
 
-import json
 import os
 import pstats
-
-from repro.obs.registry import MetricsRegistry
-from repro.obs.schema import METRICS_SCHEMA
-
-METRICS_FORMATS = ("json", "prometheus")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -52,114 +43,34 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def metrics_document(registry: MetricsRegistry, run: dict,
-                     stats: dict | None = None) -> dict:
-    """Assemble the JSON metrics document from a registry snapshot.
+def run_summary(obs, command: str, report=None,
+                analytics=None) -> dict:
+    """The attrs of a run's closing ``run_summary`` trace event.
 
-    ``run`` is the per-run header (id, command, elapsed wall time...);
-    ``stats`` is the report's per-phase breakdown, embedded verbatim so
-    one artifact carries the whole picture.
+    ``report`` is None for an interrupted run (``interrupted: true``,
+    ``elapsed: null``); ``analytics`` is the run's
+    :class:`~repro.obs.insight.analytics.ProofShapeAnalytics`, when a
+    dependency graph was recorded.  ``mem`` is the sampler's summary,
+    plus the tracemalloc phase attribution under ``--mem-profile``.
     """
-    doc = {"schema": METRICS_SCHEMA, "run": dict(run),
-           "metrics": registry.snapshot()}
-    if stats is not None:
-        doc["stats"] = dict(stats)
-    return doc
-
-
-def write_metrics_json(path, registry: MetricsRegistry, run: dict,
-                       stats: dict | None = None) -> dict:
-    doc = metrics_document(registry, run, stats)
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True)
-                      + "\n")
-    return doc
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, float) and value == int(value) \
-            and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def sanitize_metric_name(name: str) -> str:
-    """Coerce a name into the Prometheus charset
-    ``[a-zA-Z_:][a-zA-Z0-9_:]*``.
-
-    Invalid characters become ``_``; a leading digit gets a ``_``
-    prefix; an empty name becomes ``_``.  The registry doesn't
-    restrict names (library users put dots and dashes in theirs), so
-    the exporter owns the coercion — scrapers reject a whole
-    exposition over one bad name.
-    """
-    cleaned = "".join(
-        ch if (ch.isascii() and (ch.isalnum() or ch in "_:"))
-        else "_" for ch in name)
-    if not cleaned:
-        return "_"
-    if cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
-
-
-def escape_help_text(text: str) -> str:
-    """Escape a ``# HELP`` line per the exposition format: backslash
-    and newline."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format: backslash,
-    double quote, newline."""
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in the Prometheus exposition text format.
-
-    Histograms follow the convention: cumulative ``_bucket`` series
-    with ``le`` labels (ending at ``le="+Inf"``), plus ``_sum`` and
-    ``_count``.  Gauge maxima are exported as a sibling ``_max``
-    gauge.  Names are sanitized into the Prometheus charset, counters
-    get the conventional ``_total`` suffix if they lack one, and HELP
-    text is escaped — one odd metric must not invalidate the whole
-    exposition.
-    """
-    lines: list[str] = []
-    for metric in registry:
-        name = sanitize_metric_name(metric.name)
-        if metric.kind == "counter" and not name.endswith("_total"):
-            name += "_total"
-        if metric.help:
-            lines.append(
-                f"# HELP {name} {escape_help_text(metric.help)}")
-        if metric.kind == "counter":
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {metric.value}")
-        elif metric.kind == "gauge":
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_format_value(metric.value)}")
-            snap = metric.snapshot()
-            lines.append(f"# TYPE {name}_max gauge")
-            lines.append(f"{name}_max {_format_value(snap['max'])}")
-        elif metric.kind == "histogram":
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, count in zip(metric.buckets, metric.counts):
-                cumulative += count
-                lines.append(
-                    f'{name}_bucket{{le="{_format_value(float(bound))}"}}'
-                    f" {cumulative}")
-            cumulative += metric.counts[-1]
-            lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
-            lines.append(f"{name}_sum {_format_value(metric.sum)}")
-            lines.append(f"{name}_count {metric.count}")
-    return "\n".join(lines) + "\n"
-
-
-def write_metrics_prometheus(path, registry: MetricsRegistry) -> None:
-    atomic_write_text(path, prometheus_text(registry))
+    mem = None
+    if obs.mem is not None:
+        mem = obs.mem.summary()
+        if obs.mem_profiler is not None:
+            mem["tracemalloc"] = obs.mem_profiler.document()
+    stats = report.stats if report is not None else None
+    return {
+        "command": command,
+        "elapsed": (report.verification_time
+                    if report is not None else None),
+        "interrupted": report is None,
+        "stats": stats.as_dict() if stats is not None else None,
+        "metrics": (obs.metrics.snapshot()
+                    if obs.metrics is not None else {}),
+        "mem": mem,
+        "analytics": (analytics.as_dict()
+                      if analytics is not None else None),
+    }
 
 
 def _frame_name(func: tuple) -> str:

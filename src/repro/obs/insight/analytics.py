@@ -26,16 +26,14 @@ Everything here is a pure function of ``(proof, report, depgraph
 records)``; nothing touches engines or clocks, so analytics are
 deterministic whenever their inputs are.
 
-Artifact (schema ``repro.obs.analytics/v1``): one JSON object
-``{"schema": ..., "run": {...}, "analytics": {...}}``.
+:meth:`ProofShapeAnalytics.as_dict` rides the trace's ``run_summary``
+event and the run-history fingerprint; :func:`analytics_footer` is
+the ``--stats`` view.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-
-ANALYTICS_SCHEMA = "repro.obs.analytics/v1"
 
 # Depth-histogram and props-histogram upper bounds (the terminal +inf
 # bucket is implicit, matching the metrics registry convention).
@@ -198,22 +196,6 @@ def analyze_proof_shape(proof, report, depgraph) -> ProofShapeAnalytics:
         max_chain_depth=max(depths, default=0),
         check_props=(props_hist.snapshot() if props_hist.count else {}),
     )
-
-
-def analytics_document(analytics: ProofShapeAnalytics,
-                       run: dict) -> dict:
-    return {"schema": ANALYTICS_SCHEMA, "run": dict(run),
-            "analytics": analytics.as_dict()}
-
-
-def write_analytics_json(path, analytics: ProofShapeAnalytics,
-                         run: dict) -> dict:
-    from repro.obs.export import atomic_write_text
-
-    doc = analytics_document(analytics, run)
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True)
-                      + "\n")
-    return doc
 
 
 def analytics_footer(analytics: ProofShapeAnalytics) -> list[str]:

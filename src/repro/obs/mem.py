@@ -23,10 +23,12 @@ memory-bound long before they are CPU-bound).  Three layers:
   watch-table entries), turning the streaming budget's *estimated*
   bytes into numbers that can be cross-checked against measured RSS.
 
-The artifact (`repro.obs.mem/v1`, ``--mem-out``) is one JSON document:
-``{schema, run, summary, samples, arena, tracemalloc}``; tracemalloc
-phase attribution is opt-in (``--mem-profile``) because tracing
-allocations is the one genuinely expensive facility here.
+A traced run's ``run_summary`` event carries the sampler's
+:meth:`MemSampler.summary` (plus the tracemalloc section) and the
+``repro_mem_*`` gauges; the samples themselves are the trace's
+``mem_sample`` events.  Tracemalloc phase attribution is opt-in
+(``--mem-profile``) because tracing allocations is the one genuinely
+expensive facility here.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-
-MEM_SCHEMA = "repro.obs.mem/v1"
 
 PROC_STATUS_PATH = "/proc/self/status"
 CLEAR_REFS_PATH = "/proc/self/clear_refs"
@@ -380,32 +380,3 @@ class MemProfiler:
             return None
         return {"phases": self.phases, "top": self.top_allocations}
 
-
-# -- the artifact ----------------------------------------------------------
-
-def mem_document(sampler: MemSampler, run: dict,
-                 arena: dict | None = None,
-                 profile: MemProfiler | None = None) -> dict:
-    """The ``repro.obs.mem/v1`` document for ``--mem-out``."""
-    return {
-        "schema": MEM_SCHEMA,
-        "run": dict(run),
-        "summary": sampler.summary(),
-        "samples": list(sampler.samples),
-        "arena": arena,
-        "tracemalloc": (profile.document()
-                        if profile is not None else None),
-    }
-
-
-def write_mem_json(path, sampler: MemSampler, run: dict,
-                   arena: dict | None = None,
-                   profile: MemProfiler | None = None) -> dict:
-    import json
-
-    from repro.obs.export import atomic_write_text
-
-    doc = mem_document(sampler, run, arena=arena, profile=profile)
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True)
-                      + "\n")
-    return doc

@@ -205,10 +205,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def __iter__(self):
-        return iter(sorted(self._metrics.values(),
-                           key=lambda metric: metric.name))
-
     def snapshot(self) -> dict:
         """Plain-data view: ``{name: {"kind": ..., "value": ...}}``.
 

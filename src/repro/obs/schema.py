@@ -2,33 +2,22 @@
 
 Four artifact kinds leave a verification run:
 
-* a **metrics document** (``repro.obs.metrics/v1``) — one JSON object
-  holding the run header, the registry snapshot, and the report's
-  per-phase stats breakdown;
 * a **trace log** (``repro.obs.trace/v1``) — JSONL, one event per line
-  (see :mod:`repro.obs.spans`);
+  (see :mod:`repro.obs.spans`).  It is the one telemetry artifact: the
+  CLI closes every ``--trace-out`` trace with a ``run_summary`` event
+  carrying the metrics registry snapshot, the report's stats, the
+  memory summary, and the proof-shape analytics;
 * a **dependency graph** (``repro.obs.depgraph/v1``) — JSONL, one
   antecedent record per checked proof clause (see
   :mod:`repro.obs.insight.depgraph`);
-* an **analytics document** (``repro.obs.analytics/v1``) — one JSON
-  object with the proof-shape quantities of the paper's Section 5
-  (see :mod:`repro.obs.insight.analytics`);
 * a **checkpoint / resume token** (``repro.obs.checkpoint/v1``) — one
   JSON object recording a streaming verification's trace position,
   live clause window, and budget spend (see
   :mod:`repro.verify.streaming`); written atomically mid-run, deleted
   once a verdict is reached;
-* a **timeline document** (``repro.obs.timeline/v1``) — one JSON
-  object reconstructed from a trace log by ``repro obs timeline``:
-  lanes, utilization, shard skew, critical path, attribution (see
-  :mod:`repro.obs.timeline`);
 * a **live status file** (``repro.obs.live/v1``) — one JSON object
   per in-flight run, atomically replaced on every progress beat and
-  read by ``repro obs top`` (see :mod:`repro.obs.live`);
-* a **memory telemetry document** (``repro.obs.mem/v1``) — one JSON
-  object with the run's sampled RSS trajectory, peak summary, arena
-  gauges, and optional tracemalloc phase attribution (see
-  :mod:`repro.obs.mem`), written by ``--mem-out``.
+  read by ``repro obs top`` (see :mod:`repro.obs.live`).
 
 :data:`KNOWN_SCHEMAS` maps each schema id to its validator;
 :func:`validate_any` dispatches on a document's declared schema and
@@ -42,11 +31,11 @@ cannot drift silently; tests run them over round-tripped files.
 Determinism contract
 --------------------
 Benchmark trend tracking and the determinism tests need a *stable*
-subset of the metrics document: :func:`deterministic_view` strips
+subset of a ``run_summary`` event: :func:`deterministic_view` keeps
+only its metrics snapshot, minus
 
-* the ``run`` header (ids, timings, hostnames are per-run by nature),
-* the ``stats`` breakdown (wall-clock phase times),
 * every time-valued metric (``*_seconds*``),
+* every measured-resource metric (``repro_mem_*``),
 
 and, for parallel runs (``repro_verify_jobs > 1``), additionally every
 scheduling-dependent metric: BCP work totals and per-check work
@@ -57,14 +46,11 @@ What survives is the same for every rerun of the same verification.
 
 from __future__ import annotations
 
-METRICS_SCHEMA = "repro.obs.metrics/v1"
-TRACE_SCHEMA = "repro.obs.trace/v1"
-DEPGRAPH_SCHEMA = "repro.obs.depgraph/v1"
-ANALYTICS_SCHEMA = "repro.obs.analytics/v1"
+from repro.obs.insight.depgraph import DEPGRAPH_SCHEMA
+from repro.obs.live import LIVE_SCHEMA
+from repro.obs.spans import TRACE_SCHEMA
+
 CHECKPOINT_SCHEMA = "repro.obs.checkpoint/v1"
-TIMELINE_SCHEMA = "repro.obs.timeline/v1"
-LIVE_SCHEMA = "repro.obs.live/v1"
-MEM_SCHEMA = "repro.obs.mem/v1"
 
 _EVENT_TYPES = ("header", "begin", "end", "event")
 
@@ -82,51 +68,51 @@ _SCHEDULING_DEPENDENT_PREFIXES = (
 _MEASURED_RESOURCE_PREFIX = "repro_mem_"
 
 
-def validate_metrics(doc) -> list[str]:
-    """Structural problems of a metrics document (empty list: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"metrics document must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != METRICS_SCHEMA:
-        problems.append(f"schema must be {METRICS_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    run = doc.get("run")
-    if not isinstance(run, dict):
-        problems.append("missing 'run' header object")
-    else:
-        if not isinstance(run.get("id"), str) or not run["id"]:
-            problems.append("run.id must be a non-empty string")
-    metrics = doc.get("metrics")
+def _validate_snapshot(where: str, metrics) -> list[str]:
+    """Structural problems of a registry snapshot (empty: valid)."""
     if not isinstance(metrics, dict):
-        problems.append("missing 'metrics' object")
-        return problems
+        return [f"{where} must be a metrics snapshot object"]
+    problems: list[str] = []
     for name, entry in metrics.items():
-        where = f"metrics[{name!r}]"
+        at = f"{where}[{name!r}]"
         if not isinstance(entry, dict):
-            problems.append(f"{where} must be an object")
+            problems.append(f"{at} must be an object")
             continue
         kind = entry.get("kind")
         value = entry.get("value")
         if kind == "counter":
             if not isinstance(value, int) or value < 0:
                 problems.append(
-                    f"{where}: counter value must be a non-negative "
+                    f"{at}: counter value must be a non-negative "
                     f"int, got {value!r}")
         elif kind == "gauge":
             if (not isinstance(value, dict)
                     or not isinstance(value.get("value"), (int, float))
                     or not isinstance(value.get("max"), (int, float))):
                 problems.append(
-                    f"{where}: gauge value must be "
+                    f"{at}: gauge value must be "
                     "{'value': number, 'max': number}")
         elif kind == "histogram":
-            problems.extend(_validate_histogram(where, value))
+            problems.extend(_validate_histogram(at, value))
         else:
-            problems.append(f"{where}: unknown kind {kind!r}")
-    stats = doc.get("stats")
-    if stats is not None and not isinstance(stats, dict):
-        problems.append("'stats', when present, must be an object")
+            problems.append(f"{at}: unknown kind {kind!r}")
+    return problems
+
+
+def _validate_run_summary(where: str, attrs: dict) -> list[str]:
+    """Structural problems of a ``run_summary`` event's attrs."""
+    problems = _validate_snapshot(f"{where}: metrics",
+                                  attrs.get("metrics"))
+    if not isinstance(attrs.get("command"), str):
+        problems.append(f"{where}: command must be a string")
+    if not isinstance(attrs.get("interrupted"), bool):
+        problems.append(f"{where}: interrupted must be a bool")
+    elapsed = attrs.get("elapsed")
+    if elapsed is not None and not isinstance(elapsed, (int, float)):
+        problems.append(f"{where}: elapsed must be null or a number")
+    for key in ("stats", "mem", "analytics"):
+        if not isinstance(attrs.get(key), (dict, type(None))):
+            problems.append(f"{where}: {key} must be null or an object")
     return problems
 
 
@@ -162,8 +148,9 @@ def validate_trace(events) -> list[str]:
     """Structural problems of a trace event list (empty list: valid).
 
     Checks the header record, per-event required fields, monotone
-    timestamps, one run id throughout, and begin/end pairing with
-    proper nesting.
+    timestamps, one run id throughout, begin/end pairing with proper
+    nesting, and the closing ``run_summary`` event's fields and
+    metrics snapshot.
     """
     problems: list[str] = []
     if not events:
@@ -206,8 +193,14 @@ def validate_trace(events) -> list[str]:
         last_ts = ts
         if not isinstance(event.get("name"), str):
             problems.append(f"{where}: missing name")
-        if not isinstance(event.get("attrs"), dict):
+        attrs = event.get("attrs")
+        if not isinstance(attrs, dict):
             problems.append(f"{where}: attrs must be an object")
+        elif event.get("name") == "run_summary":
+            if position != len(events) - 1:
+                problems.append(f"{where}: run_summary must be the "
+                                "last event")
+            problems.extend(_validate_run_summary(where, attrs))
         span = event.get("span")
         if etype == "begin":
             if not isinstance(span, int):
@@ -311,59 +304,6 @@ def validate_depgraph(lines) -> list[str]:
     return problems
 
 
-_ANALYTICS_INT_FIELDS = (
-    "num_proof_clauses", "proof_literals", "checked", "skipped",
-    "local_clauses", "global_clauses", "estimated_resolution_nodes",
-    "max_antecedents", "max_chain_depth",
-)
-
-
-def validate_analytics(doc) -> list[str]:
-    """Structural problems of an analytics document (empty: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"analytics document must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != ANALYTICS_SCHEMA:
-        problems.append(f"schema must be {ANALYTICS_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("run"), dict):
-        problems.append("missing 'run' header object")
-    shape = doc.get("analytics")
-    if not isinstance(shape, dict):
-        problems.append("missing 'analytics' object")
-        return problems
-    for key in _ANALYTICS_INT_FIELDS:
-        value = shape.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"analytics.{key} must be a non-negative "
-                            f"int, got {value!r}")
-    fraction = shape.get("marked_fraction")
-    if not isinstance(fraction, (int, float)) \
-            or not 0.0 <= fraction <= 1.0:
-        problems.append("analytics.marked_fraction must be a number "
-                        f"in [0, 1], got {fraction!r}")
-    if isinstance(shape.get("local_clauses"), int) \
-            and isinstance(shape.get("global_clauses"), int) \
-            and isinstance(shape.get("checked"), int) \
-            and shape["local_clauses"] + shape["global_clauses"] \
-            != shape["checked"]:
-        problems.append("local_clauses + global_clauses must equal "
-                        "checked")
-    depths = shape.get("antecedent_chain_depths")
-    if not isinstance(depths, dict) \
-            or not all(isinstance(count, int) and count >= 0
-                       and key.isdigit()
-                       for key, count in depths.items()):
-        problems.append("analytics.antecedent_chain_depths must map "
-                        "digit strings to non-negative ints")
-    for key in ("core_size", "core_fraction"):
-        value = shape.get(key)
-        if value is not None and not isinstance(value, (int, float)):
-            problems.append(f"analytics.{key} must be null or a number")
-    return problems
-
-
 def validate_checkpoint(doc) -> list[str]:
     """Structural problems of a streaming resume token (empty: valid)."""
     problems: list[str] = []
@@ -401,117 +341,6 @@ def validate_checkpoint(doc) -> list[str]:
             or not isinstance(spent.get("seconds"), (int, float)):
         problems.append("budget_spent must be "
                         "{'props': int, 'seconds': number}")
-    return problems
-
-
-def validate_timeline(doc) -> list[str]:
-    """Structural problems of a timeline document (empty: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"timeline document must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != TIMELINE_SCHEMA:
-        problems.append(f"schema must be {TIMELINE_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    window = doc.get("window")
-    if (not isinstance(window, dict)
-            or not all(isinstance(window.get(k), (int, float))
-                       for k in ("begin", "end", "wall"))):
-        problems.append("window must be {'begin','end','wall': number}")
-    elif window["end"] < window["begin"]:
-        problems.append("window.end must be >= window.begin")
-    spans = doc.get("spans")
-    if not isinstance(spans, list):
-        problems.append("missing 'spans' list")
-        spans = []
-    keys = set()
-    ids = set()
-    for position, span in enumerate(spans):
-        where = f"spans[{position}]"
-        if not isinstance(span, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        for field in ("key", "name", "worker"):
-            if not isinstance(span.get(field), str):
-                problems.append(f"{where}.{field} must be a string")
-        for field in ("begin", "end", "dur"):
-            if not isinstance(span.get(field), (int, float)):
-                problems.append(f"{where}.{field} must be a number")
-        key = span.get("key")
-        if key in keys:
-            problems.append(f"{where}: duplicate span key {key!r}")
-        keys.add(key)
-        span_id = span.get("id")
-        if span_id in ids:
-            problems.append(f"{where}: duplicate span id {span_id!r}")
-        ids.add(span_id)
-    for position, span in enumerate(spans):
-        if not isinstance(span, dict):
-            continue
-        parent = span.get("parent")
-        if parent is not None and parent not in ids:
-            problems.append(f"spans[{position}]: orphaned span "
-                            f"(parent {parent!r} not in timeline)")
-    workers = doc.get("workers")
-    if not isinstance(workers, list):
-        problems.append("missing 'workers' list")
-        workers = []
-    for position, row in enumerate(workers):
-        where = f"workers[{position}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        utilization = row.get("utilization")
-        if (not isinstance(utilization, (int, float))
-                or not 0.0 <= utilization <= 1.0 + 1e-9):
-            problems.append(f"{where}.utilization must be a number "
-                            f"in [0, 1], got {utilization!r}")
-        if not isinstance(row.get("gaps"), list):
-            problems.append(f"{where}.gaps must be a list")
-    utilization = doc.get("utilization")
-    if utilization is not None and (
-            not isinstance(utilization, (int, float))
-            or not 0.0 <= utilization <= 1.0 + 1e-9):
-        problems.append("utilization must be null or a number in "
-                        f"[0, 1], got {utilization!r}")
-    path = doc.get("critical_path")
-    if not isinstance(path, list):
-        problems.append("missing 'critical_path' list")
-        path = []
-    for position, entry in enumerate(path):
-        where = f"critical_path[{position}]"
-        if not isinstance(entry, dict) \
-                or not isinstance(entry.get("key"), str) \
-                or not isinstance(entry.get("self"), (int, float)):
-            problems.append(f"{where} must carry a string key and "
-                            "numeric self time")
-        elif entry["key"] not in keys:
-            problems.append(f"{where}: key {entry['key']!r} not in "
-                            "spans")
-    if not isinstance(doc.get("critical_path_wall"), (int, float)):
-        problems.append("critical_path_wall must be a number")
-    attribution = doc.get("attribution")
-    if attribution is not None:
-        if not isinstance(attribution, dict) \
-                or not isinstance(attribution.get("shards"), list) \
-                or not isinstance(attribution.get("top_stragglers"),
-                                  list):
-            problems.append("attribution, when present, must carry "
-                            "'shards' and 'top_stragglers' lists")
-        else:
-            for position, row in enumerate(attribution["shards"]):
-                where = f"attribution.shards[{position}]"
-                if not isinstance(row, dict) \
-                        or not isinstance(row.get("wall"),
-                                          (int, float)):
-                    problems.append(f"{where} must carry a numeric "
-                                    "wall time")
-    dropped = doc.get("dropped")
-    if (not isinstance(dropped, dict)
-            or not all(isinstance(dropped.get(k), int)
-                       for k in ("duplicates", "orphans", "open"))):
-        problems.append("dropped must be {'duplicates','orphans',"
-                        "'open': int}")
     return problems
 
 
@@ -559,116 +388,13 @@ def validate_live(doc) -> list[str]:
     return problems
 
 
-_MEM_SOURCES = ("proc", "getrusage", None)
-
-
-def validate_mem(doc) -> list[str]:
-    """Structural problems of a memory telemetry document (empty:
-    valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"mem document must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != MEM_SCHEMA:
-        problems.append(f"schema must be {MEM_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("run"), dict):
-        problems.append("missing 'run' header object")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("missing 'summary' object")
-        summary = {}
-    else:
-        for key in ("peak_rss_bytes", "rss_bytes"):
-            value = summary.get(key)
-            if value is not None \
-                    and (not isinstance(value, int) or value < 0):
-                problems.append(f"summary.{key} must be null or a "
-                                f"non-negative int, got {value!r}")
-        for key in ("num_samples", "sampler_failures"):
-            value = summary.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"summary.{key} must be a non-negative "
-                                f"int, got {value!r}")
-        if summary.get("source") not in _MEM_SOURCES:
-            problems.append(
-                f"summary.source must be one of "
-                f"{[s for s in _MEM_SOURCES if s]} or null, "
-                f"got {summary.get('source')!r}")
-        if not isinstance(summary.get("sampler_dead"), bool):
-            problems.append("summary.sampler_dead must be a bool")
-    samples = doc.get("samples")
-    if not isinstance(samples, list):
-        problems.append("missing 'samples' list")
-        samples = []
-    last_ts = None
-    for position, sample in enumerate(samples):
-        where = f"samples[{position}]"
-        if not isinstance(sample, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        ts = sample.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"{where}.ts must be a number")
-        else:
-            if last_ts is not None and ts < last_ts:
-                problems.append(f"{where}: timestamps must be "
-                                f"non-decreasing ({ts} < {last_ts})")
-            last_ts = ts
-        for key in ("rss_bytes", "peak_rss_bytes"):
-            value = sample.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"{where}.{key} must be a non-negative "
-                                f"int, got {value!r}")
-    if isinstance(summary.get("num_samples"), int) \
-            and summary["num_samples"] != len(samples):
-        problems.append(f"summary.num_samples "
-                        f"({summary['num_samples']}) must equal "
-                        f"len(samples) ({len(samples)})")
-    arena = doc.get("arena")
-    if arena is not None:
-        if not isinstance(arena, dict):
-            problems.append("arena, when present, must be an object")
-        else:
-            for key in ("pool_bytes", "live_bytes", "watch_entries"):
-                value = arena.get(key)
-                if not isinstance(value, int) or value < 0:
-                    problems.append(f"arena.{key} must be a "
-                                    f"non-negative int, got {value!r}")
-            frag = arena.get("fragmentation")
-            if not isinstance(frag, (int, float)) \
-                    or not 0.0 <= frag <= 1.0:
-                problems.append("arena.fragmentation must be a number "
-                                f"in [0, 1], got {frag!r}")
-    profile = doc.get("tracemalloc")
-    if profile is not None:
-        if not isinstance(profile, dict) \
-                or not isinstance(profile.get("phases"), dict) \
-                or not isinstance(profile.get("top"), list):
-            problems.append("tracemalloc, when present, must carry "
-                            "'phases' and 'top'")
-        else:
-            for position, entry in enumerate(profile["top"]):
-                where = f"tracemalloc.top[{position}]"
-                if not isinstance(entry, dict) \
-                        or not isinstance(entry.get("site"), str) \
-                        or not isinstance(entry.get("size_bytes"), int):
-                    problems.append(f"{where} must carry a string site "
-                                    "and int size_bytes")
-    return problems
-
-
 # Schema id -> (artifact kind, validator).  JSONL kinds take the parsed
 # line list; JSON kinds take the single document object.
 KNOWN_SCHEMAS = {
-    METRICS_SCHEMA: ("json", validate_metrics),
     TRACE_SCHEMA: ("jsonl", validate_trace),
     DEPGRAPH_SCHEMA: ("jsonl", validate_depgraph),
-    ANALYTICS_SCHEMA: ("json", validate_analytics),
     CHECKPOINT_SCHEMA: ("json", validate_checkpoint),
-    TIMELINE_SCHEMA: ("json", validate_timeline),
     LIVE_SCHEMA: ("json", validate_live),
-    MEM_SCHEMA: ("json", validate_mem),
 }
 
 
@@ -699,9 +425,10 @@ def validate_any(artifact) -> list[str]:
     return validator(artifact)
 
 
-def deterministic_view(doc: dict) -> dict:
-    """The rerun-stable subset of a metrics document (see module doc)."""
-    metrics = doc.get("metrics", {})
+def deterministic_view(summary: dict) -> dict:
+    """The rerun-stable subset of a ``run_summary`` event (see module
+    doc)."""
+    metrics = summary["attrs"]["metrics"]
     jobs_entry = metrics.get("repro_verify_jobs")
     parallel = bool(jobs_entry
                     and jobs_entry["value"].get("value", 1) > 1)
@@ -714,4 +441,4 @@ def deterministic_view(doc: dict) -> dict:
         if parallel and name.startswith(_SCHEDULING_DEPENDENT_PREFIXES):
             continue
         kept[name] = entry
-    return {"schema": doc.get("schema"), "metrics": kept}
+    return {"metrics": kept}

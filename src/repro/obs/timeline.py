@@ -2,9 +2,9 @@
 
 :func:`build_timeline` consumes the events of a ``repro.obs.trace/v1``
 JSONL file (parent spans plus replayed worker spans, already on one
-time axis — see :mod:`repro.obs.spans`) and produces a single
-``repro.obs.timeline/v1`` document answering the operational
-questions the raw log can't:
+time axis — see :mod:`repro.obs.spans`) and produces one in-memory
+timeline view answering the operational questions the raw log
+can't:
 
 * **lanes** — every span is assigned to a worker lane (``main`` for
   the parent process, ``worker-<pid>`` for pool workers) so the run
@@ -38,12 +38,8 @@ here executes in a verification hot loop.
 from __future__ import annotations
 
 import html as _html
-import json
 
-from repro.obs.export import atomic_write_text
 from repro.obs.live import format_bytes
-
-TIMELINE_SCHEMA = "repro.obs.timeline/v1"
 
 #: Default number of straggler rows kept in the attribution section.
 TOP_STRAGGLERS = 5
@@ -455,7 +451,7 @@ def _critical_path(spans: list[dict]) -> list[dict]:
 
 def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
                    ) -> dict:
-    """Merge a trace's events into a ``repro.obs.timeline/v1`` doc."""
+    """Merge a trace's events into one timeline view."""
     spans, open_count, run_id, trace_id = _assemble_spans(events)
     spans, duplicates = _dedupe_retries(spans)
     spans, orphans = _assign_lanes(spans)
@@ -470,7 +466,6 @@ def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
     memory = _memory_section(spans, attribution)
     critical = _critical_path(spans)
     doc = {
-        "schema": TIMELINE_SCHEMA,
         "run": run_id,
         "trace": trace_id,
         "window": {"begin": begin, "end": end,
@@ -517,14 +512,6 @@ def attribution_summary(events: list[dict],
         "shards": doc["attribution"]["shards"],
         "top_stragglers": doc["attribution"]["top_stragglers"],
     }
-
-
-def write_timeline_json(doc: dict, path_or_file) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        atomic_write_text(path_or_file, text)
 
 
 # ---------------------------------------------------------------------------

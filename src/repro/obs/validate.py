@@ -3,13 +3,11 @@
 CI (and anyone debugging an artifact) validates observability outputs
 without writing throwaway Python::
 
-    python -m repro.obs.validate --metrics m.json --trace t.jsonl \\
-        --depgraph d.jsonl --analytics a.json
+    python -m repro.obs.validate trace.jsonl depgraph.jsonl ckpt.json
 
-Typed flags check the artifact against the named schema; bare
-positional files are dispatched on the schema id the artifact itself
-declares, and an unknown id is reported with the list of known
-schemas (never a traceback).
+Each file is dispatched on the schema id the artifact itself declares
+(the header line of a JSONL artifact); an unknown id is reported with
+the list of known schemas (never a traceback).
 
 Exit code 0 when every given artifact is schema-valid; 1 with one
 ``invalid:`` line per problem otherwise.
@@ -21,101 +19,44 @@ import argparse
 import json
 import sys
 
-from repro.obs.schema import (
-    ANALYTICS_SCHEMA,
-    DEPGRAPH_SCHEMA,
-    KNOWN_SCHEMAS,
-    MEM_SCHEMA,
-    METRICS_SCHEMA,
-    TIMELINE_SCHEMA,
-    TRACE_SCHEMA,
-    declared_schema,
-    validate_any,
-)
-from repro.obs.spans import read_jsonl
+from repro.obs.schema import KNOWN_SCHEMAS, validate_any
 
 
 def _load(path: str):
     """Parse an artifact: one JSON document (possibly pretty-printed
-    over many lines), falling back to JSONL line records."""
+    over many lines), falling back to JSONL line records.  A JSONL
+    artifact holding only its header line is still a line list."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except ValueError:
         return [json.loads(line) for line in text.splitlines()
                 if line.strip()]
-
-
-def _check(path: str, artifact, expected: str | None) -> list[str]:
-    """Problems for one artifact, optionally pinning the schema id."""
-    schema = declared_schema(artifact)
-    if expected is not None and schema != expected:
-        return [f"expected schema {expected!r}, "
-                f"artifact declares {schema!r}"]
-    return validate_any(artifact)
+    if isinstance(doc, dict) and doc.get("type") == "header":
+        return [doc]
+    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Validate repro.obs artifacts "
                     f"({', '.join(sorted(KNOWN_SCHEMAS))}).")
-    parser.add_argument("--metrics", action="append", default=[],
-                        metavar="FILE",
-                        help="a metrics JSON document to validate "
-                             "(repeatable)")
-    parser.add_argument("--trace", action="append", default=[],
-                        metavar="FILE",
-                        help="a JSONL trace log to validate (repeatable)")
-    parser.add_argument("--depgraph", action="append", default=[],
-                        metavar="FILE",
-                        help="a JSONL proof dependency graph to "
-                             "validate (repeatable)")
-    parser.add_argument("--analytics", action="append", default=[],
-                        metavar="FILE",
-                        help="a proof-shape analytics JSON document to "
-                             "validate (repeatable)")
-    parser.add_argument("--timeline", action="append", default=[],
-                        metavar="FILE",
-                        help="a reconstructed timeline JSON document "
-                             "to validate (repeatable)")
-    parser.add_argument("--mem", action="append", default=[],
-                        metavar="FILE",
-                        help="a memory telemetry JSON document to "
-                             "validate (repeatable)")
-    parser.add_argument("files", nargs="*", metavar="FILE",
+    parser.add_argument("files", nargs="+", metavar="FILE",
                         help="artifacts validated against whatever "
                              "schema id they declare")
     args = parser.parse_args(argv)
-    jobs: list[tuple[str, str | None]] = (
-        [(path, METRICS_SCHEMA) for path in args.metrics]
-        + [(path, TRACE_SCHEMA) for path in args.trace]
-        + [(path, DEPGRAPH_SCHEMA) for path in args.depgraph]
-        + [(path, ANALYTICS_SCHEMA) for path in args.analytics]
-        + [(path, TIMELINE_SCHEMA) for path in args.timeline]
-        + [(path, MEM_SCHEMA) for path in args.mem]
-        + [(path, None) for path in args.files])
-    if not jobs:
-        parser.error("nothing to validate: give --metrics, --trace, "
-                     "--depgraph, --analytics, --timeline, --mem "
-                     "and/or positional files")
 
     problems = 0
-    for path, expected in jobs:
-        if expected == TRACE_SCHEMA:
-            artifact = read_jsonl(path)
-        else:
-            artifact = _load(path)
-        found = _check(path, artifact, expected)
+    for path in args.files:
+        artifact = _load(path)
+        found = validate_any(artifact)
         for problem in found:
             print(f"invalid: {path}: {problem}")
             problems += 1
         if not found:
-            detail = ""
-            if isinstance(artifact, dict) and "metrics" in artifact:
-                detail = f" ({len(artifact['metrics'])} metrics)"
-            elif isinstance(artifact, list):
-                detail = f" ({len(artifact)} records)"
+            detail = (f" ({len(artifact)} records)"
+                      if isinstance(artifact, list) else "")
             print(f"ok: {path}{detail}")
     return 1 if problems else 0
 

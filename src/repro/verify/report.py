@@ -72,7 +72,7 @@ class VerificationStats:
     slowest_checks: tuple[tuple[int, float], ...] = ()
 
     def as_dict(self) -> dict:
-        """Plain-data form, as embedded in metrics documents and
+        """Plain-data form, as embedded in the trace's run summary and
         benchmark records."""
         return {
             "total_time": self.total_time,

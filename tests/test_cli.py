@@ -247,64 +247,51 @@ class TestSolveVariants:
         assert "s UNSAT" in capsys.readouterr().out
 
 
+def _run_summary(trace_path):
+    """The closing ``run_summary`` event of a ``--trace-out`` trace,
+    after checking the whole trace is schema-valid."""
+    from repro.obs import read_jsonl, validate_trace
+
+    events = read_jsonl(trace_path)
+    assert validate_trace(events) == []
+    assert events[-1]["name"] == "run_summary"
+    return events[-1]["attrs"]
+
+
 class TestObservabilityCli:
     def test_metrics_and_trace_artifacts(self, unsat_cnf, good_proof,
                                          tmp_path, capsys):
-        import json
-
-        from repro.obs import (
-            read_jsonl,
-            validate_metrics,
-            validate_trace,
-        )
-
-        metrics_path = tmp_path / "metrics.json"
         trace_path = tmp_path / "trace.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--metrics-out", str(metrics_path),
                      "--trace-out", str(trace_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert f"c metrics written to {metrics_path}" in out
         assert f"c trace written to {trace_path}" in out
-        doc = json.loads(metrics_path.read_text())
-        assert validate_metrics(doc) == []
-        assert doc["run"]["command"] == "verify"
-        assert "stats" in doc
-        assert validate_trace(read_jsonl(trace_path)) == []
+        summary = _run_summary(trace_path)
+        assert summary["command"] == "verify"
+        assert summary["interrupted"] is False
+        assert summary["elapsed"] > 0
+        assert summary["stats"]["checks"] > 0
+        assert "repro_verify_checks_total" in summary["metrics"]
+        assert summary["mem"]["num_samples"] >= 1
 
     def test_parallel_metrics_artifact(self, unsat_cnf, good_proof,
                                        tmp_path):
-        import json
         import multiprocessing
-
-        from repro.obs import validate_metrics
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("parallel backend needs fork")
-        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--procedure", "verification1", "--jobs", "2",
-                     "--metrics-out", str(metrics_path)])
+                     "--trace-out", str(trace_path)])
         assert code == 0
-        doc = json.loads(metrics_path.read_text())
-        assert validate_metrics(doc) == []
-        metrics = doc["metrics"]
+        metrics = _run_summary(trace_path)["metrics"]
         assert metrics["repro_verify_jobs"]["value"]["value"] == 2
         assert metrics["repro_parallel_shards_total"]["value"] > 0
         # worker per-check observations merged into the parent
         assert metrics["repro_check_seconds"]["value"]["count"] \
             == metrics["repro_verify_checks_total"]["value"]
-
-    def test_prometheus_format(self, unsat_cnf, good_proof, tmp_path):
-        metrics_path = tmp_path / "metrics.prom"
-        code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--metrics-out", str(metrics_path),
-                     "--metrics-format", "prometheus"])
-        assert code == 0
-        text = metrics_path.read_text()
-        assert "# TYPE repro_verify_checks_total counter" in text
-        assert 'repro_check_seconds_bucket{le="+Inf"}' in text
 
     def test_stats_footer(self, unsat_cnf, good_proof, capsys):
         code = main(["verify", str(unsat_cnf), str(good_proof),
@@ -324,33 +311,71 @@ class TestObservabilityCli:
         assert err.splitlines()[-1].endswith("s elapsed")
 
     def test_verify_drup_artifacts(self, unsat_cnf, tmp_path, capsys):
-        import json
-
-        from repro.obs import validate_metrics
-
         drup_path = tmp_path / "trace.drup"
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
         capsys.readouterr()
-        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.jsonl"
         code = main(["verify-drup", str(unsat_cnf), str(drup_path),
-                     "--metrics-out", str(metrics_path), "--stats"])
+                     "--trace-out", str(trace_path), "--stats"])
         assert code == 0
         out = capsys.readouterr().out
         assert "c stats: total=" in out
-        doc = json.loads(metrics_path.read_text())
-        assert validate_metrics(doc) == []
-        assert "repro_drup_additions_total" in doc["metrics"]
+        summary = _run_summary(trace_path)
+        assert summary["command"] == "verify-drup"
+        assert "repro_drup_additions_total" in summary["metrics"]
 
     def test_artifacts_written_on_bad_proof(self, sat_cnf, unsat_cnf,
                                             good_proof, tmp_path,
                                             capsys):
-        """A failing verification still leaves its artifacts behind —
+        """A failing verification still leaves its trace behind —
         that is when you want the trace most."""
-        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.jsonl"
         code = main(["verify", str(sat_cnf), str(good_proof),
-                     "--metrics-out", str(metrics_path)])
+                     "--trace-out", str(trace_path)])
         assert code == 1
-        assert metrics_path.exists()
+        summary = _run_summary(trace_path)
+        assert summary["interrupted"] is False
+        assert summary["stats"] is not None
+
+
+class TestObsFrom:
+    """Which runs get a metrics registry: the history-attribution
+    tracer of ``--jobs N`` runs comes without one; ``--trace-out``
+    turns one on."""
+
+    def _obs(self, *flags):
+        from repro.cli import _build_parser, _obs_from
+
+        return _obs_from(_build_parser().parse_args(
+            ["verify", "f.cnf", "f.ccp", *flags]))
+
+    def test_default_run_builds_nothing(self):
+        assert self._obs() is None
+
+    def test_parallel_history_tracer_has_no_registry(self):
+        obs = self._obs("--procedure", "verification1", "--jobs", "2")
+        assert obs.tracer is not None
+        assert obs.metrics is None
+
+    def test_trace_out_turns_on_the_registry(self, tmp_path):
+        obs = self._obs("--procedure", "verification1", "--jobs", "2",
+                        "--trace-out", str(tmp_path / "t.jsonl"))
+        assert obs.tracer is not None
+        assert obs.metrics is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "f.cnf", "f.ccp", "--metrics-out", "m.json"],
+        ["verify", "f.cnf", "f.ccp", "--metrics-format", "json"],
+        ["verify", "f.cnf", "f.ccp", "--mem-out", "m.json"],
+        ["verify", "f.cnf", "f.ccp", "--analytics-out", "a.json"],
+        ["obs", "timeline", "t.jsonl", "--out", "t.json"],
+    ])
+    def test_artifact_flags_beyond_the_trace_rejected(self, argv):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def _run_cli_process(*args, code="from repro.cli import main; "

@@ -84,9 +84,8 @@ class TestRobustnessDoc:
 class TestObservabilityDoc:
     def test_schemas_and_flags_documented(self):
         doc = (REPO / "docs" / "observability.md").read_text()
-        for term in ("repro.obs.metrics/v1", "repro.obs.trace/v1",
-                     "repro.obs.timeline/v1", "repro.obs.live/v1",
-                     "--metrics-out", "--trace-out", "--progress",
+        for term in ("repro.obs.trace/v1", "run_summary",
+                     "repro.obs.live/v1", "--trace-out", "--progress",
                      "--stats", "deterministic_view",
                      "repro obs timeline", "repro obs top",
                      "--live-dir", "--min-utilization",
@@ -122,9 +121,9 @@ class TestObservabilityDoc:
 class TestProofInsightDoc:
     def test_schemas_flags_and_formats_documented(self):
         doc = (REPO / "docs" / "proof_insight.md").read_text()
-        for term in ("repro.obs.depgraph/v1", "repro.obs.analytics/v1",
+        for term in ("repro.obs.depgraph/v1", "run_summary",
                      "repro.obs.run/v1", "--depgraph-out",
-                     "--depgraph-dot", "--analytics-out", "--profile",
+                     "--depgraph-dot", "--profile",
                      "history.jsonl", "$REPRO_HISTORY_DIR",
                      "repro obs history", "repro obs compare",
                      "check-regression", "--max-props-drop-pct"):

@@ -10,16 +10,13 @@ the 5-clause formula.
 import math
 
 from repro.core.formula import CnfFormula
-from repro.obs import Obs, validate_analytics
+from repro.obs import Obs, read_jsonl, run_summary, validate_trace
 from repro.obs.insight.analytics import (
-    ANALYTICS_SCHEMA,
     ProofShapeAnalytics,
-    analytics_document,
     analytics_footer,
     analyze_proof_shape,
     estimated_resolutions,
     is_local,
-    write_analytics_json,
 )
 from repro.proofs.conflict_clause import (
     ENDING_FINAL_PAIR,
@@ -31,11 +28,22 @@ PAPER_F = CnfFormula([[1, 2], [1, -2], [-1, 3], [-1, -3], [4, 5]])
 PAPER_PROOF = ConflictClauseProof([(1,), (-1,)], ENDING_FINAL_PAIR)
 
 
-def paper_analytics():
-    obs = Obs.enabled(depgraph=True)
+def paper_analytics(obs=None):
+    obs = obs if obs is not None else Obs.enabled(depgraph=True)
     report = verify_proof_v2(PAPER_F, PAPER_PROOF, obs=obs)
     assert report.ok
     return analyze_proof_shape(PAPER_PROOF, report, obs.depgraph), report
+
+
+def paper_trace(path) -> list[dict]:
+    """The paper example's trace, closed by a ``run_summary`` event
+    carrying its analytics, written to ``path`` and read back."""
+    obs = Obs.enabled(depgraph=True)
+    analytics, report = paper_analytics(obs)
+    obs.event("run_summary",
+              **run_summary(obs, "verify", report, analytics))
+    obs.tracer.write_jsonl(str(path))
+    return read_jsonl(str(path))
 
 
 class TestEstimators:
@@ -112,29 +120,17 @@ class TestV1Analytics:
 class TestDocument:
     def test_document_validates(self, tmp_path):
         analytics, _ = paper_analytics()
-        doc = analytics_document(analytics, {"id": "r-test"})
-        assert doc["schema"] == ANALYTICS_SCHEMA
-        assert validate_analytics(doc) == []
+        events = paper_trace(tmp_path / "trace.jsonl")
+        assert validate_trace(events) == []
+        assert events[-1]["attrs"]["analytics"] == analytics.as_dict()
 
     def test_written_artifact_validates(self, tmp_path):
-        import json
-
-        analytics, _ = paper_analytics()
-        path = tmp_path / "analytics.json"
-        write_analytics_json(path, analytics, {"id": "r-test"})
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        assert validate_analytics(doc) == []
-        shape = doc["analytics"]
+        events = paper_trace(tmp_path / "trace.jsonl")
+        assert validate_trace(events) == []
+        shape = events[-1]["attrs"]["analytics"]
         assert shape["local_clauses"] == 2
         assert shape["ratio_percent"] == 100.0
         assert shape["antecedent_chain_depths"] == {"1": 2}
-
-    def test_validator_rejects_inconsistent_split(self):
-        analytics, _ = paper_analytics()
-        doc = analytics_document(analytics, {"id": "r-test"})
-        doc["analytics"]["global_clauses"] += 1
-        assert validate_analytics(doc)
 
     def test_footer_lines(self):
         analytics, _ = paper_analytics()

@@ -1,12 +1,11 @@
 """CLI tests for the proof-insight layer.
 
 Covers the insight artifact flags (``--depgraph-out``,
-``--depgraph-dot``, ``--analytics-out``), the profiling hooks
+``--depgraph-dot``) and the analytics they feed, the profiling hooks
 (``--profile``), the run-history verbs (``repro obs history / compare /
 check-regression``) with their exit-code contract, the interrupt-safe
 artifact flush (a ^C mid-verification leaves complete, schema-valid
-artifacts), and the ``python -m repro.obs.validate`` dispatcher for the
-new schemas.
+artifacts), and the ``python -m repro.obs.validate`` dispatcher.
 """
 
 import json
@@ -16,7 +15,12 @@ import pytest
 from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, EXIT_RESOURCE_LIMIT, main
 from repro.core.dimacs import write_dimacs
 from repro.core.formula import CnfFormula
-from repro.obs import validate_analytics, validate_depgraph
+from repro.obs import (
+    build_timeline,
+    read_jsonl,
+    validate_depgraph,
+    validate_trace,
+)
 from repro.obs.insight.depgraph import read_depgraph_jsonl
 from repro.obs.insight.history import RUN_SCHEMA, HistoryStore
 from repro.obs.validate import main as validate_main
@@ -42,31 +46,34 @@ class TestInsightArtifacts:
                                     tmp_path, capsys):
         dep = tmp_path / "dep.jsonl"
         dot = tmp_path / "dep.dot"
-        shape = tmp_path / "shape.json"
+        trace = tmp_path / "trace.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
                      "--depgraph-dot", str(dot),
-                     "--analytics-out", str(shape),
+                     "--trace-out", str(trace),
                      "--no-history"])
         assert code == 0
         out = capsys.readouterr().out
         assert "c depgraph written to" in out
-        assert "c analytics written to" in out
 
         lines = read_depgraph_jsonl(dep)
         assert validate_depgraph(lines) == []
         assert lines[0]["meta"]["num_input"] == 5
         assert dot.read_text().startswith("digraph depgraph {")
 
-        doc = json.loads(shape.read_text())
-        assert validate_analytics(doc) == []
-        assert doc["analytics"]["checked"] >= 1
+        # The analytics ride the trace's closing run_summary event.
+        events = read_jsonl(trace)
+        assert validate_trace(events) == []
+        shape = events[-1]["attrs"]["analytics"]
+        assert shape["checked"] >= 1
+        assert shape["local_clauses"] + shape["global_clauses"] \
+            == shape["checked"]
 
     def test_stats_footer_gains_insight_lines(self, unsat_cnf,
                                               good_proof, tmp_path,
                                               capsys):
         code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--analytics-out", str(tmp_path / "a.json"),
+                     "--depgraph-out", str(tmp_path / "dep.jsonl"),
                      "--stats", "--no-history"])
         assert code == 0
         out = capsys.readouterr().out
@@ -89,18 +96,19 @@ class TestInsightArtifacts:
     def test_validate_dispatcher(self, unsat_cnf, good_proof, tmp_path,
                                  capsys):
         dep = tmp_path / "dep.jsonl"
-        shape = tmp_path / "shape.json"
+        trace = tmp_path / "trace.jsonl"
         assert main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
-                     "--analytics-out", str(shape),
+                     "--trace-out", str(trace),
                      "--no-history"]) == 0
         capsys.readouterr()
-        # Typed flags and schema-dispatched positionals both pass.
-        assert validate_main(["--depgraph", str(dep),
-                              "--analytics", str(shape)]) == 0
-        assert validate_main([str(dep), str(shape)]) == 0
+        # Each file is dispatched on the schema id it declares.
+        assert validate_main([str(dep), str(trace)]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok:") == 4
+        assert out.count("ok:") == 2
+        # There are no per-schema flags: dispatch is by declared id.
+        with pytest.raises(SystemExit):
+            validate_main(["--trace", str(trace)])
 
     def test_validate_rejects_unknown_schema(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
@@ -265,10 +273,10 @@ class TestInterruptFlush:
                                        tmp_path, monkeypatch, capsys):
         self.interrupt_after(monkeypatch, 1)
         dep = tmp_path / "dep.jsonl"
-        metrics = tmp_path / "metrics.json"
+        trace = tmp_path / "trace.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
-                     "--metrics-out", str(metrics),
+                     "--trace-out", str(trace),
                      "--no-history"])
         assert code == EXIT_INTERRUPT
         captured = capsys.readouterr()
@@ -280,9 +288,12 @@ class TestInterruptFlush:
         assert lines[0]["run"]["interrupted"] is True
         assert len(lines) == 2  # exactly the one completed check
 
-        doc = json.loads(metrics.read_text())
-        assert doc["run"]["interrupted"] is True
-        assert doc["run"]["elapsed"] is None
+        events = read_jsonl(trace)
+        assert validate_trace(events) == []
+        summary = events[-1]["attrs"]
+        assert summary["interrupted"] is True
+        assert summary["elapsed"] is None
+        assert summary["stats"] is None
 
     def test_interrupt_with_profile(self, unsat_cnf, good_proof,
                                     tmp_path, monkeypatch, capsys):
@@ -324,24 +335,21 @@ class TestTimelineCli:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("parallel backend needs fork")
         trace = self._trace(unsat_cnf, good_proof, tmp_path, jobs=2)
-        out_json = tmp_path / "timeline.json"
         out_html = tmp_path / "timeline.html"
         capsys.readouterr()
         assert main(["obs", "timeline", str(trace),
-                     "--out", str(out_json),
                      "--html", str(out_html)]) == 0
         out = capsys.readouterr().out
         assert "utilization=" in out
         assert "critical path" in out
-        doc = json.loads(out_json.read_text())
-        assert doc["schema"] == "repro.obs.timeline/v1"
+        # The timeline is a view derived from the trace on demand.
+        doc = build_timeline(read_jsonl(trace))
         assert doc["utilization"] is not None
         assert doc["attribution"] is not None
         assert doc["dropped"] == {"duplicates": 0, "orphans": 0,
                                   "open": 0}
         assert out_html.read_text().startswith("<!DOCTYPE html>")
-        assert validate_main(["--timeline", str(out_json)]) == 0
-        assert validate_main([str(out_json)]) == 0  # sniffed
+        assert validate_main([str(trace)]) == 0  # sniffed
 
     def test_timeline_sequential_trace(self, unsat_cnf, good_proof,
                                        tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Integration tests: instrumentation threaded through verification.
 
-Covers the observability acceptance contract: deterministic metrics
-artifacts across configurations, worker-metric aggregation for
+Covers the observability acceptance contract: deterministic
+``run_summary`` metrics across configurations, worker-metric aggregation for
 parallel runs, the ``REPRO_JOBS`` override, and — most load-bearing —
 the guard asserting the disabled path (``obs=None``) never touches the
 metrics registry or tracer at all.
@@ -17,8 +17,8 @@ from repro.obs import (
     Obs,
     Tracer,
     deterministic_view,
-    metrics_document,
-    validate_metrics,
+    read_jsonl,
+    run_summary,
     validate_trace,
 )
 from repro.proofs.conflict_clause import ConflictClauseProof
@@ -114,16 +114,18 @@ class TestInstrumentedRuns:
         obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
         report = verify_proof_v1(formula, proof, obs=obs, **kwargs)
         assert report.ok
-        doc = metrics_document(
-            obs.metrics, run={"id": obs.run_id, "command": "test"},
-            stats=report.stats.as_dict())
-        assert validate_metrics(doc) == []
-        return report, doc, obs
+        obs.event("run_summary", **run_summary(obs, "test", report))
+        buffer = io.StringIO()
+        obs.tracer.write_jsonl(buffer)
+        events = read_jsonl(io.StringIO(buffer.getvalue()))
+        assert validate_trace(events) == []
+        return report, events[-1], obs
 
     def test_sequential_metrics_complete(self, unsat_instance):
         formula, proof = unsat_instance
-        report, doc, obs = self._run(formula, proof, mode="incremental")
-        metrics = doc["metrics"]
+        report, summary, obs = self._run(formula, proof,
+                                         mode="incremental")
+        metrics = summary["attrs"]["metrics"]
         assert metrics["repro_verify_checks_total"]["value"] \
             == report.num_checked
         hist = metrics["repro_check_seconds"]["value"]
@@ -133,8 +135,6 @@ class TestInstrumentedRuns:
         assert "repro_checker_root_builds_total" in metrics
         buffer = io.StringIO()
         obs.tracer.write_jsonl(buffer)
-        from repro.obs import read_jsonl
-
         events = read_jsonl(io.StringIO(buffer.getvalue()))
         assert validate_trace(events) == []
         check_spans = [e for e in events
@@ -161,7 +161,7 @@ class TestInstrumentedRuns:
     def test_metrics_deterministic_across_reruns(self, unsat_instance,
                                                  kwargs):
         """Rerunning one configuration yields an identical
-        deterministic view — the --metrics-out stability contract."""
+        deterministic view — the run_summary stability contract."""
         formula, proof = unsat_instance
         _, doc_one, _ = self._run(formula, proof, **kwargs)
         _, doc_two, _ = self._run(formula, proof, **kwargs)
@@ -177,7 +177,8 @@ class TestInstrumentedRuns:
         _, forward, _ = self._run(formula, proof, order="forward",
                                   mode="incremental")
         key = "repro_verify_checks_total"
-        assert backward["metrics"][key] == forward["metrics"][key]
+        assert backward["attrs"]["metrics"][key] \
+            == forward["attrs"]["metrics"][key]
 
 
 @pytest.mark.skipif("fork" not in
@@ -216,8 +217,6 @@ class TestParallelAggregation:
         assert all("shard" in e["attrs"] for e in shard_spans)
         buffer = io.StringIO()
         obs.tracer.write_jsonl(buffer)
-        from repro.obs import read_jsonl
-
         assert validate_trace(
             read_jsonl(io.StringIO(buffer.getvalue()))) == []
 

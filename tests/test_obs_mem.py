@@ -1,14 +1,12 @@
 """Tests for the memory telemetry layer (``repro.obs.mem``).
 
-Covers the acceptance claims the tentpole rests on: procfs parsing and
-the getrusage fallback, gauge max-merge associativity (the algebra the
-cross-worker peak-RSS aggregation relies on), ``repro.obs.mem/v1``
-schema validation, sampler fault injection (a dying sampler must never
-touch the verdict), live-view staleness, the timeline memory section,
-and the peak-RSS regression gate.
+Covers procfs parsing and the getrusage fallback, gauge max-merge
+associativity (the algebra the cross-worker peak-RSS aggregation
+relies on), the memory fields of the trace's ``run_summary`` event,
+sampler fault injection (a dying sampler must never touch the
+verdict), live-view staleness, the timeline memory section, and the
+peak-RSS regression gate.
 """
-
-import json
 
 import pytest
 
@@ -20,17 +18,19 @@ from repro.obs import (
     build_timeline,
     check_regression,
     format_top_table,
-    mem_document,
     parse_proc_status,
+    read_jsonl,
     read_rss,
+    record_arena_gauges,
     render_timeline_text,
     reset_peak_rss,
-    validate_mem,
-    write_mem_json,
+    run_summary,
+    validate_trace,
 )
 from repro.obs.mem import (
     MAX_CONSECUTIVE_FAILURES,
     MAX_SAMPLES,
+    MemProfiler,
     arena_mem_stats,
 )
 
@@ -224,9 +224,10 @@ class TestMemSampler:
         sampler.sample()
         assert report.ok
         assert sampler.failures > 0
-        # The mem document is still writable and schema-valid.
-        doc = mem_document(sampler, run={"id": obs.run_id})
-        assert validate_mem(doc) == []
+        # The run summary still reports the failing sampler.
+        mem = run_summary(obs, "verify", report)["mem"]
+        assert mem["sampler_failures"] == sampler.failures
+        assert mem["peak_rss_bytes"] is None
 
 
 # -- arena gauges ----------------------------------------------------------
@@ -257,45 +258,71 @@ class TestArenaStats:
         assert arena_mem_stats(WatchedPropagator(2)) is None
 
 
-# -- the artifact ----------------------------------------------------------
+# -- the run summary -------------------------------------------------------
 
 class TestMemArtifact:
-    def _sampler(self):
+    """The memory fields of the trace's closing ``run_summary``
+    event: the sampler summary, the tracemalloc section, and the
+    ``repro_mem_arena_*`` gauges in the metrics snapshot."""
+
+    def _obs(self):
         clock = FakeClock()
         sampler = MemSampler(reader=make_reader(), wall=clock)
+        obs = Obs(metrics=MetricsRegistry(), tracer=Tracer(),
+                  mem=sampler)
         sampler.sample()
         clock.now = 1.0
         sampler.sample()
-        return sampler
+        return obs
 
-    def test_document_validates(self):
+    def _trace(self, obs, tmp_path):
+        obs.event("run_summary", **run_summary(obs, "verify"))
+        path = tmp_path / "trace.jsonl"
+        obs.tracer.write_jsonl(str(path))
+        return read_jsonl(str(path))
+
+    def test_document_validates(self, tmp_path):
         from repro.bcp.arena import ArenaPropagator
         from repro.core.literals import encode
 
         engine = ArenaPropagator(2)
         engine.add_clause([encode(1), encode(2)],
                           propagate_units=False)
-        doc = mem_document(self._sampler(), run={"id": "r1"},
-                           arena=arena_mem_stats(engine))
-        assert doc["schema"] == "repro.obs.mem/v1"
-        assert validate_mem(doc) == []
-        assert len(doc["samples"]) == 2
+        obs = self._obs()
+        record_arena_gauges(obs, engine)
+        events = self._trace(obs, tmp_path)
+        assert validate_trace(events) == []
+        attrs = events[-1]["attrs"]
+        assert attrs["mem"]["num_samples"] == 2
+        assert attrs["mem"]["peak_rss_bytes"] == 2000
+        assert attrs["mem"]["source"] == "proc"
+        assert "tracemalloc" not in attrs["mem"]
+        pool = attrs["metrics"]["repro_mem_arena_pool_bytes"]
+        assert pool["value"]["max"] \
+            == arena_mem_stats(engine)["pool_bytes"]
+        # The samples themselves ride the trace as mem_sample events.
+        assert [e["name"] for e in events].count("mem_sample") == 2
 
     def test_roundtrip_through_disk(self, tmp_path):
-        path = tmp_path / "mem.json"
-        write_mem_json(path, self._sampler(), run={"id": "r1"})
-        loaded = json.loads(path.read_text())
-        assert validate_mem(loaded) == []
+        obs = self._obs()
+        obs.mem_profiler = MemProfiler()
+        obs.mem_profiler.phases["checks"] = {"current_bytes": 1,
+                                             "peak_bytes": 2}
+        events = self._trace(obs, tmp_path)
+        assert validate_trace(events) == []
+        profile = events[-1]["attrs"]["mem"]["tracemalloc"]
+        assert profile == {"phases": {"checks": {"current_bytes": 1,
+                                                 "peak_bytes": 2}},
+                           "top": []}
 
-    def test_validator_rejects_garbage(self):
-        assert validate_mem([]) != []
-        assert validate_mem({"schema": "nope"}) != []
-        doc = mem_document(self._sampler(), run={"id": "r1"})
-        doc["summary"]["rss_bytes"] = -5
-        assert any("rss_bytes" in p for p in validate_mem(doc))
-        doc = mem_document(self._sampler(), run={"id": "r1"})
-        doc["summary"]["source"] = "martian"
-        assert any("source" in p for p in validate_mem(doc))
+    def test_validator_rejects_garbage(self, tmp_path):
+        events = self._trace(self._obs(), tmp_path)
+        events[-1]["attrs"]["mem"] = [1, 2]
+        assert any("mem must be null or an object" in p
+                   for p in validate_trace(events))
+        events[-1]["attrs"]["metrics"]["repro_mem_rss_bytes"] = {
+            "kind": "gauge", "value": -1}
+        assert any("gauge value" in p for p in validate_trace(events))
 
 
 # -- live view -------------------------------------------------------------

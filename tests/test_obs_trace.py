@@ -2,24 +2,40 @@
 
 import io
 import json
-import re
+from types import SimpleNamespace
 
-from repro.obs.export import escape_label_value, sanitize_metric_name
 from repro.obs import (
-    METRICS_SCHEMA,
     MetricsRegistry,
+    Obs,
     ProgressReporter,
     Tracer,
     deterministic_view,
-    metrics_document,
-    prometheus_text,
     read_jsonl,
     rebase_epoch,
+    run_summary,
     stats_footer,
-    validate_metrics,
     validate_trace,
     worker_tracer,
 )
+
+
+# The report fields run_summary reads.
+REPORT = SimpleNamespace(
+    verification_time=0.5,
+    stats=SimpleNamespace(as_dict=lambda: {"total_time": 0.5,
+                                           "checks": 7}))
+
+
+def summary_trace(registry: MetricsRegistry) -> list[dict]:
+    """A written-and-reread trace closed by a ``run_summary`` event
+    over ``registry``."""
+    obs = Obs(metrics=registry, tracer=Tracer(run_id="r1"))
+    with obs.span("verify"):
+        pass
+    obs.event("run_summary", **run_summary(obs, "verify", REPORT))
+    buffer = io.StringIO()
+    obs.tracer.write_jsonl(buffer)
+    return read_jsonl(io.StringIO(buffer.getvalue()))
 
 
 class FakeClock:
@@ -157,47 +173,47 @@ class TestProgress:
 
 
 class TestExport:
-    def _document(self):
+    def _trace(self):
         registry = MetricsRegistry()
         registry.counter("repro_verify_checks_total", help="checks").inc(7)
         registry.gauge("repro_verify_jobs").set(1)
         registry.histogram("repro_check_seconds",
                            buckets=(0.1, 1.0)).observe(0.05)
-        return metrics_document(
-            registry, run={"id": "r1", "command": "verify"},
-            stats={"total_time": 0.5, "checks": 7})
+        return summary_trace(registry)
 
     def test_document_validates(self):
-        doc = self._document()
-        assert doc["schema"] == METRICS_SCHEMA
-        assert validate_metrics(doc) == []
+        events = self._trace()
+        assert validate_trace(events) == []
+        summary = events[-1]
+        assert summary["type"] == "event"
+        assert summary["name"] == "run_summary"
+        attrs = summary["attrs"]
+        assert attrs["command"] == "verify"
+        assert attrs["elapsed"] == 0.5
+        assert attrs["interrupted"] is False
+        assert attrs["stats"] == {"total_time": 0.5, "checks": 7}
+        assert attrs["metrics"]["repro_verify_checks_total"]["value"] == 7
 
     def test_document_json_round_trip(self):
-        doc = self._document()
-        again = json.loads(json.dumps(doc))
-        assert validate_metrics(again) == []
-        assert again == doc
+        events = self._trace()
+        again = json.loads(json.dumps(events))
+        assert validate_trace(again) == []
+        assert again == events
 
     def test_validator_flags_problems(self):
-        doc = self._document()
-        doc["metrics"]["repro_verify_checks_total"]["value"] = -1
-        assert any("non-negative" in p for p in validate_metrics(doc))
-        assert validate_metrics({"schema": "nope"}) != []
-
-    def test_prometheus_text_format(self):
-        text = prometheus_text(MetricsRegistry())
-        assert text == "\n"
-        registry = MetricsRegistry()
-        registry.counter("checks_total", help="number of checks").inc(3)
-        registry.histogram("seconds", buckets=(0.1, 1.0)).observe(0.5)
-        text = prometheus_text(registry)
-        assert "# HELP checks_total number of checks" in text
-        assert "# TYPE checks_total counter" in text
-        assert "checks_total 3" in text
-        assert 'seconds_bucket{le="0.1"} 0' in text
-        assert 'seconds_bucket{le="1"} 1' in text
-        assert 'seconds_bucket{le="+Inf"} 1' in text
-        assert "seconds_count 1" in text
+        events = self._trace()
+        metrics = events[-1]["attrs"]["metrics"]
+        metrics["repro_verify_checks_total"]["value"] = -1
+        metrics["repro_check_seconds"]["value"]["count"] = 5
+        problems = validate_trace(events)
+        assert any("non-negative" in p for p in problems)
+        assert any("sum to count" in p for p in problems)
+        events[-1]["attrs"]["metrics"] = "nope"
+        assert any("snapshot" in p for p in validate_trace(events))
+        # The summary closes the trace: nothing may follow it.
+        events = self._trace()
+        events.insert(-1, dict(events[-1]))
+        assert any("last event" in p for p in validate_trace(events))
 
     def test_stats_footer_lines(self):
         lines = stats_footer(
@@ -220,17 +236,15 @@ class TestDeterministicView:
         registry.counter("repro_verify_checks_total").inc(5)
         registry.histogram("repro_check_seconds").observe(0.1)
         registry.gauge("repro_verify_jobs").set(1)
-        doc = metrics_document(registry, run={"id": "r1"},
-                               stats={"total_time": 1.0})
-        view = deterministic_view(doc)
-        assert "run" not in view
-        assert "stats" not in view
+        registry.gauge("repro_mem_rss_bytes").set(1 << 20)
+        view = deterministic_view(summary_trace(registry)[-1])
+        assert set(view) == {"metrics"}
         assert "repro_check_seconds" not in view["metrics"]
+        assert "repro_mem_rss_bytes" not in view["metrics"]
         assert "repro_verify_checks_total" in view["metrics"]
         # sequential runs keep the scheduling-dependent metrics
         registry.counter("repro_bcp_assignments_total").inc(9)
-        view = deterministic_view(metrics_document(registry,
-                                                   run={"id": "r2"}))
+        view = deterministic_view(summary_trace(registry)[-1])
         assert "repro_bcp_assignments_total" in view["metrics"]
 
     def test_parallel_strips_scheduling_dependent(self):
@@ -240,8 +254,7 @@ class TestDeterministicView:
         registry.counter("repro_verify_checks_total").inc(5)
         registry.histogram("repro_check_work",
                            buckets=(10, 100)).observe(50)
-        view = deterministic_view(metrics_document(registry,
-                                                   run={"id": "r1"}))
+        view = deterministic_view(summary_trace(registry)[-1])
         assert "repro_bcp_assignments_total" not in view["metrics"]
         assert "repro_check_work" not in view["metrics"]
         assert "repro_verify_checks_total" in view["metrics"]
@@ -337,54 +350,3 @@ class TestRebaseEpoch:
         with worker.span("shard", lo=0, hi=1):
             clock.now = 3.0
         assert worker.events[0]["ts"] == 2.0  # parent axis
-
-
-class TestPrometheusHardening:
-    def test_names_are_sanitized(self):
-        assert sanitize_metric_name("repro.verify-rate") == \
-            "repro_verify_rate"
-        assert sanitize_metric_name("9lives") == "_9lives"
-        assert sanitize_metric_name("") == "_"
-        assert sanitize_metric_name("ok_name:v1") == "ok_name:v1"
-        assert sanitize_metric_name("émigré") == "_migr_"
-
-    def test_counters_get_total_suffix(self):
-        registry = MetricsRegistry()
-        registry.counter("repro.checks").inc(2)
-        registry.counter("repro_props_total").inc(3)
-        text = prometheus_text(registry)
-        assert "repro_checks_total 2" in text
-        # An existing suffix is not doubled.
-        assert "repro_props_total 3" in text
-        assert "repro_props_total_total" not in text
-
-    def test_help_text_is_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total",
-                         help="multi\nline \\ help").inc(1)
-        text = prometheus_text(registry)
-        assert "# HELP c_total multi\\nline \\\\ help" in text
-        assert "multi\nline" not in text
-
-    def test_label_value_escaping(self):
-        assert escape_label_value('a"b\\c\nd') == \
-            'a\\"b\\\\c\\nd'
-
-    def test_round_trip_exposition_stays_parseable(self):
-        """Every emitted line must match the exposition grammar even
-        with hostile metric names and help text."""
-        registry = MetricsRegistry()
-        registry.counter("weird.name-1", help="h\ne\\lp").inc(1)
-        registry.gauge("2gauge").set(4)
-        registry.histogram("histo gram",
-                           buckets=(0.5,)).observe(0.1)
-        text = prometheus_text(registry)
-        name_re = re.compile(
-            r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
-            r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\\n])*"\})? '
-            r"-?[0-9.eE+inf-]+$")
-        for line in text.strip().splitlines():
-            if line.startswith("#"):
-                assert "\n" not in line[1:]
-                continue
-            assert name_re.match(line), line
