@@ -5,12 +5,8 @@ Table 1 instances: wall-clock verification time plus the engine's
 propagation counters (assignments, watch visits, clause visits, purged
 watch entries).  The ``rebuild`` rows re-pay the full unit pass per
 check; ``incremental`` keeps the persistent root trail and retires
-clauses behind the moving ceiling; ``arena`` runs the incremental
-checker on the flat clause-arena engine (blocker literals skip clause
-bodies — visible in the ``clause_visits`` column); ``parallel`` shards
-the incremental checker across a process pool, and ``arena-parallel``
-does the same with the clause database in one zero-copy shared-memory
-arena.
+clauses behind the moving ceiling; ``parallel`` shards the incremental
+checker across a process pool.
 
 The ``streaming`` family is different in kind: deletion-chain traces
 (``repro.benchgen.deletion_chain``) checked by the one-pass
@@ -32,9 +28,8 @@ Runs in two forms:
   are kept in the record, and each invocation stamps an
   ``environment`` record (python/platform/cpu count) so rows can be
   traced to the stack that produced them.  Every row family also
-  carries memory columns — measured ``peak_rss_bytes`` (kernel
-  watermark reset per repeat where supported) and, for the arena
-  engine, the ``arena_peak_bytes`` pool high-water mark — and the
+  carries the measured ``peak_rss_bytes`` memory column (kernel
+  watermark reset per repeat where supported), and the
   ``--overhead-instance`` record bounds both the metrics-only and the
   background-memory-sampler instrumentation cost.
 """
@@ -77,18 +72,16 @@ INCREMENTAL_INSTANCES = ("eq_add8", "barrel5", "stack8_8", "w6_10",
 VARIANT_SPECS = {
     "rebuild": (None, "rebuild", "backward", False),
     "incremental": (None, "incremental", "backward", False),
-    "arena": ("arena", "incremental", "backward", False),
     "parallel": (None, "incremental", "backward", True),
-    "arena-parallel": ("arena", "incremental", "backward", True),
 }
 VARIANTS = tuple(VARIANT_SPECS)
 
 # The backward-incremental pair (standalone runs): a pipe-family
-# instance checked backward in incremental mode on the arena engine,
+# instance checked backward in incremental mode on the watched engine,
 # sequentially and across the pool, so the parallel row is compared
 # with the best sequential path (see backward_pair_lines).
 BACKWARD_PAIR_INSTANCES = ("pipe_5",)
-BACKWARD_PAIR_VARIANTS = ("arena", "arena-parallel")
+BACKWARD_PAIR_VARIANTS = ("incremental", "parallel")
 
 # The streaming family: deletion-chain traces whose addition volume is
 # ~10x the live-clause cap they are verified under.  ``chain400`` is
@@ -100,7 +93,7 @@ STREAMING_SPECS = {
     "chain2000": (2000, 8, 200),
     "chain20000": (20000, 16, 2000),
 }
-STREAMING_ENGINES = ("watched", "arena")
+STREAMING_ENGINES = ("watched",)
 
 
 class _PeakRssMeter:
@@ -134,18 +127,8 @@ class _PeakRssMeter:
                 "peak_rss_reset": self.reset_ok}
 
 
-def _arena_peak_bytes(metrics: MetricsRegistry) -> int | None:
-    """The high-water arena pool size a metrics-attached run recorded
-    (gauge ``repro_mem_arena_pool_bytes``); None for engines without an
-    arena or runs that never published the gauge."""
-    entry = metrics.snapshot().get("repro_mem_arena_pool_bytes")
-    if entry is None:
-        return None
-    return entry["value"]["max"]
-
 _table = register_collector(TableCollector(
-    "Backward verification1: rebuild vs incremental vs arena "
-    "vs parallel",
+    "Backward verification1: rebuild vs incremental vs parallel",
     f"{'Name':<10} {'variant':<15} {'jobs':>4} {'time(s)':>8} "
     f"{'assigns':>10} {'watch_vis':>10} {'clause_vis':>10} "
     f"{'purged':>8}"))
@@ -201,10 +184,8 @@ def bench_records(instances, jobs: int, repeats: int = 3,
     Each record also carries the report's per-phase ``stats``
     breakdown — the same numbers the CLI's ``--stats`` footer prints —
     so the trend log separates setup from check time, plus the memory
-    columns: ``peak_rss_bytes`` (max measured peak across the timed
-    repeats, watermark-reset per repeat where the kernel allows) and,
-    for the arena engine, ``arena_peak_bytes`` from an untimed
-    metrics-attached run.
+    column ``peak_rss_bytes`` (max measured peak across the timed
+    repeats, watermark-reset per repeat where the kernel allows).
     """
     repeats = max(1, repeats)
     records = []
@@ -227,12 +208,8 @@ def bench_records(instances, jobs: int, repeats: int = 3,
             # Parallel variants get one extra *untimed* instrumented
             # run so the record carries pool attribution (utilization,
             # skew, stragglers) without instrumenting the timed
-            # repeats; the arena engine piggybacks its peak pool
-            # gauge on the same run (or get their own untimed metrics
-            # run when sequential).
+            # repeats.
             attribution = None
-            arena_peak = None
-            arena_engine = VARIANT_SPECS[variant][0] == "arena"
             if used_jobs > 1:
                 from repro.obs import Tracer
                 from repro.obs.timeline import attribution_summary
@@ -243,7 +220,6 @@ def bench_records(instances, jobs: int, repeats: int = 3,
                                          variant, used_jobs,
                                          obs=traced)
                 assert attributed.ok
-                arena_peak = _arena_peak_bytes(traced.metrics)
                 attribution = attribution_summary(traced.tracer.events)
                 if attribution is not None:
                     # The per-shard rows are bulky; the trend log only
@@ -252,12 +228,6 @@ def bench_records(instances, jobs: int, repeats: int = 3,
                         k: attribution[k]
                         for k in ("utilization", "skew_ratio",
                                   "workers")}
-            elif arena_engine:
-                metered = Obs(metrics=MetricsRegistry())
-                gauged = run_variant(data.formula, data.proof, variant,
-                                     1, obs=metered)
-                assert gauged.ok
-                arena_peak = _arena_peak_bytes(metered.metrics)
             median = statistics.median(times)
             records.append({
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
@@ -276,7 +246,6 @@ def bench_records(instances, jobs: int, repeats: int = 3,
                 "stats": stats,
                 "cpu_count": os.cpu_count(),
                 "attribution": attribution,
-                "arena_peak_bytes": arena_peak,
                 **rss.fields(),
             })
             print(f"{name:<10} {variant:<15} jobs={report.jobs} "
@@ -333,18 +302,6 @@ def streaming_records(names, repeats: int = 3,
                     times.append(report.verification_time)
                     rss.after_repeat()
                 assert report.num_additions == info["additions"]
-                # One untimed metrics-attached run for the arena
-                # gauges the streaming driver records at every window
-                # shift and at the verdict.
-                arena_peak = None
-                if engine == "arena":
-                    metered = Obs(metrics=MetricsRegistry())
-                    gauged = verify_stream(
-                        formula, trace, engine_cls=engine,
-                        budget=CheckBudget(max_live_clauses=cap),
-                        obs=metered)
-                    assert gauged.ok
-                    arena_peak = _arena_peak_bytes(metered.metrics)
                 median = statistics.median(times)
                 records.append({
                     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
@@ -369,7 +326,6 @@ def streaming_records(names, repeats: int = 3,
                     "counters": report.bcp_counters,
                     "stats": (report.stats.as_dict()
                               if report.stats is not None else None),
-                    "arena_peak_bytes": arena_peak,
                     **rss.fields(),
                 })
                 print(f"{name:<10} streaming/{engine:<8} "
@@ -383,16 +339,16 @@ def streaming_records(names, repeats: int = 3,
 
 
 def backward_pair_lines(records: list[dict]) -> list[str]:
-    """Summarize each ``arena-parallel`` row against the sequential
-    ``arena`` row of the same instance: median wall-clock speedup and
-    the work counters (watch visits, purged entries) of both."""
+    """Summarize each ``parallel`` row against the sequential
+    ``incremental`` row of the same instance: median wall-clock speedup
+    and the work counters (watch visits, purged entries) of both."""
     by_key: dict[tuple[str, str], dict] = {
         (r["instance"], r["variant"]): r for r in records
         if "variant" in r}
     lines = []
     for (name, variant), rec in by_key.items():
-        sequential = by_key.get((name, "arena"))
-        if variant != "arena-parallel" or sequential is None:
+        sequential = by_key.get((name, "incremental"))
+        if variant != "parallel" or sequential is None:
             continue
         par, seq = rec["counters"], sequential["counters"]
         wall, seq_wall = (rec["verification_time"],
@@ -545,7 +501,7 @@ def main(argv=None) -> int:
                         default=list(BACKWARD_PAIR_INSTANCES),
                         metavar="NAME",
                         help="instances for the backward-incremental "
-                             "arena sequential/parallel pair (pass no "
+                             "sequential/parallel pair (pass no "
                              "names to skip; default: "
                              f"{' '.join(BACKWARD_PAIR_INSTANCES)})")
     parser.add_argument("--streaming-instances", nargs="*",

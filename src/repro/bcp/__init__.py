@@ -1,21 +1,17 @@
 """Boolean Constraint Propagation engines.
 
-Three interchangeable implementations of the paper's only algorithmic
+Two interchangeable implementations of the paper's only algorithmic
 prerequisite (Section 2):
 
 * :class:`WatchedPropagator` — two-watched-literal scheme (the one the
   paper's verifier uses, Section 6);
 * :class:`CountingPropagator` — classic counter-based scheme, used as a
-  differential-testing oracle and ablation baseline;
-* :class:`ArenaPropagator` — watched literals with blockers over a flat
-  :class:`ClauseArena` literal pool; serializes to shared memory for
-  the zero-copy parallel backend and the streaming verifier.
+  differential-testing oracle and ablation baseline.
 
 The CLI and the verification drivers select engines by name through
 :data:`ENGINES` / :func:`resolve_engine`.
 """
 
-from repro.bcp.arena import ArenaPropagator, ClauseArena
 from repro.bcp.counting import CountingPropagator
 from repro.bcp.engine import (
     FALSE,
@@ -32,7 +28,6 @@ from repro.bcp.watched import WatchedPropagator
 ENGINES: dict[str, type[PropagatorBase]] = {
     "watched": WatchedPropagator,
     "counting": CountingPropagator,
-    "arena": ArenaPropagator,
 }
 
 
@@ -66,8 +61,6 @@ __all__ = [
     "PropagatorBase",
     "WatchedPropagator",
     "CountingPropagator",
-    "ArenaPropagator",
-    "ClauseArena",
     "PropagationCounters",
     "ENGINES",
     "resolve_engine",

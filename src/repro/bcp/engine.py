@@ -146,7 +146,8 @@ class PropagatorBase:
             if var > max_var:
                 max_var = var
         self.ensure_vars(max_var)
-        cid = self._store_clause(lits)
+        cid = len(self.clauses)
+        self.clauses.append(lits)
         if not lits:
             if self.empty_clause_cid is None:
                 self.empty_clause_cid = cid
@@ -156,18 +157,6 @@ class PropagatorBase:
             if not self.enqueue(lits[0], cid):
                 if self.conflict_unit_cid is None:
                     self.conflict_unit_cid = cid
-        return cid
-
-    def _store_clause(self, lits: list[int]) -> int:
-        """Record a (deduplicated) clause body; return its new cid.
-
-        Subclasses with a different storage layout (the flat arena)
-        override this together with :meth:`clause_lits` /
-        :meth:`clause_len`; everything else in the base class goes
-        through those accessors and never assumes list-of-lists.
-        """
-        cid = len(self.clauses)
-        self.clauses.append(lits)
         return cid
 
     def clause_lits(self, cid: int):
@@ -307,16 +296,6 @@ class PropagatorBase:
 
         ``pos`` is the trail position; hooks can compare it against
         ``qhead`` to tell whether the assignment was ever dequeued.
-        """
-
-    def note_root_boundary(self) -> None:
-        """Driver hint: the current state is a stable persistent root.
-
-        The incremental checker calls this once per check, after the
-        root trail is synced to the ceiling and before the check's
-        decision level opens.  Engines that maintain root-derived
-        acceleration structures refresh them here; the default is a
-        no-op, and engines must stay correct if it is never called.
         """
 
     def propagate(self, ceiling: int | None = None) -> int | None:

@@ -102,12 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="worker processes for verification1 "
                                  "(default 1: sequential)")
     verify_cmd.add_argument("--engine", default=None,
-                            choices=["watched", "counting", "arena"],
+                            choices=["watched", "counting"],
                             help="BCP engine (default: watched, or "
                                  "counting when --depgraph-out needs "
-                                 "deterministic reasons); arena is the "
-                                 "flat-pool engine the shared-memory "
-                                 "parallel backend uses")
+                                 "deterministic reasons)")
     strictness = verify_cmd.add_mutually_exclusive_group()
     strictness.add_argument("--strict", action="store_true",
                             help="require a DIMACS header whose counts "
@@ -132,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     drup_cmd.add_argument("cnf")
     drup_cmd.add_argument("drup")
     drup_cmd.add_argument("--engine", default=None,
-                          choices=["watched", "arena"],
+                          choices=["watched"],
                           help="BCP engine (counting is rejected: it "
                                "cannot honor deletions)")
     _add_budget_arguments(drup_cmd)
@@ -146,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_cmd.add_argument("cnf")
     stream_cmd.add_argument("drup")
     stream_cmd.add_argument("--engine", default=None,
-                            choices=["watched", "arena"],
+                            choices=["watched"],
                             help="BCP engine (counting is rejected: "
                                  "streaming lives on deletion events)")
     _add_budget_arguments(stream_cmd)
@@ -379,10 +377,9 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
     A metrics registry comes only with ``--trace-out`` (the trace's
     ``run_summary`` carries its snapshot), ``--stats`` (the footer's
     props and slowest-check lines come from the instrumented per-check
-    path) and the memory flags (the arena gauges the history's memory
-    section reads live in it).  Any insight output flag attaches a
-    dependency-graph recorder (the analytics are computed from its
-    records).
+    path) and the memory flags (the sampler's ``repro_mem_*`` gauges
+    live in it).  Any insight output flag attaches a dependency-graph
+    recorder (the analytics are computed from its records).
     """
     from repro.obs import DepGraphRecorder, MetricsRegistry, Tracer
 
@@ -510,10 +507,10 @@ def _record_history(obs: Obs | None, args: argparse.Namespace, report,
 
 def _mem_history_section(obs: Obs | None) -> dict | None:
     """The fingerprint's ``memory`` section: measured peak RSS (the
-    ``--max-peak-rss-growth`` gate input), arena peak, and the top
-    tracemalloc sites when ``--mem-profile`` captured them.  None when
-    the run had no sampler or it never produced a reading — an
-    unmeasured run must not gate."""
+    ``--max-peak-rss-growth`` gate input) and the top tracemalloc
+    sites when ``--mem-profile`` captured them.  None when the run had
+    no sampler or it never produced a reading — an unmeasured run must
+    not gate."""
     if obs is None or obs.mem is None:
         return None
     summary = obs.mem.summary()
@@ -523,11 +520,6 @@ def _mem_history_section(obs: Obs | None) -> dict | None:
               "rss_bytes": summary["rss_bytes"],
               "source": summary["source"],
               "num_samples": summary["num_samples"]}
-    # The arena gauge's max-merge already folded worker peaks in.
-    pool = (obs.metrics.snapshot().get("repro_mem_arena_pool_bytes")
-            if obs.metrics is not None else None)
-    if pool is not None:
-        memory["arena_peak_bytes"] = int(pool["value"]["max"])
     if obs.mem_profiler is not None:
         profile = obs.mem_profiler.document()
         if profile is not None:
@@ -745,7 +737,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_core(args: argparse.Namespace) -> int:
     formula = read_dimacs(args.cnf)
     proof = read_proof(args.proof)
-    report = verify_proof(formula, proof)
+    report = verify_proof(formula, proof, mode="incremental")
     if not report.ok:
         print(f"s {report.outcome.upper()}")
         return 1

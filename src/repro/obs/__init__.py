@@ -18,8 +18,8 @@ A zero-dependency observability layer for the verification pipeline:
 * :class:`ProgressReporter` heartbeat lines, optionally mirrored to
   :mod:`repro.obs.live` status files for ``repro obs top``;
 * the :mod:`repro.obs.mem` resource profiler — heartbeat-riding RSS
-  sampling (:class:`MemSampler`), arena-native memory gauges, and
-  optional tracemalloc phase attribution (:class:`MemProfiler`);
+  sampling (:class:`MemSampler`) and optional tracemalloc phase
+  attribution (:class:`MemProfiler`);
 * the ``c stats:`` footer and schema validators for the four artifact
   kinds (trace, depgraph, checkpoint, live status);
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs,
@@ -61,10 +61,8 @@ from repro.obs.live import (
 from repro.obs.mem import (
     MemProfiler,
     MemSampler,
-    arena_mem_stats,
     parse_proc_status,
     read_rss,
-    record_arena_gauges,
     reset_peak_rss,
 )
 from repro.obs.progress import ProgressReporter
@@ -157,6 +155,4 @@ __all__ = [
     "read_rss",
     "reset_peak_rss",
     "parse_proc_status",
-    "arena_mem_stats",
-    "record_arena_gauges",
 ]

@@ -27,8 +27,8 @@ Fingerprint schema (``repro.obs.run/v1``)::
      "checks": 120, "props": 5113, "props_per_sec": 124707.3,
      "checks_per_sec": 2926.8, "phase_times": {"setup": ..., ...},
      "analytics": {"local_clauses": ..., ...} | null,
-     "memory": {"peak_rss_bytes": ..., "arena_peak_bytes": ...,
-                "tracemalloc_top": [...]} | null}
+     "memory": {"peak_rss_bytes": ..., "tracemalloc_top": [...]}
+               | null}
 
 Selectors: runs are addressed by integer position (``0`` first,
 ``-1`` latest) or by a unique run-id prefix.
@@ -81,7 +81,7 @@ def fingerprint(report, *, run_id: str, command: str,
     :func:`repro.obs.timeline.attribution_summary` (``None`` for
     sequential runs or runs without tracing); ``memory`` is the
     measured-memory section (``peak_rss_bytes``, optional
-    ``arena_peak_bytes``/``tracemalloc_top``) from the run's
+    ``tracemalloc_top``) from the run's
     :class:`~repro.obs.mem.MemSampler`, ``None`` when sampling was
     off or never produced a reading.
     """
@@ -281,15 +281,10 @@ def compare_runs(a: dict, b: dict) -> list[dict]:
                         attr_b.get("workers"), 0))
     mem_a, mem_b = a.get("memory"), b.get("memory")
     if mem_a and mem_b:
-        # Lower is better on every memory axis.
+        # Lower is better.
         rows.append(row("memory:peak_rss_bytes",
                         mem_a.get("peak_rss_bytes"),
                         mem_b.get("peak_rss_bytes"), +1))
-        if (mem_a.get("arena_peak_bytes") is not None
-                or mem_b.get("arena_peak_bytes") is not None):
-            rows.append(row("memory:arena_peak_bytes",
-                            mem_a.get("arena_peak_bytes"),
-                            mem_b.get("arena_peak_bytes"), +1))
     return rows
 
 

@@ -1,9 +1,9 @@
-"""Measured memory telemetry: RSS sampling, arena gauges, tracemalloc.
+"""Measured memory telemetry: RSS sampling and tracemalloc.
 
 Everything else in ``repro.obs`` counts *work*; this module measures
 what the work *costs in resident memory* — the quantity that actually
 kills industrial proof checking (DRAT-trim-style checkers are
-memory-bound long before they are CPU-bound).  Three layers:
+memory-bound long before they are CPU-bound).  Two layers:
 
 * :func:`read_rss` — the process's current and peak resident set, from
   ``/proc/self/status`` (``VmRSS``/``VmHWM``) with a
@@ -18,10 +18,6 @@ memory-bound long before they are CPU-bound).  Three layers:
   heartbeat is too coarse.  **A sampler failure can never affect a
   verdict**: every read is guarded, and after a few consecutive
   failures the sampler declares itself dead and goes quiet.
-* :func:`arena_mem_stats` — engine-native gauges from the clause
-  arena (pool bytes, live vs tombstoned occupancy, fragmentation,
-  watch-table entries), turning the streaming budget's *estimated*
-  bytes into numbers that can be cross-checked against measured RSS.
 
 A traced run's ``run_summary`` event carries the sampler's
 :meth:`MemSampler.summary` (plus the tracemalloc section) and the
@@ -258,59 +254,6 @@ class MemSampler:
                 "source": self.source,
                 "sampler_failures": self.failures,
                 "sampler_dead": self.dead}
-
-
-# -- arena-native gauges ---------------------------------------------------
-
-def arena_mem_stats(engine) -> dict | None:
-    """Engine-native memory accounting for the arena BCP engine.
-
-    Duck-typed on the :class:`~repro.bcp.arena.ArenaPropagator`
-    surface: the arena's flat pool plus the watch tables.  Returns
-    ``None`` for engines without an arena (watched/counting keep
-    per-clause Python lists — there is no flat pool to measure)."""
-    arena = getattr(engine, "arena", None)
-    if arena is None or not hasattr(arena, "live_words"):
-        return None
-    pool = arena.pool
-    itemsize = getattr(pool, "itemsize", 4)
-    pool_words = len(pool)
-    watch_entries = 0
-    for attr in ("watch_cids", "watch_blockers"):
-        lists = getattr(engine, attr, None)
-        if lists is not None:
-            watch_entries += sum(len(entry) for entry in lists)
-    return {
-        "pool_bytes": pool_words * itemsize,
-        "live_bytes": arena.live_bytes(),
-        "live_clauses": arena.live_clauses,
-        "num_clauses": arena.num_clauses,
-        "dead_words": arena.dead_words,
-        "fragmentation": (arena.dead_words / pool_words
-                          if pool_words else 0.0),
-        "watch_entries": watch_entries,
-        "watch_bytes": watch_entries * itemsize,
-    }
-
-
-def record_arena_gauges(obs, engine) -> dict | None:
-    """Publish :func:`arena_mem_stats` as ``repro_mem_arena_*`` gauges
-    (max-merged across workers like every gauge)."""
-    if obs is None or obs.metrics is None:
-        return None
-    stats = arena_mem_stats(engine)
-    if stats is None:
-        return None
-    obs.gauge_set("repro_mem_arena_pool_bytes", stats["pool_bytes"],
-                  help="Clause-arena pool footprint")
-    obs.gauge_set("repro_mem_arena_live_bytes", stats["live_bytes"],
-                  help="Live (non-tombstoned) arena bytes")
-    obs.gauge_set("repro_mem_arena_fragmentation",
-                  stats["fragmentation"],
-                  help="Tombstoned fraction of the arena pool")
-    obs.gauge_set("repro_mem_watch_entries", stats["watch_entries"],
-                  help="Watch-table entries across all literals")
-    return stats
 
 
 # -- tracemalloc phase attribution ----------------------------------------

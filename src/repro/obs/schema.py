@@ -62,7 +62,7 @@ _SCHEDULING_DEPENDENT_PREFIXES = (
     "repro_parallel_queue_depth",
 )
 
-# Measured-resource metrics (RSS samples, arena footprints): like the
+# Measured-resource metrics (RSS samples): like the
 # time-valued metrics, they are measurements of *this* execution, not
 # properties of the configuration — never rerun-stable.
 _MEASURED_RESOURCE_PREFIX = "repro_mem_"

@@ -28,7 +28,7 @@ style limits plus the streaming driver's memory cap:
     The **memory** axes, consumed by the streaming forward checker
     (:mod:`repro.verify.streaming`): the number of *live* proof-added
     clauses and their estimated resident footprint.  The estimate
-    charges one 32-bit word per literal, one arena offset word per
+    charges one 32-bit word per literal, one offset word per
     clause, and the engine's watch-table bookkeeping
     (:data:`~repro.verify.streaming.ENGINE_OVERHEAD_WORDS_PER_CLAUSE`
     words per clause) — the earlier pool-words-only model

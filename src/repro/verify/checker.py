@@ -97,48 +97,6 @@ class ProofChecker:
             self._load([encode(lit) for lit in clause.literals])
         for lits in proof:
             self._load([encode(lit) for lit in lits])
-        self._finish_init()
-
-    @classmethod
-    def from_arena(cls, arena, num_input: int, mode: str = "rebuild",
-                   retire: bool = True,
-                   meter: "BudgetMeter | None" = None) -> "ProofChecker":
-        """A checker over a pre-built (typically shared-memory-attached)
-        clause arena instead of a formula/proof pair.
-
-        The arena must hold ``F`` followed by ``F*`` in load order (see
-        :func:`repro.bcp.arena.build_arena`): proof clause ``i`` is
-        arena clause ``num_input + i``, so the checker derives its unit
-        table and assumption sets straight from the pool — a worker
-        process needs nothing but the (picklable) arena handle and
-        ``num_input``.  ``formula``/``proof`` are ``None`` on the
-        resulting checker; callers that format failure messages from
-        proof literals keep their own copy.  The engine is always the
-        :class:`~repro.bcp.arena.ArenaPropagator`, built over the
-        adopted arena.
-        """
-        from repro.bcp.arena import ArenaPropagator
-
-        if mode not in CHECKER_MODES:
-            raise ValueError(f"unknown checker mode {mode!r}; "
-                             f"expected one of {CHECKER_MODES}")
-        self = cls.__new__(cls)
-        self.formula = None
-        self.proof = None
-        self.mode = mode
-        self.meter = meter
-        self.retire = retire and mode == "incremental"
-        self.engine = ArenaPropagator(arena=arena)
-        self.num_input = num_input
-        starts = arena.starts
-        pool = arena.pool
-        self.units = [(cid, pool[starts[cid]])
-                      for cid in range(arena.num_clauses)
-                      if starts[cid + 1] - starts[cid] == 1]
-        self._finish_init()
-        return self
-
-    def _finish_init(self) -> None:
         self._unit_cids = [cid for cid, _ in self.units]
         # Root-trail maintenance counts (plain ints, always on — the
         # cheap observable form of the rebuild-vs-incremental savings;
@@ -168,13 +126,9 @@ class ProofChecker:
 
     def _assumption_encs(self, index: int):
         """Encoded literals of proof clause ``index`` (the set whose
-        negation is the paper's ``R``).  Arena-backed checkers read the
-        (deduplicated) body straight from the pool; duplicates in the
-        plain path are harmless — a repeated assumption hits the
-        already-TRUE branch."""
-        if self.proof is not None:
-            return [encode(lit) for lit in self.proof[index]]
-        return self.engine.clause_lits(self.num_input + index)
+        negation is the paper's ``R``).  Duplicates are harmless — a
+        repeated assumption hits the already-TRUE branch."""
+        return [encode(lit) for lit in self.proof[index]]
 
     def check_clause(self, index: int) -> CheckOutcome:
         """BCP((F ∪ F*_{<index}) | R) — Section 3 of the paper.
@@ -237,9 +191,6 @@ class ProofChecker:
             # at this ceiling trivially conflicts.
             return CheckOutcome(conflict=True,
                                 confl_cid=self._root_conflict)
-        # The root trail is a stable fixpoint for this check; engines
-        # with root-derived acceleration structures refresh them here.
-        engine.note_root_boundary()
         engine.new_level()
         for enc in self._assumption_encs(index):
             enc_neg = enc ^ 1

@@ -92,7 +92,7 @@ def check_drup(formula: CnfFormula, proof: DrupProof,
         raise ValueError(
             f"engine '{engine_name(engine_cls)}' does not support "
             "clause removal, but the DRUP trace contains deletions; "
-            "use the watched or arena engine")
+            "use the watched engine")
     build = ReportBuilder(ForwardCheckReport, obs=obs,
                           total_checks=len(proof.events),
                           progress_label="events",

@@ -5,33 +5,17 @@ one is a self-contained BCP run over ``F ∪ F*_{<i}``), so the proof
 indices can be sharded across a pool of worker processes.  Each worker
 builds its checker once and streams shard verdicts back.
 
-Two transports carry the clause database to the workers:
-
-``fork`` (classic)
-    The formula and proof are inherited through fork-time copy-on-write
-    — nothing large is pickled, but every worker that touches the
-    Python objects dirties their refcount pages and duplicates them.
-
-``shared-memory arena`` (zero-copy)
-    The parent builds one flat :class:`~repro.bcp.arena.ClauseArena`
-    holding ``F ∪ F*`` and exports it as a single
-    ``multiprocessing.shared_memory`` block; workers attach it
-    read-only (proof clause ``i`` *is* arena clause ``num_input + i``,
-    so no formula/proof objects cross the process boundary at all) and
-    keep only private trail/assignment state.  This works under any
-    start method — it is what makes ``--jobs`` effective on platforms
-    without ``fork`` — and under ``fork`` it also eliminates the
-    copy-on-write page duplication.
-
-Backend selection (see :func:`select_backend`): the ``arena`` engine
-always uses the shared-memory transport; other engines use classic
-``fork`` when available and are *substituted* with the arena engine
-(warning in the report, identical verdicts) when only ``spawn`` exists
-— never the old silent sequential degrade.  The chosen path is
-announced with a ``backend_selected`` obs event;
-``REPRO_START_METHOD`` (or the ``start_method`` parameter) forces a
-specific start method, which is how the fork-vs-spawn report-identity
-guarantee is tested.
+One transport carries the clause database to the workers: the pool
+initializer's ``initargs`` hold the formula, the proof, the engine
+class, the scan order and mode, the budget meter, the fault map and the
+observability fields.  Under ``fork`` the workers inherit them through
+copy-on-write, so nothing large is pickled; under ``spawn`` they are
+pickled once per worker.  Either way every worker runs the engine the
+run asked for.  :func:`select_backend` only picks the start method
+(``fork`` when available, else ``spawn``), and the choice is announced
+with a ``backend_selected`` obs event; ``REPRO_START_METHOD`` (or the
+``start_method`` parameter) forces a specific start method, which is
+how the fork-vs-spawn report-identity guarantee is tested.
 
 Failure reporting stays deterministic regardless of pool scheduling:
 every shard scans in the requested direction and reports the first
@@ -71,7 +55,7 @@ described in :attr:`ShardRunResult.warnings`, both of which surface in
 the :class:`~repro.verify.report.VerificationReport`.
 
 Budgets: the parent's :class:`~repro.verify.budget.BudgetMeter` is
-inherited by the forked workers, each of which rebases it onto its own
+handed to every worker, each of which rebases it onto its own
 engine counters and aborts its shard cleanly when the shared deadline
 (or its per-process ``max_props`` share) runs out; the parent then
 reports ``resource_limit_exceeded`` with the work that did complete.
@@ -100,7 +84,6 @@ from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 
 from repro.bcp import engine_name
-from repro.bcp.arena import ArenaPropagator, ClauseArena, build_arena
 from repro.bcp.engine import PropagatorBase
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ConflictClauseProof
@@ -111,15 +94,15 @@ from repro.verify.checker import ProofChecker
 # slowest-K; K matches repro.verify.instrument.SLOWEST_K).
 _SHARD_SLOWEST = 5
 
-# Worker state: populated in the parent immediately before the pool's
-# workers fork so children inherit it, then extended per-process with
-# the lazily built checker (and the rebased budget meter).
+# Worker state: set by the pool initializer from its ``initargs``, then
+# extended per process with the lazily built checker.
 _SHARED: dict = {}
 
 # Test-only fault injection: shard -> number of times a worker should
 # die (hard exit, as an OOM kill would) before executing it.  Populated
-# in the parent before the fork; workers consult it with the attempt
-# number the parent passes along, so a retried shard survives.
+# in the parent and shipped to the workers with the initargs; workers
+# consult it with the attempt number the parent passes along, so a
+# retried shard survives.
 _FAULTS: dict[tuple[int, int], int] = {}
 
 
@@ -128,22 +111,13 @@ def fork_available() -> bool:
     return "fork" in get_all_start_methods()
 
 
-def select_backend(engine_cls: type[PropagatorBase],
-                   start_method: str | None = None,
-                   ) -> tuple[str | None, bool, type[PropagatorBase]]:
-    """Pick ``(start_method, use_shm, worker_engine_cls)`` for a run.
+def select_backend(start_method: str | None = None) -> str | None:
+    """Pick the pool's start method for a run.
 
-    * the arena engine always rides the shared-memory transport
-      (under ``fork`` too — that is the zero-copy point), so the
-      clause database is mapped, never copied;
-    * other engines use classic ``fork`` inheritance when available;
-    * without ``fork``, the workers run the arena engine over shared
-      memory instead of degrading to sequential (the caller records the
-      substitution as a report warning);
-    * ``start_method`` (or a ``REPRO_START_METHOD`` environment
-      override) forces a specific method; an unavailable one raises
-      ``ValueError``.  A ``None`` method in the result means no
-      process start method exists at all (degrade sequentially).
+    ``fork`` when available, else ``spawn``.  ``start_method`` (or a
+    ``REPRO_START_METHOD`` environment override) forces a specific
+    method; an unavailable one raises ``ValueError``.  ``None`` means
+    no process start method exists at all (degrade sequentially).
     """
     methods = get_all_start_methods()
     if start_method is None:
@@ -155,18 +129,11 @@ def select_backend(engine_cls: type[PropagatorBase],
             raise ValueError(
                 f"start method {start_method!r} is not available on "
                 f"this platform (have {tuple(methods)})")
-        method = start_method
-    elif "fork" in methods:
-        method = "fork"
-    elif "spawn" in methods:
-        method = "spawn"
-    else:
-        return None, False, engine_cls
-    # Only the arena crosses a non-fork boundary without pickling the
-    # clause database; substitute it rather than degrade.
-    use_shm = method != "fork" or issubclass(engine_cls, ArenaPropagator)
-    worker_cls = ArenaPropagator if use_shm else engine_cls
-    return method, use_shm, worker_cls
+        return start_method
+    for method in ("fork", "spawn"):
+        if method in methods:
+            return method
+    return None
 
 
 def default_jobs() -> int:
@@ -290,38 +257,28 @@ class ShardRunResult:
 
 
 def _init_worker(spec: dict) -> None:
-    """Pool initializer for the shared-memory transport.
+    """Pool initializer: adopt the run's ``initargs`` as worker state.
 
-    ``spec`` is small and fully picklable (an
-    :class:`~repro.bcp.arena.ArenaHandle`, scalars, and the budget
-    meter), so it crosses any start-method boundary; the clause
-    database itself never does — the worker maps the parent's arena
-    read-only in :func:`_worker_checker`.
+    Under ``fork`` the worker inherits ``spec`` with the parent's
+    memory; under ``spawn`` it arrives pickled.  The checker itself is
+    built lazily, on the worker's first shard, by
+    :func:`_worker_checker`.
     """
     _SHARED.clear()
     _SHARED.update(spec)
     _FAULTS.clear()
-    _FAULTS.update(spec.get("faults") or {})
+    _FAULTS.update(spec["faults"])
 
 
 def _worker_checker() -> ProofChecker:
     checker = _SHARED.get("checker")
     if checker is None:
-        meter: BudgetMeter | None = _SHARED.get("meter")
-        handle = _SHARED.get("arena")
         # Shards arrive in scan order (see run_sharded_v1), so a
         # backward worker's ceilings only ever fall.
-        retire = _SHARED["order"] == "backward"
-        if handle is not None:
-            arena = ClauseArena.from_shared_memory(handle)
-            checker = ProofChecker.from_arena(
-                arena, _SHARED["num_input"], mode=_SHARED["mode"],
-                retire=retire)
-        else:
-            checker = ProofChecker(
-                _SHARED["formula"], _SHARED["proof"],
-                _SHARED["engine_cls"], mode=_SHARED["mode"],
-                retire=retire)
+        checker = ProofChecker(
+            _SHARED["formula"], _SHARED["proof"], _SHARED["engine_cls"],
+            mode=_SHARED["mode"], retire=_SHARED["order"] == "backward")
+        meter: BudgetMeter | None = _SHARED["meter"]
         if meter is not None:
             # Fresh engine in this process: keep the shared deadline but
             # charge work units against this worker's own counters.
@@ -431,7 +388,7 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
     after = counters.as_dict()
     delta = {key: after[key] - before[key] for key in after}
     if instrument:
-        from repro.obs.mem import arena_mem_stats, read_rss
+        from repro.obs.mem import read_rss
 
         # One RSS read per shard (far off the per-check path): the
         # worker's peak resident set, max-merged across the pool via
@@ -444,16 +401,6 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                 "repro_mem_worker_peak_rss_bytes",
                 help="Peak resident set across pool workers")
             gauge.set(peak_rss)
-        arena_stats = arena_mem_stats(checker.engine)
-        if arena_stats is not None:
-            registry.gauge(
-                "repro_mem_arena_pool_bytes",
-                help="Clause-arena pool footprint").set(
-                    arena_stats["pool_bytes"])
-            registry.gauge(
-                "repro_mem_watch_entries",
-                help="Watch-table entries across all literals").set(
-                    arena_stats["watch_entries"])
         tracer_cm.__exit__(None, None, None)
         # Cost attribution on the span's end attrs: the timeline
         # reconstructor reads these into its per-shard attribution
@@ -610,11 +557,10 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     ``worker_failures`` / ``warnings``); an exhausted budget surfaces as
     ``budget_reason`` plus partial progress.
 
-    The start method and clause-database transport are picked by
-    :func:`select_backend` (``start_method`` / ``REPRO_START_METHOD``
-    force one); the verdict, failure index and check counts are
-    identical across backends — only the BCP counters depend on which
-    engine the workers ran.
+    The start method is picked by :func:`select_backend`
+    (``start_method`` / ``REPRO_START_METHOD`` force one); every worker
+    runs ``engine_cls``, so the verdict, failure index and check counts
+    are identical across start methods.
 
     ``obs`` (and the driver's ``builder``, for slowest-K and progress)
     attach the instrumentation layer; see the module docstring for
@@ -631,8 +577,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
         shards.reverse()
     sink = _ObsSink(obs, builder, len(shards))
     requested = engine_name(engine_cls)
-    method, use_shm, worker_cls = select_backend(engine_cls,
-                                                 start_method)
+    method = select_backend(start_method)
     if method is None:
         sink.event("backend_selected", backend="sequential",
                    engine=requested, reason="no start method")
@@ -644,21 +589,12 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     results: dict[tuple[int, int], ShardResult] = {}
     worker_failures = 0
     warnings: list[str] = []
-    if worker_cls is not engine_cls:
-        warnings.append(
-            f"engine '{requested}' cannot cross the '{method}' start "
-            "method; workers ran the shared-memory arena engine "
-            "(verdicts are engine-independent, BCP counters are the "
-            "arena's)")
-    sink.event("backend_selected",
-               backend=f"{method}+shm" if use_shm else method,
-               engine=requested, worker_engine=engine_name(worker_cls),
-               start_method=method)
-    arena = None
-    initializer = None
-    initargs: tuple = ()
+    sink.event("backend_selected", backend=method, engine=requested)
     tracer = obs.tracer if obs is not None else None
-    obs_fields = dict(
+    # Inherited by forked workers, pickled once per spawned one.
+    initargs = (dict(
+        formula=formula, proof=proof, engine_cls=engine_cls,
+        order=order, mode=mode, meter=meter, faults=dict(_FAULTS),
         obs_enabled=obs is not None,
         obs_epoch=tracer.epoch if tracer is not None else None,
         obs_epoch_wall=(getattr(tracer, "epoch_wall", None)
@@ -666,79 +602,63 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
         obs_trace=(getattr(tracer, "trace_id", None)
                    if tracer is not None else None),
         obs_run=obs.run_id if obs is not None else None,
-        depgraph_enabled=(obs is not None and obs.wants_depgraph))
-    if use_shm:
-        arena, num_input = build_arena(formula, proof)
-        handle = arena.to_shared_memory()
-        initializer = _init_worker
-        initargs = ({"arena": handle, "num_input": num_input,
-                     "order": order, "mode": mode, "meter": meter,
-                     "faults": dict(_FAULTS), **obs_fields},)
-    else:
-        _SHARED.update(formula=formula, proof=proof,
-                       engine_cls=engine_cls, order=order, mode=mode,
-                       meter=meter, **obs_fields)
+        depgraph_enabled=(obs is not None and obs.wants_depgraph)),)
     context = get_context(method)
-    try:
-        for attempt in (0, 1):
-            pending = [s for s in shards if s not in results]
-            if not pending or _budget_hit(results):
-                break
-            if attempt == 1:
-                warnings.append(
-                    f"worker died; retrying {len(pending)} shard(s) "
-                    "on a fresh pool")
-                sink.event("worker_retry", pending=len(pending))
-                sink.counter("repro_parallel_retries_total", 1,
-                             help="Shard retry rounds after worker "
-                                  "deaths")
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)), mp_context=context,
-                initializer=initializer, initargs=initargs)
-            not_done: set = set()
-            try:
-                futures = {
-                    executor.submit(_shard_worker, shard, attempt): shard
-                    for shard in pending}
-                not_done = set(futures)
+    for attempt in (0, 1):
+        pending = [s for s in shards if s not in results]
+        if not pending or _budget_hit(results):
+            break
+        if attempt == 1:
+            warnings.append(
+                f"worker died; retrying {len(pending)} shard(s) "
+                "on a fresh pool")
+            sink.event("worker_retry", pending=len(pending))
+            sink.counter("repro_parallel_retries_total", 1,
+                         help="Shard retry rounds after worker "
+                              "deaths")
+        executor = ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), mp_context=context,
+            initializer=_init_worker, initargs=initargs)
+        not_done: set = set()
+        try:
+            futures = {
+                executor.submit(_shard_worker, shard, attempt): shard
+                for shard in pending}
+            not_done = set(futures)
+            sink.queue_depth(len(not_done))
+            while not_done:
+                timeout = (meter.remaining_time()
+                           if meter is not None else None)
+                if timeout is not None and timeout <= 0:
+                    break  # deadline passed: stop collecting
+                done, not_done = wait(not_done, timeout=timeout,
+                                      return_when=FIRST_COMPLETED)
+                if not done:
+                    break  # wait() timed out at the deadline
+                for future in done:
+                    shard = futures[future]
+                    try:
+                        results[shard] = future.result()
+                        sink.absorb(shard, results[shard])
+                    except BrokenProcessPool:
+                        # A shard execution lost to a dead worker;
+                        # anything else a worker raises is a checker
+                        # bug and propagates unmasked.
+                        worker_failures += 1
+                        sink.event("worker_failure",
+                                   shard=list(shard),
+                                   attempt=attempt)
                 sink.queue_depth(len(not_done))
-                while not_done:
-                    timeout = (meter.remaining_time()
-                               if meter is not None else None)
-                    if timeout is not None and timeout <= 0:
-                        break  # deadline passed: stop collecting
-                    done, not_done = wait(not_done, timeout=timeout,
-                                          return_when=FIRST_COMPLETED)
-                    if not done:
-                        break  # wait() timed out at the deadline
-                    for future in done:
-                        shard = futures[future]
-                        try:
-                            results[shard] = future.result()
-                            sink.absorb(shard, results[shard])
-                        except BrokenProcessPool:
-                            # A shard execution lost to a dead worker;
-                            # anything else a worker raises is a checker
-                            # bug and propagates unmasked.
-                            worker_failures += 1
-                            sink.event("worker_failure",
-                                       shard=list(shard),
-                                       attempt=attempt)
-                    sink.queue_depth(len(not_done))
-            finally:
-                if not_done:
-                    # Deadline early exit: drop queued shards and do
-                    # not wait, so a straggler cannot wedge the parent.
-                    executor.shutdown(wait=False, cancel_futures=True)
-                else:
-                    # Every future finished: join the pool so no worker
-                    # or manager thread outlives the run (an unjoined
-                    # pool can print "Exception ignored" at exit).
-                    executor.shutdown(wait=True)
-    finally:
-        _SHARED.clear()
-        if arena is not None:
-            arena.release_shared(unlink=True)
+        finally:
+            if not_done:
+                # Deadline early exit: drop queued shards and do
+                # not wait, so a straggler cannot wedge the parent.
+                executor.shutdown(wait=False, cancel_futures=True)
+            else:
+                # Every future finished: join the pool so no worker
+                # or manager thread outlives the run (an unjoined
+                # pool can print "Exception ignored" at exit).
+                executor.shutdown(wait=True)
     sink.counter("repro_parallel_worker_failures_total", worker_failures,
                  help="Shard executions lost to dead workers")
     remaining = [s for s in shards if s not in results]

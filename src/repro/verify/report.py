@@ -95,9 +95,8 @@ class VerificationReport:
 
     ``mode`` records the checker state-management strategy (``rebuild``
     or ``incremental``), ``engine`` the BCP engine that ran the checks
-    (``watched``, ``counting`` or ``arena``; on a no-fork parallel run
-    the workers may have substituted the arena engine — the
-    substitution is listed in ``warnings``), ``jobs`` the number of
+    (``watched`` or ``counting``; parallel workers run the same
+    engine under every start method), ``jobs`` the number of
     worker processes (1 for the sequential path), and ``bcp_counters``
     the engine's propagation instrumentation (assignments, watch
     visits, clause visits, purged entries) summed over all workers —

@@ -21,7 +21,7 @@ whose deletions do not keep it under the cap degrades to a
 bigger budget can pick up where it stopped) instead of an OOM kill.
 
 **Window shifting.**  Deleted clauses are tombstoned by the engines,
-but their storage (arena pool words, watch-table slots) is never
+but their storage (clause lists, watch-table slots) is never
 reclaimed in place.  When the dead fraction crosses
 ``window_slack``, the driver rebuilds a fresh engine over only the
 live clauses — the "window shift" — and the old engine's storage is
@@ -70,7 +70,6 @@ from repro.core.exceptions import CheckpointError, ProofFormatError
 from repro.core.formula import CnfFormula
 from repro.core.literals import encode
 from repro.obs.export import atomic_write_text
-from repro.obs.mem import record_arena_gauges
 from repro.obs.schema import CHECKPOINT_SCHEMA, validate_checkpoint
 from repro.proofs.drup import ADD
 from repro.proofs.stream import DEFAULT_CHUNK_BYTES, DrupStreamReader
@@ -146,11 +145,11 @@ _MIN_DEAD_FOR_SHIFT = 32
 
 #: Engine bookkeeping charged per live proof-added clause by the
 #: ``max_bytes`` estimate, in 32-bit words: two watch-table entries,
-#: each a (cid, blocker) pair, on top of the arena's one offset word
-#: per clause.  The original estimate counted pool words only and
-#: under-reported the real footprint of short clauses by roughly this
-#: factor — ``max_bytes`` budgets tripped far later than the RSS they
-#: were meant to bound.
+#: each a (cid, blocker) pair, on top of one offset word per clause.
+#: The original estimate counted literal words only and under-reported
+#: the real footprint of short clauses by roughly this factor —
+#: ``max_bytes`` budgets tripped far later than the RSS they were meant
+#: to bound.
 ENGINE_OVERHEAD_WORDS_PER_CLAUSE = 4
 
 #: ``mem_estimate_drift`` fires when measured RSS growth since setup
@@ -273,7 +272,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         raise ValueError(
             f"engine '{engine_name(engine_cls)}' does not support "
             "clause removal; streaming verification lives on deletion "
-            "events — use the watched or arena engine")
+            "events — use the watched engine")
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
 
@@ -398,7 +397,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
 
     def live_bytes() -> int:
         # Engine-agnostic estimate over the *proof-added* live set:
-        # one int32 word per literal, one arena offset word per
+        # one int32 word per literal, one offset word per
         # clause, plus the engine's own bookkeeping
         # (ENGINE_OVERHEAD_WORDS_PER_CLAUSE — watch-table entries).
         # The formula is resident in any checker and is not charged
@@ -509,7 +508,6 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         if obs is not None:
             obs.counter_add("repro_stream_window_shifts_total",
                             help="Engine rebuilds over the live window")
-            record_arena_gauges(obs, engine)
         # Cross-check the byte *estimate* against *measured* RSS at
         # every shift (the natural cadence: the live set just changed
         # shape).  A large multiple says the max_bytes model no longer
@@ -691,7 +689,6 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                         help="DRUP deletion events honored")
         obs.gauge_set("repro_drup_peak_active_clauses", peak,
                       help="Peak size of the active clause set")
-        record_arena_gauges(obs, engine)
     if not derived_empty:
         return verdict(
             PROOF_IS_NOT_CORRECT,

@@ -115,7 +115,7 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
     dependency graph is then identical for any check order or sharding
     (the ``--jobs 1`` vs ``--jobs 4`` artifact-identity guarantee).
     An explicit ``engine_cls`` — a :data:`repro.bcp.ENGINES` name
-    (``"watched"``, ``"counting"``, ``"arena"``) or a
+    (``"watched"``, ``"counting"``) or a
     :class:`~repro.bcp.engine.PropagatorBase` subclass — always wins
     over this default.
 
@@ -149,17 +149,12 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
 def _publish_checker_stats(obs, checker: ProofChecker) -> None:
     """Publish the checker's root-trail maintenance counters — the
     observable form of the rebuild-vs-incremental savings — plus the
-    captured dependency-graph totals, if a recorder is attached.
-    Arena-backed engines also report their memory gauges here (pool
-    bytes, occupancy, watch entries), once per run."""
+    captured dependency-graph totals, if a recorder is attached."""
     if obs is None:
         return
     for key, value in checker.root_stats.items():
         obs.counter_add(f"repro_checker_{key}_total", value,
                         help=f"Incremental checker: {key}")
-    from repro.obs.mem import record_arena_gauges
-
-    record_arena_gauges(obs, checker.engine)
     obs.publish_depgraph_totals()
 
 
@@ -191,9 +186,9 @@ def verify_proof_v1(
     backend is fault-tolerant: a dead worker's shards are retried once
     and then fall back to in-process sequential checking (see
     :mod:`repro.verify.parallel`).  On platforms without the ``fork``
-    start method the workers run the shared-memory arena engine under
-    ``spawn`` — same verdict, a report warning notes the engine
-    substitution — instead of degrading to a sequential run.
+    start method the workers start under ``spawn`` and receive the
+    formula and proof pickled; they run the requested engine either
+    way.
 
     An exhausted ``budget`` aborts with ``resource_limit_exceeded`` and
     partial progress instead of a verdict.  ``obs`` attaches the
@@ -210,9 +205,8 @@ def verify_proof_v1(
     jobs = _resolve_jobs(jobs, obs)
     meter = budget.start() if budget is not None else None
     if jobs > 1 and len(proof) > 1:
-        # The backend picks the start method and transport itself:
-        # no-fork platforms run spawn + shared-memory arena instead of
-        # the old silent sequential degrade (see select_backend).
+        # The backend picks the start method itself (see
+        # select_backend).
         return _verify_proof_v1_parallel(formula, proof, engine_cls,
                                          order, mode, jobs, meter, obs)
     build = ReportBuilder(

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bcp.arena import ArenaPropagator
 from repro.bcp.counting import CountingPropagator
 from repro.bcp.engine import FALSE, TRUE, UNDEF
 from repro.bcp.watched import WatchedPropagator
 from repro.core.literals import encode
 
-ENGINES = [WatchedPropagator, CountingPropagator, ArenaPropagator]
+ENGINES = [WatchedPropagator, CountingPropagator]
 
 
 def enc_clause(lits):
@@ -180,18 +179,6 @@ class TestClauseRemoval:
         engine.remove_clause(cid)
         assert engine.clauses[cid] == []
 
-    def test_arena_removed_clause_inert(self):
-        engine = ArenaPropagator()
-        engine.add_clause(enc_clause([1]))
-        cid = engine.add_clause(enc_clause([-1, 2]))
-        engine.remove_clause(cid)
-        assert engine.propagate() is None
-        assert engine.value(encode(2)) == UNDEF
-        # The pool is immutable: removal flags the clause instead of
-        # rewriting it, and the accessors respect the tombstone.
-        assert engine.clause_len(cid) == 0
-        assert tuple(engine.clause_lits(cid)) == ()
-
 
 class TestDifferential:
     """Every engine must agree on every propagation outcome."""
@@ -235,10 +222,9 @@ class TestDifferential:
 
         trail_w, confl_w = run(WatchedPropagator)
         trail_c, confl_c = run(CountingPropagator)
-        trail_a, confl_a = run(ArenaPropagator)
         # Same assignments deduced and the same decisions conflicted.
-        assert trail_w == trail_c == trail_a
-        assert confl_w == confl_c == confl_a
+        assert trail_w == trail_c
+        assert confl_w == confl_c
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
@@ -383,8 +369,7 @@ class TestSelection:
         from repro.bcp import engine_name
 
         assert REGISTRY == {"watched": WatchedPropagator,
-                            "counting": CountingPropagator,
-                            "arena": ArenaPropagator}
+                            "counting": CountingPropagator}
         for name, cls in REGISTRY.items():
             assert engine_name(cls) == name
 
@@ -400,8 +385,8 @@ class TestSelection:
         assert resolve_engine(None) is WatchedPropagator
         for name, cls in REGISTRY.items():
             assert resolve_engine(name) is cls
-        assert resolve_engine(ArenaPropagator) is ArenaPropagator
-        for name in ("vector", "vector-inc", "auto"):
+        assert resolve_engine(CountingPropagator) is CountingPropagator
+        for name in ("vector", "vector-inc", "auto", "arena"):
             with pytest.raises(ValueError, match="unknown BCP engine"):
                 resolve_engine(name)
 
@@ -418,12 +403,13 @@ class TestSelection:
         formula = CnfFormula([[1, 2], [1, -2], [-1, 3], [-1, -3]])
         proof = ConflictClauseProof([(1,), (-1,)], ENDING_FINAL_PAIR)
         obs = Obs(tracer=Tracer())
-        report = verify_proof_v1(formula, proof, "arena", obs=obs)
-        assert report.ok and report.engine == "arena"
+        report = verify_proof_v1(formula, proof, "counting", obs=obs)
+        assert report.ok and report.engine == "counting"
         events = [e for e in obs.tracer.events
                   if e["type"] == "event"
                   and e["name"] == "kernel_selected"]
         assert len(events) == 1
         assert events[0]["attrs"] == {
-            "requested": "arena", "engine": "arena", "mode": "rebuild",
+            "requested": "counting", "engine": "counting",
+            "mode": "rebuild",
             "order": "backward", "reason": "explicit request"}

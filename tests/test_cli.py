@@ -91,6 +91,31 @@ class TestCore:
         assert dpll_solve(core).is_unsat
         assert core.num_clauses <= 4  # the padding clause is dropped
 
+    def test_core_matches_verify(self, tmp_path, capsys):
+        """``repro core`` extracts the core ``repro verify`` reports,
+        on an instance whose rebuild and incremental cores differ."""
+        from repro.benchgen.random_unsat import random_ksat
+        from repro.proofs.trace_format import read_proof
+        from repro.verify.verification import verify_proof
+
+        cnf, proof_path = tmp_path / "r.cnf", tmp_path / "r.ccp"
+        core_path = tmp_path / "core.cnf"
+        write_dimacs(random_ksat(20, 92, seed=4), cnf)
+        assert main(["solve", str(cnf), "--proof",
+                     str(proof_path)]) == EXIT_UNSAT
+        formula, proof = read_dimacs(cnf), read_proof(proof_path)
+        sizes = {mode: verify_proof(formula, proof, mode=mode).core.size
+                 for mode in ("rebuild", "incremental")}
+        assert sizes["rebuild"] != sizes["incremental"]
+        capsys.readouterr()
+        assert main(["verify", str(cnf), str(proof_path)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("c unsat core:"))
+        reported = int(line.split()[3].split("/")[0])
+        assert main(["core", str(cnf), str(proof_path),
+                     "--output", str(core_path)]) == 0
+        assert read_dimacs(core_path).num_clauses == reported
+
     def test_core_rejects_bad_proof(self, sat_cnf, unsat_cnf, tmp_path):
         proof_path = tmp_path / "out.ccp"
         main(["solve", str(unsat_cnf), "--proof", str(proof_path)])
@@ -408,12 +433,16 @@ class TestProcessLevel:
         assert result.stdout.strip() == "False"
 
     def test_engine_choices(self, capsys):
-        for command, choices in (("verify", "{watched,counting,arena}"),
-                                 ("verify-drup", "{watched,arena}"),
-                                 ("verify-stream", "{watched,arena}")):
+        for command, choices in (("verify", "{watched,counting}"),
+                                 ("verify-drup", "{watched}"),
+                                 ("verify-stream", "{watched}")):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert f"--engine {choices}" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                main([command, "f.cnf", "f.proof", "--engine", "arena"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'arena'" in capsys.readouterr().err
 
     def test_parallel_verify_exits_cleanly(self, tmp_path):
         import multiprocessing

@@ -1,20 +1,23 @@
 """Engine-parity differential tests.
 
-The BCP engines (watched, counting, arena) are interchangeable by
-contract: every verification procedure must produce the same verdict,
-the same failed/marked indices, and the same unsat core regardless of
-which engine ran the checks.  These tests pin that contract on the
-paper's worked example and on solved instances — including under the
+The BCP engines (watched, counting) are interchangeable by contract:
+every verification procedure must produce the same verdict, the same
+failed/marked indices, and the same unsat core regardless of which
+engine ran the checks.  These tests pin that contract on the paper's
+worked example and on solved instances — including under the
 adversarial mutation sweep and across the fork/spawn process-pool
-boundary (where a zero-copy shared-memory arena carries the clause
-database).
+boundary, where every worker runs the engine the run asked for.
 """
+
+from multiprocessing import get_all_start_methods
 
 import pytest
 
 from repro.bcp import ENGINES
 from repro.benchgen.registry import pigeonhole
 from repro.core.formula import CnfFormula
+from repro.obs.context import Obs
+from repro.obs.insight.depgraph import DepGraphRecorder
 from repro.proofs.conflict_clause import (
     ENDING_FINAL_PAIR,
     ConflictClauseProof,
@@ -97,8 +100,8 @@ class TestSolvedInstance:
         """Verdicts are engine-independent; marked sets need not be —
         each engine may meet a different (equally valid) conflict
         clause first (the counting engine scans occurrence lists in
-        cid order; the arena cannot normalize its immutable clause
-        bodies the way the watched engine does), so the contract is
+        cid order; the watched engine reorders its watch lists as it
+        goes), so the contract is
         that every engine's core is *sound*, shown by re-verifying its
         own trimmed proof against its own core.
         """
@@ -112,7 +115,7 @@ class TestSolvedInstance:
         trimmed = trim_proof(formula, proof, engine_cls=engine).trimmed
         assert verify_proof_v1(report.core.as_formula(), trimmed).ok
 
-    @pytest.mark.parametrize("engine", ["watched", "arena"])
+    @pytest.mark.parametrize("engine", ["watched"])
     def test_forward_drup_verdict(self, solved, engine):
         formula, _, drup = solved
         report = check_drup(formula, drup, engine_cls=engine)
@@ -135,7 +138,7 @@ class TestMutationSweep:
     harness's expectations are engine-independent, so the same sweep
     must hold under every engine."""
 
-    # One config per axis keeps 3 engines x ~15 mutations tractable.
+    # One config per axis keeps 2 engines x ~15 mutations tractable.
     CONFIGS = (("backward", "incremental", 1),
                ("forward", "rebuild", 1),
                ("backward", "incremental", 2))
@@ -172,11 +175,11 @@ class TestMutationSweep:
 
 class TestDeletionParity:
     """Deletion handling is part of the engine contract: the streaming
-    checker's verdict, counts, and cumulative props must not depend on
-    which removal-capable engine ran, and the counting engine (which
-    cannot remove) must be refused identically everywhere."""
+    and in-memory forward checkers must agree on every removal-capable
+    engine, and the counting engine (which cannot remove) must be
+    refused identically everywhere."""
 
-    REMOVAL = ["watched", "arena"]
+    REMOVAL = ["watched"]
 
     @pytest.fixture(scope="class")
     def chain_files(self, tmp_path_factory):
@@ -191,20 +194,6 @@ class TestDeletionParity:
         write_dimacs(deletion_chain_formula(300), cnf)
         write_deletion_chain_drup(drup, 300, window=4)
         return read_dimacs(cnf), drup
-
-    def test_streaming_identity(self, chain_files):
-        from repro.verify.streaming import verify_stream
-
-        formula, drup = chain_files
-        identities = {}
-        for engine in self.REMOVAL:
-            report = verify_stream(formula, drup, engine_cls=engine)
-            identities[engine] = (
-                report.outcome, report.num_additions,
-                report.num_deletions, report.peak_live_clauses,
-                report.window_shifts,
-                report.bcp_counters["assignments"])
-        assert len(set(identities.values())) == 1, identities
 
     def test_streaming_matches_forward(self, chain_files, solved):
         from repro.proofs.drup import write_drup
@@ -236,12 +225,12 @@ class TestDeletionParity:
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", ["arena"])
+    @pytest.mark.parametrize("engine", ["watched"])
     def test_tombstones_cross_fork_and_spawn(self, solved,
                                              monkeypatch, engine):
-        """Parallel v1 ships the clause arena over shared memory; a
-        tombstone-aware arena must produce the same verdict whether
-        the workers forked or spawned."""
+        """Retiring incremental workers must produce the same verdict
+        whether they forked (inheriting the clause database) or
+        spawned (receiving it pickled)."""
         formula, proof, _ = solved
         identities = {}
         for method in ("fork", "spawn"):
@@ -255,8 +244,8 @@ class TestDeletionParity:
 
 class TestStartMethodIdentity:
     """``--jobs N`` must produce identical reports whether the pool
-    forks or spawns — the shared-memory arena is the transport that
-    makes the spawn side possible at all."""
+    forks or spawns: both start methods ship the same initargs, so the
+    workers run the same engine over the same clause database."""
 
     # Counter *totals* are excluded: with an incremental checker, the
     # work a check costs depends on which checks the same worker ran
@@ -269,7 +258,7 @@ class TestStartMethodIdentity:
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", ["arena"])
+    @pytest.mark.parametrize("engine", ["watched"])
     def test_fork_and_spawn_reports_identical(self, solved,
                                               monkeypatch, engine):
         formula, proof, _ = solved
@@ -284,3 +273,23 @@ class TestStartMethodIdentity:
                 == getattr(reports["spawn"], field), field
         assert (set(reports["fork"].bcp_counters)
                 == set(reports["spawn"].bcp_counters))
+
+    @pytest.mark.skipif("spawn" not in get_all_start_methods(),
+                        reason="needs the spawn start method")
+    def test_spawn_workers_run_requested_engine(self, solved,
+                                                monkeypatch):
+        """Spawned workers run the engine the run asked for, so the
+        dependency graph they capture matches the sequential one."""
+        formula, proof, _ = solved
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        captured = {}
+        for jobs in (1, 2):
+            obs = Obs(depgraph=DepGraphRecorder())
+            report = verify_proof_v1(formula, proof, "counting",
+                                     jobs=jobs, obs=obs)
+            assert report.ok
+            assert report.engine == "counting"
+            assert report.warnings == ()
+            captured[jobs] = obs.depgraph.sorted_checks()
+        assert len(captured[1]) == len(proof)
+        assert captured[2] == captured[1]

@@ -13,7 +13,6 @@ import multiprocessing
 
 import pytest
 
-from repro.bcp.arena import ArenaPropagator
 from repro.bcp.counting import CountingPropagator
 from repro.bcp.watched import WatchedPropagator
 from repro.benchgen.php import pigeonhole
@@ -264,11 +263,9 @@ class TestParallelBackend:
             pytest.skip(f"platform has no {start_method} start method")
         monkeypatch.setenv("REPRO_START_METHOD", start_method)
         formula, proof = php5_proof
-        # The arena engine on both sides: spawn workers run it anyway,
-        # so the counters compare like with like.
-        sequential = verify_proof_v1(formula, proof, ArenaPropagator,
+        sequential = verify_proof_v1(formula, proof, WatchedPropagator,
                                      mode="incremental")
-        parallel = verify_proof_v1(formula, proof, ArenaPropagator,
+        parallel = verify_proof_v1(formula, proof, WatchedPropagator,
                                    mode="incremental", jobs=2)
         assert sequential.ok and parallel.ok
         assert parallel.num_checked == sequential.num_checked
@@ -276,7 +273,7 @@ class TestParallelBackend:
         assert (parallel.bcp_counters["watch_visits"]
                 <= 1.1 * sequential.bcp_counters["watch_visits"])
         # Forward scans never retire, and still pass.
-        forward = verify_proof_v1(formula, proof, ArenaPropagator,
+        forward = verify_proof_v1(formula, proof, WatchedPropagator,
                                   order="forward", mode="incremental",
                                   jobs=2)
         assert forward.ok

@@ -21,7 +21,6 @@ from repro.obs import (
     parse_proc_status,
     read_jsonl,
     read_rss,
-    record_arena_gauges,
     render_timeline_text,
     reset_peak_rss,
     run_summary,
@@ -31,7 +30,6 @@ from repro.obs.mem import (
     MAX_CONSECUTIVE_FAILURES,
     MAX_SAMPLES,
     MemProfiler,
-    arena_mem_stats,
 )
 
 PROC_STATUS = """\
@@ -230,40 +228,12 @@ class TestMemSampler:
         assert mem["peak_rss_bytes"] is None
 
 
-# -- arena gauges ----------------------------------------------------------
-
-class TestArenaStats:
-    def test_arena_engine_reports(self):
-        from repro.bcp.arena import ArenaPropagator
-        from repro.core.literals import encode
-
-        engine = ArenaPropagator(3)
-        cid = engine.add_clause([encode(1), encode(2), encode(3)],
-                                propagate_units=False)
-        stats = arena_mem_stats(engine)
-        assert stats is not None
-        assert stats["pool_bytes"] > 0
-        assert stats["live_clauses"] == 1
-        # Two watched literals, each holding a (cid, blocker) pair.
-        assert stats["watch_entries"] == 4
-        assert stats["fragmentation"] == 0.0
-        engine.remove_clause(cid)
-        after = arena_mem_stats(engine)
-        assert after["live_clauses"] == 0
-        assert after["fragmentation"] > 0.0
-
-    def test_non_arena_engine_is_none(self):
-        from repro.bcp.watched import WatchedPropagator
-
-        assert arena_mem_stats(WatchedPropagator(2)) is None
-
-
 # -- the run summary -------------------------------------------------------
 
 class TestMemArtifact:
     """The memory fields of the trace's closing ``run_summary``
     event: the sampler summary, the tracemalloc section, and the
-    ``repro_mem_arena_*`` gauges in the metrics snapshot."""
+    sampler's ``repro_mem_*`` gauges in the metrics snapshot."""
 
     def _obs(self):
         clock = FakeClock()
@@ -282,14 +252,7 @@ class TestMemArtifact:
         return read_jsonl(str(path))
 
     def test_document_validates(self, tmp_path):
-        from repro.bcp.arena import ArenaPropagator
-        from repro.core.literals import encode
-
-        engine = ArenaPropagator(2)
-        engine.add_clause([encode(1), encode(2)],
-                          propagate_units=False)
         obs = self._obs()
-        record_arena_gauges(obs, engine)
         events = self._trace(obs, tmp_path)
         assert validate_trace(events) == []
         attrs = events[-1]["attrs"]
@@ -297,9 +260,8 @@ class TestMemArtifact:
         assert attrs["mem"]["peak_rss_bytes"] == 2000
         assert attrs["mem"]["source"] == "proc"
         assert "tracemalloc" not in attrs["mem"]
-        pool = attrs["metrics"]["repro_mem_arena_pool_bytes"]
-        assert pool["value"]["max"] \
-            == arena_mem_stats(engine)["pool_bytes"]
+        peak = attrs["metrics"]["repro_mem_peak_rss_bytes"]
+        assert peak["value"]["max"] == 2000
         # The samples themselves ride the trace as mem_sample events.
         assert [e["name"] for e in events].count("mem_sample") == 2
 
