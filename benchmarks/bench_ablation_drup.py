@@ -13,7 +13,7 @@ from repro.experiments.runner import berkmin_options
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.drup import DrupProof
 from repro.solver.cdcl import solve
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 from repro.verify.verification import verify_proof_v2
 
 from benchmarks.conftest import TableCollector, register_collector
@@ -58,10 +58,10 @@ def test_forward_drup(benchmark, name, aggressive_solutions):
     formula, result = aggressive_solutions[name]
     proof = DrupProof.from_log(result.log)
 
-    report = benchmark.pedantic(check_drup, args=(formula, proof),
+    report = benchmark.pedantic(verify_stream, args=(formula, proof),
                                 rounds=1, iterations=1)
 
     assert report.ok
     _table.add(f"{name:<10} {'forward':<10} {report.num_additions:>8,} "
                f"{report.verification_time:>8.3f} "
-               f"{report.peak_active_clauses:>13,}")
+               f"{report.peak_live_clauses:>13,}")

@@ -93,7 +93,6 @@ STREAMING_SPECS = {
     "chain2000": (2000, 8, 200),
     "chain20000": (20000, 16, 2000),
 }
-STREAMING_ENGINES = ("watched",)
 
 
 class _PeakRssMeter:
@@ -258,9 +257,8 @@ def bench_records(instances, jobs: int, repeats: int = 3,
     return records
 
 
-def streaming_records(names, repeats: int = 3,
-                      engines=STREAMING_ENGINES) -> list[dict]:
-    """One record per (chain instance, engine) for the streaming family.
+def streaming_records(names, repeats: int = 3) -> list[dict]:
+    """One record per chain instance for the streaming family.
 
     Each trace is written to a temp directory with
     :func:`repro.benchgen.write_deletion_chain_drup` (streamed, never
@@ -288,53 +286,52 @@ def streaming_records(names, repeats: int = 3,
             trace = Path(workdir) / f"{name}.drup"
             info = write_deletion_chain_drup(trace, n_vars,
                                              window=window)
-            for engine in engines:
-                times = []
-                report = None
-                rss = _PeakRssMeter()
-                for _ in range(repeats):
-                    rss.before_repeat()
-                    report = verify_stream(
-                        formula, trace, engine_cls=engine,
-                        budget=CheckBudget(max_live_clauses=cap))
-                    assert report.ok, \
-                        f"{name}/{engine} failed streaming verification"
-                    times.append(report.verification_time)
-                    rss.after_repeat()
-                assert report.num_additions == info["additions"]
-                median = statistics.median(times)
-                records.append({
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                               time.gmtime()),
-                    "kind": "streaming",
-                    "instance": name,
-                    "variant": f"streaming-{engine}",
-                    "engine": report.engine,
-                    "n_vars": n_vars,
-                    "window": window,
-                    "max_live_clauses": cap,
-                    "over_cap_factor": round(
-                        info["additions"] / cap, 2),
-                    "ok": report.ok,
-                    "additions": report.num_additions,
-                    "deletions": report.num_deletions,
-                    "peak_live_clauses": report.peak_live_clauses,
-                    "window_shifts": report.window_shifts,
-                    "verification_time": round(median, 6),
-                    "repeats": repeats,
-                    "times": [round(t, 6) for t in times],
-                    "counters": report.bcp_counters,
-                    "stats": (report.stats.as_dict()
-                              if report.stats is not None else None),
-                    **rss.fields(),
-                })
-                print(f"{name:<10} streaming/{engine:<8} "
-                      f"median={median:.3f}s of {len(times)} "
-                      f"additions={report.num_additions:,} "
-                      f"(cap {cap}, "
-                      f"{info['additions'] / cap:.0f}x over) "
-                      f"peak_live={report.peak_live_clauses:,} "
-                      f"shifts={report.window_shifts}")
+            times = []
+            report = None
+            rss = _PeakRssMeter()
+            for _ in range(repeats):
+                rss.before_repeat()
+                report = verify_stream(
+                    formula, trace,
+                    budget=CheckBudget(max_live_clauses=cap))
+                assert report.ok, \
+                    f"{name} failed streaming verification"
+                times.append(report.verification_time)
+                rss.after_repeat()
+            assert report.num_additions == info["additions"]
+            median = statistics.median(times)
+            records.append({
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                           time.gmtime()),
+                "kind": "streaming",
+                "instance": name,
+                "variant": f"streaming-{report.engine}",
+                "engine": report.engine,
+                "n_vars": n_vars,
+                "window": window,
+                "max_live_clauses": cap,
+                "over_cap_factor": round(
+                    info["additions"] / cap, 2),
+                "ok": report.ok,
+                "additions": report.num_additions,
+                "deletions": report.num_deletions,
+                "peak_live_clauses": report.peak_live_clauses,
+                "window_shifts": report.window_shifts,
+                "verification_time": round(median, 6),
+                "repeats": repeats,
+                "times": [round(t, 6) for t in times],
+                "counters": report.bcp_counters,
+                "stats": (report.stats.as_dict()
+                          if report.stats is not None else None),
+                **rss.fields(),
+            })
+            print(f"{name:<10} streaming/{report.engine:<8} "
+                  f"median={median:.3f}s of {len(times)} "
+                  f"additions={report.num_additions:,} "
+                  f"(cap {cap}, "
+                  f"{info['additions'] / cap:.0f}x over) "
+                  f"peak_live={report.peak_live_clauses:,} "
+                  f"shifts={report.window_shifts}")
     return records
 
 

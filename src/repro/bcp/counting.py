@@ -33,8 +33,6 @@ from repro.bcp.engine import FALSE, NO_CEILING, TRUE, UNDEF, PropagatorBase
 class CountingPropagator(PropagatorBase):
     """BCP engine using per-clause falsified/satisfied literal counters."""
 
-    supports_removal = False
-
     def __init__(self, num_vars: int = 0):
         self.occurrences: list[list[int]] = [[], []]
         self.n_false: list[int] = []

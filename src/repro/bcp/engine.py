@@ -81,11 +81,6 @@ class PropagationCounters:
 class PropagatorBase:
     """Trail, assignment and clause bookkeeping shared by all BCP engines."""
 
-    #: Whether :meth:`remove_clause` works (the counting engine cannot
-    #: rebuild its counters, so drivers that delete clauses — the
-    #: forward DRUP checker — must refuse it up front).
-    supports_removal = True
-
     def __init__(self, num_vars: int = 0):
         self.num_vars = 0
         # Indexed by encoded literal (size 2 * (num_vars + 1)).

@@ -124,29 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     core_cmd.add_argument("--output", metavar="FILE",
                           help="write the core as DIMACS here")
 
-    drup_cmd = sub.add_parser(
-        "verify-drup", help="forward-check a DRUP trace (with "
-                            "deletions)")
-    drup_cmd.add_argument("cnf")
-    drup_cmd.add_argument("drup")
-    drup_cmd.add_argument("--engine", default=None,
-                          choices=["watched"],
-                          help="BCP engine (counting is rejected: it "
-                               "cannot honor deletions)")
-    _add_budget_arguments(drup_cmd)
-    _add_obs_arguments(drup_cmd)
-
     stream_cmd = sub.add_parser(
-        "verify-stream",
-        help="forward-check a DRUP trace in one bounded-memory "
-             "streaming pass (chunked parse, deletion-aware "
-             "eviction, checkpoint/resume)")
+        "verify-stream", aliases=["verify-drup"],
+        help="forward-check a DRUP trace (with deletions) in one "
+             "bounded-memory streaming pass (chunked parse, "
+             "deletion-aware eviction, checkpoint/resume)")
     stream_cmd.add_argument("cnf")
     stream_cmd.add_argument("drup")
-    stream_cmd.add_argument("--engine", default=None,
-                            choices=["watched"],
-                            help="BCP engine (counting is rejected: "
-                                 "streaming lives on deletion events)")
     _add_budget_arguments(stream_cmd)
     stream_cmd.add_argument("--max-live-clauses", type=int,
                             default=None, metavar="N",
@@ -176,10 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="skip (with a warning) deletions of "
                                  "unknown clauses instead of failing "
                                  "with exit code 65")
-    stream_cmd.add_argument("--chunk-bytes", type=int, default=None,
-                            metavar="BYTES",
-                            help="trace read granularity (default "
-                                 "65536)")
     _add_obs_arguments(stream_cmd)
 
     obs_cmd = sub.add_parser(
@@ -752,38 +732,6 @@ def _cmd_core(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_drup(args: argparse.Namespace) -> int:
-    from repro.proofs.drup import read_drup
-    from repro.verify.forward import check_drup
-
-    formula = read_dimacs(args.cnf)
-    trace = read_drup(args.drup)
-    obs = _obs_from(args)
-    report = _run_instrumented(
-        args, obs, lambda: check_drup(formula, trace,
-                                      budget=_budget_from(args),
-                                      obs=obs,
-                                      engine_cls=args.engine))
-    if report is None:
-        return EXIT_INTERRUPT
-    print(f"s {report.outcome.upper()}")
-    print(f"c additions={report.num_additions} "
-          f"deletions={report.num_deletions} "
-          f"peak_active={report.peak_active_clauses} "
-          f"time={report.verification_time:.3f}s")
-    _print_stats_footer(args, report, None)
-    _write_trace(obs, args, report)
-    _record_history(obs, args, report)
-    if report.exhausted:
-        print(f"c budget exhausted: {report.failure_reason}")
-        return EXIT_RESOURCE_LIMIT
-    if not report.ok:
-        print(f"c failed at event {report.failed_event_index}: "
-              f"{report.failure_reason}")
-        return EXIT_PROOF_BAD
-    return 0
-
-
 def _cmd_verify_stream(args: argparse.Namespace) -> int:
     import os
     import signal
@@ -792,7 +740,6 @@ def _cmd_verify_stream(args: argparse.Namespace) -> int:
         DEFAULT_CHECKPOINT_EVERY,
         verify_stream,
     )
-    from repro.proofs.stream import DEFAULT_CHUNK_BYTES
 
     if args.resume and args.checkpoint is None:
         print("c error: --resume requires --checkpoint",
@@ -820,16 +767,12 @@ def _cmd_verify_stream(args: argparse.Namespace) -> int:
                 formula, args.drup,
                 budget=_budget_from(args),
                 obs=obs,
-                engine_cls=args.engine,
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=(args.checkpoint_every
                                   if args.checkpoint_every is not None
                                   else DEFAULT_CHECKPOINT_EVERY),
                 resume=args.resume,
-                lenient_deletions=args.lenient_deletions,
-                chunk_bytes=(args.chunk_bytes
-                             if args.chunk_bytes is not None
-                             else DEFAULT_CHUNK_BYTES)))
+                lenient_deletions=args.lenient_deletions))
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
@@ -968,7 +911,7 @@ def main(argv: list[str] | None = None) -> int:
     ``c error:`` diagnostics and typed exit codes, never tracebacks."""
     args = _build_parser().parse_args(argv)
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify,
-                "core": _cmd_core, "verify-drup": _cmd_verify_drup,
+                "core": _cmd_core, "verify-drup": _cmd_verify_stream,
                 "verify-stream": _cmd_verify_stream, "obs": _cmd_obs}
     try:
         return handlers[args.command](args)

@@ -11,7 +11,7 @@ deletes clauses (as BerkMin did), emitting DRUP is a natural extension:
     d <lits> 0     — deletion
 
 This module defines the event-stream proof object and its text format;
-the forward checker lives in :mod:`repro.verify.forward`.
+the forward checker lives in :mod:`repro.verify.streaming`.
 """
 
 from __future__ import annotations

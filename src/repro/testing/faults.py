@@ -213,6 +213,21 @@ def scenario_unknown_deletion(workdir: str) -> FaultOutcome:
     return outcome
 
 
+def scenario_foreign_variable(workdir: str) -> FaultOutcome:
+    """An addition names a variable above the formula's ``p cnf``
+    header.  The variable is unconstrained, so the addition is not
+    RUP: a verdict, exit 1, not a crash."""
+    cnf = os.path.join(workdir, "foreign.cnf")
+    drup = os.path.join(workdir, "foreign.drup")
+    with open(cnf, "w") as handle:
+        handle.write("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
+    with open(drup, "w") as handle:
+        handle.write("9 0\n-9 1 0\n0\n")
+    proc = _run_cli(workdir, ["verify-stream", cnf, drup])
+    return _judge("foreign-variable", proc, (EXIT_PROOF_BAD,),
+                  want_stdout="s PROOF_IS_NOT_CORRECT")
+
+
 def scenario_live_clause_budget(workdir: str) -> FaultOutcome:
     """A hard live-clause cap trips mid-run: exit 3, a schema-valid
     resume token on disk, and an uncapped resume finishes the job."""
@@ -429,6 +444,7 @@ SCENARIOS = {
     "clean-truncation": scenario_clean_truncation,
     "corrupt-bytes": scenario_corrupt_bytes,
     "unknown-deletion": scenario_unknown_deletion,
+    "foreign-variable": scenario_foreign_variable,
     "live-clause-budget": scenario_live_clause_budget,
     "props-budget": scenario_props_budget,
     "corrupt-checkpoint": scenario_corrupt_checkpoint,

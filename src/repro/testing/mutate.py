@@ -93,7 +93,7 @@ from repro.proofs.conflict_clause import (
 )
 from repro.proofs.drup import ADD, DELETE, DrupEvent, DrupProof
 from repro.verify.checker import ProofChecker
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
 EXPECT_REJECT_ALL = "reject_all"
@@ -222,7 +222,7 @@ class ProofMutator:
         if self._drup_refutable is None:
             probe = DrupProof(list(self.drup.events[:last_add])
                               + [DrupEvent(ADD, ())])
-            self._drup_refutable = check_drup(self.formula, probe).ok
+            self._drup_refutable = verify_stream(self.formula, probe).ok
         return self._drup_refutable
 
     def _cc(self, operator: str, description: str, expectation: str,
@@ -615,7 +615,7 @@ def check_mutation(formula: CnfFormula, mutation: ProofMutation,
         return verdict
 
     if mutation.kind == KIND_DRUP:
-        _judge_drup(formula, proof, verdict, tag, engine)
+        _judge_drup(formula, proof, verdict, tag)
         return verdict
     _judge_cc(formula, proof, verdict, tag, v1_configs, engine)
     return verdict
@@ -677,12 +677,10 @@ def _judge_cc(formula: CnfFormula, proof: ConflictClauseProof,
 
 
 def _judge_drup(formula: CnfFormula, proof: DrupProof,
-                verdict: MutationVerdict, tag: str,
-                engine=None) -> None:
+                verdict: MutationVerdict, tag: str) -> None:
     expectation = verdict.mutation.expectation
     try:
-        verdict.drup_accepted = check_drup(formula, proof,
-                                           engine_cls=engine).ok
+        verdict.drup_accepted = verify_stream(formula, proof).ok
         verdict.checker_runs += 1
     except ReproError:
         verdict.drup_accepted = False
@@ -709,8 +707,9 @@ def run_differential(formula: CnfFormula, proof: ConflictClauseProof,
     checker fleet; the summary is ``ok`` iff no expectation was
     violated and no checker crashed outside ``ReproError``.
 
-    ``engine`` selects the checkers' BCP engine (a
-    :data:`repro.bcp.ENGINES` name or class; default watched) — the
+    ``engine`` selects the conflict-clause checkers' BCP engine (a
+    :data:`repro.bcp.ENGINES` name or class; default watched; the
+    forward DRUP checker always runs watched) — the
     expectations are engine-independent, so sweeping the same mutations
     under each engine is the adversarial half of the engine-parity
     guarantee.

@@ -13,7 +13,6 @@ from repro.verify.report import (
     VerificationReport,
     VerificationStats,
 )
-from repro.verify.forward import ForwardCheckReport, check_drup
 from repro.verify.streaming import (
     CHECKPOINT_SCHEMA,
     StreamingCheckReport,
@@ -37,8 +36,6 @@ __all__ = [
     "verify_proof_v1",
     "verify_proof_v2",
     "trim_proof",
-    "check_drup",
-    "ForwardCheckReport",
     "verify_stream",
     "StreamingCheckReport",
     "load_checkpoint",

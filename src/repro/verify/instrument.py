@@ -20,8 +20,8 @@ construction point:
   free of exporter knowledge.
 
 The builder is generic over the report dataclass so the forward DRUP
-checker's :class:`~repro.verify.forward.ForwardCheckReport` shares it
-with :class:`~repro.verify.report.VerificationReport`.
+checker's :class:`~repro.verify.streaming.StreamingCheckReport` shares
+it with :class:`~repro.verify.report.VerificationReport`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
-"""Streaming bounded-memory forward verification of DRUP traces.
+"""Forward verification of DRUP traces, in one bounded-memory pass.
 
-The forward checker (:mod:`repro.verify.forward`) already honors
-deletion lines, but it still materializes the whole trace up front —
-so a proof larger than RAM kills it before the first RUP check.  This
-driver is the window-shifting alternative (Chen 2016, DRAT-trim): one
-pass over the trace through the chunked reader
-(:class:`repro.proofs.stream.DrupStreamReader`), holding only the
-*live* clause set, under a hard memory budget, with crash-safe
+This is the only forward checker: the dual of the paper's backward
+procedures, RUP-checking each addition against the *currently live*
+clause set and honoring deletion lines, in the window-shifting design
+of Chen 2016 and DRAT-trim.  The trace comes from a file, read one
+event at a time through the chunked reader
+(:class:`repro.proofs.stream.DrupStreamReader`), or from an in-memory
+:class:`~repro.proofs.drup.DrupProof`; the file source adds crash-safe
 checkpoints.
-
-Four properties distinguish it from :func:`~repro.verify.forward.
-check_drup`:
 
 **Bounded memory.**  Events are parsed, checked, and discarded one at
 a time; the resident state is the formula plus the live proof-added
@@ -20,14 +17,14 @@ whose deletions do not keep it under the cap degrades to a
 ``resource_limit_exceeded`` partial report (with a resume token, so a
 bigger budget can pick up where it stopped) instead of an OOM kill.
 
-**Window shifting.**  Deleted clauses are tombstoned by the engines,
+**Window shifting.**  Deleted clauses are tombstoned by the engine,
 but their storage (clause lists, watch-table slots) is never
-reclaimed in place.  When the dead fraction crosses
-``window_slack``, the driver rebuilds a fresh engine over only the
-live clauses — the "window shift" — and the old engine's storage is
-garbage.  Propagation-work accounting is carried across shifts, so
-budgets and reports see one continuous run.  A run carrying a memory
-sampler (``obs.mem``) also cross-checks the ``max_bytes`` *estimate*
+reclaimed in place.  When dead clauses outnumber live ones by
+``DEFAULT_WINDOW_SLACK``, the checker rebuilds a fresh engine over
+only the live clauses — the "window shift" — and the old engine's
+storage is garbage.  Propagation-work accounting is carried across
+shifts, so budgets and reports see one continuous run.  A run carrying
+a memory sampler (``obs.mem``) also cross-checks the ``max_bytes`` *estimate*
 against *measured* RSS at every shift: growth past both an absolute
 floor and a multiple of the estimate emits a ``mem_estimate_drift``
 trace event and bumps ``repro_mem_estimate_drift_total`` — the model
@@ -45,14 +42,10 @@ the recorded offset; an interrupted-then-resumed run reaches the same
 verdict as an uninterrupted one.  A run that reaches a verdict deletes
 its token — resume is only ever offered from an unfinished run.
 
-**Strict deletion semantics.**  A deletion naming a clause that is not
-live is a malformed event stream here (the chunked reader/fault
-injector surfaces these from truncated or corrupt traces), so it
-raises :class:`~repro.core.exceptions.ProofFormatError` → CLI exit 65.
+**Strict deletions.**  A deletion naming a clause that is not live
+raises :class:`~repro.core.exceptions.ProofFormatError` (CLI exit 65).
 ``lenient_deletions=True`` downgrades it to a counted warning and a
-skip (DRAT-trim's behavior).  The in-memory forward checker keeps its
-historical ``proof_is_not_correct`` verdict for the same input —
-three defensible behaviors, each documented where it lives.
+skip (DRAT-trim's behavior).
 """
 
 from __future__ import annotations
@@ -63,15 +56,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.bcp import engine_name, resolve_engine
-from repro.bcp.engine import FALSE, TRUE, PropagationCounters, \
-    PropagatorBase
+from repro.bcp.engine import FALSE, TRUE, PropagationCounters
+from repro.bcp.watched import WatchedPropagator
 from repro.core.exceptions import CheckpointError, ProofFormatError
 from repro.core.formula import CnfFormula
 from repro.core.literals import encode
 from repro.obs.export import atomic_write_text
 from repro.obs.schema import CHECKPOINT_SCHEMA, validate_checkpoint
-from repro.proofs.drup import ADD
+from repro.proofs.drup import ADD, DrupProof
 from repro.proofs.stream import DEFAULT_CHUNK_BYTES, DrupStreamReader
 from repro.verify.budget import CheckBudget
 from repro.verify.instrument import ReportBuilder
@@ -211,12 +203,12 @@ def formula_digest(formula: CnfFormula) -> str:
     return hasher.hexdigest()
 
 
-def file_digest(path, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> str:
+def file_digest(path) -> str:
     """sha256 of a file, read in bounded chunks."""
     hasher = hashlib.sha256()
     with open(path, "rb") as handle:
         while True:
-            chunk = handle.read(chunk_bytes)
+            chunk = handle.read(DEFAULT_CHUNK_BYTES)
             if not chunk:
                 break
             hasher.update(chunk)
@@ -249,41 +241,44 @@ def _fold_counters(total: PropagationCounters,
     total.detach_misses += part.detach_misses
 
 
-def verify_stream(formula: CnfFormula, proof_path, *,
+def verify_stream(formula: CnfFormula, proof, *,
                   budget: CheckBudget | None = None,
                   obs=None,
-                  engine_cls: "type[PropagatorBase] | str | None" = None,
                   checkpoint_path=None,
                   checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
                   resume: bool = False,
                   lenient_deletions: bool = False,
-                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                  window_slack: float = DEFAULT_WINDOW_SLACK,
                   ) -> StreamingCheckReport:
-    """One-pass bounded-memory forward check of the DRUP file at
-    ``proof_path`` (see module docstring for the full contract).
+    """One-pass bounded-memory forward check of a DRUP trace (see
+    module docstring for the full contract).
 
-    Interrupts (``KeyboardInterrupt`` — the CLI maps SIGTERM onto it
-    too) flush a final checkpoint before propagating, so a killed run
-    is resumable; ``resume=True`` requires ``checkpoint_path``.
+    ``proof`` is the path of a DRUP file or an in-memory
+    :class:`~repro.proofs.drup.DrupProof`.  Only a file can be
+    checkpointed: with an in-memory proof, ``checkpoint_path`` and
+    ``resume`` raise ``ValueError``.  Interrupts (``KeyboardInterrupt``
+    — the CLI maps SIGTERM onto it too) flush a final checkpoint before
+    propagating, so a killed run is resumable; ``resume=True`` requires
+    ``checkpoint_path``.
     """
-    engine_cls = resolve_engine(engine_cls)
-    if not engine_cls.supports_removal:
-        raise ValueError(
-            f"engine '{engine_name(engine_cls)}' does not support "
-            "clause removal; streaming verification lives on deletion "
-            "events — use the watched engine")
+    in_memory = isinstance(proof, DrupProof)
+    if in_memory and (checkpoint_path is not None or resume):
+        raise ValueError("checkpoint/resume need a proof file, not an "
+                         "in-memory DrupProof")
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
 
     build = ReportBuilder(StreamingCheckReport, obs=obs,
-                          progress_label="events",
-                          engine=engine_name(engine_cls))
+                          total_checks=(len(proof.events)
+                                        if in_memory else 0),
+                          progress_label="events", engine="watched")
     warnings: list[str] = []
 
     # -- resume-token validation (before any engine work) ------------------
-    fdigest = formula_digest(formula)
-    pdigest = file_digest(proof_path, chunk_bytes)
+    # The digests pin a checkpoint to its inputs; a run without one
+    # never re-reads the proof file to compute them.
+    if checkpoint_path is not None:
+        fdigest = formula_digest(formula)
+        pdigest = file_digest(proof)
     token = None
     if resume:
         token = load_checkpoint(checkpoint_path)
@@ -297,7 +292,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                 "different proof file (digest mismatch)")
 
     with build.phase("setup", procedure="drup-streaming"):
-        engine = engine_cls(formula.num_vars)
+        engine = WatchedPropagator(formula.num_vars)
         # cid -> original literals of every *live* clause, in load
         # order: the window-shift rebuild and the checkpoint are both
         # replays of this dict.
@@ -416,9 +411,9 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                       help="Live proof-added clauses in the streaming "
                            "window")
 
-    # Position of the resume point: just past the last processed event.
-    position = {"offset": start_offset, "next_line": start_line,
-                "next_index": start_index}
+    # The file source's last fully-applied event: the resume point is
+    # just past it.
+    applied = None
     run_start = time.perf_counter()
 
     def write_checkpoint() -> None:
@@ -428,13 +423,19 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         seconds = time.perf_counter() - run_start
         if token is not None:
             seconds += token["budget_spent"]["seconds"]
+        if applied is None:
+            offset, next_line, next_index = \
+                start_offset, start_line, start_index
+        else:
+            offset, next_line, next_index = \
+                applied.offset, applied.line_number + 1, applied.index + 1
         doc = {
             "schema": CHECKPOINT_SCHEMA,
             "formula_sha256": fdigest,
             "proof_sha256": pdigest,
-            "offset": position["offset"],
-            "next_line": position["next_line"],
-            "next_index": position["next_index"],
+            "offset": offset,
+            "next_line": next_line,
+            "next_index": next_index,
             "additions": additions,
             "deletions": deletions,
             "peak_live_clauses": peak,
@@ -445,15 +446,14 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                 if cid not in formula_index],
             "budget_spent": {"props": total_props(),
                              "seconds": seconds},
-            "engine": engine_name(engine_cls),
+            "engine": "watched",
         }
         atomic_write_text(checkpoint_path,
                           json.dumps(doc, separators=(",", ":")))
         checkpoints_written += 1
         if obs is not None:
-            obs.event("checkpoint_written",
-                      offset=position["offset"],
-                      event_index=position["next_index"],
+            obs.event("checkpoint_written", offset=offset,
+                      event_index=next_index,
                       live_clauses=len(live_lits))
             obs.counter_add("repro_checkpoints_written_total",
                             help="Streaming resume tokens flushed")
@@ -492,7 +492,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                 meter._base = -prior_counters.total_work()
             old_live = live_lits
             old_findex = formula_index
-            engine = engine_cls(formula.num_vars)
+            engine = WatchedPropagator(engine.num_vars)
             live_lits = {}
             formula_index = {}
             units = {}
@@ -584,18 +584,23 @@ def verify_stream(formula: CnfFormula, proof_path, *,
             resumed_from_event=resumed_from,
             warnings=warnings, **fields)
 
-    reader = DrupStreamReader(proof_path, start_offset=start_offset,
-                              start_line=start_line,
-                              start_index=start_index,
-                              chunk_bytes=chunk_bytes)
+    streamed = None   # the file source's current event
+
+    def file_events():
+        nonlocal streamed
+        for streamed in DrupStreamReader(proof,
+                                         start_offset=start_offset,
+                                         start_line=start_line,
+                                         start_index=start_index):
+            yield streamed.index, streamed.event
+
+    source = enumerate(proof.events) if in_memory else file_events()
     derived_empty = False
     events_since_checkpoint = 0
     guard = _InterruptGuard()
     try:
         with guard, build.phase("events"):
-            for streamed in reader:
-                index = streamed.index
-                event = streamed.event
+            for index, event in source:
                 if meter is not None:
                     reason = meter.exhausted(counters)
                     if reason is not None:
@@ -610,6 +615,10 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                         if reason is not None:
                             return partial(reason, index)
                     additions += 1
+                    if event.literals:
+                        # A trace may name variables the formula never
+                        # does; they must be assignable, not a crash.
+                        engine.ensure_vars(max(map(abs, event.literals)))
                     if obs is None:
                         passed = rup_check(event.literals)
                     else:
@@ -635,8 +644,10 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                     cids = active.get(key)
                     if not cids:
                         if not lenient_deletions:
+                            where = (f"event {index}" if in_memory else
+                                     f"line {streamed.line_number}")
                             raise ProofFormatError(
-                                f"line {streamed.line_number}: deletion "
+                                f"{where}: deletion "
                                 f"of unknown or already-deleted clause "
                                 f"{list(event.literals)} (use "
                                 "lenient deletions to skip)")
@@ -657,9 +668,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                     if build.progress is not None:
                         build.progress.update(additions + deletions)
                 set_live_gauges()
-                position = {"offset": streamed.offset,
-                            "next_line": streamed.line_number + 1,
-                            "next_index": index + 1}
+                applied = streamed
                 if guard.pending is not None:
                     raise _BoundaryInterrupt
                 events_since_checkpoint += 1
@@ -669,7 +678,8 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                     events_since_checkpoint = 0
                 dead = loaded - len(live_lits)
                 if dead >= _MIN_DEAD_FOR_SHIFT \
-                        and dead > window_slack * max(len(live_lits), 1):
+                        and dead > DEFAULT_WINDOW_SLACK \
+                        * max(len(live_lits), 1):
                     shift_window()
     except KeyboardInterrupt as exc:
         # Flush a final resume token before the interrupt propagates

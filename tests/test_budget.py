@@ -12,10 +12,10 @@ from repro.solver.cdcl import solve
 from repro.verify import (
     RESOURCE_LIMIT_EXCEEDED,
     CheckBudget,
-    check_drup,
     verify_proof,
     verify_proof_v1,
     verify_proof_v2,
+    verify_stream,
 )
 
 
@@ -118,14 +118,14 @@ class TestBudgetedVerification:
 
     def test_drup_timeout_budget(self, instance):
         formula, _, drup = instance
-        report = check_drup(formula, drup,
-                            budget=CheckBudget(timeout=1e-9))
+        report = verify_stream(formula, drup,
+                               budget=CheckBudget(timeout=1e-9))
         assert report.exhausted and not report.ok
         assert report.stopped_at_event is not None
         assert "budget" in report.failure_reason
 
     def test_drup_generous_budget_is_invisible(self, instance):
         formula, _, drup = instance
-        report = check_drup(formula, drup,
-                            budget=CheckBudget(timeout=3600))
+        report = verify_stream(formula, drup,
+                               budget=CheckBudget(timeout=3600))
         assert report.ok and not report.exhausted

@@ -143,6 +143,22 @@ class TestDrupCli:
         assert code == 1
         assert "failed at event" in capsys.readouterr().out
 
+    def test_verify_drup_is_verify_stream(self, unsat_cnf, tmp_path,
+                                          capsys):
+        """``verify-drup`` is an alias: both names print the same
+        verdict and counts."""
+        drup_path = tmp_path / "out.drup"
+        main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
+        capsys.readouterr()
+        lines = {}
+        for command in ("verify-drup", "verify-stream"):
+            assert main([command, str(unsat_cnf), str(drup_path)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            lines[command] = [line.split(" time=")[0] for line in out
+                              if line.startswith(("s ", "c additions="))]
+        assert lines["verify-drup"] == lines["verify-stream"]
+        assert lines["verify-drup"][0] == "s PROOF_IS_CORRECT"
+
 
 @pytest.fixture
 def good_proof(unsat_cnf, tmp_path):
@@ -433,16 +449,23 @@ class TestProcessLevel:
         assert result.stdout.strip() == "False"
 
     def test_engine_choices(self, capsys):
-        for command, choices in (("verify", "{watched,counting}"),
-                                 ("verify-drup", "{watched}"),
-                                 ("verify-stream", "{watched}")):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            assert f"--engine {choices}" in capsys.readouterr().out
-            with pytest.raises(SystemExit) as exc:
-                main([command, "f.cnf", "f.proof", "--engine", "arena"])
-            assert exc.value.code == 2
-            assert "invalid choice: 'arena'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "--engine {watched,counting}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "f.cnf", "f.proof", "--engine", "arena"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'arena'" in capsys.readouterr().err
+        # The forward DRUP checker has one engine and one read size:
+        # neither is an option.
+        for command in ("verify-drup", "verify-stream"):
+            for flag, value in (("--engine", "watched"),
+                                ("--chunk-bytes", "4096")):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "f.cnf", "f.drup", flag, value])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag}" \
+                    in capsys.readouterr().err
 
     def test_parallel_verify_exits_cleanly(self, tmp_path):
         import multiprocessing

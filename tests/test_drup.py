@@ -18,7 +18,7 @@ from repro.proofs.drup import (
     write_drup,
 )
 from repro.solver.cdcl import solve
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 
 from tests.conftest import random_formula
 
@@ -89,26 +89,26 @@ class TestFromLog:
 
 class TestForwardChecking:
     def test_accepts_correct_trace(self, tiny_unsat):
-        report = check_drup(tiny_unsat, drup_of(tiny_unsat))
+        report = verify_stream(tiny_unsat, drup_of(tiny_unsat))
         assert report.ok
-        assert report.peak_active_clauses >= tiny_unsat.num_clauses
+        assert report.peak_live_clauses >= tiny_unsat.num_clauses
 
     def test_accepts_trace_with_deletions(self):
         formula = pigeonhole(6)
         result = solve(formula, restart_base=10, reduce_base=30,
                        reduce_growth=10)
         proof = DrupProof.from_log(result.log)
-        report = check_drup(formula, proof)
+        report = verify_stream(formula, proof)
         assert report.ok
         assert report.num_deletions > 0
         # Deletions bound the active set below additions + input.
-        assert (report.peak_active_clauses
+        assert (report.peak_live_clauses
                 < formula.num_clauses + proof.num_additions)
 
     def test_rejects_non_rup_addition(self):
         formula = CnfFormula([[1, 2, 3]])
         trace = DrupProof([DrupEvent(ADD, (1,)), DrupEvent(ADD, ())])
-        report = check_drup(formula, trace)
+        report = verify_stream(formula, trace)
         assert not report.ok
         assert report.failed_event_index == 0
         assert "not RUP" in report.failure_reason
@@ -116,13 +116,13 @@ class TestForwardChecking:
     def test_rejects_deleting_inactive_clause(self, tiny_unsat):
         trace = DrupProof([DrupEvent(DELETE, (9, 10)),
                            DrupEvent(ADD, ())])
-        report = check_drup(tiny_unsat, trace)
-        assert not report.ok
-        assert "inactive" in report.failure_reason
+        with pytest.raises(ProofFormatError,
+                           match="event 0: deletion of unknown"):
+            verify_stream(tiny_unsat, trace)
 
     def test_rejects_missing_empty_clause(self, tiny_unsat):
         trace = DrupProof([DrupEvent(ADD, (1,))])
-        report = check_drup(tiny_unsat, trace)
+        report = verify_stream(tiny_unsat, trace)
         assert not report.ok
         assert "never derives" in report.failure_reason
 
@@ -137,7 +137,7 @@ class TestForwardChecking:
             DrupEvent(ADD, (1,)),   # no longer RUP without those inputs
             DrupEvent(ADD, ()),
         ])
-        report = check_drup(formula, trace)
+        report = verify_stream(formula, trace)
         assert not report.ok
         assert report.failed_event_index == 2
 
@@ -152,6 +152,6 @@ class TestForwardChecking:
             if not result.is_unsat:
                 continue
             proof = DrupProof.from_log(result.log)
-            assert check_drup(formula, proof).ok, formula.clauses
+            assert verify_stream(formula, proof).ok, formula.clauses
             checked += 1
         assert checked > 2

@@ -25,7 +25,7 @@ from repro.proofs.conflict_clause import (
 from repro.proofs.drup import DrupProof
 from repro.solver.cdcl import solve
 from repro.testing import run_differential
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 from repro.verify.parallel import fork_available
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
@@ -115,12 +115,11 @@ class TestSolvedInstance:
         trimmed = trim_proof(formula, proof, engine_cls=engine).trimmed
         assert verify_proof_v1(report.core.as_formula(), trimmed).ok
 
-    @pytest.mark.parametrize("engine", ["watched"])
-    def test_forward_drup_verdict(self, solved, engine):
+    def test_forward_drup_verdict(self, solved):
         formula, _, drup = solved
-        report = check_drup(formula, drup, engine_cls=engine)
+        report = verify_stream(formula, drup)
         assert report.ok
-        assert report.engine == engine
+        assert report.engine == "watched"
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs a process pool")
@@ -146,10 +145,9 @@ class TestMutationSweep:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_expectations_hold(self, solved, engine):
         formula, proof, drup = solved
-        # The counting engine cannot honor DRUP deletions; sweep it
-        # over the conflict-clause mutations only.
-        trace = None if engine == "counting" else drup
-        summary = run_differential(formula, proof, drup=trace,
+        # ``engine`` reaches the conflict-clause checkers; the trace
+        # mutations always run on the forward checker's watched engine.
+        summary = run_differential(formula, proof, drup=drup,
                                    v1_configs=self.CONFIGS,
                                    engine=engine)
         assert summary.ok, summary.problems
@@ -174,54 +172,8 @@ class TestMutationSweep:
 
 
 class TestDeletionParity:
-    """Deletion handling is part of the engine contract: the streaming
-    and in-memory forward checkers must agree on every removal-capable
-    engine, and the counting engine (which cannot remove) must be
-    refused identically everywhere."""
-
-    REMOVAL = ["watched"]
-
-    @pytest.fixture(scope="class")
-    def chain_files(self, tmp_path_factory):
-        from repro.benchgen.streaming import (
-            deletion_chain_formula,
-            write_deletion_chain_drup,
-        )
-        from repro.core.dimacs import read_dimacs, write_dimacs
-
-        tmp = tmp_path_factory.mktemp("chain")
-        cnf, drup = tmp / "chain.cnf", tmp / "chain.drup"
-        write_dimacs(deletion_chain_formula(300), cnf)
-        write_deletion_chain_drup(drup, 300, window=4)
-        return read_dimacs(cnf), drup
-
-    def test_streaming_matches_forward(self, chain_files, solved):
-        from repro.proofs.drup import write_drup
-        from repro.verify.streaming import verify_stream
-
-        # The solver's own deletion-free trace, plus the deletion
-        # chain: streaming and in-memory forward checking agree on
-        # both, for every removal engine.
-        formula, drup = chain_files
-        for engine in self.REMOVAL:
-            streamed = verify_stream(formula, drup, engine_cls=engine)
-            from repro.proofs.drup import read_drup
-
-            in_memory = check_drup(formula, read_drup(drup),
-                                   engine_cls=engine)
-            assert streamed.outcome == in_memory.outcome
-            assert streamed.num_deletions == in_memory.num_deletions
-
-    def test_counting_refused_by_stream_and_forward(self, chain_files):
-        from repro.proofs.drup import read_drup
-        from repro.verify.streaming import verify_stream
-
-        formula, drup = chain_files
-        with pytest.raises(ValueError, match="does not support"):
-            verify_stream(formula, drup, engine_cls="counting")
-        with pytest.raises(ValueError, match="deletion"):
-            check_drup(formula, read_drup(drup),
-                       engine_cls="counting")
+    """Retired (tombstoned) clauses must stay out of play whether the
+    pool's workers fork or spawn."""
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs both fork and spawn")

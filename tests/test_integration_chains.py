@@ -12,7 +12,7 @@ from repro.preprocess.lifting import solve_with_preprocessing
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.drup import DrupProof, format_drup, parse_drup
 from repro.solver.cdcl import solve
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 from repro.verify.reconstruct import reconstruct_resolution_graph
 from repro.verify.trimming import trim_proof
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
@@ -53,7 +53,7 @@ class TestChains:
         trace = DrupProof.from_log(result.log)
         reloaded = parse_drup(format_drup(trace, comment="roundtrip"))
         assert reloaded == trace
-        assert check_drup(formula, reloaded).ok
+        assert verify_stream(formula, reloaded).ok
 
     def test_both_checkers_agree_on_random_formulas(self):
         rng = random.Random(4242)
@@ -65,8 +65,8 @@ class TestChains:
                 continue
             backward = verify_proof_v2(
                 formula, ConflictClauseProof.from_log(result.log))
-            forward = check_drup(formula,
-                                 DrupProof.from_log(result.log))
+            forward = verify_stream(formula,
+                                    DrupProof.from_log(result.log))
             assert backward.ok and forward.ok
             compared += 1
         assert compared > 2
@@ -79,4 +79,4 @@ class TestChains:
         assert trim_proof(formula, proof).report.ok
         assert reconstruct_resolution_graph(formula,
                                             proof).graph.check().ok
-        assert check_drup(formula, DrupProof.from_log(result.log)).ok
+        assert verify_stream(formula, DrupProof.from_log(result.log)).ok

@@ -25,7 +25,7 @@ from repro.testing import (
     ProofMutator,
     run_differential,
 )
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 
 
 def _solved(formula):
@@ -125,7 +125,7 @@ class TestCheckerHardening:
         foreign = formula.num_vars + 3
         trace = DrupProof([DrupEvent(ADD, (foreign,)),
                            DrupEvent(ADD, ())])
-        report = check_drup(formula, trace)
+        report = verify_stream(formula, trace)
         assert not report.ok
 
     def test_literal_zero_rejected_in_cc_proof(self):

@@ -23,7 +23,7 @@ from repro.obs import (
 )
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.solver.cdcl import solve
-from repro.verify.forward import check_drup
+from repro.verify.streaming import verify_stream
 from repro.verify.parallel import default_jobs
 from repro.verify.verification import (
     verify_proof_v1,
@@ -82,7 +82,7 @@ class TestNoOpGuard:
         formula = CnfFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
         result = solve(formula)
         assert result.is_unsat
-        assert check_drup(formula, DrupProof.from_log(result.log)).ok
+        assert verify_stream(formula, DrupProof.from_log(result.log)).ok
 
 
 class TestStatsAlwaysOn:

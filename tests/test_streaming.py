@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.benchgen.registry import pigeonhole
 from repro.benchgen.streaming import (
     deletion_chain,
     deletion_chain_formula,
@@ -26,11 +27,17 @@ from repro.cli import (
     main,
 )
 from repro.core.dimacs import write_dimacs
-from repro.core.exceptions import CheckpointError, ProofFormatError
+from repro.core.exceptions import (
+    CheckpointError,
+    ProofFormatError,
+    ReproError,
+)
 from repro.core.formula import CnfFormula
-from repro.proofs.drup import format_drup, write_drup
+from repro.proofs.conflict_clause import ConflictClauseProof
+from repro.proofs.drup import DrupProof, format_drup, write_drup
+from repro.solver.cdcl import solve
+from repro.testing import KIND_DRUP, ProofMutator
 from repro.verify import CheckBudget
-from repro.verify.forward import check_drup
 from repro.verify.report import (
     PROOF_IS_CORRECT,
     PROOF_IS_NOT_CORRECT,
@@ -40,8 +47,6 @@ from repro.verify.streaming import (
     load_checkpoint,
     verify_stream,
 )
-
-REMOVAL_ENGINES = ["watched"]
 
 N = 400
 WINDOW = 4
@@ -70,24 +75,13 @@ def chain_drup(chain, tmp_path):
 
 
 class TestVerdicts:
-    @pytest.mark.parametrize("engine", REMOVAL_ENGINES)
-    def test_correct_chain(self, chain, chain_drup, engine):
+    def test_correct_chain(self, chain, chain_drup):
         formula, _ = chain
-        report = verify_stream(formula, chain_drup,
-                               engine_cls=engine)
+        report = verify_stream(formula, chain_drup)
         assert report.outcome == PROOF_IS_CORRECT
         assert report.ok
         assert report.num_additions == N
-        assert report.engine == engine
-
-    def test_matches_in_memory_forward_checker(self, chain,
-                                               chain_drup):
-        formula, proof = chain
-        streamed = verify_stream(formula, chain_drup)
-        in_memory = check_drup(formula, proof)
-        assert streamed.outcome == in_memory.outcome
-        assert streamed.num_additions == in_memory.num_additions
-        assert streamed.num_deletions == in_memory.num_deletions
+        assert report.engine == "watched"
 
     def test_non_rup_addition_rejected(self, tmp_path):
         formula = CnfFormula([[1, 2], [-1, 2], [1, -2], [-1, -2]])
@@ -110,10 +104,74 @@ class TestVerdicts:
         assert "never derives the empty clause" \
             in report.failure_reason
 
-    def test_counting_engine_rejected(self, chain, chain_drup):
+    def test_no_digest_without_checkpoint(self, chain, chain_drup,
+                                          monkeypatch):
+        """The digests only pin checkpoints; a run without one never
+        re-reads the proof file to compute them."""
+        import repro.verify.streaming as streaming
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("file_digest called")
+
+        monkeypatch.setattr(streaming, "file_digest", refuse)
         formula, _ = chain
-        with pytest.raises(ValueError, match="does not support"):
-            verify_stream(formula, chain_drup, engine_cls="counting")
+        assert verify_stream(formula, chain_drup).ok
+
+
+class TestInMemorySource:
+    """An in-memory :class:`DrupProof` runs through the same checker
+    as the file."""
+
+    def test_matches_file_source(self, chain, chain_drup):
+        formula, proof = chain
+        from_file = verify_stream(formula, chain_drup)
+        in_memory = verify_stream(formula, proof)
+        assert in_memory.ok
+        for name in ("outcome", "num_additions", "num_deletions",
+                     "peak_live_clauses", "window_shifts",
+                     "bcp_counters"):
+            assert getattr(in_memory, name) == getattr(from_file, name)
+
+    def test_checkpoint_needs_a_file(self, chain, tmp_path):
+        formula, proof = chain
+        with pytest.raises(ValueError, match="proof file"):
+            verify_stream(formula, proof,
+                          checkpoint_path=tmp_path / "ckpt.json")
+        with pytest.raises(ValueError, match="proof file"):
+            verify_stream(formula, proof, resume=True)
+
+    def test_sources_agree_on_mutants(self, tmp_path):
+        """Differential over the DRUP mutants of a solver trace with
+        deletions: the file and the in-memory source reach the same
+        outcome at the same event, and raise nothing but
+        ``ReproError``."""
+        formula = pigeonhole(6)
+        result = solve(formula, restart_base=10, reduce_base=30,
+                       reduce_growth=10)
+        proof = ConflictClauseProof.from_log(result.log)
+        trace = DrupProof.from_log(result.log)
+        assert trace.num_deletions > 0
+        mutants = [m for seed in range(6)
+                   for m in ProofMutator(formula, proof, drup=trace,
+                                         seed=seed).mutations()
+                   if m.kind == KIND_DRUP]
+        assert len(mutants) == 42
+        # Seeds repeat the deterministic operators: check each
+        # distinct trace once.
+        distinct = {m.events: m for m in mutants}
+        path = tmp_path / "mutant.drup"
+
+        def judge(source):
+            try:
+                report = verify_stream(formula, source)
+            except ReproError as exc:
+                return type(exc).__name__
+            return report.outcome, report.failed_event_index
+
+        for mutation in distinct.values():
+            mutant = mutation.build()
+            write_drup(mutant, path)
+            assert judge(path) == judge(mutant), mutation.description
 
 
 class TestWindow:
