@@ -13,8 +13,8 @@ Runs in two forms:
 * under pytest (``pytest benchmarks/ --benchmark-only``) as table rows
   alongside the other paper-table benchmarks;
 * standalone (``python benchmarks/bench_mutations.py``), appending one
-  JSON record per instance to ``BENCH_verification.json`` for trend
-  tracking in CI.
+  JSON record per instance to ``BENCH_mutations.json`` (CI uploads it
+  as the ``bench-mutations`` artifact).
 """
 
 import json
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="mutation seed (default 0)")
     parser.add_argument("--output", type=Path,
-                        default=REPO_ROOT / "BENCH_verification.json",
+                        default=REPO_ROOT / "BENCH_mutations.json",
                         help="JSON file to append records to")
     args = parser.parse_args(argv)
 

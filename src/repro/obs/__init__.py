@@ -63,7 +63,6 @@ from repro.obs.mem import (
     MemSampler,
     parse_proc_status,
     read_rss,
-    reset_peak_rss,
 )
 from repro.obs.progress import ProgressReporter
 from repro.obs.registry import (
@@ -153,6 +152,5 @@ __all__ = [
     "MemSampler",
     "MemProfiler",
     "read_rss",
-    "reset_peak_rss",
     "parse_proc_status",
 ]

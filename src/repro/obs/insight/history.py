@@ -1,10 +1,8 @@
 """Run history: append-only fingerprints with regression detection.
 
-``BENCH_verification.json`` tracks the benchmark trajectory, but only
-for benchmark runs and only by convention.  The history store makes
-*every* run first-class: each CLI verification (and each benchmark
-record) appends one **fingerprint** — a compact JSON object with the
-run's verdict, wall time, propagation throughput, per-phase times and
+The history store makes *every* run first-class: each CLI verification
+appends one **fingerprint** — a compact JSON object with the run's
+verdict, wall time, propagation throughput, per-phase times and
 proof-shape analytics — to ``.repro/history.jsonl``.  The store is
 append-only JSONL, so concurrent runs interleave whole lines and a
 crashed run leaves at most a truncated final line (which the reader

@@ -34,7 +34,6 @@ import threading
 import time
 
 PROC_STATUS_PATH = "/proc/self/status"
-CLEAR_REFS_PATH = "/proc/self/clear_refs"
 
 #: Sample-buffer cap: past this the buffer is thinned by dropping
 #: every other sample, so an arbitrarily long run keeps a bounded,
@@ -100,21 +99,6 @@ def read_rss(proc_status_path: str = PROC_STATUS_PATH,
     except (ImportError, OSError, ValueError):
         pass
     return None
-
-
-def reset_peak_rss(clear_refs_path: str = CLEAR_REFS_PATH) -> bool:
-    """Reset the kernel's peak-RSS watermark (``VmHWM``) for this
-    process, so a subsequent :func:`read_rss` peak is attributable to
-    the work since the reset — the trick the benchmark harness uses to
-    get per-variant peaks out of one process.  Linux-only (writing
-    ``5`` to ``/proc/self/clear_refs``); returns False where
-    unsupported, in which case peaks are cumulative."""
-    try:
-        with open(clear_refs_path, "w") as handle:
-            handle.write("5")
-        return True
-    except OSError:
-        return False
 
 
 class MemSampler:

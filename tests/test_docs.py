@@ -205,6 +205,24 @@ class TestExperiments:
             assert name in experiments, name
 
 
+class TestBenchmarkReferences:
+    def test_named_benchmark_scripts_exist(self):
+        """A doc that names a benchmark script names one that exists
+        (deleting a script must take its doc references with it)."""
+        import re
+
+        docs = [REPO / name for name in ("README.md", "DESIGN.md",
+                                         "EXPERIMENTS.md", "ci/README.md")]
+        docs += sorted((REPO / "docs").glob("*.md"))
+        missing = []
+        for doc in docs:
+            for path in re.findall(r"benchmarks/[\w./-]*?\.py",
+                                   doc.read_text()):
+                if not (REPO / path).exists():
+                    missing.append(f"{doc.relative_to(REPO)}: {path}")
+        assert not missing, missing
+
+
 class TestBenchmarkCollection:
     def test_bench_files_collected_by_pytest(self):
         """Regression: bench_*.py must match pytest's file pattern."""

@@ -22,7 +22,6 @@ from repro.obs import (
     read_jsonl,
     read_rss,
     render_timeline_text,
-    reset_peak_rss,
     run_summary,
     validate_trace,
 )
@@ -95,11 +94,6 @@ class TestReadRss:
         monkeypatch.setattr(resource, "getrusage", boom)
         assert read_rss(
             proc_status_path=str(tmp_path / "missing")) is None
-
-    def test_reset_peak_rss_unsupported_path(self, tmp_path):
-        assert reset_peak_rss(
-            clear_refs_path=str(tmp_path / "no" / "clear_refs")) \
-            is False
 
 
 # -- gauge algebra ---------------------------------------------------------
