@@ -660,8 +660,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    formula = read_dimacs(args.cnf, strict=args.strict)
-    proof = read_proof(args.proof)
+    # Usage errors first: they need no file read.
     if args.jobs < 1:
         print("c error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_ERROR
@@ -670,6 +669,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("c error: --order/--jobs require --procedure "
               "verification1", file=sys.stderr)
         return EXIT_ERROR
+    formula = read_dimacs(args.cnf, strict=args.strict)
+    proof = read_proof(args.proof)
     obs = _obs_from(args)
     report = _run_instrumented(
         args, obs, lambda: verify_proof(
@@ -717,7 +718,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_core(args: argparse.Namespace) -> int:
     formula = read_dimacs(args.cnf)
     proof = read_proof(args.proof)
-    report = verify_proof(formula, proof, mode="incremental")
+    report = verify_proof(formula, proof)
     if not report.ok:
         print(f"s {report.outcome.upper()}")
         return 1

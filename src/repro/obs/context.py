@@ -13,10 +13,10 @@ see it at all, and no registry, tracer, or clock is touched.  An
   :class:`~repro.obs.progress.ProgressReporter` per run once the
   total check count is known;
 * ``depgraph`` — a :class:`~repro.obs.insight.depgraph.
-  DepGraphRecorder`; with one attached the verification drivers
-  record each checked clause's conflict-analysis antecedents (the
-  proof dependency graph), and the parallel parent folds worker
-  record buffers in like metric snapshots;
+  DepGraphRecorder`; with one attached the verification scan appends
+  each checked clause's conflict-analysis antecedents (the proof
+  dependency graph) to its record list, and the parallel parent folds
+  worker record buffers in like metric snapshots;
 * ``mem`` — a :class:`~repro.obs.mem.MemSampler`; it rides the
   progress heartbeat (one RSS read per beat) and feeds the same
   metrics registry and tracer, so memory samples carry the run's
@@ -179,14 +179,6 @@ class Obs:
     @property
     def wants_depgraph(self) -> bool:
         return self.depgraph is not None
-
-    def record_dependency(self, index: int, cid: int, antecedents,
-                          confl: int | None = None,
-                          props: int | None = None) -> None:
-        """Record one checked clause's conflict-analysis support."""
-        if self.depgraph is not None:
-            self.depgraph.record_check(index, cid, antecedents,
-                                       confl=confl, props=props)
 
     def merge_worker_depgraph(self, records) -> None:
         """Fold a worker's dependency record buffer in (order-free:

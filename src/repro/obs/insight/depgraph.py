@@ -53,9 +53,9 @@ class DepGraphRecorder:
     """Collects per-check antecedent records during verification.
 
     Attach one to an :class:`~repro.obs.context.Obs` (the ``depgraph``
-    facility); the verification drivers call :meth:`record_check` after
-    every passing check and the parallel parent folds worker buffers in
-    with :meth:`merge`.  ``checks`` is the raw record list, unsorted
+    facility); the verification scan appends one record per passing
+    check to ``checks`` (the format :meth:`record_check` builds) and
+    the parallel parent folds worker buffers in with :meth:`merge`.  ``checks`` is the raw record list, unsorted
     (sorting happens at export, keeping the merge order-free).
     """
 

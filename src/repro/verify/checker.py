@@ -14,7 +14,7 @@ Two state-management modes are supported:
     is undone by a single backtrack.  Every check re-pays the full unit
     pass, but checks are completely independent of order and history.
 
-``incremental`` (the backward-verification fast path)
+``incremental`` (the default; the backward-verification fast path)
     The unit closure of ``F ∪ F*_{<ceiling}`` is kept as a *persistent
     root trail* on its own decision level.  While the ceiling moves
     monotonically (down during a backward pass, up during a forward
@@ -25,7 +25,9 @@ Two state-management modes are supported:
     calls :meth:`PropagatorBase.retire_above`, letting the engine purge
     dead clauses from its watch/occurrence lists.  This is the
     DRAT-trim/window-shifting observation: backward checking is
-    monotone, so root state and watch lists only ever shrink.
+    monotone, so root state and watch lists only ever shrink.  A
+    caller whose ceiling may rise (a forward pass, a one-off probe)
+    passes ``retire=False`` or ``mode="rebuild"``.
 
 Both modes produce the same verdict for every check (BCP conflict
 existence is order-invariant); the conflicting clause they report — and
@@ -70,7 +72,7 @@ class ProofChecker:
 
     def __init__(self, formula: CnfFormula, proof: ConflictClauseProof,
                  engine_cls: type[PropagatorBase] = WatchedPropagator,
-                 mode: str = "rebuild", retire: bool = True,
+                 mode: str = "incremental", retire: bool = True,
                  meter: "BudgetMeter | None" = None):
         if mode not in CHECKER_MODES:
             raise ValueError(f"unknown checker mode {mode!r}; "

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from repro.verify.report import VerificationStats
 
@@ -72,24 +72,13 @@ class ReportBuilder:
         is on.
         """
         start = time.perf_counter()
-        if self.obs is not None:
-            with self.obs.span(name, **attrs):
-                try:
-                    yield
-                finally:
-                    self._phase_times[name] = self._phase_times.get(
-                        name, 0.0) + time.perf_counter() - start
-        else:
+        with (self.obs.span(name, **attrs) if self.obs is not None
+              else nullcontext()):
             try:
                 yield
             finally:
                 self._phase_times[name] = self._phase_times.get(
                     name, 0.0) + time.perf_counter() - start
-
-    def add_phase_time(self, name: str, seconds: float) -> None:
-        """Fold externally measured phase time in (worker shards)."""
-        self._phase_times[name] = self._phase_times.get(name, 0.0) \
-            + seconds
 
     # -- per-check instrumentation ----------------------------------------
 
@@ -111,7 +100,11 @@ class ReportBuilder:
                 yield
             finally:
                 seconds = time.perf_counter() - start
-                self.observe_check(index, seconds)
+                self._checks += 1
+                obs.observe_seconds(
+                    "repro_check_seconds", seconds,
+                    help="Wall time per proof-clause check")
+                self.merge_slowest(((index, seconds),))
                 if counters is not None:
                     obs.observe_work(
                         "repro_check_work",
@@ -120,36 +113,15 @@ class ReportBuilder:
                 if self.progress is not None:
                     self.progress.update(self._checks)
 
-    def observe_check(self, index: int, seconds: float) -> None:
-        """Record one check's wall time (also used for worker merges)."""
-        self._checks += 1
-        if self.obs is not None:
-            self.obs.observe_seconds(
-                "repro_check_seconds", seconds,
-                help="Wall time per proof-clause check")
-        entry = (seconds, -index)
-        if len(self._slowest) < SLOWEST_K:
-            heapq.heappush(self._slowest, entry)
-        elif entry > self._slowest[0]:
-            heapq.heapreplace(self._slowest, entry)
-
     def merge_slowest(self, slowest) -> None:
-        """Fold a worker's ``(seconds, index)`` slowest list in."""
-        for seconds, index in slowest:
+        """Fold ``(index, seconds)`` pairs into the slowest-K heap (one
+        check's, or a worker shard's slowest list)."""
+        for index, seconds in slowest:
             entry = (seconds, -index)
             if len(self._slowest) < SLOWEST_K:
                 heapq.heappush(self._slowest, entry)
             elif entry > self._slowest[0]:
                 heapq.heapreplace(self._slowest, entry)
-
-    def count_checks(self, amount: int) -> None:
-        """Count checks whose individual timing was not observed
-        (disabled path, or parallel totals)."""
-        self._checks += amount
-
-    @property
-    def checks_observed(self) -> int:
-        return self._checks
 
     # -- finishing ---------------------------------------------------------
 

@@ -3,7 +3,9 @@
 The checks of Proof_verification1 are independent by construction (each
 one is a self-contained BCP run over ``F ∪ F*_{<i}``), so the proof
 indices can be sharded across a pool of worker processes.  Each worker
-builds its checker once and streams shard verdicts back.
+builds its checker once, runs each shard through
+:func:`~repro.verify.verification.scan` (the loop sequential
+verification runs), and streams shard verdicts back.
 
 One transport carries the clause database to the workers: the pool
 initializer's ``initargs`` hold the formula, the proof, the engine
@@ -89,10 +91,8 @@ from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.verify.budget import BudgetMeter
 from repro.verify.checker import ProofChecker
-
-# Slowest checks a worker reports per shard (merged into the parent's
-# slowest-K; K matches repro.verify.instrument.SLOWEST_K).
-_SHARD_SLOWEST = 5
+from repro.verify.instrument import ReportBuilder
+from repro.verify.verification import ScanResult, scan
 
 # Worker state: set by the pool initializer from its ``initargs``, then
 # extended per process with the lazily built checker.
@@ -134,31 +134,6 @@ def select_backend(start_method: str | None = None) -> str | None:
         if method in methods:
             return method
     return None
-
-
-def default_jobs() -> int:
-    """A sensible worker count for ``jobs=None``.
-
-    A ``REPRO_JOBS`` environment variable overrides the built-in
-    default of CPU count capped at 8 — the cap keeps small cloud
-    runners honest, but an operator with 64 cores should not need code
-    to use them.  An unparseable or non-positive override raises
-    ``ValueError`` (surfaced by the CLI as a ``c error:`` line) rather
-    than being silently ignored.
-    """
-    override = os.environ.get("REPRO_JOBS")
-    if override is not None and override.strip():
-        try:
-            jobs = int(override)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be a positive integer, "
-                f"got {override!r}") from None
-        if jobs < 1:
-            raise ValueError(
-                f"REPRO_JOBS must be >= 1, got {jobs}")
-        return jobs
-    return min(os.cpu_count() or 1, 8)
 
 
 def install_fault(shard: tuple[int, int], deaths: int = 1) -> None:
@@ -220,22 +195,21 @@ def make_shards(num_indices: int, jobs: int) -> list[tuple[int, int]]:
 
 
 @dataclass
-class ShardResult:
-    """One shard's verdict: first failure (if any), progress, counters.
+class ShardResult(ScanResult):
+    """One shard's :class:`~repro.verify.verification.ScanResult`
+    plus its counters and observability payload.
 
-    The observability fields are populated only when the run carries an
+    ``counter_delta`` is the shard's BCP counter work.  The
+    observability fields are populated only when the run carries an
     ``Obs``: ``metrics`` is the worker's local registry snapshot
     (per-check histograms — never BCP totals, which travel in
     ``counter_delta``), ``slowest`` its slowest checks as
-    ``(seconds, index)`` pairs, and ``trace`` the worker's buffered
+    ``(index, seconds)`` pairs, and ``trace`` the worker's buffered
     trace events, replayed by the parent with the shard id attached.
+    ``depgraph`` holds the shard's dependency-graph records.
     """
 
-    first_failure: int | None
-    num_checked: int
-    counter_delta: dict[str, int]
-    budget_reason: str | None = None
-    stopped_at_index: int | None = None
+    counter_delta: dict[str, int] = field(default_factory=dict)
     duration: float = 0.0
     metrics: dict | None = None
     slowest: tuple = ()
@@ -244,16 +218,12 @@ class ShardResult:
 
 
 @dataclass
-class ShardRunResult:
+class ShardRunResult(ScanResult):
     """Aggregated outcome of a sharded verification run."""
 
-    failed_index: int | None
-    num_checked: int
-    counters: dict[str, int]
+    counters: dict[str, int] = field(default_factory=dict)
     worker_failures: int = 0
     warnings: tuple[str, ...] = ()
-    budget_reason: str | None = None
-    stopped_at_index: int | None = None
 
 
 def _init_worker(spec: dict) -> None:
@@ -295,7 +265,8 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                epoch_wall: float | None = None,
                trace_id: str | None = None,
                attempt: int = 0) -> ShardResult:
-    """Scan one shard in the requested direction (shared by the pool
+    """Scan one shard in the requested direction with
+    :func:`~repro.verify.verification.scan` (shared by the pool
     workers and the in-process degraded fallback).
 
     With ``instrument`` set, per-check wall time and propagation work
@@ -308,41 +279,26 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
     carry the shard's cost attribution (checks, wall, props,
     clause_visits) and the ``attempt`` number that produced it, so
     the timeline can tell a retried shard's spans apart.
-    With ``depgraph`` set, each passing check's conflict-analysis
-    antecedents are buffered as plain record dicts (shipped back in
-    :attr:`ShardResult.depgraph`, merged order-free by the parent).
+    With ``depgraph`` set, each passing check's dependency-graph record
+    is buffered (shipped back in :attr:`ShardResult.depgraph`, merged
+    order-free by the parent).
     """
-    from repro.verify.budget import BudgetExhausted
-    from repro.verify.conflict_analysis import collect_responsible
-
     lo, hi = shard
     counters = checker.engine.counters
     before = counters.as_dict()
     indices = (range(hi - 1, lo - 1, -1) if order == "backward"
                else range(lo, hi))
-    first_failure = None
-    budget_reason = None
-    stopped_at = None
-    checked = 0
-    registry = None
-    tracer = None
-    slowest: list[tuple[float, int]] = []
-    records: list[dict] = []
-    hist_seconds = hist_work = None
+    records = [] if depgraph else None
+    build = tracer = None
     if instrument:
-        from repro.obs.registry import (
-            DEFAULT_WORK_BUCKETS,
-            MetricsRegistry,
-        )
+        from repro.obs.context import Obs
+        from repro.obs.registry import MetricsRegistry
         from repro.obs.spans import worker_tracer
 
-        registry = MetricsRegistry()
-        hist_seconds = registry.histogram(
-            "repro_check_seconds",
-            help="Wall time per proof-clause check")
-        hist_work = registry.histogram(
-            "repro_check_work", buckets=DEFAULT_WORK_BUCKETS,
-            help="Propagation work units per check")
+        # A metrics-only Obs: the builder times each check into the
+        # shard-local registry and emits no per-check span.  A shard
+        # builds no report, so the builder has no report class.
+        build = ReportBuilder(None, obs=Obs(metrics=MetricsRegistry()))
         tracer = worker_tracer(run_id=run_id, epoch=epoch,
                                epoch_wall=epoch_wall,
                                trace_id=trace_id)
@@ -350,46 +306,14 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                                 pid=os.getpid(), attempt=attempt)
         tracer_cm.__enter__()
     shard_start = time.perf_counter()
-    for index in indices:
-        if instrument or depgraph:
-            check_start = time.perf_counter()
-            work_before = counters.total_work()
-        try:
-            outcome = checker.check_clause(index)
-        except BudgetExhausted as exc:
-            budget_reason = str(exc)
-            stopped_at = index
-            break
-        if depgraph and outcome.conflict \
-                and outcome.confl_cid is not None:
-            # Before reset(): the walk reads post-propagation reasons.
-            responsible = collect_responsible(checker.engine,
-                                              outcome.confl_cid)
-            cid = checker.cid_of_proof_clause(index)
-            records.append({
-                "type": "check", "index": index, "cid": cid,
-                "antecedents": sorted(responsible - {cid}),
-                "confl": outcome.confl_cid,
-                "props": counters.total_work() - work_before})
-        checker.reset()
-        checked += 1
-        if instrument:
-            seconds = time.perf_counter() - check_start
-            hist_seconds.observe(seconds)
-            hist_work.observe(counters.total_work() - work_before)
-            slowest.append((seconds, index))
-            if len(slowest) > _SHARD_SLOWEST:
-                slowest.sort(reverse=True)
-                del slowest[_SHARD_SLOWEST:]
-        if not outcome.conflict:
-            first_failure = index
-            break
+    result = scan(checker, indices, records=records, instrument=build)
     duration = time.perf_counter() - shard_start
     after = counters.as_dict()
     delta = {key: after[key] - before[key] for key in after}
-    if instrument:
+    if build is not None:
         from repro.obs.mem import read_rss
 
+        obs = build.obs
         # One RSS read per shard (far off the per-check path): the
         # worker's peak resident set, max-merged across the pool via
         # the gauge semantics and attributed per shard on the span.
@@ -397,31 +321,26 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
         reading = read_rss()
         if reading is not None:
             rss, peak_rss, _source = reading
-            gauge = registry.gauge(
-                "repro_mem_worker_peak_rss_bytes",
-                help="Peak resident set across pool workers")
-            gauge.set(peak_rss)
+            obs.gauge_set("repro_mem_worker_peak_rss_bytes", peak_rss,
+                          help="Peak resident set across pool workers")
         tracer_cm.__exit__(None, None, None)
         # Cost attribution on the span's end attrs: the timeline
         # reconstructor reads these into its per-shard attribution
         # rows, straggler ranking, and memory lane.
         tracer.events[-1]["attrs"].update(
-            checks=checked, wall=duration,
+            checks=result.num_checked, wall=duration,
             props=(delta.get("assignments", 0)
                    + delta.get("clause_visits", 0)),
             clause_visits=delta.get("clause_visits", 0),
             peak_rss=peak_rss)
-        registry.histogram(
-            "repro_shard_seconds",
-            help="Wall time per shard").observe(duration)
-    return ShardResult(first_failure, checked, delta,
-                       budget_reason=budget_reason,
-                       stopped_at_index=stopped_at,
-                       duration=duration,
-                       metrics=registry.snapshot() if registry else None,
-                       slowest=tuple(sorted(slowest, reverse=True)),
-                       trace=tracer.events if tracer else [],
-                       depgraph=records)
+        obs.observe_seconds("repro_shard_seconds", duration,
+                            help="Wall time per shard")
+    return ShardResult(
+        **vars(result), counter_delta=delta, duration=duration,
+        metrics=build.obs.metrics.snapshot() if build else None,
+        slowest=build.stats().slowest_checks if build else (),
+        trace=tracer.events if tracer else [],
+        depgraph=records or [])
 
 
 def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
@@ -443,31 +362,27 @@ def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
 def _reduce(results: dict[tuple[int, int], ShardResult],
             order: str, worker_failures: int,
             warnings: list[str]) -> ShardRunResult:
-    failures = [r.first_failure for r in results.values()
-                if r.first_failure is not None]
-    num_checked = sum(r.num_checked for r in results.values())
+    # A backward scan meets the highest index first, a forward one the
+    # lowest: the first failure or budget stop a sequential scan would
+    # report.
+    pick = max if order == "backward" else min
+    failures = [r.failed_index for r in results.values()
+                if r.failed_index is not None]
+    stopped = [r.stopped_at_index for r in results.values()
+               if r.stopped_at_index is not None]
+    budget_reasons = [r.budget_reason for r in results.values()
+                      if r.budget_reason is not None]
     counters: dict[str, int] = {}
     for result in results.values():
         for key, value in result.counter_delta.items():
             counters[key] = counters.get(key, 0) + value
-    budget_reasons = [r.budget_reason for r in results.values()
-                      if r.budget_reason is not None]
-    budget_reason = budget_reasons[0] if budget_reasons else None
-    stopped = [r.stopped_at_index for r in results.values()
-               if r.stopped_at_index is not None]
-    # The most informative "where it stopped": the first index (in scan
-    # order) that some shard had to abandon.
-    stopped_at = (None if not stopped
-                  else max(stopped) if order == "backward"
-                  else min(stopped))
-    if failures:
-        failed = max(failures) if order == "backward" else min(failures)
-    else:
-        failed = None
     return ShardRunResult(
-        failed_index=failed, num_checked=num_checked, counters=counters,
-        worker_failures=worker_failures, warnings=tuple(warnings),
-        budget_reason=budget_reason, stopped_at_index=stopped_at)
+        num_checked=sum(r.num_checked for r in results.values()),
+        failed_index=pick(failures) if failures else None,
+        budget_reason=budget_reasons[0] if budget_reasons else None,
+        stopped_at_index=pick(stopped) if stopped else None,
+        counters=counters, worker_failures=worker_failures,
+        warnings=tuple(warnings))
 
 
 class _ObsSink:

@@ -89,7 +89,9 @@ def reconstruct_resolution_graph(
     sink.  Raises :class:`ReproError` if the proof does not verify (no
     graph exists for an incorrect proof).
     """
-    checker = ProofChecker(formula, proof, engine_cls)
+    # Rebuild mode: a forward pass raises the ceiling, and each check
+    # must be free of history.
+    checker = ProofChecker(formula, proof, engine_cls, mode="rebuild")
     engine = checker.engine
     num_input = formula.num_clauses
 

@@ -126,7 +126,7 @@ class VerificationReport:
     verification_time: float = 0.0
     core: UnsatCore | None = None
     marked_proof_indices: tuple[int, ...] = field(default=())
-    mode: str = "rebuild"
+    mode: str = "incremental"
     engine: str = "watched"
     jobs: int = 1
     bcp_counters: dict[str, int] | None = None

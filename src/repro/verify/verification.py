@@ -13,11 +13,17 @@ from the final conflicting pair and is extended by conflict analysis of
 each BCP conflict — and the marked clauses of ``F`` are returned as an
 unsatisfiable core.
 
-Both procedures accept ``mode``: ``"rebuild"`` re-asserts the unit
-clauses inside every check (the original behavior), while
-``"incremental"`` keeps a persistent root trail and retires clauses
-behind the moving ceiling (see :mod:`repro.verify.checker`), which is
-markedly cheaper on backward passes.
+Both run their checks through one loop, :func:`scan`.  Seen as a
+loop, Proof_verification1 is Proof_verification2's backward scan with
+every clause checked and no marking; the parallel workers scan their
+shards the same way.  One helper, :func:`_report`, turns the scan's
+end into every report.
+
+Both procedures accept ``mode``: ``"incremental"`` (the default) keeps
+a persistent root trail and retires clauses behind the moving ceiling
+(see :mod:`repro.verify.checker`), which is markedly cheaper on
+backward passes, while ``"rebuild"`` re-asserts the unit clauses inside
+every check, keeping each check free of history.
 
 Both also accept an optional :class:`~repro.verify.budget.CheckBudget`:
 when the budget runs out mid-verification the run aborts cleanly with
@@ -29,7 +35,8 @@ Obs`.  With one attached, every check is timed into histograms, phases
 and checks become trace spans, a progress heartbeat ticks, and the
 report's :class:`~repro.verify.report.VerificationStats` gains the
 slowest-K check indices.  Without one (the default), the drivers take
-a registry-free fast path — per-check cost is one ``is None`` branch.
+a registry-free fast path — per-check cost is an ``is None`` branch
+and a no-op context manager.
 All reports are built through the shared
 :class:`~repro.verify.instrument.ReportBuilder`, the single place
 ``verification_time`` and the stats breakdown are computed.
@@ -37,7 +44,8 @@ All reports are built through the shared
 
 from __future__ import annotations
 
-import os
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 from repro.bcp import engine_name, resolve_engine
 from repro.bcp.engine import PropagatorBase
@@ -45,7 +53,7 @@ from repro.bcp.watched import WatchedPropagator
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ENDING_FINAL_PAIR, \
     ConflictClauseProof
-from repro.verify.budget import BudgetExhausted, BudgetMeter, CheckBudget
+from repro.verify.budget import BudgetExhausted, CheckBudget
 from repro.verify.checker import CHECKER_MODES, ProofChecker
 from repro.verify.conflict_analysis import collect_responsible
 from repro.verify.instrument import ReportBuilder
@@ -58,6 +66,9 @@ from repro.verify.report import (
 )
 
 V1_ORDERS = ("backward", "forward")
+
+# The scan's stand-in for an instrumentation hook on the fast path.
+_NO_HOOK = nullcontext()
 
 
 def _check_mode(mode: str) -> None:
@@ -72,31 +83,15 @@ def _check_order(order: str) -> None:
                          f"expected one of {V1_ORDERS}")
 
 
-def _resolve_jobs(jobs: int | None, obs=None) -> int:
-    """Validate the worker count; ``None`` means "pick a default".
-
-    The resolved count — and where it came from (explicit argument,
-    ``REPRO_JOBS`` override, or CPU-count default) — is recorded as a
-    gauge and a trace event when instrumentation is attached.
-    """
-    if jobs is None:
-        from repro.verify.parallel import default_jobs
-
-        source = "env:REPRO_JOBS" if os.environ.get("REPRO_JOBS") \
-            else "default"
-        jobs = default_jobs()
-    else:
-        source = "explicit"
-        if isinstance(jobs, bool) or not isinstance(jobs, int):
-            raise ValueError(f"jobs must be a positive int or None "
-                             f"(auto-detect), got {jobs!r}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1 or None (auto-detect), "
-                             f"got {jobs!r}")
+def _resolve_jobs(jobs: int, obs=None) -> int:
+    """Validate the worker count; with instrumentation attached it is
+    recorded as a gauge and a ``jobs_resolved`` trace event."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive int, got {jobs!r}")
     if obs is not None:
         obs.gauge_set("repro_verify_jobs", jobs,
                       help="Resolved worker process count")
-        obs.event("jobs_resolved", jobs=jobs, source=source)
+        obs.event("jobs_resolved", jobs=jobs)
     return jobs
 
 
@@ -146,24 +141,132 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
     return resolved
 
 
-def _publish_checker_stats(obs, checker: ProofChecker) -> None:
-    """Publish the checker's root-trail maintenance counters — the
-    observable form of the rebuild-vs-incremental savings — plus the
-    captured dependency-graph totals, if a recorder is attached."""
-    if obs is None:
-        return
-    for key, value in checker.root_stats.items():
-        obs.counter_add(f"repro_checker_{key}_total", value,
-                        help=f"Incremental checker: {key}")
-    obs.publish_depgraph_totals()
+@dataclass
+class ScanResult:
+    """How a :func:`scan` ended.
+
+    ``failed_index`` is the index whose check produced no conflict;
+    ``budget_reason`` and ``stopped_at_index`` say why and where an
+    exhausted budget cut the scan short.  Both stay None when every
+    scanned check passed.
+    """
+
+    num_checked: int = 0
+    num_skipped: int = 0
+    failed_index: int | None = None
+    budget_reason: str | None = None
+    stopped_at_index: int | None = None
+
+
+def scan(checker: ProofChecker, indices, marked: set[int] | None = None,
+         records: list | None = None,
+         instrument: ReportBuilder | None = None) -> ScanResult:
+    """Check the proof clauses at ``indices``, in order: the one check
+    loop behind verification1, verification2 and the pool workers.
+
+    With a ``marked`` set of clause ids (verification2) the scan skips
+    every clause not in it and adds each conflict's responsible clauses
+    to it, so marks only grow as a backward scan goes.  ``records``
+    receives one dependency-graph record per conflict.  ``instrument``
+    is the :class:`ReportBuilder` that times each check and marking
+    walk; None is the fast path.
+
+    The scan stops at the first check without a conflict, or when the
+    checker's budget meter runs out.
+    """
+    engine = checker.engine
+    counters = engine.counters
+    num_input = checker.num_input
+    walk = marked is not None or records is not None
+    checked = skipped = 0
+    for index in indices:
+        cid = num_input + index
+        if marked is not None and cid not in marked:
+            skipped += 1
+            continue
+        if records is not None:
+            work_before = counters.total_work()
+        try:
+            with _NO_HOOK if instrument is None \
+                    else instrument.check(index, counters):
+                outcome = checker.check_clause(index)
+        except BudgetExhausted as exc:
+            return ScanResult(checked, skipped, budget_reason=str(exc),
+                              stopped_at_index=index)
+        if walk and outcome.confl_cid is not None:
+            # Before reset(): the walk reads the post-propagation
+            # reasons.  One walk serves both the marking and the
+            # dependency record — the depgraph is the paper's marking
+            # machinery made visible, not a second pass.
+            with _NO_HOOK if instrument is None \
+                    else instrument.phase("marking"):
+                responsible = collect_responsible(engine,
+                                                  outcome.confl_cid)
+            if marked is not None:
+                marked.update(responsible)
+            if records is not None:
+                records.append({
+                    "type": "check", "index": index, "cid": cid,
+                    "antecedents": sorted(responsible - {cid}),
+                    "confl": outcome.confl_cid,
+                    "props": counters.total_work() - work_before})
+        checker.reset()
+        checked += 1
+        if not outcome.conflict:
+            return ScanResult(checked, skipped, failed_index=index)
+    return ScanResult(checked, skipped)
+
+
+def _records(obs) -> list | None:
+    """The dependency-graph record list a scan appends to, if any."""
+    return obs.depgraph.checks if obs is not None \
+        and obs.wants_depgraph else None
+
+
+def _report(build: ReportBuilder, obs, proof: ConflictClauseProof,
+            result: ScanResult, counters: dict[str, int],
+            root_stats: dict[str, int] | None = None,
+            **fields) -> VerificationReport:
+    """Build a run's report: the scan's end becomes the outcome.
+
+    An exhausted budget wins over a failure (a parallel run can meet
+    both).  ``fields`` are extra report fields (core, warnings...).
+    ``root_stats`` are a sequential checker's root-trail counters, the
+    observable form of the rebuild-vs-incremental savings; parallel
+    runs publish none, since their split depends on which worker ran
+    which shard.
+    """
+    if obs is not None:
+        for key, value in (root_stats or {}).items():
+            obs.counter_add(f"repro_checker_{key}_total", value,
+                            help=f"Incremental checker: {key}")
+        obs.publish_depgraph_totals()
+    fields.update(num_checked=result.num_checked,
+                  num_skipped=result.num_skipped, bcp_counters=counters)
+    if result.budget_reason is not None:
+        if obs is not None:
+            obs.event("budget_exhausted", reason=result.budget_reason)
+            obs.counter_add("repro_budget_exhausted_total")
+        return build.build(RESOURCE_LIMIT_EXCEEDED,
+                           stopped_at_index=result.stopped_at_index,
+                           failure_reason=result.budget_reason, **fields)
+    if result.failed_index is not None:
+        return build.build(
+            PROOF_IS_NOT_CORRECT,
+            failed_clause_index=result.failed_index,
+            failure_reason=(
+                f"BCP on the falsified clause {proof[result.failed_index]}"
+                " did not produce a conflict"),
+            **fields)
+    return build.build(PROOF_IS_CORRECT, **fields)
 
 
 def verify_proof_v1(
         formula: CnfFormula, proof: ConflictClauseProof,
         engine_cls: type[PropagatorBase] | None = None,
         order: str = "backward",
-        mode: str = "rebuild",
-        jobs: int | None = 1,
+        mode: str = "incremental",
+        jobs: int = 1,
         budget: CheckBudget | None = None,
         obs=None,
 ) -> VerificationReport:
@@ -178,13 +281,12 @@ def verify_proof_v1(
     — the verdict is order-independent, only the index of the first
     failure reported can differ.
 
-    ``jobs > 1`` shards the independent checks across worker processes
-    (``jobs=None`` auto-sizes to the machine, honoring a ``REPRO_JOBS``
-    environment override); the verdict and the reported failure index
-    match the sequential scan (``num_checked`` may exceed it on failing
-    proofs, since shards past the failure still ran).  The parallel
-    backend is fault-tolerant: a dead worker's shards are retried once
-    and then fall back to in-process sequential checking (see
+    ``jobs > 1`` shards the independent checks across worker processes;
+    the verdict and the reported failure index match the sequential
+    scan (``num_checked`` may exceed it on failing proofs, since shards
+    past the failure still ran).  The parallel backend is
+    fault-tolerant: a dead worker's shards are retried once and then
+    fall back to in-process sequential checking (see
     :mod:`repro.verify.parallel`).  On platforms without the ``fork``
     start method the workers start under ``spawn`` and receive the
     formula and proof pickled; they run the requested engine either
@@ -204,122 +306,42 @@ def verify_proof_v1(
                                      order=order)
     jobs = _resolve_jobs(jobs, obs)
     meter = budget.start() if budget is not None else None
-    if jobs > 1 and len(proof) > 1:
-        # The backend picks the start method itself (see
-        # select_backend).
-        return _verify_proof_v1_parallel(formula, proof, engine_cls,
-                                         order, mode, jobs, meter, obs)
+    # A one-clause proof has nothing to shard.
+    jobs = min(jobs, len(proof)) if len(proof) > 1 else 1
     build = ReportBuilder(
         VerificationReport, obs=obs, total_checks=len(proof),
         procedure="verification1", num_proof_clauses=len(proof),
-        mode=mode, engine=engine_name(engine_cls))
+        mode=mode, jobs=jobs, engine=engine_name(engine_cls))
+    if jobs > 1:
+        # The backend picks the start method itself (see
+        # select_backend).
+        from repro.verify.parallel import run_sharded_v1
+
+        with build.phase("pool", procedure="verification1", mode=mode,
+                         order=order, jobs=jobs):
+            run = run_sharded_v1(formula, proof, engine_cls, order, mode,
+                                 jobs, meter, obs=obs, builder=build)
+        return _report(build, obs, proof, run, run.counters,
+                       worker_failures=run.worker_failures,
+                       warnings=run.warnings)
     with build.phase("setup", procedure="verification1", mode=mode,
                      order=order):
         # Retirement requires a monotone-decreasing ceiling (backward).
         checker = ProofChecker(formula, proof, engine_cls, mode=mode,
                                retire=(order == "backward"), meter=meter)
-    counters = checker.engine.counters
-    checked = 0
-    capture = obs is not None and obs.wants_depgraph
     indices = (range(len(proof) - 1, -1, -1) if order == "backward"
                else range(len(proof)))
     with build.phase("checks"):
-        for index in indices:
-            work_before = counters.total_work() if capture else 0
-            try:
-                if obs is None:
-                    outcome = checker.check_clause(index)
-                else:
-                    with build.check(index, counters):
-                        outcome = checker.check_clause(index)
-            except BudgetExhausted as exc:
-                if obs is not None:
-                    obs.event("budget_exhausted", reason=str(exc))
-                    obs.counter_add("repro_budget_exhausted_total")
-                _publish_checker_stats(obs, checker)
-                return build.build(
-                    RESOURCE_LIMIT_EXCEEDED,
-                    num_checked=checked,
-                    stopped_at_index=index,
-                    failure_reason=str(exc),
-                    bcp_counters=counters.as_dict())
-            if capture and outcome.conflict \
-                    and outcome.confl_cid is not None:
-                # Before reset(): the responsibility walk reads the
-                # post-propagation reasons.
-                obs.record_dependency(
-                    index, checker.cid_of_proof_clause(index),
-                    collect_responsible(checker.engine,
-                                        outcome.confl_cid),
-                    confl=outcome.confl_cid,
-                    props=counters.total_work() - work_before)
-            checker.reset()
-            checked += 1
-            if not outcome.conflict:
-                _publish_checker_stats(obs, checker)
-                return build.build(
-                    PROOF_IS_NOT_CORRECT,
-                    num_checked=checked,
-                    failed_clause_index=index,
-                    failure_reason=(
-                        f"BCP on the falsified clause {proof[index]} "
-                        "did not produce a conflict"),
-                    bcp_counters=counters.as_dict())
-    _publish_checker_stats(obs, checker)
-    return build.build(PROOF_IS_CORRECT, num_checked=checked,
-                       bcp_counters=counters.as_dict())
-
-
-def _verify_proof_v1_parallel(
-        formula: CnfFormula, proof: ConflictClauseProof,
-        engine_cls: type[PropagatorBase], order: str, mode: str,
-        jobs: int, meter: BudgetMeter | None,
-        obs=None) -> VerificationReport:
-    from repro.verify.parallel import run_sharded_v1
-
-    jobs = min(jobs, len(proof))
-    build = ReportBuilder(
-        VerificationReport, obs=obs, total_checks=len(proof),
-        procedure="verification1", num_proof_clauses=len(proof),
-        mode=mode, jobs=jobs, engine=engine_name(engine_cls))
-    with build.phase("pool", procedure="verification1", mode=mode,
-                     order=order, jobs=jobs):
-        run = run_sharded_v1(formula, proof, engine_cls, order, mode,
-                             jobs, meter, obs=obs, builder=build)
-    if obs is not None:
-        obs.publish_depgraph_totals()
-    if run.budget_reason is not None:
-        if obs is not None:
-            obs.event("budget_exhausted", reason=run.budget_reason)
-            obs.counter_add("repro_budget_exhausted_total")
-        return build.build(
-            RESOURCE_LIMIT_EXCEEDED,
-            num_checked=run.num_checked,
-            stopped_at_index=run.stopped_at_index,
-            failure_reason=run.budget_reason,
-            bcp_counters=run.counters,
-            worker_failures=run.worker_failures, warnings=run.warnings)
-    if run.failed_index is not None:
-        return build.build(
-            PROOF_IS_NOT_CORRECT,
-            num_checked=run.num_checked,
-            failed_clause_index=run.failed_index,
-            failure_reason=(
-                f"BCP on the falsified clause {proof[run.failed_index]} "
-                "did not produce a conflict"),
-            bcp_counters=run.counters,
-            worker_failures=run.worker_failures, warnings=run.warnings)
-    return build.build(
-        PROOF_IS_CORRECT,
-        num_checked=run.num_checked,
-        bcp_counters=run.counters,
-        worker_failures=run.worker_failures, warnings=run.warnings)
+        result = scan(checker, indices, records=_records(obs),
+                      instrument=build if obs is not None else None)
+    return _report(build, obs, proof, result,
+                   checker.engine.counters.as_dict(), checker.root_stats)
 
 
 def verify_proof_v2(
         formula: CnfFormula, proof: ConflictClauseProof,
         engine_cls: type[PropagatorBase] | None = None,
-        mode: str = "rebuild",
+        mode: str = "incremental",
         budget: CheckBudget | None = None,
         obs=None,
 ) -> VerificationReport:
@@ -352,108 +374,41 @@ def verify_proof_v2(
     with build.phase("setup", procedure="verification2", mode=mode):
         checker = ProofChecker(formula, proof, engine_cls, mode=mode,
                                meter=meter)
-    counters = checker.engine.counters
     num_input = formula.num_clauses
-    marked: set[int] = set()
-    if proof.ending == ENDING_FINAL_PAIR:
-        marked.add(checker.cid_of_proof_clause(len(proof) - 1))
-        marked.add(checker.cid_of_proof_clause(len(proof) - 2))
-    else:
-        marked.add(checker.cid_of_proof_clause(len(proof) - 1))
-
-    checked = 0
-    skipped = 0
-
-    def finish_metrics() -> None:
-        _publish_checker_stats(obs, checker)
-        if obs is not None:
-            obs.counter_add("repro_verify_checks_skipped_total", skipped,
-                            help="Redundant proof clauses never checked")
-            if len(proof):
-                obs.gauge_set(
-                    "repro_verify_marked_ratio",
-                    checked / len(proof),
-                    help="Fraction of F* that had to be checked")
-
-    capture = obs is not None and obs.wants_depgraph
+    ending = 2 if proof.ending == ENDING_FINAL_PAIR else 1
+    marked = {checker.cid_of_proof_clause(len(proof) - k)
+              for k in range(1, ending + 1)}
     with build.phase("checks"):
-        for index in range(len(proof) - 1, -1, -1):
-            cid = checker.cid_of_proof_clause(index)
-            if cid not in marked:
-                skipped += 1
-                continue
-            work_before = counters.total_work() if capture else 0
-            try:
-                if obs is None:
-                    outcome = checker.check_clause(index)
-                else:
-                    with build.check(index, counters):
-                        outcome = checker.check_clause(index)
-            except BudgetExhausted as exc:
-                if obs is not None:
-                    obs.event("budget_exhausted", reason=str(exc))
-                    obs.counter_add("repro_budget_exhausted_total")
-                finish_metrics()
-                return build.build(
-                    RESOURCE_LIMIT_EXCEEDED,
-                    num_checked=checked,
-                    num_skipped=skipped,
-                    stopped_at_index=index,
-                    failure_reason=str(exc),
-                    bcp_counters=counters.as_dict())
-            if outcome.conflict and outcome.confl_cid is not None:
-                # One responsibility walk serves both the marking and
-                # the provenance record — the depgraph is the paper's
-                # marking machinery made visible, not a second pass.
-                if obs is None:
-                    marked.update(collect_responsible(
-                        checker.engine, outcome.confl_cid))
-                else:
-                    with build.phase("marking"):
-                        responsible = collect_responsible(
-                            checker.engine, outcome.confl_cid)
-                        marked.update(responsible)
-                    if capture:
-                        obs.record_dependency(
-                            index, cid, responsible,
-                            confl=outcome.confl_cid,
-                            props=counters.total_work() - work_before)
-            checker.reset()
-            checked += 1
-            if not outcome.conflict:
-                finish_metrics()
-                return build.build(
-                    PROOF_IS_NOT_CORRECT,
-                    num_checked=checked,
-                    num_skipped=skipped,
-                    failed_clause_index=index,
-                    failure_reason=(
-                        f"BCP on the falsified clause {proof[index]} "
-                        "did not produce a conflict"),
-                    bcp_counters=counters.as_dict())
-
-    with build.phase("core"):
-        core_indices = tuple(sorted(cid for cid in marked
-                                    if cid < num_input))
-        marked_proof = tuple(sorted(cid - num_input for cid in marked
-                                    if cid >= num_input))
-        core = UnsatCore(core_indices, formula)
-    finish_metrics()
-    return build.build(
-        PROOF_IS_CORRECT,
-        num_checked=checked,
-        num_skipped=skipped,
-        core=core,
-        marked_proof_indices=marked_proof,
-        bcp_counters=counters.as_dict())
+        result = scan(checker, range(len(proof) - 1, -1, -1),
+                      marked=marked, records=_records(obs),
+                      instrument=build if obs is not None else None)
+    fields = {}
+    if result.failed_index is None and result.budget_reason is None:
+        with build.phase("core"):
+            fields["core"] = UnsatCore(
+                tuple(sorted(cid for cid in marked if cid < num_input)),
+                formula)
+            fields["marked_proof_indices"] = tuple(sorted(
+                cid - num_input for cid in marked if cid >= num_input))
+    if obs is not None:
+        obs.counter_add("repro_verify_checks_skipped_total",
+                        result.num_skipped,
+                        help="Redundant proof clauses never checked")
+        if len(proof):
+            obs.gauge_set("repro_verify_marked_ratio",
+                          result.num_checked / len(proof),
+                          help="Fraction of F* that had to be checked")
+    return _report(build, obs, proof, result,
+                   checker.engine.counters.as_dict(), checker.root_stats,
+                   **fields)
 
 
 def verify_proof(formula: CnfFormula, proof: ConflictClauseProof,
                  procedure: str = "verification2",
                  engine_cls: type[PropagatorBase] | None = None,
                  order: str = "backward",
-                 mode: str = "rebuild",
-                 jobs: int | None = 1,
+                 mode: str = "incremental",
+                 jobs: int = 1,
                  budget: CheckBudget | None = None,
                  obs=None,
                  ) -> VerificationReport:
@@ -474,7 +429,7 @@ def verify_proof(formula: CnfFormula, proof: ConflictClauseProof,
             raise ValueError(
                 "verification2 is inherently backward; "
                 f"order={order!r} is only valid with verification1")
-        if jobs not in (1, None):
+        if jobs != 1:
             raise ValueError(
                 "verification2's marking pass is sequential; "
                 f"jobs={jobs!r} is only valid with verification1")

@@ -411,5 +411,5 @@ class TestSelection:
         assert len(events) == 1
         assert events[0]["attrs"] == {
             "requested": "counting", "engine": "counting",
-            "mode": "rebuild",
+            "mode": "incremental",
             "order": "backward", "reason": "explicit request"}

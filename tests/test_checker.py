@@ -45,7 +45,7 @@ class TestProofChecker:
     def test_tautology_reports_no_responsible_clause(self):
         formula = CnfFormula([[1], [-1]])
         proof = ConflictClauseProof([(2, -2), ()], ENDING_EMPTY)
-        checker = ProofChecker(formula, proof)
+        checker = ProofChecker(formula, proof, mode="rebuild")
         outcome = checker.check_clause(0)
         assert outcome.conflict
         assert outcome.confl_cid is None
@@ -127,7 +127,7 @@ class TestCheckerStressScenarios:
         formula = pigeonhole(4)
         result = solve(formula)
         proof = ConflictClauseProof.from_log(result.log)
-        checker = ProofChecker(formula, proof)
+        checker = ProofChecker(formula, proof, mode="rebuild")
         for _ in range(3):  # repeated full sweeps over the same engine
             for index in range(len(proof) - 1, -1, -1):
                 outcome = checker.check_clause(index)

@@ -116,6 +116,25 @@ class TestCore:
                      "--output", str(core_path)]) == 0
         assert read_dimacs(core_path).num_clauses == reported
 
+    def test_extract_core_matches_cli(self, tmp_path, capsys):
+        """The library's ``extract_core`` returns the core ``repro
+        core`` prints: both default to incremental mode."""
+        from repro.benchgen.random_unsat import random_ksat
+        from repro.proofs.trace_format import read_proof
+        from repro.verify.core_extraction import extract_core
+
+        cnf, proof_path = tmp_path / "r.cnf", tmp_path / "r.ccp"
+        write_dimacs(random_ksat(20, 92, seed=4), cnf)
+        assert main(["solve", str(cnf), "--proof",
+                     str(proof_path)]) == EXIT_UNSAT
+        capsys.readouterr()
+        assert main(["core", str(cnf), str(proof_path)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("c core:"))
+        reported = int(line.split()[2].split("/")[0])
+        core = extract_core(read_dimacs(cnf), read_proof(proof_path))
+        assert core.size == reported
+
     def test_core_rejects_bad_proof(self, sat_cnf, unsat_cnf, tmp_path):
         proof_path = tmp_path / "out.ccp"
         main(["solve", str(unsat_cnf), "--proof", str(proof_path)])
@@ -198,6 +217,16 @@ class TestErrorHandling:
         code = main(["verify", str(unsat_cnf), str(bad)])
         assert code == EXIT_PARSE_ERROR
         assert capsys.readouterr().err.startswith("c error:")
+
+    def test_usage_error_before_parse(self, tmp_path, good_proof,
+                                      capsys):
+        """A flag clash is a usage error (exit 2) caught before any
+        file is read, so a malformed CNF does not mask it."""
+        bad = tmp_path / "bad.cnf"
+        bad.write_text("garbage !! not dimacs\n")
+        code = main(["verify", str(bad), str(good_proof), "--jobs", "2"])
+        assert code == EXIT_ERROR
+        assert "--order/--jobs require" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, good_proof, capsys):
         code = main(["verify", "/nonexistent/f.cnf", str(good_proof)])

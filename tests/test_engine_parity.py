@@ -231,14 +231,15 @@ class TestStartMethodIdentity:
     def test_spawn_workers_run_requested_engine(self, solved,
                                                 monkeypatch):
         """Spawned workers run the engine the run asked for, so the
-        dependency graph they capture matches the sequential one."""
+        dependency graph they capture matches the sequential one (in
+        rebuild mode, where each check is free of history)."""
         formula, proof, _ = solved
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         captured = {}
         for jobs in (1, 2):
             obs = Obs(depgraph=DepGraphRecorder())
             report = verify_proof_v1(formula, proof, "counting",
-                                     jobs=jobs, obs=obs)
+                                     mode="rebuild", jobs=jobs, obs=obs)
             assert report.ok
             assert report.engine == "counting"
             assert report.warnings == ()

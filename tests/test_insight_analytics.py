@@ -30,7 +30,8 @@ PAPER_PROOF = ConflictClauseProof([(1,), (-1,)], ENDING_FINAL_PAIR)
 
 def paper_analytics(obs=None):
     obs = obs if obs is not None else Obs.enabled(depgraph=True)
-    report = verify_proof_v2(PAPER_F, PAPER_PROOF, obs=obs)
+    report = verify_proof_v2(PAPER_F, PAPER_PROOF, mode="rebuild",
+                             obs=obs)
     assert report.ok
     return analyze_proof_shape(PAPER_PROOF, report, obs.depgraph), report
 
@@ -105,7 +106,8 @@ class TestPaperExampleValues:
 class TestV1Analytics:
     def test_no_core_and_full_marking(self):
         obs = Obs.enabled(depgraph=True)
-        report = verify_proof_v1(PAPER_F, PAPER_PROOF, obs=obs)
+        report = verify_proof_v1(PAPER_F, PAPER_PROOF, mode="rebuild",
+                                 obs=obs)
         assert report.ok
         analytics = analyze_proof_shape(PAPER_PROOF, report,
                                         obs.depgraph)

@@ -92,7 +92,8 @@ class TestPaperExample:
 
     def run(self):
         obs = Obs.enabled(depgraph=True)
-        report = verify_proof_v2(PAPER_F, PAPER_PROOF, obs=obs)
+        report = verify_proof_v2(PAPER_F, PAPER_PROOF, mode="rebuild",
+                                 obs=obs)
         assert report.ok
         return obs.depgraph.sorted_checks()
 
@@ -113,7 +114,8 @@ class TestPaperExample:
 class TestArtifact:
     def make_lines(self, tmp_path):
         obs = Obs.enabled(depgraph=True)
-        report = verify_proof_v2(PAPER_F, PAPER_PROOF, obs=obs)
+        report = verify_proof_v2(PAPER_F, PAPER_PROOF, mode="rebuild",
+                                 obs=obs)
         assert report.ok
         path = tmp_path / "dep.jsonl"
         lines = write_depgraph_jsonl(
@@ -169,7 +171,7 @@ class TestArtifact:
 
     def test_records_normalizer_accepts_all_shapes(self, tmp_path):
         obs = Obs.enabled(depgraph=True)
-        verify_proof_v2(PAPER_F, PAPER_PROOF, obs=obs)
+        verify_proof_v2(PAPER_F, PAPER_PROOF, mode="rebuild", obs=obs)
         from_recorder = depgraph_records(obs.depgraph)
         path, lines = self.make_lines(tmp_path)
         assert depgraph_records(lines) == from_recorder

@@ -2,7 +2,7 @@
 
 Covers the observability acceptance contract: deterministic
 ``run_summary`` metrics across configurations, worker-metric aggregation for
-parallel runs, the ``REPRO_JOBS`` override, and — most load-bearing —
+parallel runs, and — most load-bearing —
 the guard asserting the disabled path (``obs=None``) never touches the
 metrics registry or tracer at all.
 """
@@ -24,7 +24,6 @@ from repro.obs import (
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.solver.cdcl import solve
 from repro.verify.streaming import verify_stream
-from repro.verify.parallel import default_jobs
 from repro.verify.verification import (
     verify_proof_v1,
     verify_proof_v2,
@@ -219,35 +218,6 @@ class TestParallelAggregation:
         obs.tracer.write_jsonl(buffer)
         assert validate_trace(
             read_jsonl(io.StringIO(buffer.getvalue()))) == []
-
-
-class TestReproJobsOverride:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-
-    def test_bad_values_rejected(self, monkeypatch):
-        for bad in ("zero", "0", "-2", "1.5"):
-            monkeypatch.setenv("REPRO_JOBS", bad)
-            with pytest.raises(ValueError, match="REPRO_JOBS"):
-                default_jobs()
-
-    def test_unset_uses_cpu_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() >= 1
-
-    def test_resolution_recorded(self, monkeypatch, unsat_instance):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        formula, proof = unsat_instance
-        obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
-        assert verify_proof_v1(formula, proof, jobs=None, obs=obs).ok
-        snap = obs.metrics.snapshot()
-        assert snap["repro_verify_jobs"]["value"]["value"] == 1
-        resolved = [e for e in obs.tracer.events
-                    if e["name"] == "jobs_resolved"]
-        assert resolved
-        assert resolved[0]["attrs"] == {"jobs": 1,
-                                        "source": "env:REPRO_JOBS"}
 
 
 class TestProgressIntegration:
