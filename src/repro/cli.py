@@ -89,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("proof", help="the proof trace file")
     verify_cmd.add_argument("--procedure", default="verification2",
                             choices=["verification1", "verification2"])
-    verify_cmd.add_argument("--order", default="backward",
-                            choices=["backward", "forward"],
-                            help="check order (verification1 only; the "
-                                 "verdict is order-independent)")
     verify_cmd.add_argument("--mode", default="incremental",
                             choices=["rebuild", "incremental"],
                             help="checker state management: keep a "
@@ -104,8 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--engine", default=None,
                             choices=["watched", "counting"],
                             help="BCP engine (default: watched, or "
-                                 "counting when --depgraph-out needs "
-                                 "deterministic reasons)")
+                                 "counting when --depgraph-out or "
+                                 "--depgraph-dot needs deterministic "
+                                 "reasons)")
     strictness = verify_cmd.add_mutually_exclusive_group()
     strictness.add_argument("--strict", action="store_true",
                             help="require a DIMACS header whose counts "
@@ -664,10 +661,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("c error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_ERROR
-    if args.procedure == "verification2" and (args.order != "backward"
-                                              or args.jobs != 1):
-        print("c error: --order/--jobs require --procedure "
-              "verification1", file=sys.stderr)
+    if args.procedure == "verification2" and args.jobs != 1:
+        print("c error: --jobs requires --procedure verification1",
+              file=sys.stderr)
         return EXIT_ERROR
     formula = read_dimacs(args.cnf, strict=args.strict)
     proof = read_proof(args.proof)
@@ -676,7 +672,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args, obs, lambda: verify_proof(
             formula, proof, procedure=args.procedure,
             engine_cls=args.engine,
-            order=args.order, mode=args.mode, jobs=args.jobs,
+            mode=args.mode, jobs=args.jobs,
             budget=_budget_from(args), obs=obs),
         formula, proof)
     if report is None:

@@ -20,12 +20,14 @@ sorted by check index, making the merge order-independent.  (Whether
 the *contents* are scheduling-independent depends on the engine and
 mode: the verification drivers default to the counting engine while a
 recorder is attached precisely because its ``rebuild`` checks are
-history-free — one canonical conflict per clause regardless of check
-order or worker count.  The watched engine permanently reorders its
-watch lists as checks run, and ``incremental`` mode carries a root
-trail between checks, so either may report a different — equally
-valid — conflict depending on scheduling, the same caveat the metrics
-layer documents for its scheduling-dependent counters.)
+history-free — one canonical conflict per clause regardless of how the
+backward scan is sharded across workers.  The watched engine
+permanently reorders its watch lists as checks run, and
+``incremental`` mode carries a root trail between checks, so either
+may report a different — equally valid — conflict depending on
+scheduling, the same caveat the metrics layer documents for its
+scheduling-dependent counters.  So an artifact is identical across
+``--jobs`` only under ``--mode rebuild``.)
 
 Artifact (schema ``repro.obs.depgraph/v1``): JSONL, a header line
 followed by one record per checked clause, ascending check index::
@@ -55,8 +57,9 @@ class DepGraphRecorder:
     Attach one to an :class:`~repro.obs.context.Obs` (the ``depgraph``
     facility); the verification scan appends one record per passing
     check to ``checks`` (the format :meth:`record_check` builds) and
-    the parallel parent folds worker buffers in with :meth:`merge`.  ``checks`` is the raw record list, unsorted
-    (sorting happens at export, keeping the merge order-free).
+    the parallel parent folds worker buffers in with :meth:`merge`.
+    ``checks`` is the raw record list, unsorted (sorting happens at
+    export, keeping the merge order-free).
     """
 
     def __init__(self) -> None:
@@ -146,7 +149,7 @@ def depgraph_deterministic_view(lines) -> dict:
     ``props`` cost of each check (work is scheduling-dependent for
     incremental parallel runs) plus the ``jobs`` count itself; keeps
     the structural meta and the sorted antecedent records.  Two runs of
-    the same (instance, procedure, mode, order) in ``rebuild`` mode
+    the same (instance, procedure, mode) in ``rebuild`` mode
     produce identical views regardless of ``--jobs`` — the
     order-independent-merge guarantee the tests pin.
     """

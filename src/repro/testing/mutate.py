@@ -74,7 +74,7 @@ expectation to ``EXPECT_ANY`` when the guarantee cannot hold.
 Differential driver
 -------------------
 :func:`run_differential` feeds every mutation to verification1 (both
-orders × both modes × ``jobs`` 1 and 4), verification2, and — for trace
+modes × ``jobs`` 1 and 4), verification2, and — for trace
 mutations — the forward DRUP checker, and collects violations of the
 expectations above into a :class:`DifferentialSummary`.
 """
@@ -105,16 +105,14 @@ KIND_CC = "cc"
 KIND_DRUP = "drup"
 
 #: verification1 configurations the differential driver exercises:
-#: both orders x both checker modes x sequential and 4-way parallel.
-DEFAULT_V1_CONFIGS: tuple[tuple[str, str, int], ...] = tuple(
-    (order, mode, jobs)
-    for order in ("backward", "forward")
+#: both checker modes x sequential and 4-way parallel.
+DEFAULT_V1_CONFIGS: tuple[tuple[str, int], ...] = tuple(
+    (mode, jobs)
     for mode in ("rebuild", "incremental")
     for jobs in (1, 4))
 
 #: A cheap subset for throughput benchmarking (one config per axis).
-LIGHT_V1_CONFIGS: tuple[tuple[str, str, int], ...] = (
-    ("backward", "incremental", 1),)
+LIGHT_V1_CONFIGS: tuple[tuple[str, int], ...] = (("incremental", 1),)
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,7 @@ class ProofMutator:
         if cached is None:
             probe = ConflictClauseProof(
                 list(self.proof.clauses[:k]) + [()], ENDING_EMPTY)
-            checker = ProofChecker(self.formula, probe, mode="rebuild",
-                                   retire=False)
+            checker = ProofChecker(self.formula, probe, mode="rebuild")
             cached = checker.check_clause(k).conflict
             self._refutable_cache[k] = cached
         return cached
@@ -539,7 +536,7 @@ class MutationVerdict:
 
     mutation: ProofMutation
     rejected_at_parse: bool = False
-    v1_outcomes: dict[tuple[str, str, int], bool] = field(
+    v1_outcomes: dict[tuple[str, int], bool] = field(
         default_factory=dict)
     v2_accepted: bool | None = None
     drup_accepted: bool | None = None
@@ -625,22 +622,22 @@ def _judge_cc(formula: CnfFormula, proof: ConflictClauseProof,
               verdict: MutationVerdict, tag: str, v1_configs,
               engine=None) -> None:
     expectation = verdict.mutation.expectation
-    for order, mode, jobs in v1_configs:
+    for mode, jobs in v1_configs:
         try:
-            report = verify_proof_v1(formula, proof, engine,
-                                     order=order, mode=mode, jobs=jobs)
+            report = verify_proof_v1(formula, proof, engine, mode=mode,
+                                     jobs=jobs)
         except ReproError as exc:
             # A typed refusal counts as rejection.
-            verdict.v1_outcomes[(order, mode, jobs)] = False
+            verdict.v1_outcomes[(mode, jobs)] = False
             verdict.checker_runs += 1
             del exc
             continue
         except Exception as exc:  # noqa: BLE001
             verdict.problems.append(
-                f"{tag}: verification1({order},{mode},jobs={jobs}) "
+                f"{tag}: verification1({mode},jobs={jobs}) "
                 f"crashed with {type(exc).__name__}: {exc}")
             continue
-        verdict.v1_outcomes[(order, mode, jobs)] = report.ok
+        verdict.v1_outcomes[(mode, jobs)] = report.ok
         verdict.checker_runs += 1
     try:
         verdict.v2_accepted = verify_proof_v2(formula, proof, engine).ok

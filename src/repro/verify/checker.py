@@ -16,18 +16,16 @@ Two state-management modes are supported:
 
 ``incremental`` (the default; the backward-verification fast path)
     The unit closure of ``F ∪ F*_{<ceiling}`` is kept as a *persistent
-    root trail* on its own decision level.  While the ceiling moves
-    monotonically (down during a backward pass, up during a forward
-    one), only the root suffix whose reason cids crossed the ceiling is
-    retracted and re-propagated; each check then only asserts ``R`` on a
-    fresh level above the root.  With ``retire=True`` (valid for
-    monotonically *decreasing* ceilings only) the checker additionally
-    calls :meth:`PropagatorBase.retire_above`, letting the engine purge
-    dead clauses from its watch/occurrence lists.  This is the
+    root trail* on its own decision level.  The ceiling may only fall
+    (a backward pass): each move retracts the root suffix whose reason
+    cids crossed the ceiling and re-propagates, and each check then
+    only asserts ``R`` on a fresh level above the root.  Every move
+    also calls :meth:`PropagatorBase.retire_above`, letting the engine
+    purge dead clauses from its watch/occurrence lists.  This is the
     DRAT-trim/window-shifting observation: backward checking is
     monotone, so root state and watch lists only ever shrink.  A
-    caller whose ceiling may rise (a forward pass, a one-off probe)
-    passes ``retire=False`` or ``mode="rebuild"``.
+    rising ceiling raises ``ValueError``; a caller whose ceiling may
+    rise (a one-off probe, a forward pass) uses ``mode="rebuild"``.
 
 Both modes produce the same verdict for every check (BCP conflict
 existence is order-invariant); the conflicting clause they report — and
@@ -72,7 +70,7 @@ class ProofChecker:
 
     def __init__(self, formula: CnfFormula, proof: ConflictClauseProof,
                  engine_cls: type[PropagatorBase] = WatchedPropagator,
-                 mode: str = "incremental", retire: bool = True,
+                 mode: str = "incremental",
                  meter: "BudgetMeter | None" = None):
         if mode not in CHECKER_MODES:
             raise ValueError(f"unknown checker mode {mode!r}; "
@@ -85,11 +83,6 @@ class ProofChecker:
         # BudgetExhausted once it runs out.  The drivers catch it and
         # report the resource_limit_exceeded outcome.
         self.meter = meter
-        # Retirement permanently removes clauses above the ceiling from
-        # the engine, which is only sound when the ceiling never rises
-        # again (a backward pass).  Forward passes and other callers
-        # that may revisit higher ceilings pass retire=False.
-        self.retire = retire and mode == "incremental"
         num_vars = max(formula.num_vars, proof.max_var())
         self.engine = engine_cls(num_vars)
         self.num_input = formula.num_clauses
@@ -104,18 +97,16 @@ class ProofChecker:
         # cheap observable form of the rebuild-vs-incremental savings;
         # drivers export them as metrics when instrumentation is
         # attached).  ``root_builds`` counts full root constructions,
-        # ``root_lowers``/``root_raises`` incremental ceiling moves,
-        # ``root_retracted`` trail assignments undone by lowering.
+        # ``root_lowers`` incremental ceiling moves, ``root_retracted``
+        # trail assignments undone by lowering.
         self.root_stats: dict[str, int] = {
-            "root_builds": 0, "root_lowers": 0, "root_raises": 0,
-            "root_retracted": 0}
+            "root_builds": 0, "root_lowers": 0, "root_retracted": 0}
         # Persistent-root bookkeeping (incremental mode only).
         self._root_ceiling: int | None = None
         self._root_conflict: int | None = None
         # reason cid -> trail position of the root assignment it
         # justifies (each asserted clause justifies at most one literal).
         self._root_reason_pos: dict[int, int] = {}
-        self._prop_ceiling: int | None = None
 
     def _load(self, enc_lits: list[int]) -> int:
         cid = self.engine.add_clause(enc_lits, propagate_units=False)
@@ -206,40 +197,34 @@ class ProofChecker:
                 return CheckOutcome(conflict=True,
                                     confl_cid=engine.reasons[enc_neg >> 1])
             engine.enqueue(enc_neg, None)
-        confl = engine.propagate(self._prop_ceiling)
+        confl = engine.propagate()
         if confl is not None:
             return CheckOutcome(conflict=True, confl_cid=confl)
         return CheckOutcome(conflict=False)
 
     def _sync_root(self, ceiling: int) -> None:
-        """Bring the persistent root level to the given ceiling."""
-        if self._root_ceiling is None:
-            self._build_root(ceiling)
-        elif ceiling == self._root_ceiling:
-            return
-        elif self._root_conflict is not None:
-            # The old root stopped at a conflict, so its trail is not a
-            # usable fixpoint; rebuild from scratch at the new ceiling.
-            self._build_root(ceiling)
-        elif ceiling < self._root_ceiling:
-            self._lower_root(ceiling)
-        else:
-            self._raise_root(ceiling)
-        self._root_ceiling = ceiling
+        """Bring the persistent root level down to the given ceiling.
 
-    def _apply_ceiling(self, ceiling: int) -> None:
-        if self.retire:
-            if ceiling > self.engine.retire_ceiling:
-                raise ValueError(
-                    "incremental checker with retire=True requires "
-                    "monotonically decreasing check ceilings "
-                    f"(ceiling {ceiling} is above the retirement floor "
-                    f"{self.engine.retire_ceiling}); "
-                    "use retire=False for non-monotone orders")
-            self.engine.retire_above(ceiling)
-            self._prop_ceiling = None
+        Retirement removes the clauses above the ceiling for good, so a
+        ceiling above the retirement floor is refused before any root
+        state changes.
+        """
+        floor = self.engine.retire_ceiling
+        if ceiling > floor:
+            raise ValueError(
+                "the incremental checker requires monotonically "
+                f"decreasing check ceilings (ceiling {ceiling} is above "
+                f"the retirement floor {floor}); use mode=\"rebuild\" "
+                "for other check orders")
+        if ceiling == self._root_ceiling:
+            return
+        if self._root_ceiling is None or self._root_conflict is not None:
+            # No root yet, or the old one stopped at a conflict, so its
+            # trail is not a usable fixpoint: build from scratch.
+            self._build_root(ceiling)
         else:
-            self._prop_ceiling = ceiling
+            self._lower_root(ceiling)
+        self._root_ceiling = ceiling
 
     def _record_root_positions(self, start: int) -> None:
         trail = self.engine.trail
@@ -248,16 +233,15 @@ class ProofChecker:
         for pos in range(start, len(trail)):
             positions[reasons[trail[pos] >> 1]] = pos
 
-    def _assert_units(self, lo_cid: int, ceiling: int) -> bool:
-        """Enqueue unasserted units with ``lo_cid <= cid < ceiling``.
+    def _assert_units(self, ceiling: int) -> bool:
+        """Enqueue unasserted units with ``cid < ceiling``.
 
         Returns False (setting the root conflict) if a unit is already
         falsified by the standing root assignment.
         """
         engine = self.engine
-        start = bisect_left(self._unit_cids, lo_cid)
         stop = bisect_left(self._unit_cids, ceiling)
-        for cid, enc in self.units[start:stop]:
+        for cid, enc in self.units[:stop]:
             value = engine.value(enc)
             if value == TRUE:
                 continue
@@ -273,11 +257,11 @@ class ProofChecker:
         engine.backtrack(0)
         self._root_reason_pos.clear()
         self._root_conflict = None
-        self._apply_ceiling(ceiling)
+        engine.retire_above(ceiling)
         engine.new_level()
-        if not self._assert_units(0, ceiling):
+        if not self._assert_units(ceiling):
             return
-        confl = engine.propagate(self._prop_ceiling)
+        confl = engine.propagate()
         if confl is not None:
             self._root_conflict = confl
             return
@@ -288,7 +272,8 @@ class ProofChecker:
         crossed the ceiling (plus their trail suffix) and re-close."""
         self.root_stats["root_lowers"] += 1
         old_ceiling = self._root_ceiling
-        self._apply_ceiling(ceiling)
+        engine = self.engine
+        engine.retire_above(ceiling)
         positions = self._root_reason_pos
         cut: int | None = None
         for cid in range(ceiling, old_ceiling):
@@ -300,7 +285,6 @@ class ProofChecker:
             # ceiling; a fixpoint of the larger clause set over the same
             # trail is a fixpoint of any subset.
             return
-        engine = self.engine
         trail = engine.trail
         reasons = engine.reasons
         for pos in range(cut, len(trail)):
@@ -315,31 +299,11 @@ class ProofChecker:
         # sit below the cut (derived literals land after every batched
         # unit, so trail position does not bound derivation depth), and
         # only a full rescan of the surviving prefix re-fires it.
-        if not self._assert_units(0, ceiling):
+        if not self._assert_units(ceiling):
             return
         engine.qhead = 0
-        confl = engine.propagate(self._prop_ceiling)
+        confl = engine.propagate()
         if confl is not None:
             self._root_conflict = confl
             return
         self._record_root_positions(cut)
-
-    def _raise_root(self, ceiling: int) -> None:
-        """Move the root up (forward pass): assert the newly admitted
-        units and extend the closure.  Requires retire=False."""
-        self.root_stats["root_raises"] += 1
-        old_ceiling = self._root_ceiling
-        start = len(self.engine.trail)
-        self._apply_ceiling(ceiling)
-        if not self._assert_units(old_ceiling, ceiling):
-            return
-        # Newly admitted clauses may already be unit under the standing
-        # root assignment without any fresh enqueue to trigger them;
-        # rescan the whole trail so their (previously ceiling-skipped)
-        # watch entries are finally inspected.
-        self.engine.qhead = 0
-        confl = self.engine.propagate(self._prop_ceiling)
-        if confl is not None:
-            self._root_conflict = confl
-            return
-        self._record_root_positions(start)

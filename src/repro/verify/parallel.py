@@ -9,7 +9,7 @@ verification runs), and streams shard verdicts back.
 
 One transport carries the clause database to the workers: the pool
 initializer's ``initargs`` hold the formula, the proof, the engine
-class, the scan order and mode, the budget meter, the fault map and the
+class, the checker mode, the budget meter, the fault map and the
 observability fields.  Under ``fork`` the workers inherit them through
 copy-on-write, so nothing large is pickled; under ``spawn`` they are
 pickled once per worker.  Either way every worker runs the engine the
@@ -20,22 +20,19 @@ with a ``backend_selected`` obs event; ``REPRO_START_METHOD`` (or the
 how the fork-vs-spawn report-identity guarantee is tested.
 
 Failure reporting stays deterministic regardless of pool scheduling:
-every shard scans in the requested direction and reports the first
-failure it meets, and the parent reduces shard failures with max (for a
-backward pass: the first failure a sequential backward scan would hit is
-the *highest* failing index) or min (forward).
+every shard scans backward and reports the first failure it meets, and
+the parent reduces shard failures with max (the first failure a
+sequential backward scan would hit is the *highest* failing index).
 
 The proof is cut into contiguous equal-count shards
-(:func:`make_shards`) and the shards are submitted in scan order:
-high→low for a backward pass, low→high for a forward one.  The pool
+(:func:`make_shards`) and the shards are submitted high→low.  The pool
 hands work out first-in first-out, so every worker meets its shards
-with monotone ceilings, and on a backward pass each worker's
-incremental checker runs with ``retire=True``: clauses above the
-current shard are retired for good, as in a sequential backward scan.
-Submitting high→low is also largest-first, because high-index checks
-propagate over the most clauses.  Should a worker ever see a rising
-ceiling, the checker raises ``ValueError``; an ordering slip fails
-loudly and never flips a verdict.
+with falling ceilings, and each worker's incremental checker retires
+the clauses above the current shard for good, as in a sequential
+backward scan.  Submitting high→low is also largest-first, because
+high-index checks propagate over the most clauses.  Should a worker
+ever see a rising ceiling, the checker raises ``ValueError``; an
+ordering slip fails loudly and never flips a verdict.
 
 Fault tolerance
 ---------------
@@ -182,8 +179,7 @@ def make_shards(num_indices: int, jobs: int) -> list[tuple[int, int]]:
     This is the only partition :func:`run_sharded_v1` executes, so
     tests and tooling can key faults by its exact bounds.  The shard
     count comes from :func:`shard_count`; the backend submits the
-    shards in scan order, which lets every worker retire clauses on a
-    backward pass.
+    shards high→low, which lets every worker retire clauses.
     """
     if num_indices <= 0:
         return []
@@ -243,11 +239,11 @@ def _init_worker(spec: dict) -> None:
 def _worker_checker() -> ProofChecker:
     checker = _SHARED.get("checker")
     if checker is None:
-        # Shards arrive in scan order (see run_sharded_v1), so a
-        # backward worker's ceilings only ever fall.
+        # Shards arrive high→low (see run_sharded_v1), so a worker's
+        # ceilings only ever fall.
         checker = ProofChecker(
             _SHARED["formula"], _SHARED["proof"], _SHARED["engine_cls"],
-            mode=_SHARED["mode"], retire=_SHARED["order"] == "backward")
+            mode=_SHARED["mode"])
         meter: BudgetMeter | None = _SHARED["meter"]
         if meter is not None:
             # Fresh engine in this process: keep the shared deadline but
@@ -258,39 +254,33 @@ def _worker_checker() -> ProofChecker:
 
 
 def _run_shard(checker: ProofChecker, shard: tuple[int, int],
-               order: str, instrument: bool = False,
-               epoch: float | None = None,
-               run_id: str | None = None,
-               depgraph: bool = False,
-               epoch_wall: float | None = None,
-               trace_id: str | None = None,
-               attempt: int = 0) -> ShardResult:
-    """Scan one shard in the requested direction with
+               spec: dict, attempt: int) -> ShardResult:
+    """Scan one shard backward with
     :func:`~repro.verify.verification.scan` (shared by the pool
     workers and the in-process degraded fallback).
 
-    With ``instrument`` set, per-check wall time and propagation work
-    are observed into a shard-local registry, the slowest checks are
-    kept, and the whole shard is wrapped in a ``shard`` trace span —
-    stamped with the parent's ``trace_id`` and on the parent's time
-    axis via the shared ``(epoch, epoch_wall)`` anchor (rebased when
-    this process's monotonic clock is unrelated, i.e. under spawn;
-    see :func:`repro.obs.spans.rebase_epoch`).  The span's end attrs
-    carry the shard's cost attribution (checks, wall, props,
-    clause_visits) and the ``attempt`` number that produced it, so
-    the timeline can tell a retried shard's spans apart.
-    With ``depgraph`` set, each passing check's dependency-graph record
-    is buffered (shipped back in :attr:`ShardResult.depgraph`, merged
-    order-free by the parent).
+    ``spec`` holds the run's observability fields (built once by
+    :func:`run_sharded_v1`).  With ``obs_enabled`` set, per-check wall
+    time and propagation work are observed into a shard-local
+    registry, the slowest checks are kept, and the whole shard is
+    wrapped in a ``shard`` trace span — stamped with the parent's
+    ``obs_trace`` id and on the parent's time axis via the shared
+    ``(obs_epoch, obs_epoch_wall)`` anchor (rebased when this
+    process's monotonic clock is unrelated, i.e. under spawn; see
+    :func:`repro.obs.spans.rebase_epoch`).  The span's end attrs carry
+    the shard's cost attribution (checks, wall, props, clause_visits)
+    and the ``attempt`` number that produced it, so the timeline can
+    tell a retried shard's spans apart.  With ``depgraph_enabled``
+    set, each passing check's dependency-graph record is buffered
+    (shipped back in :attr:`ShardResult.depgraph`, merged order-free
+    by the parent).
     """
     lo, hi = shard
     counters = checker.engine.counters
     before = counters.as_dict()
-    indices = (range(hi - 1, lo - 1, -1) if order == "backward"
-               else range(lo, hi))
-    records = [] if depgraph else None
+    records = [] if spec["depgraph_enabled"] else None
     build = tracer = None
-    if instrument:
+    if spec["obs_enabled"]:
         from repro.obs.context import Obs
         from repro.obs.registry import MetricsRegistry
         from repro.obs.spans import worker_tracer
@@ -299,14 +289,16 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
         # shard-local registry and emits no per-check span.  A shard
         # builds no report, so the builder has no report class.
         build = ReportBuilder(None, obs=Obs(metrics=MetricsRegistry()))
-        tracer = worker_tracer(run_id=run_id, epoch=epoch,
-                               epoch_wall=epoch_wall,
-                               trace_id=trace_id)
+        tracer = worker_tracer(run_id=spec["obs_run"],
+                               epoch=spec["obs_epoch"],
+                               epoch_wall=spec["obs_epoch_wall"],
+                               trace_id=spec["obs_trace"])
         tracer_cm = tracer.span("shard", lo=lo, hi=hi,
                                 pid=os.getpid(), attempt=attempt)
         tracer_cm.__enter__()
     shard_start = time.perf_counter()
-    result = scan(checker, indices, records=records, instrument=build)
+    result = scan(checker, range(hi - 1, lo - 1, -1), records=records,
+                  instrument=build)
     duration = time.perf_counter() - shard_start
     after = counters.as_dict()
     delta = {key: after[key] - before[key] for key in after}
@@ -349,23 +341,13 @@ def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
         # Simulate an OOM kill / segfault: bypass Python teardown so the
         # parent sees exactly what a hard worker death looks like.
         os._exit(1)
-    return _run_shard(_worker_checker(), shard, _SHARED["order"],
-                      instrument=_SHARED.get("obs_enabled", False),
-                      epoch=_SHARED.get("obs_epoch"),
-                      run_id=_SHARED.get("obs_run"),
-                      depgraph=_SHARED.get("depgraph_enabled", False),
-                      epoch_wall=_SHARED.get("obs_epoch_wall"),
-                      trace_id=_SHARED.get("obs_trace"),
-                      attempt=attempt)
+    return _run_shard(_worker_checker(), shard, _SHARED, attempt)
 
 
 def _reduce(results: dict[tuple[int, int], ShardResult],
-            order: str, worker_failures: int,
-            warnings: list[str]) -> ShardRunResult:
-    # A backward scan meets the highest index first, a forward one the
-    # lowest: the first failure or budget stop a sequential scan would
-    # report.
-    pick = max if order == "backward" else min
+            worker_failures: int, warnings: list[str]) -> ShardRunResult:
+    # A backward scan meets the highest index first: the first failure
+    # or budget stop a sequential scan would report.
     failures = [r.failed_index for r in results.values()
                 if r.failed_index is not None]
     stopped = [r.stopped_at_index for r in results.values()
@@ -378,9 +360,9 @@ def _reduce(results: dict[tuple[int, int], ShardResult],
             counters[key] = counters.get(key, 0) + value
     return ShardRunResult(
         num_checked=sum(r.num_checked for r in results.values()),
-        failed_index=pick(failures) if failures else None,
+        failed_index=max(failures) if failures else None,
         budget_reason=budget_reasons[0] if budget_reasons else None,
-        stopped_at_index=pick(stopped) if stopped else None,
+        stopped_at_index=max(stopped) if stopped else None,
         counters=counters, worker_failures=worker_failures,
         warnings=tuple(warnings))
 
@@ -456,8 +438,7 @@ class _ObsSink:
 
 
 def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
-                   engine_cls: type[PropagatorBase], order: str,
-                   mode: str, jobs: int,
+                   engine_cls: type[PropagatorBase], mode: str, jobs: int,
                    meter: BudgetMeter | None = None,
                    obs=None, builder=None,
                    start_method: str | None = None,
@@ -465,7 +446,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     """Check every proof index across a process pool, surviving faults.
 
     Returns a :class:`ShardRunResult` whose ``failed_index`` matches
-    what a sequential scan in ``order`` would report (None when every
+    what a sequential backward scan would report (None when every
     check passes); ``num_checked`` can exceed a failing sequential run's
     count — shards past the failure still ran.  Dead workers are
     retried once and the leftovers checked in process (counted in
@@ -482,42 +463,41 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     what is collected where.
 
     The proof is cut by :func:`make_shards` and the shards are
-    submitted in scan order (high→low for ``backward``, low→high for
-    ``forward``); the retry round re-submits the pending shards in the
-    same order.  Each worker therefore sees monotone ceilings, which
-    is what lets backward workers retire clauses.
+    submitted high→low; the retry round re-submits the pending shards
+    in the same order.  Each worker therefore sees falling ceilings,
+    which is what lets it retire clauses.
     """
-    shards = make_shards(len(proof), jobs)
-    if order == "backward":
-        shards.reverse()
+    shards = make_shards(len(proof), jobs)[::-1]
     sink = _ObsSink(obs, builder, len(shards))
+    # The observability fields of every shard run, on the pool and in
+    # the degraded fallback alike.
+    tracer = obs.tracer if obs is not None else None
+    spec = dict(
+        obs_enabled=obs is not None,
+        obs_epoch=tracer.epoch if tracer is not None else None,
+        obs_epoch_wall=getattr(tracer, "epoch_wall", None),
+        obs_trace=getattr(tracer, "trace_id", None),
+        obs_run=obs.run_id if obs is not None else None,
+        depgraph_enabled=obs is not None and obs.wants_depgraph)
     requested = engine_name(engine_cls)
     method = select_backend(start_method)
     if method is None:
         sink.event("backend_selected", backend="sequential",
                    engine=requested, reason="no start method")
-        return _run_degraded(formula, proof, engine_cls, order, mode,
-                             shards, {}, 0,
+        return _run_degraded(formula, proof, engine_cls, mode, shards,
+                             {}, 0,
                              ["parallel backend unavailable: no process "
                               "start method on this platform; checked "
-                              "sequentially in process"], meter, sink)
+                              "sequentially in process"], meter, sink,
+                             spec)
     results: dict[tuple[int, int], ShardResult] = {}
     worker_failures = 0
     warnings: list[str] = []
     sink.event("backend_selected", backend=method, engine=requested)
-    tracer = obs.tracer if obs is not None else None
     # Inherited by forked workers, pickled once per spawned one.
     initargs = (dict(
-        formula=formula, proof=proof, engine_cls=engine_cls,
-        order=order, mode=mode, meter=meter, faults=dict(_FAULTS),
-        obs_enabled=obs is not None,
-        obs_epoch=tracer.epoch if tracer is not None else None,
-        obs_epoch_wall=(getattr(tracer, "epoch_wall", None)
-                        if tracer is not None else None),
-        obs_trace=(getattr(tracer, "trace_id", None)
-                   if tracer is not None else None),
-        obs_run=obs.run_id if obs is not None else None,
-        depgraph_enabled=(obs is not None and obs.wants_depgraph)),)
+        spec, formula=formula, proof=proof, engine_cls=engine_cls,
+        mode=mode, meter=meter, faults=dict(_FAULTS)),)
     context = get_context(method)
     for attempt in (0, 1):
         pending = [s for s in shards if s not in results]
@@ -582,7 +562,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                 and meter.remaining_time() <= 0:
             # Deadline elapsed while shards were still queued: report
             # exhaustion rather than silently dropping coverage.
-            run = _reduce(results, order, worker_failures, warnings)
+            run = _reduce(results, worker_failures, warnings)
             run.budget_reason = (run.budget_reason
                                  or "wall-clock budget exhausted before "
                                     f"{len(remaining)} shard(s) ran")
@@ -596,10 +576,10 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                      len(remaining),
                      help="Shards that fell back to in-process "
                           "sequential checking")
-        return _run_degraded(formula, proof, engine_cls, order, mode,
-                             remaining, results, worker_failures,
-                             warnings, meter, sink)
-    return _reduce(results, order, worker_failures, warnings)
+        return _run_degraded(formula, proof, engine_cls, mode, remaining,
+                             results, worker_failures, warnings, meter,
+                             sink, spec)
+    return _reduce(results, worker_failures, warnings)
 
 
 def _budget_hit(results: dict[tuple[int, int], ShardResult]) -> bool:
@@ -607,40 +587,23 @@ def _budget_hit(results: dict[tuple[int, int], ShardResult]) -> bool:
 
 
 def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
-                  engine_cls: type[PropagatorBase], order: str,
-                  mode: str, remaining: list[tuple[int, int]],
+                  engine_cls: type[PropagatorBase], mode: str,
+                  remaining: list[tuple[int, int]],
                   results: dict[tuple[int, int], ShardResult],
                   worker_failures: int, warnings: list[str],
-                  meter: BudgetMeter | None,
-                  sink: "_ObsSink | None" = None) -> ShardRunResult:
+                  meter: BudgetMeter | None, sink: _ObsSink,
+                  spec: dict) -> ShardRunResult:
     """In-process sequential fallback for shards the pool never
-    finished.  ``remaining`` is in scan order, so the reduced failure
-    index still matches a sequential run and a backward scan can
-    retire clauses as it goes."""
-    checker = ProofChecker(formula, proof, engine_cls, mode=mode,
-                           retire=(order == "backward"))
+    finished.  ``remaining`` is high→low, so the reduced failure index
+    still matches a sequential run and the checker can retire clauses
+    as it goes."""
+    checker = ProofChecker(formula, proof, engine_cls, mode=mode)
     if meter is not None:
         checker.meter = meter.rebase(checker.engine.counters)
-    instrument = sink is not None and sink.obs is not None
-    tracer = sink.obs.tracer if instrument else None
-    epoch = tracer.epoch if tracer is not None else None
-    epoch_wall = getattr(tracer, "epoch_wall", None) \
-        if tracer is not None else None
-    trace_id = getattr(tracer, "trace_id", None) \
-        if tracer is not None else None
-    run_id = sink.obs.run_id if instrument else None
-    depgraph = instrument and sink.obs.wants_depgraph
     for shard in remaining:
-        results[shard] = _run_shard(checker, shard, order,
-                                    instrument=instrument, epoch=epoch,
-                                    run_id=run_id, depgraph=depgraph,
-                                    epoch_wall=epoch_wall,
-                                    trace_id=trace_id,
-                                    # Degrade follows the failed pool
-                                    # attempts 0 and 1.
-                                    attempt=2)
-        if sink is not None:
-            sink.absorb(shard, results[shard])
+        # Degrade follows the failed pool attempts 0 and 1.
+        results[shard] = _run_shard(checker, shard, spec, attempt=2)
+        sink.absorb(shard, results[shard])
         if results[shard].budget_reason is not None:
             break
-    return _reduce(results, order, worker_failures, warnings)
+    return _reduce(results, worker_failures, warnings)

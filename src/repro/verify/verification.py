@@ -65,8 +65,6 @@ from repro.verify.report import (
     VerificationReport,
 )
 
-V1_ORDERS = ("backward", "forward")
-
 # The scan's stand-in for an instrumentation hook on the fast path.
 _NO_HOOK = nullcontext()
 
@@ -75,12 +73,6 @@ def _check_mode(mode: str) -> None:
     if mode not in CHECKER_MODES:
         raise ValueError(f"unknown checker mode {mode!r}; "
                          f"expected one of {CHECKER_MODES}")
-
-
-def _check_order(order: str) -> None:
-    if order not in V1_ORDERS:
-        raise ValueError(f"unknown order {order!r}; "
-                         f"expected one of {V1_ORDERS}")
 
 
 def _resolve_jobs(jobs: int, obs=None) -> int:
@@ -95,8 +87,8 @@ def _resolve_jobs(jobs: int, obs=None) -> int:
     return jobs
 
 
-def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
-                        order: str | None = None) -> type[PropagatorBase]:
+def _resolve_engine_cls(engine_cls, obs,
+                        mode: str | None = None) -> type[PropagatorBase]:
     """Resolve an engine (name, class, or None) to a class.
 
     Default engine: watched normally, counting under capture.  The
@@ -107,8 +99,8 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
     counting engine's occurrence lists are fixed at load time and its
     counters are restored on backtrack, which makes every rebuild-mode
     check a pure function of ``(F, F*, index)``: the captured
-    dependency graph is then identical for any check order or sharding
-    (the ``--jobs 1`` vs ``--jobs 4`` artifact-identity guarantee).
+    dependency graph is then identical for any sharding (the
+    ``--jobs 1`` vs ``--jobs 4`` artifact-identity guarantee).
     An explicit ``engine_cls`` — a :data:`repro.bcp.ENGINES` name
     (``"watched"``, ``"counting"``) or a
     :class:`~repro.bcp.engine.PropagatorBase` subclass — always wins
@@ -136,8 +128,7 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
         reason = "default: the paper's watched-literal engine"
     if obs is not None:
         obs.event("kernel_selected", requested=requested,
-                  engine=engine_name(resolved), mode=mode, order=order,
-                  reason=reason)
+                  engine=engine_name(resolved), mode=mode, reason=reason)
     return resolved
 
 
@@ -264,7 +255,6 @@ def _report(build: ReportBuilder, obs, proof: ConflictClauseProof,
 def verify_proof_v1(
         formula: CnfFormula, proof: ConflictClauseProof,
         engine_cls: type[PropagatorBase] | None = None,
-        order: str = "backward",
         mode: str = "incremental",
         jobs: int = 1,
         budget: CheckBudget | None = None,
@@ -273,13 +263,11 @@ def verify_proof_v1(
     """Proof_verification1: check the correctness of *every* clause of F*.
 
     Returns ``proof_is_not_correct`` pointing at the first questionable
-    clause (in processing order), else ``proof_is_correct``.
-
-    The paper notes that "the order in which clauses are checked does
-    not matter" when all of them are checked; ``order`` exposes both
-    directions (``"backward"``, the paper's default, or ``"forward"``)
-    — the verdict is order-independent, only the index of the first
-    failure reported can differ.
+    clause a backward scan meets (the highest failing index), else
+    ``proof_is_correct``.  The paper notes that "the order in which
+    clauses are checked does not matter" when all of them are checked;
+    the scan runs backward, as the paper's does, so the incremental
+    checker can retire the clauses behind it.
 
     ``jobs > 1`` shards the independent checks across worker processes;
     the verdict and the reported failure index match the sequential
@@ -296,14 +284,12 @@ def verify_proof_v1(
     partial progress instead of a verdict.  ``obs`` attaches the
     optional instrumentation layer (metrics, tracing, progress); when
     it carries a dependency-graph recorder and no explicit
-    ``engine_cls`` is given, the counting engine is selected so the
-    captured graph is independent of check order and sharding (see
-    :func:`_resolve_engine_cls`).
+    ``engine_cls`` is given, the counting engine is selected so that,
+    in rebuild mode, the captured graph is independent of sharding
+    (see :func:`_resolve_engine_cls`).
     """
-    _check_order(order)
     _check_mode(mode)
-    engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode,
-                                     order=order)
+    engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode)
     jobs = _resolve_jobs(jobs, obs)
     meter = budget.start() if budget is not None else None
     # A one-clause proof has nothing to shard.
@@ -318,21 +304,18 @@ def verify_proof_v1(
         from repro.verify.parallel import run_sharded_v1
 
         with build.phase("pool", procedure="verification1", mode=mode,
-                         order=order, jobs=jobs):
-            run = run_sharded_v1(formula, proof, engine_cls, order, mode,
-                                 jobs, meter, obs=obs, builder=build)
+                         jobs=jobs):
+            run = run_sharded_v1(formula, proof, engine_cls, mode, jobs,
+                                 meter, obs=obs, builder=build)
         return _report(build, obs, proof, run, run.counters,
                        worker_failures=run.worker_failures,
                        warnings=run.warnings)
-    with build.phase("setup", procedure="verification1", mode=mode,
-                     order=order):
-        # Retirement requires a monotone-decreasing ceiling (backward).
+    with build.phase("setup", procedure="verification1", mode=mode):
         checker = ProofChecker(formula, proof, engine_cls, mode=mode,
-                               retire=(order == "backward"), meter=meter)
-    indices = (range(len(proof) - 1, -1, -1) if order == "backward"
-               else range(len(proof)))
+                               meter=meter)
     with build.phase("checks"):
-        result = scan(checker, indices, records=_records(obs),
+        result = scan(checker, range(len(proof) - 1, -1, -1),
+                      records=_records(obs),
                       instrument=build if obs is not None else None)
     return _report(build, obs, proof, result,
                    checker.engine.counters.as_dict(), checker.root_stats)
@@ -364,8 +347,7 @@ def verify_proof_v2(
     provenance (see :func:`_resolve_engine_cls`).
     """
     _check_mode(mode)
-    engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode,
-                                     order="backward")
+    engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode)
     build = ReportBuilder(
         VerificationReport, obs=obs, total_checks=len(proof),
         procedure="verification2", num_proof_clauses=len(proof),
@@ -406,7 +388,6 @@ def verify_proof_v2(
 def verify_proof(formula: CnfFormula, proof: ConflictClauseProof,
                  procedure: str = "verification2",
                  engine_cls: type[PropagatorBase] | None = None,
-                 order: str = "backward",
                  mode: str = "incremental",
                  jobs: int = 1,
                  budget: CheckBudget | None = None,
@@ -415,20 +396,14 @@ def verify_proof(formula: CnfFormula, proof: ConflictClauseProof,
     """Verify a conflict clause proof (``verification2`` by default).
 
     The dispatcher forwards every option the selected procedure
-    understands: ``order`` and ``jobs`` apply to ``verification1`` only
-    (``verification2``'s marking pass is inherently backward and
-    sequential), ``mode``, ``engine_cls``, ``budget`` and ``obs`` to
-    both.
+    understands: ``jobs`` applies to ``verification1`` only
+    (``verification2``'s marking pass is sequential), ``mode``,
+    ``engine_cls``, ``budget`` and ``obs`` to both.
     """
     if procedure == "verification1":
-        return verify_proof_v1(formula, proof, engine_cls, order=order,
-                               mode=mode, jobs=jobs, budget=budget,
-                               obs=obs)
+        return verify_proof_v1(formula, proof, engine_cls, mode=mode,
+                               jobs=jobs, budget=budget, obs=obs)
     if procedure == "verification2":
-        if order != "backward":
-            raise ValueError(
-                "verification2 is inherently backward; "
-                f"order={order!r} is only valid with verification1")
         if jobs != 1:
             raise ValueError(
                 "verification2's marking pass is sequential; "

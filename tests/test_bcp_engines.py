@@ -411,5 +411,4 @@ class TestSelection:
         assert len(events) == 1
         assert events[0]["attrs"] == {
             "requested": "counting", "engine": "counting",
-            "mode": "incremental",
-            "order": "backward", "reason": "explicit request"}
+            "mode": "incremental", "reason": "explicit request"}

@@ -84,11 +84,10 @@ class TestCheckBudget:
 
 
 class TestBudgetedVerification:
-    @pytest.mark.parametrize("order", ["backward", "forward"])
     @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
-    def test_v1_props_budget(self, instance, order, mode):
+    def test_v1_props_budget(self, instance, mode):
         formula, proof, _ = instance
-        report = verify_proof_v1(formula, proof, order=order, mode=mode,
+        report = verify_proof_v1(formula, proof, mode=mode,
                                  budget=CheckBudget(max_props=1))
         assert report.outcome == RESOURCE_LIMIT_EXCEEDED
         assert report.exhausted and not report.ok

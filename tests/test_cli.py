@@ -226,7 +226,8 @@ class TestErrorHandling:
         bad.write_text("garbage !! not dimacs\n")
         code = main(["verify", str(bad), str(good_proof), "--jobs", "2"])
         assert code == EXIT_ERROR
-        assert "--order/--jobs require" in capsys.readouterr().err
+        assert "c error: --jobs requires --procedure verification1" \
+            in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, good_proof, capsys):
         code = main(["verify", "/nonexistent/f.cnf", str(good_proof)])

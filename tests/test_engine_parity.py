@@ -58,11 +58,10 @@ def _v2_identity(report):
 
 
 class TestWorkedExample:
-    @pytest.mark.parametrize("order", ["backward", "forward"])
     @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
-    def test_v1_identical_across_engines(self, order, mode):
+    def test_v1_identical_across_engines(self, mode):
         reports = [verify_proof_v1(PAPER_F, PAPER_PROOF, engine,
-                                   order=order, mode=mode)
+                                   mode=mode)
                    for engine in ENGINE_NAMES]
         assert all(r.ok for r in reports)
         assert len({_v1_identity(r) for r in reports}) == 1
@@ -138,9 +137,9 @@ class TestMutationSweep:
     must hold under every engine."""
 
     # One config per axis keeps 2 engines x ~15 mutations tractable.
-    CONFIGS = (("backward", "incremental", 1),
-               ("forward", "rebuild", 1),
-               ("backward", "incremental", 2))
+    CONFIGS = (("incremental", 1),
+               ("rebuild", 1),
+               ("incremental", 2))
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_expectations_hold(self, solved, engine):

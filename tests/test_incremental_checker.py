@@ -73,9 +73,7 @@ class TestVerification1Differential:
     def test_correct_proofs_agree(self, engine_cls, name, formula,
                                   proof):
         reports = [
-            verify_proof_v1(formula, proof, engine_cls,
-                            order=order, mode=mode)
-            for order in ("backward", "forward")
+            verify_proof_v1(formula, proof, engine_cls, mode=mode)
             for mode in ("rebuild", "incremental")
         ]
         reports.append(verify_proof_v1(formula, proof, engine_cls,
@@ -88,19 +86,16 @@ class TestVerification1Differential:
                                                      name, formula,
                                                      proof):
         _, bad = corrupt(proof)
-        per_order = {}
-        for order in ("backward", "forward"):
-            failed = {
-                verify_proof_v1(formula, bad, engine_cls, order=order,
-                                mode=mode).failed_clause_index
-                for mode in ("rebuild", "incremental")
-            }
-            failed.add(verify_proof_v1(
-                formula, bad, engine_cls, order=order,
-                mode="incremental", jobs=2).failed_clause_index)
-            assert len(failed) == 1, (name, order, failed)
-            per_order[order] = failed.pop()
-            assert per_order[order] is not None
+        failed = {
+            verify_proof_v1(formula, bad, engine_cls,
+                            mode=mode).failed_clause_index
+            for mode in ("rebuild", "incremental")
+        }
+        failed.add(verify_proof_v1(
+            formula, bad, engine_cls, mode="incremental",
+            jobs=2).failed_clause_index)
+        assert len(failed) == 1, (name, failed)
+        assert failed.pop() is not None
 
     def test_incremental_reduces_propagation_work(self, engine_cls):
         formula = pigeonhole(4)
@@ -169,30 +164,16 @@ class TestIncrementalCheckerInternals:
     def test_retire_rejects_rising_ceiling(self):
         formula = pigeonhole(3)
         proof = proof_of(formula)
-        checker = ProofChecker(formula, proof, mode="incremental",
-                               retire=True)
+        checker = ProofChecker(formula, proof, mode="incremental")
         checker.check_clause(len(proof) - 1)
         checker.reset()
         checker.check_clause(0)
         checker.reset()
-        with pytest.raises(ValueError, match="monotonically"):
+        stats = dict(checker.root_stats)
+        with pytest.raises(ValueError, match="monotonically.*rebuild"):
             checker.check_clause(len(proof) - 1)
-
-    def test_non_monotone_order_without_retire(self):
-        formula = pigeonhole(3)
-        proof = proof_of(formula)
-        checker = ProofChecker(formula, proof, mode="incremental",
-                               retire=False)
-        rebuild = ProofChecker(formula, proof, mode="rebuild")
-        # Zig-zag over the proof: lower, raise, lower again.
-        order = [len(proof) - 1, 0, len(proof) // 2, 1,
-                 len(proof) - 2, 0]
-        for index in order:
-            expected = rebuild.check_clause(index)
-            rebuild.reset()
-            outcome = checker.check_clause(index)
-            checker.reset()
-            assert outcome.conflict == expected.conflict, index
+        # Refused before the root moved.
+        assert checker.root_stats == stats
 
     def test_unknown_mode_rejected(self):
         formula = CnfFormula([[1], [-1]])
@@ -206,26 +187,11 @@ class TestIncrementalCheckerInternals:
 
 
 class TestDispatcherForwarding:
-    """verify_proof() must forward order/mode/jobs (it used to drop
-    ``order`` silently)."""
+    """verify_proof() must forward mode/jobs."""
 
     def setup_method(self):
         self.formula = pigeonhole(4)
-        self.index, self.bad = corrupt(proof_of(self.formula))
-
-    def test_order_is_forwarded(self):
-        backward = verify_proof(self.formula, self.bad,
-                                procedure="verification1",
-                                order="backward")
-        forward = verify_proof(self.formula, self.bad,
-                               procedure="verification1",
-                               order="forward")
-        # A forward scan stops at the corrupted clause itself; the
-        # backward scan first meets a later clause that depended on it.
-        assert forward.failed_clause_index == self.index
-        assert backward.failed_clause_index \
-            == verify_proof_v1(self.formula, self.bad,
-                               order="backward").failed_clause_index
+        _, self.bad = corrupt(proof_of(self.formula))
 
     def test_mode_and_jobs_are_forwarded(self):
         report = verify_proof(self.formula, self.bad,
@@ -234,13 +200,10 @@ class TestDispatcherForwarding:
         assert report.mode == "incremental"
         assert report.jobs == 2
         assert report.failed_clause_index \
-            == verify_proof_v1(self.formula, self.bad,
-                               order="backward").failed_clause_index
+            == verify_proof_v1(self.formula, self.bad).failed_clause_index
 
     def test_verification2_rejects_v1_only_options(self):
         proof = proof_of(self.formula)
-        with pytest.raises(ValueError, match="backward"):
-            verify_proof(self.formula, proof, order="forward")
         with pytest.raises(ValueError, match="sequential"):
             verify_proof(self.formula, proof, jobs=2)
 
@@ -272,19 +235,13 @@ class TestParallelBackend:
         assert parallel.bcp_counters["purged"] > 0
         assert (parallel.bcp_counters["watch_visits"]
                 <= 1.1 * sequential.bcp_counters["watch_visits"])
-        # Forward scans never retire, and still pass.
-        forward = verify_proof_v1(formula, proof, WatchedPropagator,
-                                  order="forward", mode="incremental",
-                                  jobs=2)
-        assert forward.ok
-        assert forward.num_checked == len(proof)
 
     def test_parallel_matches_sequential_on_failure(self):
         formula = pigeonhole(4)
         index, bad = corrupt(proof_of(formula))
-        sequential = verify_proof_v1(formula, bad, order="backward")
-        parallel = verify_proof_v1(formula, bad, order="backward",
-                                   mode="incremental", jobs=3)
+        sequential = verify_proof_v1(formula, bad)
+        parallel = verify_proof_v1(formula, bad, mode="incremental",
+                                   jobs=3)
         assert not sequential.ok and not parallel.ok
         assert parallel.failed_clause_index \
             == sequential.failed_clause_index

@@ -85,7 +85,7 @@ class TestMutatorProperties:
 class TestDifferential:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tiny_all_configurations(self, tiny, seed):
-        """Full config matrix (orders x modes x jobs 1/4) on the small
+        """Full config matrix (modes x jobs 1/4) on the small
         instance: no expectation violated, no crash, v1 configs agree."""
         formula, proof, drup = tiny
         summary = run_differential(formula, proof, drup=drup, seed=seed)
@@ -97,8 +97,7 @@ class TestDifferential:
         """A deletion-bearing trace on a real instance; the jobs axis is
         trimmed to keep the sweep fast on one CPU."""
         formula, proof, drup = php
-        configs = (("backward", "incremental", 1),
-                   ("forward", "rebuild", 1))
+        configs = (("incremental", 1), ("rebuild", 1))
         summary = run_differential(formula, proof, drup=drup, seed=3,
                                    v1_configs=configs)
         assert summary.ok, summary.problems
@@ -111,8 +110,7 @@ class TestDifferential:
         proof crossing the process pool is exercised too."""
         formula, proof, drup = php
         summary = run_differential(formula, proof, drup=None, seed=5,
-                                   v1_configs=(("backward",
-                                                "incremental", 4),))
+                                   v1_configs=(("incremental", 4),))
         assert summary.ok, summary.problems
 
 
@@ -141,5 +139,5 @@ class TestCheckerHardening:
             DrupEvent(ADD, (1, 0))
 
     def test_default_config_matrix_shape(self):
-        assert len(DEFAULT_V1_CONFIGS) == 8
-        assert {jobs for _, _, jobs in DEFAULT_V1_CONFIGS} == {1, 4}
+        assert len(DEFAULT_V1_CONFIGS) == 4
+        assert {jobs for _, jobs in DEFAULT_V1_CONFIGS} == {1, 4}

@@ -183,7 +183,7 @@ class TestDegradedPlatform:
         monkeypatch.setattr(parallel, "get_all_start_methods",
                             lambda: ["spawn"])
         run = run_sharded_v1(formula, proof, CountingPropagator,
-                             "backward", "incremental", 2)
+                             "incremental", 2)
         assert run.failed_index is None
         assert run.num_checked == len(proof)
         assert run.warnings == ()
@@ -199,7 +199,7 @@ class TestDegradedPlatform:
         monkeypatch.setattr(parallel, "get_all_start_methods",
                             lambda: [])
         run = run_sharded_v1(formula, proof, WatchedPropagator,
-                             "backward", "incremental", 4)
+                             "incremental", 4)
         assert run.failed_index is None
         assert run.num_checked == len(proof)
         assert any("parallel backend unavailable" in w
@@ -213,8 +213,7 @@ class TestDegradedPlatform:
                             lambda: ["fork"])
         with pytest.raises(ValueError, match="not available"):
             run_sharded_v1(formula, proof, WatchedPropagator,
-                           "backward", "incremental", 2,
-                           start_method="spawn")
+                           "incremental", 2, start_method="spawn")
 
 
 class TestParallelBudget:

@@ -171,42 +171,3 @@ class TestReportFields:
                             procedure="verification1").ok
         with pytest.raises(ValueError):
             verify_proof(tiny_unsat, proof, procedure="verification3")
-
-
-class TestCheckOrder:
-    """Paper §3: when every clause is checked, order does not matter."""
-
-    def test_forward_accepts_correct_proof(self, tiny_unsat):
-        proof = proof_of(tiny_unsat)
-        assert verify_proof_v1(tiny_unsat, proof, order="forward").ok
-
-    def test_orders_agree_on_random_formulas(self):
-        rng = random.Random(321)
-        agreements = 0
-        for _ in range(25):
-            formula = random_formula(rng, 8, 35)
-            result = solve(formula)
-            if not result.is_unsat:
-                continue
-            proof = ConflictClauseProof.from_log(result.log)
-            backward = verify_proof_v1(formula, proof)
-            forward = verify_proof_v1(formula, proof, order="forward")
-            assert backward.ok == forward.ok
-            agreements += 1
-        assert agreements > 3
-
-    def test_orders_agree_on_rejection(self):
-        formula = CnfFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
-        bogus = ConflictClauseProof([(3,), (1,), (-1,)],
-                                    ENDING_FINAL_PAIR)
-        backward = verify_proof_v1(formula, bogus)
-        forward = verify_proof_v1(formula, bogus, order="forward")
-        assert not backward.ok and not forward.ok
-        # Both point at the same bogus clause here (it is the only one).
-        assert backward.failed_clause_index == 0
-        assert forward.failed_clause_index == 0
-
-    def test_unknown_order_rejected(self, tiny_unsat):
-        with pytest.raises(ValueError):
-            verify_proof_v1(tiny_unsat, proof_of(tiny_unsat),
-                            order="shuffled")
