@@ -19,56 +19,26 @@ Quickstart::
     core = report.core                            # unsat core, for free
 """
 
-from repro.core import (
-    Clause,
-    CnfFormula,
-    DimacsParseError,
-    ProofFormatError,
-    ReproError,
-    ResolutionError,
-    format_dimacs,
-    parse_dimacs,
-    read_dimacs,
-    write_dimacs,
-)
-from repro.preprocess import (
-    PreprocessResult,
-    lift_model,
-    lift_proof,
-    preprocess,
-    solve_with_preprocessing,
-)
-from repro.proofs import (
-    ConflictClauseProof,
-    ProofLog,
-    ProofSizeComparison,
-    ProofStatistics,
-    ResolutionGraphProof,
-    analyze_log,
-    compare_proof_sizes,
-    read_proof,
-    write_proof,
-)
-from repro.solver import (
-    CdclSolver,
-    SolveResult,
-    SolverOptions,
-    dpll_solve,
-    solve,
-)
-from repro.verify import (
-    ReconstructionResult,
-    TrimResult,
-    UnsatCore,
-    VerificationReport,
-    extract_core,
-    reconstruct_resolution_graph,
-    trim_proof,
-    validate_core,
-    verify_proof,
-    verify_proof_v1,
-    verify_proof_v2,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("Clause", "CnfFormula", "DimacsParseError",
+              "ProofFormatError", "ReproError", "ResolutionError",
+              "format_dimacs", "parse_dimacs", "read_dimacs",
+              "write_dimacs"),
+    ".preprocess": ("PreprocessResult", "lift_model", "lift_proof",
+                    "preprocess", "solve_with_preprocessing"),
+    ".proofs": ("ConflictClauseProof", "ProofLog", "ProofSizeComparison",
+                "ProofStatistics", "ResolutionGraphProof", "analyze_log",
+                "compare_proof_sizes", "read_proof", "write_proof"),
+    ".solver": ("CdclSolver", "SolveResult", "SolverOptions",
+                "dpll_solve", "solve"),
+    ".verify": ("ReconstructionResult", "TrimResult", "UnsatCore",
+                "VerificationReport", "extract_core",
+                "reconstruct_resolution_graph", "trim_proof",
+                "validate_core", "verify_proof", "verify_proof_v1",
+                "verify_proof_v2"),
+})
 
 __version__ = "1.0.0"
 

@@ -14,6 +14,8 @@ lists are compacted in place during the scan.
 
 from __future__ import annotations
 
+from operator import length_hint
+
 from repro.bcp.engine import FALSE, TRUE, PropagatorBase
 
 
@@ -59,78 +61,83 @@ class WatchedPropagator(PropagatorBase):
         values = self.values
         clauses = self.clauses
         watches = self.watches
+        trail = self.trail
+        levels = self.levels
+        reasons = self.reasons
+        level = len(self.trail_lim)
+        qhead = self.qhead
         retire = self.retire_ceiling
-        counters = self.counters
+        # One comparison filters both: an entry at or above ``limit`` is
+        # retired (purged) or above the ceiling (kept but skipped).
+        limit = retire if ceiling is None or ceiling > retire else ceiling
+        trail_start = len(trail)
         visits = 0
-        body_visits = 0
-        assigns = 0
+        skipped = 0
         purged = 0
         try:
-            while self.qhead < len(self.trail):
-                enc = self.trail[self.qhead]
-                self.qhead += 1
-                false_lit = enc ^ 1
+            while qhead < len(trail):
+                false_lit = trail[qhead] ^ 1
+                qhead += 1
                 watchlist = watches[false_lit]
-                i = 0
+                # Counted per list: a conflict subtracts the entries it
+                # leaves unvisited, and clause visits are derived from
+                # visits, skips and purges in the ``finally``.
+                visits += len(watchlist)
                 j = 0
-                end = len(watchlist)
-                while i < end:
-                    cid = watchlist[i]
-                    i += 1
-                    visits += 1
-                    if cid >= retire:
-                        # Lazily purge the retired entry: do not copy it
-                        # back, so this list never re-visits it.
-                        purged += 1
+                entries = iter(watchlist)
+                for cid in entries:
+                    if cid >= limit:
+                        if cid >= retire:
+                            # Lazily purge the retired entry: do not copy
+                            # it back, so this list never re-visits it.
+                            purged += 1
+                        else:
+                            skipped += 1
+                            watchlist[j] = cid
+                            j += 1
                         continue
-                    if ceiling is not None and cid >= ceiling:
-                        watchlist[j] = cid
-                        j += 1
-                        continue
-                    body_visits += 1
                     clause = clauses[cid]
                     # Normalize: the false watch sits at position 1.
-                    if clause[0] == false_lit:
-                        clause[0] = clause[1]
-                        clause[1] = false_lit
                     first = clause[0]
+                    if first == false_lit:
+                        first = clause[1]
+                        clause[0] = first
+                        clause[1] = false_lit
                     if values[first] == TRUE:
                         watchlist[j] = cid
                         j += 1
                         continue
-                    moved = False
                     for k in range(2, len(clause)):
                         other = clause[k]
                         if values[other] != FALSE:
                             clause[1] = other
                             clause[k] = false_lit
                             watches[other].append(cid)
-                            moved = True
                             break
-                    if moved:
-                        continue
-                    # No replacement: the clause is unit or conflicting.
-                    watchlist[j] = cid
-                    j += 1
-                    if values[first] == FALSE:
-                        # Conflict: keep the rest of the watch list intact.
-                        while i < end:
-                            watchlist[j] = watchlist[i]
-                            j += 1
-                            i += 1
-                        del watchlist[j:]
-                        return cid
-                    assigns += 1
-                    self.values[first] = TRUE
-                    self.values[first ^ 1] = FALSE
-                    var = first >> 1
-                    self.levels[var] = len(self.trail_lim)
-                    self.reasons[var] = cid
-                    self.trail.append(first)
+                    else:
+                        # No replacement: the clause is unit or
+                        # conflicting.
+                        watchlist[j] = cid
+                        j += 1
+                        if values[first] == FALSE:
+                            # Conflict: keep the unvisited tail, closing
+                            # the gap the compaction left before it.
+                            unvisited = length_hint(entries)
+                            visits -= unvisited
+                            del watchlist[j:len(watchlist) - unvisited]
+                            return cid
+                        values[first] = TRUE
+                        values[first ^ 1] = FALSE
+                        var = first >> 1
+                        levels[var] = level
+                        reasons[var] = cid
+                        trail.append(first)
                 del watchlist[j:]
             return None
         finally:
+            self.qhead = qhead
+            counters = self.counters
             counters.watch_visits += visits
-            counters.clause_visits += body_visits
-            counters.assignments += assigns
+            counters.clause_visits += visits - skipped - purged
+            counters.assignments += len(trail) - trail_start
             counters.purged += purged

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from repro.core.dimacs import read_dimacs, write_dimacs
 from repro.core.exceptions import (
@@ -29,17 +30,17 @@ from repro.core.exceptions import (
     ProofFormatError,
     ReproError,
 )
-from repro.obs import Obs, run_summary, stats_footer
 from repro.obs.insight.history import (
     DEFAULT_HISTORY_DIR,
     default_history_dir,
 )
 from repro.proofs.conflict_clause import ConflictClauseProof
-from repro.proofs.sizes import compare_proof_sizes
 from repro.proofs.trace_format import read_proof, write_proof
-from repro.solver.cdcl import SolverOptions, solve
 from repro.verify.budget import CheckBudget
 from repro.verify.verification import verify_proof
+
+if TYPE_CHECKING:
+    from repro.obs import Obs
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -49,6 +50,24 @@ EXIT_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_PARSE_ERROR = 65   # sysexits.h EX_DATAERR: malformed input file
 EXIT_INTERRUPT = 130    # 128 + SIGINT
+
+
+# Each subcommand imports what only it needs, so a ``verify`` process
+# never loads the solver.  These two stay module attributes (tracing
+# hooks wrap them here) and import their implementation on first call.
+def solve(formula, options=None):
+    """:func:`repro.solver.cdcl.solve`, imported on first call."""
+    from repro.solver.cdcl import solve
+
+    return solve(formula, options)
+
+
+def compare_proof_sizes(log):
+    """:func:`repro.proofs.sizes.compare_proof_sizes`, imported on
+    first call."""
+    from repro.proofs.sizes import compare_proof_sizes
+
+    return compare_proof_sizes(log)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,8 +377,6 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
     live in it).  Any insight output flag attaches a dependency-graph
     recorder (the analytics are computed from its records).
     """
-    from repro.obs import DepGraphRecorder, MetricsRegistry, Tracer
-
     mem_profile = getattr(args, "mem_profile", False)
     wants_metrics = (args.trace_out is not None or args.stats
                      or mem_profile
@@ -382,6 +399,7 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
     # costs nothing on runs without a heartbeat, and it is what feeds
     # the live view's RSS columns, the timeline memory lane, and the
     # fingerprint's memory section.
+    from repro.obs import DepGraphRecorder, MetricsRegistry, Obs, Tracer
     from repro.obs.mem import MemProfiler, MemSampler
 
     return Obs(
@@ -407,6 +425,8 @@ def _write_trace(obs: Obs | None, args: argparse.Namespace, report,
     """
     if obs is None or args.trace_out is None:
         return
+    from repro.obs import run_summary
+
     obs.event("run_summary",
               **run_summary(obs, args.command, report, analytics))
     obs.tracer.write_jsonl(args.trace_out)
@@ -587,6 +607,8 @@ def _print_stats_footer(args: argparse.Namespace, report,
                         analytics=None) -> None:
     if not args.stats:
         return
+    from repro.obs import stats_footer
+
     stats = report.stats.as_dict() if report.stats is not None else None
     for line in stats_footer(stats, bcp_counters):
         print(line)
@@ -598,6 +620,8 @@ def _print_stats_footer(args: argparse.Namespace, report,
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.solver.cdcl import SolverOptions
+
     formula = read_dimacs(args.cnf)
     options = SolverOptions(
         learning=args.learning, heuristic=args.heuristic,

@@ -31,74 +31,36 @@ Instrumentation is strictly opt-in: every entry point takes
 package (see :mod:`repro.obs.context`).
 """
 
-from repro.obs.context import Obs
-from repro.obs.export import (
-    atomic_write_text,
-    collapsed_stack_text,
-    run_summary,
-    stats_footer,
-)
-from repro.obs.insight import (
-    DEPGRAPH_SCHEMA,
-    RUN_SCHEMA,
-    DepGraphRecorder,
-    HistoryStore,
-    ProofShapeAnalytics,
-    analyze_proof_shape,
-    check_regression,
-    compare_runs,
-    depgraph_deterministic_view,
-    fingerprint,
-    write_depgraph_dot,
-    write_depgraph_jsonl,
-)
-from repro.obs.live import (
-    LiveStatusWriter,
-    format_bytes,
-    format_top_table,
-    read_live_statuses,
-)
-from repro.obs.mem import (
-    MemProfiler,
-    MemSampler,
-    parse_proc_status,
-    read_rss,
-)
-from repro.obs.progress import ProgressReporter
-from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
-    DEFAULT_WORK_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.schema import (
-    CHECKPOINT_SCHEMA,
-    KNOWN_SCHEMAS,
-    LIVE_SCHEMA,
-    TRACE_SCHEMA,
-    deterministic_view,
-    validate_any,
-    validate_checkpoint,
-    validate_depgraph,
-    validate_live,
-    validate_trace,
-)
-from repro.obs.spans import (
-    Tracer,
-    make_run_id,
-    make_trace_id,
-    read_jsonl,
-    rebase_epoch,
-    worker_tracer,
-)
-from repro.obs.timeline import (
-    attribution_summary,
-    build_timeline,
-    render_timeline_html,
-    render_timeline_text,
-)
+from repro._lazy import lazy_exports
+
+# Bound eagerly: the history store runs at the end of every default
+# ``repro verify``, and tracing hooks patch these two on this package.
+from repro.obs.insight.history import HistoryStore, fingerprint
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".context": ("Obs",),
+    ".export": ("atomic_write_text", "collapsed_stack_text", "run_summary",
+                "stats_footer"),
+    ".insight": ("DEPGRAPH_SCHEMA", "RUN_SCHEMA", "DepGraphRecorder",
+                 "ProofShapeAnalytics", "analyze_proof_shape",
+                 "check_regression", "compare_runs",
+                 "depgraph_deterministic_view", "write_depgraph_dot",
+                 "write_depgraph_jsonl"),
+    ".live": ("LiveStatusWriter", "format_bytes", "format_top_table",
+              "read_live_statuses"),
+    ".mem": ("MemProfiler", "MemSampler", "parse_proc_status", "read_rss"),
+    ".progress": ("ProgressReporter",),
+    ".registry": ("DEFAULT_TIME_BUCKETS", "DEFAULT_WORK_BUCKETS", "Counter",
+                  "Gauge", "Histogram", "MetricsRegistry"),
+    ".schema": ("CHECKPOINT_SCHEMA", "KNOWN_SCHEMAS", "LIVE_SCHEMA",
+                "TRACE_SCHEMA", "deterministic_view", "validate_any",
+                "validate_checkpoint", "validate_depgraph",
+                "validate_live", "validate_trace"),
+    ".spans": ("Tracer", "make_run_id", "make_trace_id", "read_jsonl",
+               "rebase_epoch", "worker_tracer"),
+    ".timeline": ("attribution_summary", "build_timeline",
+                  "render_timeline_html", "render_timeline_text"),
+})
 
 __all__ = [
     "Obs",

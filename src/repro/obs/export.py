@@ -21,7 +21,6 @@ exhaustion) leaves either the previous artifact or a complete new one.
 from __future__ import annotations
 
 import os
-import pstats
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -92,6 +91,8 @@ def collapsed_stack_text(profile) -> str:
     standard approximation ``gprof2dot``-style tools use.  Weights are
     self-time microseconds; zero-weight frames are dropped.
     """
+    import pstats
+
     stats = (profile if isinstance(profile, pstats.Stats)
              else pstats.Stats(profile))
     table = stats.stats  # func -> (cc, nc, tt, ct, callers)

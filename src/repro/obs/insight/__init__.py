@@ -8,34 +8,21 @@ against recorded history (:mod:`~repro.obs.insight.history`), and
 where the time went (:mod:`~repro.obs.insight.profiling`).
 """
 
-from repro.obs.insight.analytics import (
-    ProofShapeAnalytics,
-    analytics_footer,
-    analyze_proof_shape,
-    estimated_resolutions,
-    is_local,
-)
-from repro.obs.insight.depgraph import (
-    DEPGRAPH_SCHEMA,
-    DepGraphRecorder,
-    depgraph_deterministic_view,
-    depgraph_records,
-    depgraph_to_dot,
-    read_depgraph_jsonl,
-    write_depgraph_dot,
-    write_depgraph_jsonl,
-)
-from repro.obs.insight.history import (
-    RUN_SCHEMA,
-    HistoryStore,
-    check_regression,
-    compare_runs,
-    fingerprint,
-    format_compare_table,
-    format_history,
-    load_fingerprint,
-)
-from repro.obs.insight.profiling import profile_session, write_profile
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytics": ("ProofShapeAnalytics", "analytics_footer",
+                   "analyze_proof_shape", "estimated_resolutions",
+                   "is_local"),
+    ".depgraph": ("DEPGRAPH_SCHEMA", "DepGraphRecorder",
+                  "depgraph_deterministic_view", "depgraph_records",
+                  "depgraph_to_dot", "read_depgraph_jsonl",
+                  "write_depgraph_dot", "write_depgraph_jsonl"),
+    ".history": ("RUN_SCHEMA", "HistoryStore", "check_regression",
+                 "compare_runs", "fingerprint", "format_compare_table",
+                 "format_history", "load_fingerprint"),
+    ".profiling": ("profile_session", "write_profile"),
+})
 
 __all__ = [
     "DEPGRAPH_SCHEMA",

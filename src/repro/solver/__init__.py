@@ -1,28 +1,17 @@
 """The proof-logging CDCL SAT solver and its reference DPLL oracle."""
 
-from repro.solver.cdcl import CdclSolver, SolverOptions, solve
-from repro.solver.dpll import dpll_solve
-from repro.solver.heuristics import BerkMinOrder, VsidsOrder
-from repro.solver.learning import (
-    Analysis,
-    FinalAnalysis,
-    analyze_1uip,
-    analyze_decision,
-    analyze_final,
-)
-from repro.solver.restarts import (
-    GeometricRestarts,
-    LubyRestarts,
-    NoRestarts,
-    luby,
-)
-from repro.solver.result import (
-    SAT,
-    UNKNOWN,
-    UNSAT,
-    SolveResult,
-    SolverStats,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cdcl": ("CdclSolver", "SolverOptions", "solve"),
+    ".dpll": ("dpll_solve",),
+    ".heuristics": ("BerkMinOrder", "VsidsOrder"),
+    ".learning": ("Analysis", "FinalAnalysis", "analyze_1uip",
+                  "analyze_decision", "analyze_final"),
+    ".restarts": ("GeometricRestarts", "LubyRestarts", "NoRestarts",
+                  "luby"),
+    ".result": ("SAT", "UNKNOWN", "UNSAT", "SolveResult", "SolverStats"),
+})
 
 __all__ = [
     "CdclSolver",

@@ -1,6 +1,7 @@
 """API surface tests: every advertised name exists and is importable."""
 
 import importlib
+import os
 
 import pytest
 
@@ -57,3 +58,63 @@ def test_public_callables_have_docstrings():
         if callable(obj) and not (obj.__doc__ or "").strip():
             undocumented.append(name)
     assert not undocumented, f"undocumented: {undocumented}"
+
+
+LAZY_PACKAGES = [
+    "repro",
+    "repro.proofs",
+    "repro.verify",
+    "repro.obs",
+    "repro.obs.insight",
+    "repro.solver",
+]
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+class TestLazyExports:
+    """Packages that import an exported name's submodule on first use."""
+
+    def test_dir_covers_all(self, package_name):
+        package = importlib.import_module(package_name)
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_unknown_name_raises(self, package_name):
+        package = importlib.import_module(package_name)
+        with pytest.raises(AttributeError, match=repr(package_name)):
+            package.no_such_export  # noqa: B018
+
+    def test_star_import_binds_all(self, package_name):
+        namespace = {}
+        exec(f"from {package_name} import *", namespace)
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            assert namespace[name] is getattr(package, name)
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; return its stdout."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_exported_function_wins_over_same_named_subpackage():
+    # ``repro.preprocess`` names the function, even when the subpackage
+    # of that name is loaded before the export is first read.
+    assert _fresh("import repro.preprocess.lifting, repro; "
+                  "from repro.preprocess.preprocessor import preprocess; "
+                  "print(repro.preprocess is preprocess)") == "True"
+
+
+def test_bare_import_loads_no_solver_or_verifier():
+    assert _fresh("import sys, repro; print(sorted(m for m in sys.modules "
+                  "if m.startswith(('repro.solver', 'repro.verify'))))") \
+        == "[]"

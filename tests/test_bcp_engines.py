@@ -350,6 +350,88 @@ class TestCounters:
         assert engine.counters.assignments == 0
 
 
+class TestWatchedScan:
+    def test_conflict_keeps_unvisited_tail(self):
+        engine = WatchedPropagator(4)
+        c0 = engine.add_clause(enc_clause([1, 2]), propagate_units=False)
+        c1 = engine.add_clause(enc_clause([1, 3]), propagate_units=False)
+        c2 = engine.add_clause(enc_clause([1, 4]), propagate_units=False)
+        c3 = engine.add_clause(enc_clause([1, 2, 3]),
+                               propagate_units=False)
+        engine.retire_above(c3)
+        # Put the retired entry first, so it is purged before the
+        # conflict and the tail must close the gap it leaves.
+        engine.watches[encode(1)][:] = [c3, c0, c1, c2]
+        engine.new_level()
+        engine.enqueue(encode(-1), None)
+        engine.enqueue(encode(-2), None)
+        before = engine.counters.as_dict()
+        assert engine.propagate() == c0
+        assert engine.watches[encode(1)] == [c0, c1, c2]
+        assert engine.clauses[c0] == enc_clause([2, 1])
+        assert engine.qhead == 1
+        after = engine.counters.as_dict()
+        assert {key: after[key] - before[key] for key in after} == {
+            "assignments": 0, "watch_visits": 2, "clause_visits": 1,
+            "purged": 1, "detach_misses": 0}
+
+    def test_ceiling_skip_is_a_visit_but_not_a_clause_visit(self):
+        engine = WatchedPropagator(3)
+        engine.add_clause(enc_clause([1, 2]), propagate_units=False)
+        above = engine.add_clause(enc_clause([1, 3]),
+                                  propagate_units=False)
+        engine.new_level()
+        engine.enqueue(encode(-1), None)
+        assert engine.propagate(ceiling=above) is None
+        assert engine.value(encode(2)) == TRUE
+        assert engine.value(encode(3)) == UNDEF
+        assert engine.watches[encode(1)] == [0, above]
+        assert engine.counters.watch_visits == 2
+        assert engine.counters.clause_visits == 1
+
+
+class TestWatchedWorkPinned:
+    """The exact BCP work of verifying two solver proofs.
+
+    These counters are what ``--max-props`` budgets charge and what the
+    e2e benchmark reports, so a kernel change must leave them alone: a
+    different count means a different visit order or watch list, not
+    only a different speed.  Rebuild mode covers the per-call ceiling
+    (skipped entries are watch visits but not clause visits).
+    """
+
+    PINNED = {
+        ("php6", "incremental"): (773, 133, dict(
+            assignments=23655, watch_visits=199530, clause_visits=197958,
+            purged=1572, detach_misses=0)),
+        ("php6", "rebuild"): (773, 133, dict(
+            assignments=23714, watch_visits=474572, clause_visits=197962,
+            purged=0, detach_misses=0)),
+        ("barrel5", "incremental"): (860, 664, dict(
+            assignments=33899, watch_visits=121055, clause_visits=119057,
+            purged=1998, detach_misses=0)),
+        ("barrel5", "rebuild"): (860, 664, dict(
+            assignments=50424, watch_visits=232932, clause_visits=135304,
+            purged=0, detach_misses=0)),
+    }
+
+    @pytest.mark.parametrize("name,mode", sorted(PINNED))
+    def test_verify_counters(self, name, mode):
+        from repro.benchgen.registry import build_instance
+        from repro.proofs.conflict_clause import ConflictClauseProof
+        from repro.solver.cdcl import solve
+        from repro.verify.verification import verify_proof
+
+        checked, core, counters = self.PINNED[name, mode]
+        formula = build_instance(name)
+        proof = ConflictClauseProof.from_log(solve(formula).log)
+        report = verify_proof(formula, proof, mode=mode)
+        assert report.ok and report.engine == "watched"
+        assert report.bcp_counters == counters
+        assert report.num_checked == checked
+        assert report.core.size == core
+
+
 @pytest.mark.parametrize("engine_cls", ENGINES)
 class TestAssignmentView:
     def test_assignment_mapping(self, engine_cls):

@@ -478,6 +478,31 @@ class TestProcessLevel:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_verify_loads_only_the_verify_path(self, tmp_path):
+        from repro.benchgen.registry import pigeonhole
+
+        cnf, proof = tmp_path / "php.cnf", tmp_path / "php.ccp"
+        write_dimacs(pigeonhole(4), cnf)
+        assert main(["solve", str(cnf), "--proof", str(proof)]) \
+            == EXIT_UNSAT
+        unused = ["repro.solver", "repro.preprocess", "repro.proofs.sizes",
+                  "repro.proofs.resolution", "repro.obs.timeline",
+                  "repro.obs.live", "repro.obs.mem",
+                  "repro.obs.insight.analytics",
+                  "repro.obs.insight.depgraph",
+                  "repro.obs.insight.profiling", "repro.verify.streaming",
+                  "repro.verify.parallel", "pstats"]
+        result = _run_cli_process(
+            "verify", str(cnf), str(proof),
+            "--history-dir", str(tmp_path / "history"),
+            code="import sys; from repro.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 f"print([m for m in {unused!r} if m in sys.modules]); "
+                 "raise SystemExit(code)")
+        assert result.returncode == 0, result.stderr
+        assert "s PROOF_IS_CORRECT" in result.stdout
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_engine_choices(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
