@@ -35,6 +35,11 @@ class CountingPropagator(PropagatorBase):
 
     def __init__(self, num_vars: int = 0):
         self.occurrences: list[list[int]] = [[], []]
+        # Per-literal occurrence lists of promoted clauses, allocated by
+        # the first promote(); a clause's entries sit in exactly one
+        # tier.  The counters are kept over both tiers, so only the scan
+        # for unit and empty clauses is tiered.
+        self.core_occurrences: list[list[int]] = []
         self.n_false: list[int] = []
         self.n_true: list[int] = []
         super().__init__(num_vars)
@@ -42,6 +47,9 @@ class CountingPropagator(PropagatorBase):
     def _on_new_var(self) -> None:
         self.occurrences.append([])
         self.occurrences.append([])
+        if self.tiered:
+            self.core_occurrences.append([])
+            self.core_occurrences.append([])
 
     def _attach(self, cid: int) -> None:
         values = self.values
@@ -64,6 +72,20 @@ class CountingPropagator(PropagatorBase):
         raise NotImplementedError(
             "CountingPropagator does not support clause removal")
 
+    def promote(self, cids) -> None:
+        if not self.tiered:
+            self.core_occurrences = [[] for _ in self.occurrences]
+            self.tiered = True
+        occurrences = self.occurrences
+        core = self.core_occurrences
+        retire = self.retire_ceiling
+        for cid in cids:
+            if cid >= retire:
+                continue
+            for enc in self.clauses[cid]:
+                occurrences[enc].remove(cid)
+                core[enc].append(cid)
+
     def _purge_retired(self, occs: list[int]) -> None:
         """Drop retired cids from an occurrence list in place."""
         retire = self.retire_ceiling
@@ -83,27 +105,29 @@ class CountingPropagator(PropagatorBase):
         if current == FALSE:
             return False
         super().enqueue(enc, reason)
-        retire = self.retire_ceiling
-        n_true = self.n_true
-        n_false = self.n_false
-        for cid in self.occurrences[enc]:
-            if cid < retire:
-                n_true[cid] += 1
-        for cid in self.occurrences[enc ^ 1]:
-            if cid < retire:
-                n_false[cid] += 1
+        self._count(enc, 1)
         return True
 
-    def _on_unassign(self, enc: int, pos: int) -> None:
+    def _count(self, enc: int, delta: int) -> None:
+        """Add ``delta`` to the counters of the live clauses of both
+        tiers that ``enc`` satisfies or falsifies."""
         retire = self.retire_ceiling
         n_true = self.n_true
         n_false = self.n_false
-        for cid in self.occurrences[enc]:
-            if cid < retire:
-                n_true[cid] -= 1
-        for cid in self.occurrences[enc ^ 1]:
-            if cid < retire:
-                n_false[cid] -= 1
+        tiers = (self.occurrences, self.core_occurrences) if self.tiered \
+            else (self.occurrences,)
+        for occurrences in tiers:
+            for cid in occurrences[enc]:
+                if cid < retire:
+                    n_true[cid] += delta
+            for cid in occurrences[enc ^ 1]:
+                if cid < retire:
+                    n_false[cid] += delta
+
+    def _undo(self, start: int) -> None:
+        for enc in self.trail[start:]:
+            self._count(enc, -1)
+        super()._undo(start)
 
     def propagate(self, ceiling: int | None = None) -> int | None:
         standing = self._standing_conflict(ceiling)
@@ -115,15 +139,28 @@ class CountingPropagator(PropagatorBase):
         n_true = self.n_true
         retire = self.retire_ceiling
         counters = self.counters
+        trail = self.trail
+        # Tiered as in the watched engine: the core head restarts at
+        # ``qhead``, and each step scans the next core-tier literal's
+        # list before the next rest-tier literal's.
+        core_head = self.qhead
+        tiered = self.tiered
         visits = 0
         body_visits = 0
         try:
-            while self.qhead < len(self.trail):
-                enc = self.trail[self.qhead]
-                self.qhead += 1
+            while True:
+                if tiered and core_head < len(trail):
+                    enc = trail[core_head]
+                    core_head += 1
+                    occs = self.core_occurrences[enc ^ 1]
+                elif self.qhead < len(trail):
+                    enc = trail[self.qhead]
+                    self.qhead += 1
+                    occs = self.occurrences[enc ^ 1]
+                else:
+                    return None
                 # Clauses containing ¬enc just lost a literal; find the
                 # ones that became unit or empty.
-                occs = self.occurrences[enc ^ 1]
                 if retire != NO_CEILING:
                     self._purge_retired(occs)
                 for cid in occs:
@@ -142,7 +179,6 @@ class CountingPropagator(PropagatorBase):
                             if values[lit] == UNDEF:
                                 self.enqueue(lit, cid)
                                 break
-            return None
         finally:
             counters.watch_visits += visits
             counters.clause_visits += body_visits

@@ -17,6 +17,10 @@ Conventions
   how the verifier checks proof clause *i* against only the clauses deduced
   before it without rebuilding the engine (Section 3: BCP over
   ``F ∪ F*``-prefix).
+* :meth:`PropagatorBase.promote` moves clauses into a second, *core*
+  tier that propagate() scans to fixpoint before each step through the
+  rest; ``qhead`` is the rest tier's head, so every trail literal before
+  it is processed in both tiers.
 """
 
 from __future__ import annotations
@@ -102,6 +106,9 @@ class PropagatorBase:
         # they neither propagate nor conflict, and their watch/occurrence
         # entries are lazily purged as the lists are scanned.
         self.retire_ceiling: int = NO_CEILING
+        # False until the first promote(): propagate() then keeps the
+        # single-tier visit order (and counters) of an unmarked engine.
+        self.tiered = False
         self.counters = PropagationCounters()
         self.ensure_vars(num_vars)
 
@@ -185,6 +192,25 @@ class PropagatorBase:
         if ceiling < self.retire_ceiling:
             self.retire_ceiling = ceiling
 
+    def promote(self, cids) -> None:
+        """Move clauses ``cids`` into the core tier.
+
+        Verification2 promotes each clause the moment conflict analysis
+        first marks it.  From the first promotion on, propagate() runs
+        the core tier to fixpoint before each step through the unmarked
+        tier, so conflicts are found over already-marked clauses where
+        possible (DRAT-trim's core-first propagation).  Either tier
+        order reaches the same fixpoint, and a conflict exists in one
+        order exactly when it exists in the other.
+
+        Marks only grow, so each clause is promoted at most once.
+        Retired clauses are skipped: they are out of play, and
+        retirement may already have purged their entries.  Promoted
+        clauses cannot be removed (only the solver removes clauses, and
+        it never promotes).
+        """
+        raise NotImplementedError
+
     def _attach(self, cid: int) -> None:
         """Subclass hook: register the clause with the propagation index."""
         raise NotImplementedError
@@ -247,16 +273,7 @@ class PropagatorBase:
         if level >= len(self.trail_lim):
             return
         limit = self.trail_lim[level]
-        values = self.values
-        for pos in range(len(self.trail) - 1, limit - 1, -1):
-            enc = self.trail[pos]
-            values[enc] = UNDEF
-            values[enc ^ 1] = UNDEF
-            var = enc >> 1
-            self.levels[var] = -1
-            self.reasons[var] = None
-            self._on_unassign(enc, pos)
-        del self.trail[limit:]
+        self._undo(limit)
         del self.trail_lim[level:]
         self.qhead = limit
 
@@ -274,24 +291,27 @@ class PropagatorBase:
             raise ValueError(
                 f"unwind_to({pos}) would cross the decision-level "
                 f"boundary at {self.trail_lim[-1]}; use backtrack()")
+        self._undo(pos)
+        self.qhead = min(self.qhead, pos)
+
+    def _undo(self, start: int) -> None:
+        """Unassign ``trail[start:]`` and cut the trail there.
+
+        The one undo loop behind :meth:`backtrack` and :meth:`unwind_to`;
+        an engine with per-assignment state (counting's counters)
+        overrides it, restores that state, and then calls this.
+        """
+        trail = self.trail
         values = self.values
-        for p in range(len(self.trail) - 1, pos - 1, -1):
-            enc = self.trail[p]
+        levels = self.levels
+        reasons = self.reasons
+        for enc in trail[start:]:
             values[enc] = UNDEF
             values[enc ^ 1] = UNDEF
             var = enc >> 1
-            self.levels[var] = -1
-            self.reasons[var] = None
-            self._on_unassign(enc, p)
-        del self.trail[pos:]
-        self.qhead = min(self.qhead, pos)
-
-    def _on_unassign(self, enc: int, pos: int) -> None:
-        """Subclass hook: undo per-assignment state (counters).
-
-        ``pos`` is the trail position; hooks can compare it against
-        ``qhead`` to tell whether the assignment was ever dequeued.
-        """
+            levels[var] = -1
+            reasons[var] = None
+        del trail[start:]
 
     def propagate(self, ceiling: int | None = None) -> int | None:
         """Run BCP to fixpoint; return the conflicting clause id, if any.

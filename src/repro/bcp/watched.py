@@ -24,11 +24,17 @@ class WatchedPropagator(PropagatorBase):
 
     def __init__(self, num_vars: int = 0):
         self.watches: list[list[int]] = [[], []]
+        # Per-literal watch lists of promoted clauses, allocated by the
+        # first promote(); a clause's watches sit in exactly one tier.
+        self.core_watches: list[list[int]] = []
         super().__init__(num_vars)
 
     def _on_new_var(self) -> None:
         self.watches.append([])
         self.watches.append([])
+        if self.tiered:
+            self.core_watches.append([])
+            self.core_watches.append([])
 
     def _attach(self, cid: int) -> None:
         lits = self.clauses[cid]
@@ -54,6 +60,22 @@ class WatchedPropagator(PropagatorBase):
                 # the instrumentation.
                 self.counters.detach_misses += 1
 
+    def promote(self, cids) -> None:
+        if not self.tiered:
+            self.core_watches = [[] for _ in self.watches]
+            self.tiered = True
+        clauses = self.clauses
+        watches = self.watches
+        core = self.core_watches
+        retire = self.retire_ceiling
+        for cid in cids:
+            lits = clauses[cid]
+            if cid >= retire or len(lits) < 2:
+                continue
+            for enc in (lits[0], lits[1]):
+                watches[enc].remove(cid)
+                core[enc].append(cid)
+
     def propagate(self, ceiling: int | None = None) -> int | None:
         standing = self._standing_conflict(ceiling)
         if standing is not None:
@@ -66,6 +88,11 @@ class WatchedPropagator(PropagatorBase):
         reasons = self.reasons
         level = len(self.trail_lim)
         qhead = self.qhead
+        # The core tier's head restarts at the rest tier's: everything
+        # before ``qhead`` is processed in both tiers.
+        core_head = qhead
+        core = self.core_watches
+        tiered = self.tiered
         retire = self.retire_ceiling
         # One comparison filters both: an entry at or above ``limit`` is
         # retired (purged) or above the ceiling (kept but skipped).
@@ -75,10 +102,21 @@ class WatchedPropagator(PropagatorBase):
         skipped = 0
         purged = 0
         try:
-            while qhead < len(trail):
-                false_lit = trail[qhead] ^ 1
-                qhead += 1
-                watchlist = watches[false_lit]
+            while True:
+                # Each step scans one literal's list: the next core-tier
+                # literal's while there is one, else the next rest-tier
+                # literal's, else the fixpoint of both tiers is reached.
+                if tiered and core_head < len(trail):
+                    false_lit = trail[core_head] ^ 1
+                    core_head += 1
+                    tier = core
+                elif qhead < len(trail):
+                    false_lit = trail[qhead] ^ 1
+                    qhead += 1
+                    tier = watches
+                else:
+                    return None
+                watchlist = tier[false_lit]
                 # Counted per list: a conflict subtracts the entries it
                 # leaves unvisited, and clause visits are derived from
                 # visits, skips and purges in the ``finally``.
@@ -112,7 +150,7 @@ class WatchedPropagator(PropagatorBase):
                         if values[other] != FALSE:
                             clause[1] = other
                             clause[k] = false_lit
-                            watches[other].append(cid)
+                            tier[other].append(cid)
                             break
                     else:
                         # No replacement: the clause is unit or
@@ -133,7 +171,6 @@ class WatchedPropagator(PropagatorBase):
                         reasons[var] = cid
                         trail.append(first)
                 del watchlist[j:]
-            return None
         finally:
             self.qhead = qhead
             counters = self.counters

@@ -27,7 +27,11 @@ permanently reorders its watch lists as checks run, and
 may report a different — equally valid — conflict depending on
 scheduling, the same caveat the metrics layer documents for its
 scheduling-dependent counters.  So an artifact is identical across
-``--jobs`` only under ``--mode rebuild``.)
+``--jobs`` only under ``--mode rebuild``.  verification2's supports
+depend on the marks of the checks before by design — marked clauses
+join the engine's core tier, which both engines propagate first — so a
+verification2 capture is reproducible for the same input but need not
+match verification1's supports.)
 
 Artifact (schema ``repro.obs.depgraph/v1``): JSONL, a header line
 followed by one record per checked clause, ascending check index::

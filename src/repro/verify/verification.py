@@ -96,11 +96,14 @@ def _resolve_engine_cls(engine_cls, obs,
     literals inside each clause) as checks run, so the conflicting
     clause a check reports — and hence its conflict-analysis support —
     depends on which checks ran earlier in the same engine.  The
-    counting engine's occurrence lists are fixed at load time and its
+    counting engine's occurrence lists keep their order and its
     counters are restored on backtrack, which makes every rebuild-mode
-    check a pure function of ``(F, F*, index)``: the captured
-    dependency graph is then identical for any sharding (the
+    verification1 check a pure function of ``(F, F*, index)``: the
+    captured dependency graph is then identical for any sharding (the
     ``--jobs 1`` vs ``--jobs 4`` artifact-identity guarantee).
+    verification2's supports also depend on the marks of the checks
+    before, by design: marked clauses join the core tier, which both
+    engines propagate first.
     An explicit ``engine_cls`` — a :data:`repro.bcp.ENGINES` name
     (``"watched"``, ``"counting"``) or a
     :class:`~repro.bcp.engine.PropagatorBase` subclass — always wins
@@ -120,8 +123,9 @@ def _resolve_engine_cls(engine_cls, obs,
 
         requested = "default(depgraph)"
         resolved = CountingPropagator
-        reason = ("depgraph capture: counting's fixed occurrence "
-                  "lists make provenance order-independent")
+        reason = ("depgraph capture: counting's rebuild checks are "
+                  "history-free, so verification1 provenance does "
+                  "not depend on sharding")
     else:
         requested = "default"
         resolved = WatchedPropagator
@@ -157,7 +161,8 @@ def scan(checker: ProofChecker, indices, marked: set[int] | None = None,
 
     With a ``marked`` set of clause ids (verification2) the scan skips
     every clause not in it and adds each conflict's responsible clauses
-    to it, so marks only grow as a backward scan goes.  ``records``
+    to it, so marks only grow as a backward scan goes; newly marked
+    clauses are promoted into the engine's core tier.  ``records``
     receives one dependency-graph record per conflict.  ``instrument``
     is the :class:`ReportBuilder` that times each check and marking
     walk; None is the fast path.
@@ -194,7 +199,11 @@ def scan(checker: ProofChecker, indices, marked: set[int] | None = None,
                 responsible = collect_responsible(engine,
                                                   outcome.confl_cid)
             if marked is not None:
-                marked.update(responsible)
+                # Later checks then find their conflicts over marked
+                # clauses first, and so mark fewer new ones.
+                fresh = responsible - marked
+                marked |= fresh
+                engine.promote(fresh)
             if records is not None:
                 records.append({
                     "type": "check", "index": index, "cid": cid,

@@ -100,7 +100,7 @@ class TestCore:
 
         cnf, proof_path = tmp_path / "r.cnf", tmp_path / "r.ccp"
         core_path = tmp_path / "core.cnf"
-        write_dimacs(random_ksat(20, 92, seed=4), cnf)
+        write_dimacs(random_ksat(20, 92, seed=19), cnf)
         assert main(["solve", str(cnf), "--proof",
                      str(proof_path)]) == EXIT_UNSAT
         formula, proof = read_dimacs(cnf), read_proof(proof_path)
