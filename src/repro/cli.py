@@ -30,10 +30,6 @@ from repro.core.exceptions import (
     ProofFormatError,
     ReproError,
 )
-from repro.obs.insight.history import (
-    DEFAULT_HISTORY_DIR,
-    default_history_dir,
-)
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.trace_format import read_proof, write_proof
 from repro.verify.budget import CheckBudget
@@ -179,30 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(stream_cmd)
 
     obs_cmd = sub.add_parser(
-        "obs", help="inspect run history, timelines, and live runs; "
-                    "detect regressions")
+        "obs", help="inspect trace timelines and live runs")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-
-    history_cmd = obs_sub.add_parser(
-        "history", help="list recorded run fingerprints")
-    history_cmd.add_argument("--history-dir", metavar="DIR",
-                             default=default_history_dir())
-    history_cmd.add_argument("--limit", type=int, default=20,
-                             metavar="N",
-                             help="show at most the N newest runs "
-                                  "(default 20)")
-    history_sub = history_cmd.add_subparsers(dest="history_command",
-                                             required=False)
-    prune_cmd = history_sub.add_parser(
-        "prune", help="drop all but the newest N fingerprints "
-                      "(atomic rewrite)")
-    prune_cmd.add_argument("--keep", type=int, required=True,
-                           metavar="N",
-                           help="fingerprints to keep (newest first)")
-    # SUPPRESS so a --history-dir given before 'prune' survives the
-    # subparser's defaults pass.
-    prune_cmd.add_argument("--history-dir", metavar="DIR",
-                           default=argparse.SUPPRESS)
 
     timeline_cmd = obs_sub.add_parser(
         "timeline",
@@ -239,53 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="mark a run stale after this long "
                               "without a heartbeat (default 30)")
 
-    compare_cmd = obs_sub.add_parser(
-        "compare", help="per-metric delta table between two runs")
-    compare_cmd.add_argument("a", help="baseline run: history index "
-                                       "(e.g. -2) or run-id prefix")
-    compare_cmd.add_argument("b", help="candidate run: history index "
-                                       "(e.g. -1) or run-id prefix")
-    compare_cmd.add_argument("--history-dir", metavar="DIR",
-                             default=default_history_dir())
-
-    regress_cmd = obs_sub.add_parser(
-        "check-regression",
-        help="compare a run against a baseline; exit 3 past thresholds")
-    regress_cmd.add_argument("--baseline", required=True,
-                             metavar="FILE|SELECTOR",
-                             help="baseline fingerprint: a JSON file "
-                                  "(committed baseline) or a history "
-                                  "selector")
-    regress_cmd.add_argument("--current", default="-1",
-                             metavar="SELECTOR",
-                             help="run under test (default: the newest "
-                                  "history entry)")
-    regress_cmd.add_argument("--history-dir", metavar="DIR",
-                             default=default_history_dir())
-    regress_cmd.add_argument("--max-wall-pct", type=float, default=None,
-                             metavar="PCT",
-                             help="fail when wall time grew more than "
-                                  "PCT%% over the baseline")
-    regress_cmd.add_argument("--max-props-drop-pct", type=float,
-                             default=None, metavar="PCT",
-                             help="fail when props/s throughput dropped "
-                                  "more than PCT%%")
-    regress_cmd.add_argument("--max-phase-pct", type=float, default=None,
-                             metavar="PCT",
-                             help="fail when any phase time grew more "
-                                  "than PCT%%")
-    regress_cmd.add_argument("--min-utilization", type=float,
-                             default=None, metavar="PCT",
-                             help="fail when the current run's "
-                                  "recorded worker utilization is "
-                                  "below PCT%% (parallel runs with an "
-                                  "attribution section)")
-    regress_cmd.add_argument("--max-peak-rss-growth", type=float,
-                             default=None, metavar="PCT",
-                             help="fail when measured peak RSS grew "
-                                  "more than PCT%% over the baseline "
-                                  "(runs whose fingerprints carry a "
-                                  "memory section)")
     return parser
 
 
@@ -327,15 +254,6 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                        help="wrap the run in cProfile; writes PATH "
                             "(pstats), PATH.folded (flamegraph "
                             "collapsed stacks) and PATH.phases.json")
-    group.add_argument("--history-dir", metavar="DIR",
-                       default=default_history_dir(),
-                       help="run-history store directory (default: "
-                            f"$REPRO_HISTORY_DIR or "
-                            f"{DEFAULT_HISTORY_DIR}; see 'repro obs "
-                            "history')")
-    group.add_argument("--no-history", action="store_true",
-                       help="do not append this run's fingerprint to "
-                            "the history store")
     group.add_argument("--live-dir", metavar="DIR",
                        default=os.environ.get("REPRO_LIVE_DIR"),
                        help="write a live status file here on every "
@@ -350,7 +268,7 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                        help="attribute allocation peaks to phases "
                             "with tracemalloc (expensive — adds a "
                             "tracemalloc section to the trace's "
-                            "run_summary and the history fingerprint)")
+                            "run_summary)")
     if insight:
         group.add_argument("--depgraph-out", metavar="PATH",
                            default=None,
@@ -370,6 +288,7 @@ def _wants_insight(args: argparse.Namespace) -> bool:
 def _obs_from(args: argparse.Namespace) -> Obs | None:
     """Build the instrumentation bundle the flags ask for (or None).
 
+    A tracer comes only with ``--trace-out``, whatever ``--jobs`` says.
     A metrics registry comes only with ``--trace-out`` (the trace's
     ``run_summary`` carries its snapshot), ``--stats`` (the footer's
     props and slowest-check lines come from the instrumented per-check
@@ -382,29 +301,22 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
                      or mem_profile
                      or getattr(args, "mem_sample_period", None)
                      is not None)
-    # Parallel runs that will record history also get a tracer: its
-    # shard-granularity spans are what the history ``attribution``
-    # section (utilization / skew gating) is computed from, at a cost
-    # of a few events per shard — nothing on the per-check hot path.
-    wants_trace = (args.trace_out is not None
-                   or ((getattr(args, "jobs", 1) or 1) > 1
-                       and not getattr(args, "no_history", True)))
     wants_depgraph = _wants_insight(args)
     live_dir = getattr(args, "live_dir", None)
-    if not (wants_metrics or wants_trace or args.progress
-            or wants_depgraph or live_dir is not None):
+    if not (wants_metrics or args.progress or wants_depgraph
+            or live_dir is not None):
         return None
     # Any instrumented run gets the RSS sampler: it only fires on
     # progress beats (or its own --mem-sample-period thread), so it
     # costs nothing on runs without a heartbeat, and it is what feeds
     # the live view's RSS columns, the timeline memory lane, and the
-    # fingerprint's memory section.
+    # trace's run_summary memory section.
     from repro.obs import DepGraphRecorder, MetricsRegistry, Obs, Tracer
     from repro.obs.mem import MemProfiler, MemSampler
 
     return Obs(
         metrics=MetricsRegistry() if wants_metrics else None,
-        tracer=Tracer() if wants_trace else None,
+        tracer=Tracer() if args.trace_out is not None else None,
         progress_stream=sys.stderr if args.progress else None,
         depgraph=DepGraphRecorder() if wants_depgraph else None,
         live_dir=live_dir,
@@ -438,10 +350,9 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
     """Write --depgraph-out/--depgraph-dot artifacts.
 
     Returns the computed :class:`ProofShapeAnalytics` (or None), so
-    the stats footer, the trace summary and the history fingerprint
-    reuse it.  Tolerates ``report=None`` (interrupted run): the
-    partial dependency graph is still flushed; analytics need a report
-    and are skipped.
+    the stats footer and the trace summary reuse it.  Tolerates
+    ``report=None`` (interrupted run): the partial dependency graph is
+    still flushed; analytics need a report and are skipped.
     """
     if obs is None or obs.depgraph is None:
         return None
@@ -474,54 +385,6 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
     if report is None:
         return None
     return analyze_proof_shape(proof, report, obs.depgraph)
-
-
-def _record_history(obs: Obs | None, args: argparse.Namespace, report,
-                    analytics=None) -> None:
-    """Append this run's fingerprint to the history store.
-
-    Parallel runs that traced their shards also get an ``attribution``
-    section (utilization, skew, per-shard cost, top stragglers), so
-    ``obs compare``/``check-regression`` can gate on pool efficiency,
-    not just wall time.
-    """
-    if report is None or getattr(args, "no_history", True):
-        return
-    from repro.obs import HistoryStore, fingerprint, make_run_id
-
-    attribution = None
-    if obs is not None and obs.tracer is not None:
-        from repro.obs.timeline import attribution_summary
-
-        attribution = attribution_summary(obs.tracer.events)
-    record = fingerprint(
-        report,
-        run_id=obs.run_id if obs is not None else make_run_id(),
-        command=args.command, instance=args.cnf, analytics=analytics,
-        attribution=attribution, memory=_mem_history_section(obs))
-    HistoryStore(args.history_dir).append(record)
-
-
-def _mem_history_section(obs: Obs | None) -> dict | None:
-    """The fingerprint's ``memory`` section: measured peak RSS (the
-    ``--max-peak-rss-growth`` gate input) and the top tracemalloc
-    sites when ``--mem-profile`` captured them.  None when the run had
-    no sampler or it never produced a reading — an unmeasured run must
-    not gate."""
-    if obs is None or obs.mem is None:
-        return None
-    summary = obs.mem.summary()
-    if summary["peak_rss_bytes"] is None:
-        return None
-    memory = {"peak_rss_bytes": summary["peak_rss_bytes"],
-              "rss_bytes": summary["rss_bytes"],
-              "source": summary["source"],
-              "num_samples": summary["num_samples"]}
-    if obs.mem_profiler is not None:
-        profile = obs.mem_profiler.document()
-        if profile is not None:
-            memory["tracemalloc_top"] = profile["top"][:5]
-    return memory
 
 
 def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
@@ -719,7 +582,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                          proof)
     _print_stats_footer(args, report, report.bcp_counters, analytics)
     _write_trace(obs, args, report, analytics)
-    _record_history(obs, args, report, analytics)
     if report.exhausted:
         print(f"c budget exhausted: {report.failure_reason}")
         return EXIT_RESOURCE_LIMIT
@@ -816,7 +678,6 @@ def _cmd_verify_stream(args: argparse.Namespace) -> int:
         print(f"c warning: {warning}")
     _print_stats_footer(args, report, report.bcp_counters)
     _write_trace(obs, args, report)
-    _record_history(obs, args, report)
     if report.exhausted:
         print(f"c budget exhausted: {report.failure_reason}")
         if report.checkpoint_path is not None:
@@ -859,7 +720,7 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     )
 
     live_dir = (args.live_dir or os.environ.get("REPRO_LIVE_DIR")
-                or os.path.join(DEFAULT_HISTORY_DIR, "live"))
+                or os.path.join(".repro", "live"))
     while True:
         statuses = read_live_statuses(live_dir)
         now = _time.time()
@@ -874,57 +735,9 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import HistoryStore, check_regression, compare_runs
-    from repro.obs.insight import (
-        format_compare_table,
-        format_history,
-        load_fingerprint,
-    )
-
     if args.obs_command == "timeline":
         return _cmd_obs_timeline(args)
-    if args.obs_command == "top":
-        return _cmd_obs_top(args)
-    store = HistoryStore(args.history_dir)
-    if args.obs_command == "history":
-        if getattr(args, "history_command", None) == "prune":
-            removed = store.prune(args.keep)
-            print(f"c history pruned: {removed} fingerprint(s) "
-                  f"removed, {min(args.keep, len(store.read()))} kept")
-            return 0
-        print(format_history(store.read(), limit=args.limit))
-        return 0
-
-    def resolve(selector: str) -> dict:
-        if os.path.isfile(selector):
-            return load_fingerprint(selector)
-        return store.select(selector)
-
-    try:
-        if args.obs_command == "compare":
-            a, b = resolve(args.a), resolve(args.b)
-            print(format_compare_table(a, b, compare_runs(a, b)))
-            return 0
-        baseline = resolve(args.baseline)
-        current = resolve(args.current)
-        violations = check_regression(
-            baseline, current,
-            max_wall_pct=args.max_wall_pct,
-            max_props_drop_pct=args.max_props_drop_pct,
-            max_phase_pct=args.max_phase_pct,
-            min_utilization_pct=args.min_utilization,
-            max_peak_rss_growth_pct=args.max_peak_rss_growth)
-    except LookupError as exc:
-        print(f"c error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    print(f"c baseline {baseline.get('id')} vs current "
-          f"{current.get('id')}")
-    if violations:
-        for violation in violations:
-            print(f"c regression: {violation}")
-        return EXIT_RESOURCE_LIMIT
-    print("c no regression past thresholds")
-    return 0
+    return _cmd_obs_top(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,8 +23,7 @@ A zero-dependency observability layer for the verification pipeline:
 * the ``c stats:`` footer and schema validators for the four artifact
   kinds (trace, depgraph, checkpoint, live status);
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs,
-  Section-5 shape analytics, the run-history store with regression
-  detection, and cProfile/flamegraph hooks.
+  Section-5 shape analytics, and cProfile/flamegraph hooks.
 
 Instrumentation is strictly opt-in: every entry point takes
 ``obs: Obs | None = None`` and the disabled path never touches this
@@ -33,17 +32,12 @@ package (see :mod:`repro.obs.context`).
 
 from repro._lazy import lazy_exports
 
-# Bound eagerly: the history store runs at the end of every default
-# ``repro verify``, and tracing hooks patch these two on this package.
-from repro.obs.insight.history import HistoryStore, fingerprint
-
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".context": ("Obs",),
     ".export": ("atomic_write_text", "collapsed_stack_text", "run_summary",
                 "stats_footer"),
-    ".insight": ("DEPGRAPH_SCHEMA", "RUN_SCHEMA", "DepGraphRecorder",
+    ".insight": ("DEPGRAPH_SCHEMA", "DepGraphRecorder",
                  "ProofShapeAnalytics", "analyze_proof_shape",
-                 "check_regression", "compare_runs",
                  "depgraph_deterministic_view", "write_depgraph_dot",
                  "write_depgraph_jsonl"),
     ".live": ("LiveStatusWriter", "format_bytes", "format_top_table",
@@ -58,8 +52,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                 "validate_live", "validate_trace"),
     ".spans": ("Tracer", "make_run_id", "make_trace_id", "read_jsonl",
                "rebase_epoch", "worker_tracer"),
-    ".timeline": ("attribution_summary", "build_timeline",
-                  "render_timeline_html", "render_timeline_text"),
+    ".timeline": ("build_timeline", "render_timeline_html",
+                  "render_timeline_text"),
 })
 
 __all__ = [
@@ -82,12 +76,8 @@ __all__ = [
     "atomic_write_text",
     "collapsed_stack_text",
     "DepGraphRecorder",
-    "HistoryStore",
     "ProofShapeAnalytics",
     "analyze_proof_shape",
-    "check_regression",
-    "compare_runs",
-    "fingerprint",
     "write_depgraph_dot",
     "write_depgraph_jsonl",
     "KNOWN_SCHEMAS",
@@ -95,7 +85,6 @@ __all__ = [
     "validate_checkpoint",
     "TRACE_SCHEMA",
     "DEPGRAPH_SCHEMA",
-    "RUN_SCHEMA",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_WORK_BUCKETS",
     "LIVE_SCHEMA",
@@ -104,7 +93,6 @@ __all__ = [
     "rebase_epoch",
     "worker_tracer",
     "build_timeline",
-    "attribution_summary",
     "render_timeline_text",
     "render_timeline_html",
     "LiveStatusWriter",

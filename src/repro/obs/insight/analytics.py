@@ -27,8 +27,7 @@ records)``; nothing touches engines or clocks, so analytics are
 deterministic whenever their inputs are.
 
 :meth:`ProofShapeAnalytics.as_dict` rides the trace's ``run_summary``
-event and the run-history fingerprint; :func:`analytics_footer` is
-the ``--stats`` view.
+event; :func:`analytics_footer` is the ``--stats`` view.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ can't:
   before the cursor, move the cursor to that child's begin, repeat;
 * **attribution** — per-shard wall/checks/props/clause-visits rows
   (plus per-shard ``peak_rss`` when workers reported it) and the top
-  stragglers, the section ``obs history`` persists so
-  ``obs compare``/``check-regression`` can gate on utilization;
+  stragglers;
 * **memory** — every ``mem_sample`` instant event the
   heartbeat-riding :class:`repro.obs.mem.MemSampler` stamped into the
   trace, folded with per-shard peaks into a run-wide ``peak_rss``,
@@ -489,29 +488,6 @@ def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
                     "open": open_count},
     }
     return doc
-
-
-def attribution_summary(events: list[dict],
-                        top: int = TOP_STRAGGLERS) -> dict | None:
-    """The compact attribution record ``obs history`` persists for a
-    parallel run: utilization, skew, and per-shard cost rows.
-
-    Returns None when the trace has no shard spans (nothing to
-    attribute)."""
-    doc = build_timeline(events, top=top)
-    if doc["attribution"] is None:
-        return None
-    return {
-        "utilization": doc["utilization"],
-        "skew_ratio": (doc["shard_skew"]["skew_ratio"]
-                       if doc["shard_skew"] else None),
-        "workers": len([w for w in doc["workers"]
-                        if w["worker"] != "main"]),
-        "peak_rss_bytes": (doc["memory"]["peak_rss_bytes"]
-                           if doc.get("memory") else None),
-        "shards": doc["attribution"]["shards"],
-        "top_stragglers": doc["attribution"]["top_stragglers"],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -82,25 +82,22 @@ class FaultOutcome:
                f"(want {want}){tail}"
 
 
-def _cli_env(workdir: str) -> dict:
+def _cli_env() -> dict:
     """Environment for CLI subprocesses: the installed ``repro``
-    package wins over whatever PYTHONPATH the parent carries, and run
-    history lands under ``workdir`` rather than the caller's cwd."""
+    package wins over whatever PYTHONPATH the parent carries."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(
         repro.__file__)))
     env = dict(os.environ)
     previous = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root if not previous \
         else root + os.pathsep + previous
-    env["REPRO_HISTORY_DIR"] = os.path.join(os.path.abspath(workdir),
-                                            ".repro")
     return env
 
 
-def _run_cli(workdir: str, argv: list[str], timeout: float = 300.0):
+def _run_cli(argv: list[str], timeout: float = 300.0):
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
-        capture_output=True, text=True, env=_cli_env(workdir),
+        capture_output=True, text=True, env=_cli_env(),
         timeout=timeout)
 
 
@@ -142,7 +139,7 @@ def _instance(workdir: str, n_vars: int = _SMALL_N, window: int = 8,
 def scenario_pristine(workdir: str) -> FaultOutcome:
     """Control: the untampered instance verifies with exit 0."""
     cnf, drup = _instance(workdir)
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup])
+    proc = _run_cli(["verify-stream", cnf, drup])
     return _judge("pristine", proc, (EXIT_OK,),
                   want_stdout="s PROOF_IS_CORRECT")
 
@@ -156,7 +153,7 @@ def scenario_truncate_mid_clause(workdir: str) -> FaultOutcome:
     torn = os.path.join(workdir, "torn.drup")
     with open(torn, "wb") as handle:
         handle.write(data[:cut])
-    proc = _run_cli(workdir, ["verify-stream", cnf, torn])
+    proc = _run_cli(["verify-stream", cnf, torn])
     return _judge("truncate-mid-clause", proc, (EXIT_PARSE_ERROR,),
                   want_stderr="c error:")
 
@@ -172,7 +169,7 @@ def scenario_clean_truncation(workdir: str) -> FaultOutcome:
     short = os.path.join(workdir, "short.drup")
     with open(short, "wb") as handle:
         handle.write(clipped)
-    proc = _run_cli(workdir, ["verify-stream", cnf, short])
+    proc = _run_cli(["verify-stream", cnf, short])
     return _judge("clean-truncation", proc, (EXIT_PROOF_BAD,),
                   want_stdout="s PROOF_IS_NOT_CORRECT")
 
@@ -186,7 +183,7 @@ def scenario_corrupt_bytes(workdir: str) -> FaultOutcome:
     rotten = os.path.join(workdir, "rotten.drup")
     with open(rotten, "wb") as handle:
         handle.write(bytes(data))
-    proc = _run_cli(workdir, ["verify-stream", cnf, rotten])
+    proc = _run_cli(["verify-stream", cnf, rotten])
     return _judge("corrupt-bytes", proc, (EXIT_PARSE_ERROR,),
                   want_stderr="c error:")
 
@@ -200,13 +197,13 @@ def scenario_unknown_deletion(workdir: str) -> FaultOutcome:
     with open(drup) as src, open(bogus, "w") as dst:
         dst.write("d 5 7 0\n")
         dst.write(src.read())
-    strict = _run_cli(workdir, ["verify-stream", cnf, bogus])
+    strict = _run_cli(["verify-stream", cnf, bogus])
     outcome = _judge("unknown-deletion", strict, (EXIT_PARSE_ERROR,),
                      want_stderr="c error:")
     if not outcome.passed:
         return outcome
-    lenient = _run_cli(workdir, ["verify-stream", cnf, bogus,
-                                 "--lenient-deletions"])
+    lenient = _run_cli(["verify-stream", cnf, bogus,
+                        "--lenient-deletions"])
     outcome = _judge("unknown-deletion", lenient, (EXIT_OK,),
                      want_stdout="c warning:",
                      detail="strict 65, lenient 0 with warning")
@@ -223,7 +220,7 @@ def scenario_foreign_variable(workdir: str) -> FaultOutcome:
         handle.write("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
     with open(drup, "w") as handle:
         handle.write("9 0\n-9 1 0\n0\n")
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup])
+    proc = _run_cli(["verify-stream", cnf, drup])
     return _judge("foreign-variable", proc, (EXIT_PROOF_BAD,),
                   want_stdout="s PROOF_IS_NOT_CORRECT")
 
@@ -233,9 +230,9 @@ def scenario_live_clause_budget(workdir: str) -> FaultOutcome:
     resume token on disk, and an uncapped resume finishes the job."""
     cnf, drup = _instance(workdir)
     token = os.path.join(workdir, "live-budget.json")
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup,
-                              "--max-live-clauses", "3",
-                              "--checkpoint", token])
+    proc = _run_cli(["verify-stream", cnf, drup,
+                     "--max-live-clauses", "3",
+                     "--checkpoint", token])
     outcome = _judge("live-clause-budget", proc,
                      (EXIT_RESOURCE_LIMIT,),
                      want_stdout="s RESOURCE_LIMIT_EXCEEDED")
@@ -251,10 +248,10 @@ def scenario_props_budget(workdir: str) -> FaultOutcome:
     reaches the verdict."""
     cnf, drup = _instance(workdir)
     token = os.path.join(workdir, "props-budget.json")
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup,
-                              "--max-props", "2000",
-                              "--checkpoint", token,
-                              "--checkpoint-every", "200"])
+    proc = _run_cli(["verify-stream", cnf, drup,
+                     "--max-props", "2000",
+                     "--checkpoint", token,
+                     "--checkpoint-every", "200"])
     outcome = _judge("props-budget", proc, (EXIT_RESOURCE_LIMIT,),
                      want_stdout="s RESOURCE_LIMIT_EXCEEDED")
     if not outcome.passed:
@@ -274,8 +271,8 @@ def _resume_and_expect_correct(name: str, workdir: str, cnf: str,
         return FaultOutcome(name, False, None,
                             (EXIT_RESOURCE_LIMIT,),
                             f"bad token schema {doc.get('schema')!r}")
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup,
-                              "--checkpoint", token, "--resume"])
+    proc = _run_cli(["verify-stream", cnf, drup,
+                     "--checkpoint", token, "--resume"])
     outcome = _judge(name, proc, (EXIT_OK,),
                      want_stdout="s PROOF_IS_CORRECT",
                      detail="exit 3 + valid token, resume reached "
@@ -294,8 +291,8 @@ def scenario_corrupt_checkpoint(workdir: str) -> FaultOutcome:
     token = os.path.join(workdir, "garbage.json")
     with open(token, "w") as handle:
         handle.write('{"schema": "repro.obs.checkpoint/v1", "offse')
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup,
-                              "--checkpoint", token, "--resume"])
+    proc = _run_cli(["verify-stream", cnf, drup,
+                     "--checkpoint", token, "--resume"])
     outcome = _judge("corrupt-checkpoint", proc, (EXIT_ERROR,),
                      want_stderr="c error:")
     if not outcome.passed:
@@ -304,14 +301,14 @@ def scenario_corrupt_checkpoint(workdir: str) -> FaultOutcome:
     # resume this one with it.
     other_cnf, other_drup = _instance(workdir, n_vars=300, window=2,
                                       tag="other")
-    _run_cli(workdir, ["verify-stream", other_cnf, other_drup,
-                       "--max-props", "200", "--checkpoint", token])
+    _run_cli(["verify-stream", other_cnf, other_drup,
+              "--max-props", "200", "--checkpoint", token])
     if not os.path.exists(token):
         return FaultOutcome("corrupt-checkpoint", False, None,
                             (EXIT_ERROR,), "mismatch setup run left "
                             "no token")
-    proc = _run_cli(workdir, ["verify-stream", cnf, drup,
-                              "--checkpoint", token, "--resume"])
+    proc = _run_cli(["verify-stream", cnf, drup,
+                     "--checkpoint", token, "--resume"])
     return _judge("corrupt-checkpoint", proc, (EXIT_ERROR,),
                   want_stderr="c error:",
                   detail="garbage and digest-mismatch tokens both "
@@ -337,7 +334,7 @@ def _signal_scenario(name: str, signame: str,
              cnf, drup, "--checkpoint", token,
              "--checkpoint-every", "500"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=_cli_env(workdir))
+            text=True, env=_cli_env())
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline \
                 and not os.path.exists(token) \
@@ -361,8 +358,8 @@ def _signal_scenario(name: str, signame: str,
                                 "; ".join(problems) + " | "
                                 + " / ".join(stderr.strip()
                                              .splitlines()[-3:]))
-        proc = _run_cli(workdir, ["verify-stream", cnf, drup,
-                                  "--checkpoint", token, "--resume"])
+        proc = _run_cli(["verify-stream", cnf, drup,
+                         "--checkpoint", token, "--resume"])
         outcome = _judge(name, proc, (EXIT_OK,),
                          want_stdout="s PROOF_IS_CORRECT")
         if not outcome.passed:

@@ -67,17 +67,6 @@ def brute_force_sat(formula: CnfFormula) -> bool:
 
 # -- fixtures --------------------------------------------------------------------
 
-@pytest.fixture(autouse=True)
-def _isolated_history_store(tmp_path, monkeypatch):
-    """Point the run-history store at a scratch directory.
-
-    CLI ``verify`` runs append to ``$REPRO_HISTORY_DIR`` (or
-    ``.repro/``) by default; without this, tests invoking the CLI
-    would write history into the working tree.
-    """
-    monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / ".repro"))
-
-
 @pytest.fixture
 def tiny_unsat() -> CnfFormula:
     """The full clause set over 2 variables — minimal nontrivial UNSAT."""

@@ -410,9 +410,9 @@ class TestObservabilityCli:
 
 
 class TestObsFrom:
-    """Which runs get a metrics registry: the history-attribution
-    tracer of ``--jobs N`` runs comes without one; ``--trace-out``
-    turns one on."""
+    """Which runs get an instrumentation bundle: none without an obs
+    flag, whatever ``--jobs`` says; ``--trace-out`` brings a tracer and
+    a metrics registry."""
 
     def _obs(self, *flags):
         from repro.cli import _build_parser, _obs_from
@@ -423,10 +423,9 @@ class TestObsFrom:
     def test_default_run_builds_nothing(self):
         assert self._obs() is None
 
-    def test_parallel_history_tracer_has_no_registry(self):
-        obs = self._obs("--procedure", "verification1", "--jobs", "2")
-        assert obs.tracer is not None
-        assert obs.metrics is None
+    def test_parallel_run_without_obs_flags_builds_nothing(self):
+        assert self._obs("--procedure", "verification1",
+                         "--jobs", "2") is None
 
     def test_trace_out_turns_on_the_registry(self, tmp_path):
         obs = self._obs("--procedure", "verification1", "--jobs", "2",
@@ -448,11 +447,24 @@ class TestObsFrom:
             _build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "f.cnf", "f.ccp", "--no-history"],
+        ["verify", "f.cnf", "f.ccp", "--history-dir", "h"],
+        ["verify-stream", "f.cnf", "f.drup", "--no-history"],
+        ["obs", "check-regression", "--baseline", "b.json"],
+        ["obs", "compare", "-2", "-1"],
+        ["obs", "history"],
+    ])
+    def test_run_history_options_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 def _run_cli_process(*args, code="from repro.cli import main; "
-                                  "raise SystemExit(main())"):
+                                  "raise SystemExit(main())", cwd=None):
     """Run the CLI (or ``code``) in a fresh interpreter with this
-    checkout's ``repro`` on the path."""
+    checkout's ``repro`` on the path, in ``cwd`` if given."""
     import os
     import subprocess
     import sys
@@ -464,12 +476,14 @@ def _run_cli_process(*args, code="from repro.cli import main; "
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestProcessLevel:
     """Properties only a fresh interpreter can show: what importing the
-    CLI pulls in, and what a finished run leaves on stderr at exit."""
+    CLI pulls in, and what a finished run leaves on stderr at exit or
+    in its working directory."""
 
     def test_cli_import_does_not_load_numpy(self):
         result = _run_cli_process(
@@ -486,15 +500,11 @@ class TestProcessLevel:
         assert main(["solve", str(cnf), "--proof", str(proof)]) \
             == EXIT_UNSAT
         unused = ["repro.solver", "repro.preprocess", "repro.proofs.sizes",
-                  "repro.proofs.resolution", "repro.obs.timeline",
-                  "repro.obs.live", "repro.obs.mem",
-                  "repro.obs.insight.analytics",
-                  "repro.obs.insight.depgraph",
-                  "repro.obs.insight.profiling", "repro.verify.streaming",
-                  "repro.verify.parallel", "pstats"]
+                  "repro.proofs.resolution", "repro.obs",
+                  "repro.verify.streaming", "repro.verify.parallel",
+                  "pstats"]
         result = _run_cli_process(
             "verify", str(cnf), str(proof),
-            "--history-dir", str(tmp_path / "history"),
             code="import sys; from repro.cli import main; "
                  "code = main(sys.argv[1:]); "
                  f"print([m for m in {unused!r} if m in sys.modules]); "
@@ -502,6 +512,23 @@ class TestProcessLevel:
         assert result.returncode == 0, result.stderr
         assert "s PROOF_IS_CORRECT" in result.stdout
         assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_default_verify_leaves_the_cwd_untouched(self, tmp_path,
+                                                     monkeypatch):
+        from repro.benchgen.registry import pigeonhole
+
+        cnf, proof = tmp_path / "php.cnf", tmp_path / "php.ccp"
+        write_dimacs(pigeonhole(4), cnf)
+        assert main(["solve", str(cnf), "--proof", str(proof)]) \
+            == EXIT_UNSAT
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.delenv("REPRO_HISTORY_DIR", raising=False)
+        result = _run_cli_process("verify", str(cnf), str(proof),
+                                  cwd=str(cwd))
+        assert result.returncode == 0, result.stderr
+        assert "s PROOF_IS_CORRECT" in result.stdout
+        assert list(cwd.iterdir()) == []
 
     def test_engine_choices(self, capsys):
         with pytest.raises(SystemExit):

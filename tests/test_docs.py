@@ -88,7 +88,7 @@ class TestObservabilityDoc:
                      "repro.obs.live/v1", "--trace-out", "--progress",
                      "--stats", "deterministic_view",
                      "repro obs timeline", "repro obs top",
-                     "--live-dir", "--min-utilization",
+                     "--live-dir", "repro_parallel_shards_total",
                      "rebase_epoch", "critical path",
                      "python -m repro.obs.validate"):
             assert term in doc, term
@@ -122,11 +122,10 @@ class TestProofInsightDoc:
     def test_schemas_flags_and_formats_documented(self):
         doc = (REPO / "docs" / "proof_insight.md").read_text()
         for term in ("repro.obs.depgraph/v1", "run_summary",
-                     "repro.obs.run/v1", "--depgraph-out",
-                     "--depgraph-dot", "--profile",
-                     "history.jsonl", "$REPRO_HISTORY_DIR",
-                     "repro obs history", "repro obs compare",
-                     "check-regression", "--max-props-drop-pct"):
+                     "--depgraph-out", "--depgraph-dot", "--profile",
+                     "Gating a run", "stats.props", "elapsed",
+                     "mem.peak_rss_bytes", "repro_parallel_shards_total",
+                     "build_timeline"):
             assert term in doc, term
 
     def test_cross_linked(self):
@@ -140,16 +139,6 @@ class TestProofInsightDoc:
             piece = piece.split("::")[0]
             if piece.startswith(("tests/", "benchmarks/", "ci/")):
                 assert (REPO / piece).exists(), piece
-
-    def test_ci_baseline_is_a_valid_fingerprint(self):
-        from repro.obs.insight import check_regression, load_fingerprint
-
-        baseline = load_fingerprint(REPO / "ci"
-                                    / "baseline_fingerprint.json")
-        # A fingerprint never regresses against itself.
-        assert check_regression(baseline, baseline, max_wall_pct=0,
-                                max_props_drop_pct=0,
-                                max_phase_pct=0) == []
 
 
 class TestExamples:

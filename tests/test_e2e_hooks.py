@@ -20,7 +20,9 @@ TRACE = (Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
 # Hooks whose targets were deleted on purpose; their metrics are
 # dropped at the next edit of benchmarks/e2e.
-RETIRED = {("repro.verify.parallel", "planned_shards")}
+RETIRED = {("repro.verify.parallel", "planned_shards"),
+           ("repro.obs", "fingerprint"),
+           ("repro.obs", "HistoryStore.append")}
 
 
 def trace_targets() -> tuple:

@@ -52,15 +52,3 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     for name in SCENARIOS:
         assert name in out
-
-
-def test_sweep_keeps_history_out_of_the_cwd(tmp_path, monkeypatch):
-    """The sweep's CLI runs record history under its workdir, never in
-    the caller's working directory."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("REPRO_HISTORY_DIR", raising=False)
-    workdir = tmp_path / "work"
-    (outcome,) = run_suite(["pristine"], workdir=str(workdir))
-    assert outcome.passed, outcome.line()
-    assert not (tmp_path / ".repro").exists()
-    assert (workdir / ".repro" / "history.jsonl").exists()

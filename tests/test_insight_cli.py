@@ -2,17 +2,17 @@
 
 Covers the insight artifact flags (``--depgraph-out``,
 ``--depgraph-dot``) and the analytics they feed, the profiling hooks
-(``--profile``), the run-history verbs (``repro obs history / compare /
-check-regression``) with their exit-code contract, the interrupt-safe
-artifact flush (a ^C mid-verification leaves complete, schema-valid
-artifacts), and the ``python -m repro.obs.validate`` dispatcher.
+(``--profile``), the interrupt-safe artifact flush (a ^C
+mid-verification leaves complete, schema-valid artifacts), the
+``repro obs timeline`` / ``obs top`` verbs, and the
+``python -m repro.obs.validate`` dispatcher.
 """
 
 import json
 
 import pytest
 
-from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, EXIT_RESOURCE_LIMIT, main
+from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, main
 from repro.core.dimacs import write_dimacs
 from repro.core.formula import CnfFormula
 from repro.obs import (
@@ -22,7 +22,6 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.insight.depgraph import read_depgraph_jsonl
-from repro.obs.insight.history import RUN_SCHEMA, HistoryStore
 from repro.obs.validate import main as validate_main
 
 
@@ -50,8 +49,7 @@ class TestInsightArtifacts:
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
                      "--depgraph-dot", str(dot),
-                     "--trace-out", str(trace),
-                     "--no-history"])
+                     "--trace-out", str(trace)])
         assert code == 0
         out = capsys.readouterr().out
         assert "c depgraph written to" in out
@@ -74,7 +72,7 @@ class TestInsightArtifacts:
                                               capsys):
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(tmp_path / "dep.jsonl"),
-                     "--stats", "--no-history"])
+                     "--stats"])
         assert code == 0
         out = capsys.readouterr().out
         assert "c insight: local=" in out
@@ -85,8 +83,7 @@ class TestInsightArtifacts:
         dep = tmp_path / "dep.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--procedure", "verification1", "--mode", "rebuild",
-                     "--jobs", "2", "--depgraph-out", str(dep),
-                     "--no-history"])
+                     "--jobs", "2", "--depgraph-out", str(dep)])
         assert code == 0
         lines = read_depgraph_jsonl(dep)
         assert validate_depgraph(lines) == []
@@ -99,8 +96,7 @@ class TestInsightArtifacts:
         trace = tmp_path / "trace.jsonl"
         assert main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
-                     "--trace-out", str(trace),
-                     "--no-history"]) == 0
+                     "--trace-out", str(trace)]) == 0
         capsys.readouterr()
         # Each file is dispatched on the schema id it declares.
         assert validate_main([str(dep), str(trace)]) == 0
@@ -124,7 +120,7 @@ class TestProfile:
                                capsys):
         prof = tmp_path / "run.prof"
         code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--profile", str(prof), "--no-history"])
+                     "--profile", str(prof)])
         assert code == 0
         assert "c profile written to" in capsys.readouterr().out
         assert prof.exists()
@@ -142,114 +138,9 @@ class TestProfile:
 
         prof = tmp_path / "run.prof"
         assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--profile", str(prof), "--no-history"]) == 0
+                     "--profile", str(prof)]) == 0
         stats = pstats.Stats(str(prof))
         assert stats.total_calls > 0
-
-
-class TestHistoryVerbs:
-    def run_verify(self, unsat_cnf, good_proof, history):
-        return main(["verify", str(unsat_cnf), str(good_proof),
-                     "--history-dir", str(history)])
-
-    def test_verify_records_history_by_default(self, unsat_cnf,
-                                               good_proof, tmp_path):
-        history = tmp_path / "hist"
-        assert self.run_verify(unsat_cnf, good_proof, history) == 0
-        records = HistoryStore(str(history)).read()
-        assert len(records) == 1
-        assert records[0]["schema"] == RUN_SCHEMA
-        assert records[0]["outcome"] == "proof_is_correct"
-        assert records[0]["instance"] == str(unsat_cnf)
-
-    def test_no_history_flag(self, unsat_cnf, good_proof, tmp_path):
-        history = tmp_path / "hist"
-        assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--history-dir", str(history),
-                     "--no-history"]) == 0
-        assert HistoryStore(str(history)).read() == []
-
-    def test_history_listing(self, unsat_cnf, good_proof, tmp_path,
-                             capsys):
-        history = tmp_path / "hist"
-        self.run_verify(unsat_cnf, good_proof, history)
-        capsys.readouterr()
-        assert main(["obs", "history", "--history-dir",
-                     str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "outcome" in out and "proof_is_correct" in out
-
-    def test_compare_prints_delta_table(self, unsat_cnf, good_proof,
-                                        tmp_path, capsys):
-        history = tmp_path / "hist"
-        self.run_verify(unsat_cnf, good_proof, history)
-        self.run_verify(unsat_cnf, good_proof, history)
-        capsys.readouterr()
-        assert main(["obs", "compare", "-2", "-1",
-                     "--history-dir", str(history)]) == 0
-        out = capsys.readouterr().out
-        for metric in ("wall_time", "props_per_sec", "checks"):
-            assert metric in out
-        assert "delta%" in out
-
-    def test_check_regression_identical_runs_exit_0(
-            self, unsat_cnf, good_proof, tmp_path, capsys):
-        history = tmp_path / "hist"
-        self.run_verify(unsat_cnf, good_proof, history)
-        records = HistoryStore(str(history)).read()
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(records[-1]))
-        capsys.readouterr()
-        code = main(["obs", "check-regression",
-                     "--baseline", str(baseline), "--current", "-1",
-                     "--history-dir", str(history),
-                     "--max-wall-pct", "0",
-                     "--max-props-drop-pct", "0",
-                     "--max-phase-pct", "0"])
-        assert code == 0
-        assert "c no regression past thresholds" \
-            in capsys.readouterr().out
-
-    def test_check_regression_seeded_slowdown_exits_3(
-            self, unsat_cnf, good_proof, tmp_path, capsys):
-        history = tmp_path / "hist"
-        self.run_verify(unsat_cnf, good_proof, history)
-        record = HistoryStore(str(history)).read()[-1]
-        # Seed a baseline that was twice as fast as the real run.
-        seeded = dict(record)
-        seeded["id"] = "baseline-seeded"
-        seeded["wall_time"] = record["wall_time"] / 2 or 0.001
-        seeded["props_per_sec"] = (record["props_per_sec"] or 1.0) * 2
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(seeded))
-        capsys.readouterr()
-        code = main(["obs", "check-regression",
-                     "--baseline", str(baseline), "--current", "-1",
-                     "--history-dir", str(history),
-                     "--max-wall-pct", "25",
-                     "--max-props-drop-pct", "25"])
-        assert code == EXIT_RESOURCE_LIMIT
-        out = capsys.readouterr().out
-        assert "c regression:" in out
-        assert "props_per_sec dropped" in out
-
-    def test_missing_selector_exits_2(self, tmp_path, capsys):
-        code = main(["obs", "compare", "-2", "-1",
-                     "--history-dir", str(tmp_path / "empty")])
-        assert code == EXIT_ERROR
-        assert "c error:" in capsys.readouterr().err
-
-    def test_verify_drup_records_history(self, unsat_cnf, tmp_path,
-                                         capsys):
-        drup = tmp_path / "trace.drup"
-        assert main(["solve", str(unsat_cnf), "--drup",
-                     str(drup)]) == 20
-        history = tmp_path / "hist"
-        assert main(["verify-drup", str(unsat_cnf), str(drup),
-                     "--history-dir", str(history)]) == 0
-        records = HistoryStore(str(history)).read()
-        assert len(records) == 1
-        assert records[0]["command"] == "verify-drup"
 
 
 class TestInterruptFlush:
@@ -276,8 +167,7 @@ class TestInterruptFlush:
         trace = tmp_path / "trace.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
-                     "--trace-out", str(trace),
-                     "--no-history"])
+                     "--trace-out", str(trace)])
         assert code == EXIT_INTERRUPT
         captured = capsys.readouterr()
         assert "c error: interrupted" in captured.err
@@ -300,7 +190,7 @@ class TestInterruptFlush:
         self.interrupt_after(monkeypatch, 0)
         prof = tmp_path / "run.prof"
         code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--profile", str(prof), "--no-history"])
+                     "--profile", str(prof)])
         assert code == EXIT_INTERRUPT
         assert prof.exists()  # the profile of the partial run
 
@@ -309,19 +199,19 @@ class TestInterruptFlush:
         self.interrupt_after(monkeypatch, 1)
         dep = tmp_path / "dep.jsonl"
         main(["verify", str(unsat_cnf), str(good_proof),
-              "--depgraph-out", str(dep), "--no-history"])
+              "--depgraph-out", str(dep)])
         # Atomic writes never leave *.tmp behind.
         assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestTimelineCli:
-    """The ``repro obs timeline`` / ``obs top`` / ``history prune``
-    operational verbs, end to end through the CLI."""
+    """The ``repro obs timeline`` / ``obs top`` operational verbs, end
+    to end through the CLI."""
 
     def _trace(self, unsat_cnf, good_proof, tmp_path, jobs=None):
         trace = tmp_path / "trace.jsonl"
         argv = ["verify", str(unsat_cnf), str(good_proof),
-                "--trace-out", str(trace), "--no-history"]
+                "--trace-out", str(trace)]
         if jobs:
             argv += ["--procedure", "verification1",
                      "--jobs", str(jobs)]
@@ -368,7 +258,7 @@ class TestTimelineCli:
                               capsys):
         live = tmp_path / "live"
         assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--live-dir", str(live), "--no-history"]) == 0
+                     "--live-dir", str(live)]) == 0
         files = list(live.glob("*.json"))
         assert len(files) == 1
         doc = json.loads(files[0].read_text())
@@ -384,50 +274,3 @@ class TestTimelineCli:
         assert main(["obs", "top",
                      "--live-dir", str(tmp_path / "none")]) == 0
         assert "no live runs" in capsys.readouterr().out
-
-    def test_history_prune(self, unsat_cnf, good_proof, tmp_path,
-                           capsys):
-        history = tmp_path / "hist"
-        for _ in range(3):
-            assert main(["verify", str(unsat_cnf), str(good_proof),
-                         "--history-dir", str(history)]) == 0
-        capsys.readouterr()
-        assert main(["obs", "history", "--history-dir", str(history),
-                     "prune", "--keep", "1"]) == 0
-        assert "2 fingerprint(s) removed" in capsys.readouterr().out
-        assert len(HistoryStore(str(history)).read()) == 1
-
-    def test_parallel_history_carries_attribution(
-            self, unsat_cnf, good_proof, tmp_path):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel backend needs fork")
-        history = tmp_path / "hist"
-        assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--procedure", "verification1", "--jobs", "2",
-                     "--history-dir", str(history)]) == 0
-        record = HistoryStore(str(history)).read()[-1]
-        attribution = record["attribution"]
-        assert attribution is not None
-        assert attribution["workers"] >= 1
-        assert 0.0 <= attribution["utilization"] <= 1.0
-        assert attribution["shards"]
-
-    def test_min_utilization_gate_exits_3(self, unsat_cnf, good_proof,
-                                          tmp_path, capsys):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel backend needs fork")
-        history = tmp_path / "hist"
-        assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--procedure", "verification1", "--jobs", "2",
-                     "--history-dir", str(history)]) == 0
-        capsys.readouterr()
-        code = main(["obs", "check-regression",
-                     "--history-dir", str(history),
-                     "--baseline", "-1", "--current", "-1",
-                     "--min-utilization", "100"])
-        assert code == EXIT_RESOURCE_LIMIT
-        assert "utilization" in capsys.readouterr().out

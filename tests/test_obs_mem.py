@@ -4,11 +4,8 @@ Covers procfs parsing and the getrusage fallback, gauge max-merge
 associativity (the algebra the cross-worker peak-RSS aggregation
 relies on), the memory fields of the trace's ``run_summary`` event,
 sampler fault injection (a dying sampler must never touch the
-verdict), live-view staleness, the timeline memory section, and the
-peak-RSS regression gate.
+verdict), live-view staleness, and the timeline memory section.
 """
-
-import pytest
 
 from repro.obs import (
     MemSampler,
@@ -16,7 +13,6 @@ from repro.obs import (
     Obs,
     Tracer,
     build_timeline,
-    check_regression,
     format_top_table,
     parse_proc_status,
     read_jsonl,
@@ -369,44 +365,3 @@ class TestTimelineMemory:
         text = render_timeline_text(doc)
         assert "memory" in text
         assert "rss=" in text
-
-
-# -- the regression gate ---------------------------------------------------
-
-class TestPeakRssGate:
-    def _fingerprint(self, peak):
-        record = {"outcome": "correct", "wall_time": 1.0}
-        if peak is not None:
-            record["memory"] = {"peak_rss_bytes": peak}
-        return record
-
-    def test_growth_over_threshold_violates(self):
-        violations = check_regression(
-            self._fingerprint(100_000_000),
-            self._fingerprint(140_000_000),
-            max_peak_rss_growth_pct=25.0)
-        assert len(violations) == 1
-        assert "peak RSS regressed" in violations[0]
-
-    def test_growth_under_threshold_passes(self):
-        assert check_regression(
-            self._fingerprint(100_000_000),
-            self._fingerprint(110_000_000),
-            max_peak_rss_growth_pct=25.0) == []
-
-    @pytest.mark.parametrize("baseline_peak,current_peak",
-                             [(None, 140_000_000),
-                              (100_000_000, None),
-                              (None, None)])
-    def test_missing_memory_skips_gate(self, baseline_peak,
-                                       current_peak):
-        """An unmeasured run cannot be gated — either side missing
-        the memory section skips the check instead of failing it."""
-        assert check_regression(
-            self._fingerprint(baseline_peak),
-            self._fingerprint(current_peak),
-            max_peak_rss_growth_pct=25.0) == []
-
-    def test_gate_off_by_default(self):
-        assert check_regression(
-            self._fingerprint(100), self._fingerprint(100_000)) == []

@@ -347,6 +347,29 @@ class TestDeletions:
             verify_stream(formula, path)
 
 
+class TestChainWorkPinned:
+    """The exact work of the CI streaming instance (n=2000, window=8).
+
+    CI gates this run's props/s, which a slow runner moves; these
+    counts move only when the streaming driver or the engine does
+    different work.  The live-clause cap evicts, but never changes
+    what is checked."""
+
+    @pytest.mark.parametrize("budget", [
+        None, CheckBudget(max_live_clauses=200)], ids=["uncapped", "cap200"])
+    def test_counters(self, tmp_path, budget):
+        drup = tmp_path / "chain.drup"
+        write_deletion_chain_drup(drup, 2000, window=8)
+        report = verify_stream(deletion_chain_formula(2000), drup,
+                               budget=budget)
+        assert report.outcome == PROOF_IS_CORRECT
+        assert (report.num_additions, report.num_deletions,
+                report.stats.props) == (2000, 3991, 21968)
+        assert report.bcp_counters == dict(
+            assignments=19969, watch_visits=1999, clause_visits=1999,
+            purged=0, detach_misses=0)
+
+
 class TestCli:
     def test_correct_chain(self, chain_files, capsys):
         cnf, drup = chain_files

@@ -8,7 +8,6 @@ from repro.obs import (
     LiveStatusWriter,
     ProgressReporter,
     Tracer,
-    attribution_summary,
     build_timeline,
     format_top_table,
     read_live_statuses,
@@ -227,22 +226,6 @@ class TestDegradedTraces:
         doc = build_timeline(tracer.events)
         assert [s["key"] for s in doc["spans"]] == [
             "window_shift", "window_shift@1"]
-
-
-class TestAttributionSummary:
-    def test_summary_shape(self):
-        summary = attribution_summary(make_parallel_trace().events)
-        assert summary["workers"] == 2
-        assert summary["utilization"] == (7 / 8 + 5 / 8) / 2
-        assert summary["skew_ratio"] == 1.25
-        assert len(summary["shards"]) == 3
-
-    def test_none_without_shards(self):
-        clock = FakeClock()
-        tracer = Tracer(run_id="r", clock=clock)
-        with tracer.span("verify"):
-            clock.now = 1.0
-        assert attribution_summary(tracer.events) is None
 
 
 class TestRenderers:
