@@ -9,10 +9,14 @@ prerequisite (Section 2):
   differential-testing oracle and ablation baseline.
 
 The CLI and the verification drivers select engines by name through
-:data:`ENGINES` / :func:`resolve_engine`.
+:data:`ENGINES` / :func:`resolve_engine`.  The counting engine's module
+loads on first use, so a default ``repro verify`` never imports it.
 """
 
-from repro.bcp.counting import CountingPropagator
+import sys
+from collections.abc import Iterator, Mapping
+
+from repro._lazy import lazy_exports
 from repro.bcp.engine import (
     FALSE,
     NO_CEILING,
@@ -23,12 +27,32 @@ from repro.bcp.engine import (
 )
 from repro.bcp.watched import WatchedPropagator
 
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".counting": ("CountingPropagator",),
+})
+
+
+class _EngineRegistry(Mapping):
+    """Name -> engine class.  Its names are known without importing
+    any engine; a class is looked up on this package when asked for,
+    which imports the counting engine on its first lookup."""
+
+    _classes = {"watched": "WatchedPropagator",
+                "counting": "CountingPropagator"}
+
+    def __getitem__(self, name: str) -> type[PropagatorBase]:
+        return getattr(sys.modules[__name__], self._classes[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+
 #: Name -> engine class, the single registry the CLI's ``--engine``
 #: choices and the drivers' string resolution share.
-ENGINES: dict[str, type[PropagatorBase]] = {
-    "watched": WatchedPropagator,
-    "counting": CountingPropagator,
-}
+ENGINES: Mapping[str, type[PropagatorBase]] = _EngineRegistry()
 
 
 def resolve_engine(engine) -> type[PropagatorBase]:
@@ -50,7 +74,10 @@ def resolve_engine(engine) -> type[PropagatorBase]:
 
 
 def engine_name(engine_cls: type[PropagatorBase]) -> str:
-    """The registry name of an engine class (class name if unregistered)."""
+    """The registry name of an engine class (class name if unregistered).
+
+    Scans in registry order, so naming the watched engine imports no
+    other engine."""
     for name, cls in ENGINES.items():
         if cls is engine_cls:
             return name

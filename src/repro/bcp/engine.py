@@ -26,7 +26,6 @@ Conventions
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
 
 TRUE = 1
 FALSE = -1
@@ -37,7 +36,6 @@ UNDEF = 0
 NO_CEILING = sys.maxsize
 
 
-@dataclass
 class PropagationCounters:
     """Observable BCP work, accumulated across propagate() calls.
 
@@ -53,16 +51,35 @@ class PropagationCounters:
     * ``detach_misses`` — ``_detach`` calls that found a watch entry
       already gone (e.g. purged after retirement); a nonzero value is
       normal only for retired clauses.
+
+    :meth:`as_dict` keeps this field order: it is the order of the
+    CLI's ``c bcp:`` line.
     """
 
-    assignments: int = 0
-    watch_visits: int = 0
-    clause_visits: int = 0
-    purged: int = 0
-    detach_misses: int = 0
+    __slots__ = ("assignments", "watch_visits", "clause_visits", "purged",
+                 "detach_misses")
+
+    def __init__(self, assignments: int = 0, watch_visits: int = 0,
+                 clause_visits: int = 0, purged: int = 0,
+                 detach_misses: int = 0):
+        self.assignments = assignments
+        self.watch_visits = watch_visits
+        self.clause_visits = clause_visits
+        self.purged = purged
+        self.detach_misses = detach_misses
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}"
+                           for key, value in self.as_dict().items())
+        return f"{type(self).__qualname__}({fields})"
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def total_work(self) -> int:
         """Machine-independent BCP effort: assignments + clause visits.
@@ -75,11 +92,8 @@ class PropagationCounters:
         return self.assignments + self.clause_visits
 
     def reset(self) -> None:
-        self.assignments = 0
-        self.watch_visits = 0
-        self.clause_visits = 0
-        self.purged = 0
-        self.detach_misses = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
 class PropagatorBase:

@@ -24,6 +24,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+from repro.bcp import ENGINES
 from repro.core.dimacs import read_dimacs, write_dimacs
 from repro.core.exceptions import (
     DimacsParseError,
@@ -32,11 +33,11 @@ from repro.core.exceptions import (
 )
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.trace_format import read_proof, write_proof
-from repro.verify.budget import CheckBudget
 from repro.verify.verification import verify_proof
 
 if TYPE_CHECKING:
     from repro.obs import Obs
+    from repro.verify.budget import CheckBudget
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -113,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="worker processes for verification1 "
                                  "(default 1: sequential)")
     verify_cmd.add_argument("--engine", default=None,
-                            choices=["watched", "counting"],
+                            choices=tuple(ENGINES),
                             help="BCP engine (default: watched, or "
                                  "counting when --depgraph-out or "
                                  "--depgraph-dot needs deterministic "
@@ -233,6 +234,8 @@ def _budget_from(args: argparse.Namespace) -> CheckBudget | None:
     if args.timeout is None and args.max_props is None \
             and max_live is None and max_bytes is None:
         return None
+    from repro.verify.budget import CheckBudget
+
     return CheckBudget(timeout=args.timeout, max_props=args.max_props,
                        max_live_clauses=max_live, max_bytes=max_bytes)
 

@@ -39,6 +39,17 @@ class CheckpointError(ReproError):
     formula/proof than the one being resumed."""
 
 
+class BudgetExhausted(ReproError):
+    """Internal control-flow signal: a check budget ran out.
+
+    Caught by the verification drivers and turned into a
+    ``resource_limit_exceeded`` report; user code never sees it unless
+    it drives a :class:`~repro.verify.checker.ProofChecker` directly.
+    Defined here, not in :mod:`repro.verify.budget`, so the drivers can
+    catch it without loading the budget module on unbudgeted runs.
+    """
+
+
 class CircuitError(ReproError):
     """Raised on inconsistent circuit construction (unknown nets, arity)."""
 

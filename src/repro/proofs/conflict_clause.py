@@ -15,10 +15,13 @@ representation compact (Section 5: size ``O(n · |F*|)``).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.clause import Clause
 from repro.core.exceptions import ProofFormatError
-from repro.proofs.log import ProofLog
+
+if TYPE_CHECKING:
+    from repro.proofs.log import ProofLog
 
 ENDING_FINAL_PAIR = "final_pair"
 ENDING_EMPTY = "empty"

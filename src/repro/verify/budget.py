@@ -51,8 +51,10 @@ overshoot by up to one shard per worker — degradation is best-effort,
 the *outcome* is still exact.
 
 Internally, exhaustion travels as :class:`BudgetExhausted` (a
-``ReproError``) and is converted by the verification drivers into a
-report; it never escapes the public ``verify_*`` entry points.
+``ReproError``, defined in :mod:`repro.core.exceptions` and re-exported
+here) and is converted by the verification drivers into a report; it
+never escapes the public ``verify_*`` entry points.  This module loads
+only on budgeted runs (``--timeout``/``--max-props``).
 """
 
 from __future__ import annotations
@@ -61,16 +63,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bcp.engine import PropagationCounters
-from repro.core.exceptions import ReproError
-
-
-class BudgetExhausted(ReproError):
-    """Internal control-flow signal: a check budget ran out.
-
-    Caught by the verification drivers and turned into a
-    ``resource_limit_exceeded`` report; user code never sees it unless
-    it drives a :class:`~repro.verify.checker.ProofChecker` directly.
-    """
+from repro.core.exceptions import BudgetExhausted
 
 
 @dataclass(frozen=True)

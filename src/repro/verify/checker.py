@@ -36,8 +36,7 @@ check admits several distinct conflicts.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bcp.engine import FALSE, TRUE, PropagatorBase
 from repro.bcp.watched import WatchedPropagator
@@ -51,8 +50,7 @@ if TYPE_CHECKING:
 CHECKER_MODES = ("rebuild", "incremental")
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """Result of BCP-checking one proof clause.
 
     ``conflict`` is the paper's pass criterion.  ``confl_cid`` is the

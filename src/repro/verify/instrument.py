@@ -19,7 +19,7 @@ construction point:
 * it feeds the metrics registry and tracer, keeping the drivers' loops
   free of exporter knowledge.
 
-The builder is generic over the report dataclass so the forward DRUP
+The builder is generic over the report class so the forward DRUP
 checker's :class:`~repro.verify.streaming.StreamingCheckReport` shares
 it with :class:`~repro.verify.report.VerificationReport`.
 """
@@ -39,7 +39,8 @@ SLOWEST_K = 5
 class ReportBuilder:
     """Single construction point for verification reports.
 
-    ``report_cls`` is the dataclass to build; ``common`` fields are
+    ``report_cls`` is the report class to build (every one has a
+    ``bcp_counters`` field); ``common`` fields are
     merged into every :meth:`build` call (per-call fields win).  When
     ``obs`` is given, the builder also maintains per-check metrics and
     a progress heartbeat; when it is ``None`` the per-check surface is
@@ -151,8 +152,7 @@ class ReportBuilder:
         if self.obs is not None and bcp_counters is not None:
             self.obs.record_bcp_counters(bcp_counters)
         merged = {**self._common, **fields}
-        if bcp_counters is not None \
-                and "bcp_counters" in self._report_cls.__dataclass_fields__:
+        if bcp_counters is not None:
             merged.setdefault("bcp_counters", bcp_counters)
         # Checks that ran without per-check timing (the disabled fast
         # path, or pool workers whose observations were not merged)

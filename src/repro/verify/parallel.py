@@ -191,9 +191,9 @@ def make_shards(num_indices: int, jobs: int) -> list[tuple[int, int]]:
 
 
 @dataclass
-class ShardResult(ScanResult):
+class ShardResult:
     """One shard's :class:`~repro.verify.verification.ScanResult`
-    plus its counters and observability payload.
+    (``scan``) plus its counters and observability payload.
 
     ``counter_delta`` is the shard's BCP counter work.  The
     observability fields are populated only when the run carries an
@@ -205,6 +205,7 @@ class ShardResult(ScanResult):
     ``depgraph`` holds the shard's dependency-graph records.
     """
 
+    scan: ScanResult
     counter_delta: dict[str, int] = field(default_factory=dict)
     duration: float = 0.0
     metrics: dict | None = None
@@ -214,9 +215,16 @@ class ShardResult(ScanResult):
 
 
 @dataclass
-class ShardRunResult(ScanResult):
-    """Aggregated outcome of a sharded verification run."""
+class ShardRunResult:
+    """Aggregated outcome of a sharded verification run: the fields of
+    a :class:`~repro.verify.verification.ScanResult` plus the summed
+    counters and the pool's failure record."""
 
+    num_checked: int = 0
+    num_skipped: int = 0
+    failed_index: int | None = None
+    budget_reason: str | None = None
+    stopped_at_index: int | None = None
     counters: dict[str, int] = field(default_factory=dict)
     worker_failures: int = 0
     warnings: tuple[str, ...] = ()
@@ -328,7 +336,7 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
         obs.observe_seconds("repro_shard_seconds", duration,
                             help="Wall time per shard")
     return ShardResult(
-        **vars(result), counter_delta=delta, duration=duration,
+        result, counter_delta=delta, duration=duration,
         metrics=build.obs.metrics.snapshot() if build else None,
         slowest=build.stats().slowest_checks if build else (),
         trace=tracer.events if tracer else [],
@@ -348,18 +356,19 @@ def _reduce(results: dict[tuple[int, int], ShardResult],
             worker_failures: int, warnings: list[str]) -> ShardRunResult:
     # A backward scan meets the highest index first: the first failure
     # or budget stop a sequential scan would report.
-    failures = [r.failed_index for r in results.values()
+    scans = [r.scan for r in results.values()]
+    failures = [r.failed_index for r in scans
                 if r.failed_index is not None]
-    stopped = [r.stopped_at_index for r in results.values()
+    stopped = [r.stopped_at_index for r in scans
                if r.stopped_at_index is not None]
-    budget_reasons = [r.budget_reason for r in results.values()
+    budget_reasons = [r.budget_reason for r in scans
                       if r.budget_reason is not None]
     counters: dict[str, int] = {}
     for result in results.values():
         for key, value in result.counter_delta.items():
             counters[key] = counters.get(key, 0) + value
     return ShardRunResult(
-        num_checked=sum(r.num_checked for r in results.values()),
+        num_checked=sum(r.num_checked for r in scans),
         failed_index=max(failures) if failures else None,
         budget_reason=budget_reasons[0] if budget_reasons else None,
         stopped_at_index=max(stopped) if stopped else None,
@@ -410,7 +419,7 @@ class _ObsSink:
                                shard=list(shard))
             return
         self._absorbed.add(shard)
-        self.checked += result.num_checked
+        self.checked += result.scan.num_checked
         obs = self.obs
         if obs is None:
             return
@@ -583,7 +592,8 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
 
 
 def _budget_hit(results: dict[tuple[int, int], ShardResult]) -> bool:
-    return any(r.budget_reason is not None for r in results.values())
+    return any(r.scan.budget_reason is not None
+               for r in results.values())
 
 
 def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
@@ -604,6 +614,6 @@ def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
         # Degrade follows the failed pool attempts 0 and 1.
         results[shard] = _run_shard(checker, shard, spec, attempt=2)
         sink.absorb(shard, results[shard])
-        if results[shard].budget_reason is not None:
+        if results[shard].scan.budget_reason is not None:
             break
     return _reduce(results, worker_failures, warnings)

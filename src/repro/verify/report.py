@@ -1,8 +1,15 @@
-"""Verification reports and unsat cores."""
+"""Verification reports and unsat cores.
+
+These records are ``NamedTuple`` classes, not dataclasses: every ``repro
+verify`` process builds them, and importing ``dataclasses`` would cost
+it more than a short check (DESIGN.md, "Import rules").
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.core.clause import Clause
 from repro.core.formula import CnfFormula
@@ -14,8 +21,7 @@ PROOF_IS_NOT_CORRECT = "proof_is_not_correct"
 RESOURCE_LIMIT_EXCEEDED = "resource_limit_exceeded"
 
 
-@dataclass
-class UnsatCore:
+class UnsatCore(NamedTuple):
     """An unsatisfiable subset of the original formula's clauses.
 
     Extracted as a by-product of ``Proof_verification2`` (paper Section 4):
@@ -49,8 +55,7 @@ class UnsatCore:
         return len(self.clause_indices) / total if total else 0.0
 
 
-@dataclass
-class VerificationStats:
+class VerificationStats(NamedTuple):
     """Typed per-run breakdown built by the instrumented report builder.
 
     ``total_time`` is the run's wall time; ``phase_times`` maps phase
@@ -66,7 +71,7 @@ class VerificationStats:
     """
 
     total_time: float = 0.0
-    phase_times: dict[str, float] = field(default_factory=dict)
+    phase_times: Mapping[str, float] = MappingProxyType({})
     props: int = 0
     checks: int = 0
     slowest_checks: tuple[tuple[int, float], ...] = ()
@@ -84,8 +89,7 @@ class VerificationStats:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a proof verification run.
 
     ``outcome`` is the paper's verdict string; ``ok`` is its boolean
@@ -125,14 +129,14 @@ class VerificationReport:
     failure_reason: str | None = None
     verification_time: float = 0.0
     core: UnsatCore | None = None
-    marked_proof_indices: tuple[int, ...] = field(default=())
+    marked_proof_indices: tuple[int, ...] = ()
     mode: str = "incremental"
     engine: str = "watched"
     jobs: int = 1
     bcp_counters: dict[str, int] | None = None
     stopped_at_index: int | None = None
     worker_failures: int = 0
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
     stats: VerificationStats | None = None
 
     @property

@@ -45,15 +45,15 @@ All reports are built through the shared
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bcp import engine_name, resolve_engine
 from repro.bcp.engine import PropagatorBase
 from repro.bcp.watched import WatchedPropagator
+from repro.core.exceptions import BudgetExhausted
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ENDING_FINAL_PAIR, \
     ConflictClauseProof
-from repro.verify.budget import BudgetExhausted, CheckBudget
 from repro.verify.checker import CHECKER_MODES, ProofChecker
 from repro.verify.conflict_analysis import collect_responsible
 from repro.verify.instrument import ReportBuilder
@@ -64,6 +64,9 @@ from repro.verify.report import (
     UnsatCore,
     VerificationReport,
 )
+
+if TYPE_CHECKING:
+    from repro.verify.budget import CheckBudget
 
 # The scan's stand-in for an instrumentation hook on the fast path.
 _NO_HOOK = nullcontext()
@@ -136,8 +139,7 @@ def _resolve_engine_cls(engine_cls, obs,
     return resolved
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """How a :func:`scan` ended.
 
     ``failed_index`` is the index whose check produced no conflict;

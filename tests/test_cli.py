@@ -492,26 +492,53 @@ class TestProcessLevel:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
-    def test_verify_loads_only_the_verify_path(self, tmp_path):
+    @pytest.fixture
+    def php4(self, tmp_path):
         from repro.benchgen.registry import pigeonhole
 
         cnf, proof = tmp_path / "php.cnf", tmp_path / "php.ccp"
         write_dimacs(pigeonhole(4), cnf)
         assert main(["solve", str(cnf), "--proof", str(proof)]) \
             == EXIT_UNSAT
+        return str(cnf), str(proof)
+
+    @staticmethod
+    def _verify_loading(args, modules):
+        """Run ``verify`` on ``args`` in a fresh interpreter; its last
+        stdout line lists which of ``modules`` the run loaded."""
+        result = _run_cli_process(
+            "verify", *args,
+            code="import sys; from repro.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 f"print([m for m in {modules!r} if m in sys.modules]); "
+                 "raise SystemExit(code)")
+        return result, result.stdout.splitlines()[-1]
+
+    def test_verify_loads_only_the_verify_path(self, php4):
         unused = ["repro.solver", "repro.preprocess", "repro.proofs.sizes",
                   "repro.proofs.resolution", "repro.obs",
                   "repro.verify.streaming", "repro.verify.parallel",
-                  "pstats"]
-        result = _run_cli_process(
-            "verify", str(cnf), str(proof),
-            code="import sys; from repro.cli import main; "
-                 "code = main(sys.argv[1:]); "
-                 f"print([m for m in {unused!r} if m in sys.modules]); "
-                 "raise SystemExit(code)")
+                  "pstats", "dataclasses", "inspect", "repro.bcp.counting",
+                  "repro.verify.budget", "repro.proofs.log"]
+        result, loaded = self._verify_loading(php4, unused)
         assert result.returncode == 0, result.stderr
         assert "s PROOF_IS_CORRECT" in result.stdout
-        assert result.stdout.splitlines()[-1] == "[]"
+        assert loaded == "[]"
+
+    def test_budget_flag_loads_the_budget_module(self, php4):
+        result, loaded = self._verify_loading(
+            [*php4, "--max-props", "1"], ["repro.verify.budget"])
+        assert result.returncode == EXIT_RESOURCE_LIMIT, result.stderr
+        assert "c budget exhausted: " in result.stdout
+        assert loaded == "['repro.verify.budget']"
+
+    def test_counting_engine_loads_on_request(self, php4):
+        result, loaded = self._verify_loading(
+            [*php4, "--engine", "counting"], ["repro.bcp.counting"])
+        assert result.returncode == 0, result.stderr
+        assert "s PROOF_IS_CORRECT" in result.stdout
+        assert " engine=counting " in result.stdout
+        assert loaded == "['repro.bcp.counting']"
 
     def test_default_verify_leaves_the_cwd_untouched(self, tmp_path,
                                                      monkeypatch):
