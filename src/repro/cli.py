@@ -115,10 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "(default 1: sequential)")
     verify_cmd.add_argument("--engine", default=None,
                             choices=tuple(ENGINES),
-                            help="BCP engine (default: watched, or "
-                                 "counting when --depgraph-out or "
-                                 "--depgraph-dot needs deterministic "
-                                 "reasons)")
+                            help="BCP engine (default: watched)")
     strictness = verify_cmd.add_mutually_exclusive_group()
     strictness.add_argument("--strict", action="store_true",
                             help="require a DIMACS header whose counts "

@@ -18,16 +18,17 @@ back inside the shard result, exactly like metric snapshots: the
 parent merges buffers in completion order and the exported artifact is
 sorted by check index, making the merge order-independent.  (Whether
 the *contents* are scheduling-independent depends on the engine and
-mode: the verification drivers default to the counting engine while a
-recorder is attached precisely because its ``rebuild`` checks are
-history-free — one canonical conflict per clause regardless of how the
-backward scan is sharded across workers.  The watched engine
-permanently reorders its watch lists as checks run, and
+mode.  Attaching a recorder changes neither: the run keeps the engine
+it would have used without one, watched by default.  The watched
+engine permanently reorders its watch lists as checks run, and
 ``incremental`` mode carries a root trail between checks, so either
 may report a different — equally valid — conflict depending on
 scheduling, the same caveat the metrics layer documents for its
-scheduling-dependent counters.  So an artifact is identical across
-``--jobs`` only under ``--mode rebuild``.  verification2's supports
+scheduling-dependent counters.  The counting engine's ``rebuild``
+checks are history-free — one canonical conflict per clause regardless
+of how the backward scan is sharded across workers — so an artifact is
+identical across ``--jobs`` only under ``--engine counting --mode
+rebuild``.  verification2's supports
 depend on the marks of the checks before by design — marked clauses
 join the engine's core tier, which both engines propagate first — so a
 verification2 capture is reproducible for the same input but need not

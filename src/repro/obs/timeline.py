@@ -24,11 +24,8 @@ can't:
   trace, folded with per-shard peaks into a run-wide ``peak_rss``,
   rendered as a sparkline lane (text) and a bar lane (HTML).
 
-Retried shards are deduplicated here as well as at absorb time
-(:class:`repro.verify.parallel._ObsSink`): among shard spans covering
-the same ``[lo, hi)`` bounds only the latest attempt survives, and
-anything dropped is counted in the document's ``dropped`` section so
-tests can assert the merged timeline is duplicate- and orphan-free.
+Orphaned and unterminated spans are counted in the document's
+``dropped`` section, so tests can assert the merged timeline is whole.
 
 All of this runs at read/merge time over a finished trace — nothing
 here executes in a verification hot loop.
@@ -134,55 +131,6 @@ def _assemble_spans(events: list[dict]) -> tuple[list[dict], int, str,
         span["key"] = _span_key(span["name"], span["attrs"],
                                 seen_names)
     return spans, open_count, run_id, trace_id
-
-
-def _dedupe_retries(spans: list[dict]) -> tuple[list[dict], int]:
-    """Keep only the winning attempt of each retried shard.
-
-    Shard spans covering identical ``[lo, hi)`` bounds are duplicates
-    from a retried/degraded shard; the latest ``(attempt, end)`` wins
-    and the losers — with their entire subtrees — are dropped.
-    """
-    by_bounds: dict[tuple, list[dict]] = {}
-    for span in spans:
-        if span["name"] != "shard":
-            continue
-        attrs = span["attrs"]
-        lo, hi = attrs.get("lo"), attrs.get("hi")
-        if lo is None or hi is None:
-            shard = attrs.get("shard") or (None, None)
-            lo, hi = shard[0], shard[1]
-        if lo is None:
-            continue
-        by_bounds.setdefault((lo, hi), []).append(span)
-    doomed: set[int] = set()
-    for group in by_bounds.values():
-        if len(group) <= 1:
-            continue
-        group.sort(key=lambda s: (s["attrs"].get("attempt", 0),
-                                  s["end"], s["id"]))
-        for loser in group[:-1]:
-            doomed.add(loser["id"])
-    if not doomed:
-        return spans, 0
-    # Drop descendants of doomed spans too.
-    dropped = 0
-    while True:
-        grew = False
-        for span in spans:
-            if (span["id"] not in doomed
-                    and span["parent"] in doomed):
-                doomed.add(span["id"])
-                grew = True
-        if not grew:
-            break
-    kept = []
-    for span in spans:
-        if span["id"] in doomed:
-            dropped += 1
-        else:
-            kept.append(span)
-    return kept, dropped
 
 
 def _assign_lanes(spans: list[dict]) -> tuple[list[dict], int]:
@@ -452,7 +400,6 @@ def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
                    ) -> dict:
     """Merge a trace's events into one timeline view."""
     spans, open_count, run_id, trace_id = _assemble_spans(events)
-    spans, duplicates = _dedupe_retries(spans)
     spans, orphans = _assign_lanes(spans)
     if spans:
         begin = min(s["begin"] for s in spans)
@@ -484,8 +431,7 @@ def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
              "top_stragglers": attribution["top_stragglers"]}
             if attribution else None),
         "memory": memory,
-        "dropped": {"duplicates": duplicates, "orphans": orphans,
-                    "open": open_count},
+        "dropped": {"orphans": orphans, "open": open_count},
     }
     return doc
 
@@ -597,8 +543,7 @@ def render_timeline_text(doc: dict) -> str:
     if any(dropped.values()):
         lines.append("")
         lines.append(
-            f"dropped: {dropped['duplicates']} duplicate, "
-            f"{dropped['orphans']} orphaned, "
+            f"dropped: {dropped['orphans']} orphaned, "
             f"{dropped['open']} unterminated span(s)")
     return "\n".join(lines) + "\n"
 

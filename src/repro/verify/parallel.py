@@ -40,18 +40,23 @@ A production verifier cannot assume its workers survive: an OOM kill or
 a segfault in a worker must degrade the run, not wedge it.  Shards are
 therefore dispatched individually through a
 :class:`~concurrent.futures.ProcessPoolExecutor`, whose prompt
-``BrokenProcessPool`` signal detects a dead worker.  The recovery
-ladder is:
+``BrokenProcessPool`` signal detects a dead worker.  The run is one
+loop over three rungs, each running only the shards that have no
+result yet:
 
-1. shards completed before the crash keep their results;
-2. lost shards are retried once on a fresh pool;
-3. shards still unfinished after the retry are checked *in process*,
-   sequentially — correctness is never sacrificed, only parallelism.
+0. a pool;
+1. a fresh pool;
+2. in process, sequentially, through the same :func:`_run_shard` —
+   correctness is never sacrificed, only parallelism.
 
-Every lost shard execution is counted in
-:attr:`ShardRunResult.worker_failures` and each degradation step is
-described in :attr:`ShardRunResult.warnings`, both of which surface in
-the :class:`~repro.verify.report.VerificationReport`.
+A ``BrokenProcessPool`` anywhere in a pool rung, from a finished
+future or from a ``submit`` after the break, ends that rung and counts
+as a worker failure; every shard without a result climbs to the next
+rung.  A dead worker ships nothing back and a shard with a result
+never runs again, so each shard yields exactly one result.  Every lost
+shard execution is counted in :attr:`ShardRunResult.worker_failures`
+and each climb is described in :attr:`ShardRunResult.warnings`, both
+of which surface in the :class:`~repro.verify.report.VerificationReport`.
 
 Budgets: the parent's :class:`~repro.verify.budget.BudgetMeter` is
 handed to every worker, each of which rebases it onto its own
@@ -65,7 +70,7 @@ and its slowest-K checks *locally* and ships them back inside the
 :class:`ShardResult`; the parent replays the trace events (stamped
 with the shard bounds) and folds the metric snapshots into its own
 registry — merging is associative, so completion order does not
-matter.  Worker failures, retries, and the sequential degrade are
+matter.  Worker failures, retries, and the in-process rung are
 emitted as trace events, the shard queue depth as a gauge, and the
 parent ticks the opt-in progress heartbeat as shard results arrive.
 BCP counter totals are *not* shipped in the worker snapshots — the
@@ -108,13 +113,13 @@ def fork_available() -> bool:
     return "fork" in get_all_start_methods()
 
 
-def select_backend(start_method: str | None = None) -> str | None:
+def select_backend(start_method: str | None = None) -> str:
     """Pick the pool's start method for a run.
 
-    ``fork`` when available, else ``spawn``.  ``start_method`` (or a
-    ``REPRO_START_METHOD`` environment override) forces a specific
-    method; an unavailable one raises ``ValueError``.  ``None`` means
-    no process start method exists at all (degrade sequentially).
+    ``fork`` when available, else ``spawn`` (which every CPython
+    platform has).  ``start_method`` (or a ``REPRO_START_METHOD``
+    environment override) forces a specific method; an unavailable one
+    raises ``ValueError``.
     """
     methods = get_all_start_methods()
     if start_method is None:
@@ -127,10 +132,7 @@ def select_backend(start_method: str | None = None) -> str | None:
                 f"start method {start_method!r} is not available on "
                 f"this platform (have {tuple(methods)})")
         return start_method
-    for method in ("fork", "spawn"):
-        if method in methods:
-            return method
-    return None
+    return "fork" if "fork" in methods else "spawn"
 
 
 def install_fault(shard: tuple[int, int], deaths: int = 1) -> None:
@@ -265,7 +267,7 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                spec: dict, attempt: int) -> ShardResult:
     """Scan one shard backward with
     :func:`~repro.verify.verification.scan` (shared by the pool
-    workers and the in-process degraded fallback).
+    workers and the in-process rung).
 
     ``spec`` holds the run's observability fields (built once by
     :func:`run_sharded_v1`).  With ``obs_enabled`` set, per-check wall
@@ -379,22 +381,17 @@ def _reduce(results: dict[tuple[int, int], ShardResult],
 class _ObsSink:
     """Parent-side absorption of per-shard observability payloads.
 
-    Centralizes what happens when a shard result lands, on both the
-    pool path and the degraded fallback: merge the worker's metric
-    snapshot, fold its slowest checks into the builder's heap, replay
-    its trace events (stamped with the shard bounds), tick the
-    progress heartbeat, and track the shard queue depth gauge.
+    Centralizes what happens when a shard result lands, on every rung
+    of the recovery ladder: merge the worker's metric snapshot, fold
+    its slowest checks into the builder's heap, replay its trace events
+    (stamped with the shard bounds), tick the progress heartbeat, and
+    track the shard queue depth gauge.
     """
 
     def __init__(self, obs, builder, num_shards: int):
         self.obs = obs
         self.builder = builder
         self.checked = 0
-        # Shards whose trace has already been replayed: a duplicate
-        # result for the same bounds (a retried shard whose first
-        # attempt landed late) must not produce duplicate spans in
-        # the merged timeline.
-        self._absorbed: set[tuple[int, int]] = set()
         if obs is not None:
             obs.counter_add("repro_parallel_shards_total", num_shards,
                             help="Shards the proof was split into")
@@ -409,16 +406,6 @@ class _ObsSink:
                                  "sequential checking")
 
     def absorb(self, shard: tuple[int, int], result: ShardResult) -> None:
-        if shard in self._absorbed:
-            # A duplicate execution of the same bounds (late first
-            # attempt of a retried shard): its verdict is identical by
-            # construction, and absorbing it again would double-count
-            # metrics and duplicate spans.
-            if self.obs is not None:
-                self.obs.event("duplicate_shard_suppressed",
-                               shard=list(shard))
-            return
-        self._absorbed.add(shard)
         self.checked += result.scan.num_checked
         obs = self.obs
         if obs is None:
@@ -457,10 +444,10 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     Returns a :class:`ShardRunResult` whose ``failed_index`` matches
     what a sequential backward scan would report (None when every
     check passes); ``num_checked`` can exceed a failing sequential run's
-    count — shards past the failure still ran.  Dead workers are
-    retried once and the leftovers checked in process (counted in
-    ``worker_failures`` / ``warnings``); an exhausted budget surfaces as
-    ``budget_reason`` plus partial progress.
+    count — shards past the failure still ran.  Shards lost to dead
+    workers climb the recovery ladder of the module docstring (counted
+    in ``worker_failures`` / ``warnings``); an exhausted budget surfaces
+    as ``budget_reason`` plus partial progress.
 
     The start method is picked by :func:`select_backend`
     (``start_method`` / ``REPRO_START_METHOD`` force one); every worker
@@ -471,15 +458,14 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     attach the instrumentation layer; see the module docstring for
     what is collected where.
 
-    The proof is cut by :func:`make_shards` and the shards are
-    submitted high→low; the retry round re-submits the pending shards
-    in the same order.  Each worker therefore sees falling ceilings,
-    which is what lets it retire clauses.
+    The proof is cut by :func:`make_shards` and every rung runs its
+    shards high→low, so each worker, and the in-process checker, sees
+    falling ceilings, which is what lets it retire clauses.
     """
     shards = make_shards(len(proof), jobs)[::-1]
     sink = _ObsSink(obs, builder, len(shards))
     # The observability fields of every shard run, on the pool and in
-    # the degraded fallback alike.
+    # process alike.
     tracer = obs.tracer if obs is not None else None
     spec = dict(
         obs_enabled=obs is not None,
@@ -488,29 +474,23 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
         obs_trace=getattr(tracer, "trace_id", None),
         obs_run=obs.run_id if obs is not None else None,
         depgraph_enabled=obs is not None and obs.wants_depgraph)
-    requested = engine_name(engine_cls)
     method = select_backend(start_method)
-    if method is None:
-        sink.event("backend_selected", backend="sequential",
-                   engine=requested, reason="no start method")
-        return _run_degraded(formula, proof, engine_cls, mode, shards,
-                             {}, 0,
-                             ["parallel backend unavailable: no process "
-                              "start method on this platform; checked "
-                              "sequentially in process"], meter, sink,
-                             spec)
-    results: dict[tuple[int, int], ShardResult] = {}
-    worker_failures = 0
-    warnings: list[str] = []
-    sink.event("backend_selected", backend=method, engine=requested)
+    sink.event("backend_selected", backend=method,
+               engine=engine_name(engine_cls))
     # Inherited by forked workers, pickled once per spawned one.
     initargs = (dict(
         spec, formula=formula, proof=proof, engine_cls=engine_cls,
         mode=mode, meter=meter, faults=dict(_FAULTS)),)
     context = get_context(method)
-    for attempt in (0, 1):
+    results: dict[tuple[int, int], ShardResult] = {}
+    worker_failures = 0
+    warnings: list[str] = []
+    for attempt in (0, 1, 2):
         pending = [s for s in shards if s not in results]
-        if not pending or _budget_hit(results):
+        timeout = meter.remaining_time() if meter is not None else None
+        if (not pending or (timeout is not None and timeout <= 0)
+                or any(r.scan.budget_reason is not None
+                       for r in results.values())):
             break
         if attempt == 1:
             warnings.append(
@@ -520,100 +500,100 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
             sink.counter("repro_parallel_retries_total", 1,
                          help="Shard retry rounds after worker "
                               "deaths")
-        executor = ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)), mp_context=context,
-            initializer=_init_worker, initargs=initargs)
-        not_done: set = set()
-        try:
-            futures = {
-                executor.submit(_shard_worker, shard, attempt): shard
-                for shard in pending}
-            not_done = set(futures)
-            sink.queue_depth(len(not_done))
-            while not_done:
-                timeout = (meter.remaining_time()
-                           if meter is not None else None)
-                if timeout is not None and timeout <= 0:
-                    break  # deadline passed: stop collecting
-                done, not_done = wait(not_done, timeout=timeout,
-                                      return_when=FIRST_COMPLETED)
-                if not done:
-                    break  # wait() timed out at the deadline
-                for future in done:
-                    shard = futures[future]
-                    try:
-                        results[shard] = future.result()
-                        sink.absorb(shard, results[shard])
-                    except BrokenProcessPool:
-                        # A shard execution lost to a dead worker;
-                        # anything else a worker raises is a checker
-                        # bug and propagates unmasked.
-                        worker_failures += 1
-                        sink.event("worker_failure",
-                                   shard=list(shard),
-                                   attempt=attempt)
-                sink.queue_depth(len(not_done))
-        finally:
-            if not_done:
-                # Deadline early exit: drop queued shards and do
-                # not wait, so a straggler cannot wedge the parent.
-                executor.shutdown(wait=False, cancel_futures=True)
-            else:
-                # Every future finished: join the pool so no worker
-                # or manager thread outlives the run (an unjoined
-                # pool can print "Exception ignored" at exit).
-                executor.shutdown(wait=True)
+        elif attempt == 2:
+            warnings.append(
+                f"{len(pending)} shard(s) degraded to in-process "
+                "sequential checking after repeated worker failures")
+            sink.event("degraded_sequential", reason="worker failures",
+                       shards=len(pending))
+            sink.counter("repro_parallel_degraded_shards_total",
+                         len(pending),
+                         help="Shards that fell back to in-process "
+                              "sequential checking")
+        if attempt < 2:
+            worker_failures += _pool_rung(
+                context, initargs, min(jobs, len(pending)), pending,
+                attempt, meter, results, sink)
+        else:
+            checker = ProofChecker(formula, proof, engine_cls, mode=mode)
+            if meter is not None:
+                checker.meter = meter.rebase(checker.engine.counters)
+            for shard in pending:
+                results[shard] = _run_shard(checker, shard, spec, attempt)
+                sink.absorb(shard, results[shard])
+                if results[shard].scan.budget_reason is not None:
+                    break
     sink.counter("repro_parallel_worker_failures_total", worker_failures,
                  help="Shard executions lost to dead workers")
-    remaining = [s for s in shards if s not in results]
-    if remaining and not _budget_hit(results):
-        if meter is not None and meter.remaining_time() is not None \
-                and meter.remaining_time() <= 0:
-            # Deadline elapsed while shards were still queued: report
-            # exhaustion rather than silently dropping coverage.
-            run = _reduce(results, worker_failures, warnings)
-            run.budget_reason = (run.budget_reason
-                                 or "wall-clock budget exhausted before "
-                                    f"{len(remaining)} shard(s) ran")
-            return run
-        warnings.append(
-            f"{len(remaining)} shard(s) degraded to in-process "
-            "sequential checking after repeated worker failures")
-        sink.event("degraded_sequential", reason="worker failures",
-                   shards=len(remaining))
-        sink.counter("repro_parallel_degraded_shards_total",
-                     len(remaining),
-                     help="Shards that fell back to in-process "
-                          "sequential checking")
-        return _run_degraded(formula, proof, engine_cls, mode, remaining,
-                             results, worker_failures, warnings, meter,
-                             sink, spec)
-    return _reduce(results, worker_failures, warnings)
+    run = _reduce(results, worker_failures, warnings)
+    if len(results) < len(shards) and run.budget_reason is None:
+        # The deadline passed with shards still queued: report
+        # exhaustion rather than silently dropping coverage.
+        run.budget_reason = ("wall-clock budget exhausted before "
+                             f"{len(shards) - len(results)} shard(s) ran")
+    return run
 
 
-def _budget_hit(results: dict[tuple[int, int], ShardResult]) -> bool:
-    return any(r.scan.budget_reason is not None
-               for r in results.values())
+def _pool_rung(context, initargs: tuple, workers: int,
+               pending: list[tuple[int, int]], attempt: int,
+               meter: BudgetMeter | None,
+               results: dict[tuple[int, int], ShardResult],
+               sink: _ObsSink) -> int:
+    """Run ``pending`` on a fresh pool, in order, until each submitted
+    shard has a result or a lost execution, or the deadline passes.
+    Adds the results to ``results`` and returns the number of shard
+    executions lost to dead workers.
 
-
-def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
-                  engine_cls: type[PropagatorBase], mode: str,
-                  remaining: list[tuple[int, int]],
-                  results: dict[tuple[int, int], ShardResult],
-                  worker_failures: int, warnings: list[str],
-                  meter: BudgetMeter | None, sink: _ObsSink,
-                  spec: dict) -> ShardRunResult:
-    """In-process sequential fallback for shards the pool never
-    finished.  ``remaining`` is high→low, so the reduced failure index
-    still matches a sequential run and the checker can retire clauses
-    as it goes."""
-    checker = ProofChecker(formula, proof, engine_cls, mode=mode)
-    if meter is not None:
-        checker.meter = meter.rebase(checker.engine.counters)
-    for shard in remaining:
-        # Degrade follows the failed pool attempts 0 and 1.
-        results[shard] = _run_shard(checker, shard, spec, attempt=2)
-        sink.absorb(shard, results[shard])
-        if results[shard].scan.budget_reason is not None:
-            break
-    return _reduce(results, worker_failures, warnings)
+    A dead worker breaks the whole pool: every shard it had not
+    finished raises ``BrokenProcessPool``, and so does a ``submit``
+    after the break, which ends the submissions; either counts as one
+    worker failure.  Anything else a worker raises is a checker bug
+    and propagates unmasked.
+    """
+    executor = ProcessPoolExecutor(
+        max_workers=workers, mp_context=context,
+        initializer=_init_worker, initargs=initargs)
+    futures = {}
+    lost = 0
+    not_done: set = set()
+    try:
+        try:
+            for shard in pending:
+                futures[executor.submit(_shard_worker, shard,
+                                        attempt)] = shard
+        except BrokenProcessPool:
+            lost += 1
+            sink.event("worker_failure", shard=list(shard),
+                       attempt=attempt)
+        not_done = set(futures)
+        sink.queue_depth(len(not_done))
+        while not_done:
+            timeout = meter.remaining_time() if meter is not None else None
+            if timeout is not None and timeout <= 0:
+                break  # deadline passed: stop collecting
+            done, not_done = wait(not_done, timeout=timeout,
+                                  return_when=FIRST_COMPLETED)
+            if not done:
+                break  # wait() timed out at the deadline
+            for future in done:
+                shard = futures[future]
+                try:
+                    results[shard] = future.result()
+                except BrokenProcessPool:
+                    lost += 1
+                    sink.event("worker_failure", shard=list(shard),
+                               attempt=attempt)
+                else:
+                    sink.absorb(shard, results[shard])
+            sink.queue_depth(len(not_done))
+    finally:
+        if not_done:
+            # Deadline early exit: drop queued shards and do not wait,
+            # so a straggler cannot wedge the parent.
+            executor.shutdown(wait=False, cancel_futures=True)
+        else:
+            # Every future finished: join the pool so no worker or
+            # manager thread outlives the run (an unjoined pool can
+            # print "Exception ignored" at exit).
+            executor.shutdown(wait=True)
+    return lost

@@ -17,13 +17,16 @@ whose deletions do not keep it under the cap degrades to a
 ``resource_limit_exceeded`` partial report (with a resume token, so a
 bigger budget can pick up where it stopped) instead of an OOM kill.
 
-**Window shifting.**  Deleted clauses are tombstoned by the engine,
-but their storage (clause lists, watch-table slots) is never
-reclaimed in place.  When dead clauses outnumber live ones by
-``DEFAULT_WINDOW_SLACK``, the checker rebuilds a fresh engine over
-only the live clauses — the "window shift" — and the old engine's
-storage is garbage.  Propagation-work accounting is carried across
-shifts, so budgets and reports see one continuous run.  A run carrying
+**Window shifting.**  A deletion frees most of a clause at once:
+:meth:`~repro.bcp.engine.PropagatorBase.remove_clause` detaches both
+of its watches and drops its literal list.  What stays behind is the
+empty tombstone the deleted cid leaves in ``engine.clauses`` and, in
+the ``active`` map, the key whose cid list the deletion emptied.
+When dead clauses outnumber live ones by ``DEFAULT_WINDOW_SLACK``, the
+checker rebuilds a fresh engine over only the live clauses — the
+"window shift" — which reclaims those leftovers.  Propagation-work
+accounting is carried across shifts, so budgets and reports see one
+continuous run.  A run carrying
 a memory sampler (``obs.mem``) also cross-checks the ``max_bytes`` *estimate*
 against *measured* RSS at every shift: growth past both an absolute
 floor and a multiple of the estimate emits a ``mem_estimate_drift``

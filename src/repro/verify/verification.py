@@ -94,19 +94,8 @@ def _resolve_engine_cls(engine_cls, obs,
                         mode: str | None = None) -> type[PropagatorBase]:
     """Resolve an engine (name, class, or None) to a class.
 
-    Default engine: watched normally, counting under capture.  The
-    watched engine permanently reorders its watch lists (and the
-    literals inside each clause) as checks run, so the conflicting
-    clause a check reports — and hence its conflict-analysis support —
-    depends on which checks ran earlier in the same engine.  The
-    counting engine's occurrence lists keep their order and its
-    counters are restored on backtrack, which makes every rebuild-mode
-    verification1 check a pure function of ``(F, F*, index)``: the
-    captured dependency graph is then identical for any sharding (the
-    ``--jobs 1`` vs ``--jobs 4`` artifact-identity guarantee).
-    verification2's supports also depend on the marks of the checks
-    before, by design: marked clauses join the core tier, which both
-    engines propagate first.
+    The default engine is watched, also under dependency-graph
+    capture, so a captured run checks what an uncaptured one would.
     An explicit ``engine_cls`` — a :data:`repro.bcp.ENGINES` name
     (``"watched"``, ``"counting"``) or a
     :class:`~repro.bcp.engine.PropagatorBase` subclass — always wins
@@ -121,14 +110,6 @@ def _resolve_engine_cls(engine_cls, obs,
             else getattr(engine_cls, "__name__", repr(engine_cls))
         resolved = resolve_engine(engine_cls)
         reason = "explicit request"
-    elif obs is not None and obs.wants_depgraph:
-        from repro.bcp.counting import CountingPropagator
-
-        requested = "default(depgraph)"
-        resolved = CountingPropagator
-        reason = ("depgraph capture: counting's rebuild checks are "
-                  "history-free, so verification1 provenance does "
-                  "not depend on sharding")
     else:
         requested = "default"
         resolved = WatchedPropagator
@@ -293,11 +274,7 @@ def verify_proof_v1(
 
     An exhausted ``budget`` aborts with ``resource_limit_exceeded`` and
     partial progress instead of a verdict.  ``obs`` attaches the
-    optional instrumentation layer (metrics, tracing, progress); when
-    it carries a dependency-graph recorder and no explicit
-    ``engine_cls`` is given, the counting engine is selected so that,
-    in rebuild mode, the captured graph is independent of sharding
-    (see :func:`_resolve_engine_cls`).
+    optional instrumentation layer (metrics, tracing, progress).
     """
     _check_mode(mode)
     engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode)
@@ -352,10 +329,7 @@ def verify_proof_v2(
     core is reported for a partial run (marking is incomplete).  ``obs``
     attaches the optional instrumentation layer; the marked-clause
     ratio — the quantity Section 6's efficiency claim rests on — is
-    exported as the ``repro_verify_marked_ratio`` gauge.  When ``obs``
-    carries a dependency-graph recorder and no explicit ``engine_cls``
-    is given, the counting engine is selected for reproducible
-    provenance (see :func:`_resolve_engine_cls`).
+    exported as the ``repro_verify_marked_ratio`` gauge.
     """
     _check_mode(mode)
     engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode)

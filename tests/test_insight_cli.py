@@ -82,8 +82,9 @@ class TestInsightArtifacts:
                                  capsys):
         dep = tmp_path / "dep.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--procedure", "verification1", "--mode", "rebuild",
-                     "--jobs", "2", "--depgraph-out", str(dep)])
+                     "--procedure", "verification1", "--engine",
+                     "counting", "--mode", "rebuild", "--jobs", "2",
+                     "--depgraph-out", str(dep)])
         assert code == 0
         lines = read_depgraph_jsonl(dep)
         assert validate_depgraph(lines) == []
@@ -236,8 +237,7 @@ class TestTimelineCli:
         doc = build_timeline(read_jsonl(trace))
         assert doc["utilization"] is not None
         assert doc["attribution"] is not None
-        assert doc["dropped"] == {"duplicates": 0, "orphans": 0,
-                                  "open": 0}
+        assert doc["dropped"] == {"orphans": 0, "open": 0}
         assert out_html.read_text().startswith("<!DOCTYPE html>")
         assert validate_main([str(trace)]) == 0  # sniffed
 

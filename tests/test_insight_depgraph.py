@@ -5,7 +5,8 @@ every checked clause's conflict-analysis support, exported as a
 schema-versioned JSONL artifact.  The pinned guarantees: the paper's
 worked example produces exactly the hand-derivable graph, the artifact
 round-trips, validates, and — after :func:`depgraph_deterministic_view`
-— is identical across ``jobs=1`` and ``jobs=4`` in rebuild mode.
+— is identical across ``jobs=1`` and ``jobs=4`` under the counting
+engine in rebuild mode; and capturing changes nothing the run reports.
 """
 
 import random
@@ -187,8 +188,9 @@ class TestShardingIndependence:
         views = []
         for job_count in (1, jobs):
             obs = Obs.enabled(depgraph=True)
-            report = verify_proof_v1(formula, proof, mode="rebuild",
-                                     jobs=job_count, obs=obs)
+            report = verify_proof_v1(formula, proof, "counting",
+                                     mode="rebuild", jobs=job_count,
+                                     obs=obs)
             assert report.ok
             header = depgraph_header(
                 {"id": f"r-{job_count}"},
@@ -199,19 +201,17 @@ class TestShardingIndependence:
                 [header] + obs.depgraph.sorted_checks()))
         assert views[0] == views[1]
 
-    def test_capture_selects_history_free_engine(self):
-        from repro.bcp.counting import CountingPropagator
-        from repro.bcp.watched import WatchedPropagator
-        from repro.verify.verification import _resolve_engine_cls
-
-        capture = Obs.enabled(depgraph=True)
-        plain = Obs.enabled()
-        assert _resolve_engine_cls(None, capture) is CountingPropagator
-        assert _resolve_engine_cls(None, plain) is WatchedPropagator
-        assert _resolve_engine_cls(None, None) is WatchedPropagator
-        # An explicit engine always wins over the capture default.
-        assert _resolve_engine_cls(WatchedPropagator, capture) \
-            is WatchedPropagator
+    @pytest.mark.parametrize("verify", [verify_proof_v1,
+                                        verify_proof_v2])
+    def test_capture_keeps_the_uncaptured_run(self, verify):
+        """A recorder only watches: the captured run reports the
+        engine, checks, core and BCP work of the run without it."""
+        formula, proof = random_unsat_instance()
+        plain = verify(formula, proof)
+        captured = verify(formula, proof,
+                          obs=Obs.enabled(depgraph=True))
+        for name in ("engine", "num_checked", "core", "bcp_counters"):
+            assert getattr(captured, name) == getattr(plain, name), name
 
     @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
     def test_v2_supports_lie_in_final_marks(self, mode):

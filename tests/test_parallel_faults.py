@@ -7,6 +7,8 @@ checking, each step leaving a trace in the report's ``warnings`` /
 ``worker_failures``.
 """
 
+from concurrent.futures import wait
+
 import pytest
 
 from repro.benchgen.registry import pigeonhole
@@ -108,6 +110,19 @@ class TestShards:
         assert shard_count(1000, 1) == SHARDS_PER_JOB
 
 
+class _BreakDuringSubmit(parallel.ProcessPoolExecutor):
+    """A pool whose first ``submit`` returns only once that shard has
+    finished, so a fault on it breaks the pool before the next
+    ``submit``."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        if not getattr(self, "_first_done", False):
+            self._first_done = True
+            wait([future])
+        return future
+
+
 class TestWorkerDeath:
     def test_retry_recovers(self, instance):
         formula, proof = instance
@@ -155,6 +170,25 @@ class TestWorkerDeath:
                 if path is not None:
                     assert any(path in w for w in report.warnings)
 
+    @pytest.mark.parametrize("fixture", ["instance", "bad_instance"])
+    def test_pool_broken_during_submission(self, fixture, request,
+                                           monkeypatch):
+        """A worker that dies before every shard is submitted makes
+        ``submit`` itself raise ``BrokenProcessPool``: that is a worker
+        failure too, and the unsubmitted shards go to the retry rung."""
+        formula, proof = request.getfixturevalue(fixture)
+        sequential = verify_proof_v1(formula, proof, jobs=1)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            _BreakDuringSubmit)
+        # The highest shard is submitted first.
+        install_fault(_shards(proof)[-1], deaths=1)
+        report = verify_proof_v1(formula, proof, jobs=4)
+        assert report.ok == sequential.ok
+        assert (report.failed_clause_index
+                == sequential.failed_clause_index)
+        assert report.worker_failures >= 1
+        assert any("retrying" in w for w in report.warnings)
+
 
 class TestDegradedPlatform:
     def test_no_fork_substitutes_arena_over_spawn(self, instance,
@@ -188,23 +222,6 @@ class TestDegradedPlatform:
         assert run.num_checked == len(proof)
         assert run.warnings == ()
 
-    def test_no_start_method_degrades_sequential(self, instance,
-                                                 monkeypatch):
-        """Only a platform with *no* start method at all degrades to
-        the in-process sequential fallback (with a loud warning)."""
-        from repro.bcp.watched import WatchedPropagator
-
-        formula, proof = instance
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
-        monkeypatch.setattr(parallel, "get_all_start_methods",
-                            lambda: [])
-        run = run_sharded_v1(formula, proof, WatchedPropagator,
-                             "incremental", 4)
-        assert run.failed_index is None
-        assert run.num_checked == len(proof)
-        assert any("parallel backend unavailable" in w
-                   for w in run.warnings)
-
     def test_forced_start_method_must_exist(self, instance, monkeypatch):
         from repro.bcp.watched import WatchedPropagator
 
@@ -225,6 +242,9 @@ class TestParallelBudget:
         assert not report.ok
         assert report.num_checked <= len(proof)
         assert report.failure_reason
+        # No worker died, so the deadline starts no retry rung.
+        assert report.worker_failures == 0
+        assert report.warnings == ()
 
     def test_props_budget_with_worker_death(self, instance):
         """Budget exhaustion and fault recovery compose: the run still
@@ -288,8 +308,8 @@ class TestTraceReplayUnderFaults:
         assert report.ok
         assert report.worker_failures >= 1
         self._assert_one_span_per_shard(doc, shards)
-        # Dedup happened at absorb time or merge time — either way
-        # nothing duplicated survives and attribution is complete.
+        # The lost attempt shipped nothing back, so attribution has
+        # one row per shard.
         assert len(doc["attribution"]["shards"]) == len(shards)
         assert doc["utilization"] is not None
 
@@ -315,7 +335,7 @@ class TestTraceReplayUnderFaults:
         self._assert_one_span_per_shard(doc, shards)
         assert all(s["attrs"]["attempt"] == 0
                    for s in doc["spans"] if s["name"] == "shard")
-        assert doc["dropped"]["duplicates"] == 0
+        assert doc["dropped"] == {"orphans": 0, "open": 0}
 
 
 class TestSpawnTraceRebasing:

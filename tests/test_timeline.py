@@ -28,19 +28,13 @@ class FakeClock:
 
 
 def _worker_events(clock, epoch, lo, hi, begin, end, pid,
-                   attempt=0, checks=1, props=10, clause_visits=5,
-                   with_check_child=False):
+                   checks=1, props=10, clause_visits=5):
     """Record one worker-side shard span exactly the way
     ``repro.verify.parallel._run_shard`` does: lo/hi/pid/attempt on
     the begin, cost counters folded into the end attrs."""
     worker = Tracer(run_id="w", clock=clock, epoch=epoch)
     clock.now = begin
-    with worker.span("shard", lo=lo, hi=hi, pid=pid,
-                     attempt=attempt):
-        if with_check_child:
-            clock.now = begin + 0.1
-            with worker.span("check", index=lo):
-                clock.now = begin + 0.2
+    with worker.span("shard", lo=lo, hi=hi, pid=pid, attempt=0):
         clock.now = end
     worker.events[-1]["attrs"].update(
         checks=checks, wall=end - begin, props=props,
@@ -48,7 +42,7 @@ def _worker_events(clock, epoch, lo, hi, begin, end, pid,
     return worker.events
 
 
-def make_parallel_trace(retry=False):
+def make_parallel_trace():
     """A synthetic two-worker pool run with exact timestamps.
 
     Layout (seconds on the shared clock):
@@ -56,30 +50,20 @@ def make_parallel_trace(retry=False):
     * main: ``verify`` 0..10 wrapping ``pool`` 0.5..9.5
     * worker 101: ``shard[0:10]`` 1..4, ``shard[20:30]`` 5..9
     * worker 202: ``shard[10:20]`` 1..6
-
-    With ``retry=True`` worker 202's shard also has a losing
-    attempt-0 run at 1..2 (with a child check span) that the
-    timeline must drop.
     """
     clock = FakeClock()
     parent = Tracer(run_id="r1", clock=clock, trace_id="ab" * 16)
     with parent.span("verify"):
         clock.now = 0.5
         with parent.span("pool", jobs=2):
-            shards = []
-            if retry:
-                shards.append(_worker_events(
-                    clock, parent.epoch, 10, 20, 1.0, 2.0, pid=202,
-                    attempt=0, props=1, with_check_child=True))
-            shards.append(_worker_events(
-                clock, parent.epoch, 0, 10, 1.0, 4.0, pid=101,
-                checks=10, props=40))
-            shards.append(_worker_events(
-                clock, parent.epoch, 10, 20, 1.0, 6.0, pid=202,
-                attempt=1 if retry else 0, checks=10, props=60))
-            shards.append(_worker_events(
-                clock, parent.epoch, 20, 30, 5.0, 9.0, pid=101,
-                checks=10, props=80))
+            shards = [
+                _worker_events(clock, parent.epoch, 0, 10, 1.0, 4.0,
+                               pid=101, checks=10, props=40),
+                _worker_events(clock, parent.epoch, 10, 20, 1.0, 6.0,
+                               pid=202, checks=10, props=60),
+                _worker_events(clock, parent.epoch, 20, 30, 5.0, 9.0,
+                               pid=101, checks=10, props=80),
+            ]
             for events in shards:
                 lo = events[0]["attrs"]["lo"]
                 hi = events[0]["attrs"]["hi"]
@@ -104,8 +88,7 @@ class TestBuildTimeline:
         assert lane["shard[0:10]"] == "worker-101"
         assert lane["shard[20:30]"] == "worker-101"
         assert lane["shard[10:20]"] == "worker-202"
-        assert doc["dropped"] == {"duplicates": 0, "orphans": 0,
-                                  "open": 0}
+        assert doc["dropped"] == {"orphans": 0, "open": 0}
 
     def test_utilization_and_idle_gaps(self):
         doc = build_timeline(make_parallel_trace().events)
@@ -168,25 +151,6 @@ class TestBuildTimeline:
             == json.dumps(build_timeline(list(events)), sort_keys=True)
 
 
-class TestRetryDedup:
-    def test_losing_attempt_dropped_with_subtree(self):
-        doc = build_timeline(make_parallel_trace(retry=True).events)
-        keys = [s["key"] for s in doc["spans"]]
-        assert keys.count("shard[10:20]") == 1
-        # The loser and its check child are both gone.
-        assert doc["dropped"]["duplicates"] == 2
-        assert not any(s["name"] == "check" for s in doc["spans"])
-        winner = next(s for s in doc["spans"]
-                      if s["key"] == "shard[10:20]")
-        assert winner["attrs"]["attempt"] == 1
-        assert winner["end"] == 6.0
-        # Attribution reflects only the winning attempt.
-        row = next(s for s in doc["attribution"]["shards"]
-                   if s["shard"] == [10, 20])
-        assert row["props"] == 60
-        assert row["attempt"] == 1
-
-
 class TestDegradedTraces:
     def test_open_span_closed_and_counted(self):
         events = make_parallel_trace().events
@@ -230,7 +194,7 @@ class TestDegradedTraces:
 
 class TestRenderers:
     def test_text_rendering(self):
-        doc = build_timeline(make_parallel_trace(retry=True).events)
+        doc = build_timeline(make_parallel_trace().events)
         text = render_timeline_text(doc)
         assert "utilization=75.0%" in text
         assert "skew=1.25x" in text
@@ -238,7 +202,6 @@ class TestRenderers:
         assert "critical path" in text
         assert "shard[20:30]" in text
         assert "top stragglers:" in text
-        assert "2 duplicate" in text
         # Gantt bars render within the fixed width.
         for line in text.splitlines():
             if "|" in line:
