@@ -26,9 +26,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.bcp.counting import CountingPropagator
+from repro.bcp import resolve_engine
 from repro.bcp.engine import UNDEF, PropagatorBase
-from repro.bcp.watched import WatchedPropagator
 from repro.core.formula import CnfFormula
 from repro.core.literals import encode
 from repro.proofs.log import ProofLog
@@ -103,9 +102,8 @@ class CdclSolver:
                  options: SolverOptions | None = None):
         self.options = options or SolverOptions()
         self.formula = formula
-        engine_cls = (WatchedPropagator if self.options.engine == "watched"
-                      else CountingPropagator)
-        self.engine: PropagatorBase = engine_cls(formula.num_vars)
+        self.engine: PropagatorBase = resolve_engine(
+            self.options.engine)(formula.num_vars)
         self.order = make_order(self.options.heuristic, formula.num_vars,
                                 self.options.var_decay)
         self.restart_policy = make_restart_policy(

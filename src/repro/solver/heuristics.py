@@ -5,6 +5,22 @@ prefers variables of the most recently deduced clause that is not yet
 satisfied, falling back to activity order.  We provide both that heuristic
 and plain VSIDS (Chaff-style exponential activities with lazy-heap
 selection) so the solver can be run in either configuration.
+
+The activity order is a binary heap of ``(-activity, var)`` tuples on
+:mod:`heapq`, kept as MiniSat's indexed heap would be: each variable has
+at most one *current* entry, the newest one it was given, and
+``queued[var]`` holds that entry's activity (``None`` once ``pick`` has
+popped it).  ``bump`` pushes a fresh entry only while the variable
+still has one (increase-key); an assigned variable's entry is popped
+when it reaches the top, and ``push`` gives it back when the variable
+is unassigned.  So every unassigned variable has a current entry with
+its present activity, which outranks the superseded entries it left
+behind, and ``pick`` returns the same variable as a heap that kept
+every entry ever pushed: the highest activity, ties broken by the lower
+index.  Superseded entries are dropped when they reach the top or when
+the heap outgrows ``2 * (num_vars + 1) + 64`` entries, at which point it
+is rebuilt from the current entries alone; the heap stays within that
+bound at an amortised O(1) cost per operation.
 """
 
 from __future__ import annotations
@@ -18,7 +34,8 @@ _RESCALE_FACTOR = 1e-100
 
 
 class VsidsOrder:
-    """Exponential VSIDS with a lazy max-heap over variable activities."""
+    """Exponential VSIDS with a bounded lazy max-heap over variable
+    activities (see the module docstring for its invariant)."""
 
     def __init__(self, num_vars: int = 0, decay: float = 0.95):
         if not 0 < decay <= 1:
@@ -26,14 +43,18 @@ class VsidsOrder:
         self.decay = decay
         self.inc = 1.0
         self.activity: list[float] = [0.0]
+        self.queued: list[float | None] = [None]
         self.heap: list[tuple[float, int]] = []
+        self.heap_limit = 64
         self.ensure_vars(num_vars)
 
     def ensure_vars(self, num_vars: int) -> None:
         while len(self.activity) <= num_vars:
             var = len(self.activity)
             self.activity.append(0.0)
+            self.queued.append(0.0)
             heapq.heappush(self.heap, (-0.0, var))
+        self.heap_limit = 2 * len(self.activity) + 64
 
     def bump(self, var: int) -> None:
         """Increase a variable's activity (called on conflict analysis)."""
@@ -41,15 +62,25 @@ class VsidsOrder:
         self.activity[var] = activity
         if activity > _RESCALE_LIMIT:
             self._rescale()
-        else:
-            heapq.heappush(self.heap, (-activity, var))
+        elif self.queued[var] is not None:
+            self.queued[var] = activity
+            heap = self.heap
+            heapq.heappush(heap, (-activity, var))
+            if len(heap) > self.heap_limit:
+                self._compact()
+
+    def _compact(self) -> None:
+        """Drop every superseded entry: one entry per queued variable."""
+        self.heap = [(-activity, var)
+                     for var, activity in enumerate(self.queued)
+                     if activity is not None]
+        heapq.heapify(self.heap)
 
     def _rescale(self) -> None:
         self.activity = [a * _RESCALE_FACTOR for a in self.activity]
         self.inc *= _RESCALE_FACTOR
-        self.heap = [(-self.activity[var], var)
-                     for var in range(1, len(self.activity))]
-        heapq.heapify(self.heap)
+        self.queued = [None, *self.activity[1:]]
+        self._compact()
 
     def decay_step(self) -> None:
         """Geometrically inflate future bumps (equivalent to decaying)."""
@@ -57,21 +88,25 @@ class VsidsOrder:
 
     def push(self, var: int) -> None:
         """Re-offer a variable after it became unassigned."""
-        heapq.heappush(self.heap, (-self.activity[var], var))
+        if self.queued[var] is None:
+            activity = self.activity[var]
+            self.queued[var] = activity
+            heap = self.heap
+            heapq.heappush(heap, (-activity, var))
+            if len(heap) > self.heap_limit:
+                self._compact()
 
     def pick(self, engine: PropagatorBase) -> int | None:
         """Highest-activity unassigned variable, or None if all assigned."""
         values = engine.values
         heap = self.heap
+        queued = self.queued
         while heap:
-            neg_activity, var = heap[0]
-            if values[var << 1] != UNDEF:
-                heapq.heappop(heap)
-                continue
-            if -neg_activity != self.activity[var]:
-                heapq.heappop(heap)  # stale entry; a fresher one exists
-                continue
-            return var
+            var = heap[0][1]
+            if values[var << 1] == UNDEF:
+                return var
+            heapq.heappop(heap)
+            queued[var] = None  # push re-offers it when unassigned
         return None
 
 

@@ -63,8 +63,7 @@ class FinalAnalysis:
 
 
 def _normalized(enc_lits: list[int]) -> tuple[int, ...]:
-    lits = [decode(enc) for enc in enc_lits]
-    return tuple(sorted(lits, key=lambda lit: (abs(lit), lit < 0)))
+    return tuple(sorted(map(decode, enc_lits), key=abs))
 
 
 def analyze_1uip(engine: PropagatorBase, confl_cid: int,

@@ -568,6 +568,34 @@ class TestWatchedWorkPinned:
                 for key in self.PINNED_SOLVER[name]} \
             == self.PINNED_SOLVER[name]
 
+    # The configuration `repro solve` runs (adaptive learning) and plain
+    # VSIDS branching; the adaptive rows also pin the proof's length.
+    PINNED_SOLVER_CONFIGS = {
+        ("php6", "adaptive"): (dict(learning="adaptive"), dict(
+            conflicts=907, decisions=1061, propagations=12557), 908),
+        ("barrel5", "adaptive"): (dict(learning="adaptive"), dict(
+            conflicts=2530, decisions=4899, propagations=80509), 2531),
+        ("php6", "vsids"): (dict(heuristic="vsids"), dict(
+            conflicts=805, decisions=977, propagations=11302), None),
+        ("barrel5", "vsids"): (dict(heuristic="vsids"), dict(
+            conflicts=849, decisions=1451, propagations=22725), None),
+    }
+
+    @pytest.mark.parametrize("name,config", sorted(PINNED_SOLVER_CONFIGS))
+    def test_solver_stats_by_config(self, name, config):
+        from repro.benchgen.registry import build_instance
+        from repro.proofs.conflict_clause import ConflictClauseProof
+        from repro.solver.cdcl import solve
+
+        options, pinned, proof_len = \
+            self.PINNED_SOLVER_CONFIGS[name, config]
+        result = solve(build_instance(name), **options)
+        assert {key: getattr(result.stats, key) for key in pinned} \
+            == pinned
+        if proof_len is not None:
+            assert len(ConflictClauseProof.from_log(result.log)) \
+                == proof_len
+
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
 class TestAssignmentView:

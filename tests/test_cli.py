@@ -503,11 +503,12 @@ class TestProcessLevel:
         return str(cnf), str(proof)
 
     @staticmethod
-    def _verify_loading(args, modules):
-        """Run ``verify`` on ``args`` in a fresh interpreter; its last
-        stdout line lists which of ``modules`` the run loaded."""
+    def _verify_loading(args, modules, command="verify"):
+        """Run ``command`` (``verify`` unless given) on ``args`` in a
+        fresh interpreter; its last stdout line lists which of
+        ``modules`` the run loaded."""
         result = _run_cli_process(
-            "verify", *args,
+            command, *args,
             code="import sys; from repro.cli import main; "
                  "code = main(sys.argv[1:]); "
                  f"print([m for m in {modules!r} if m in sys.modules]); "
@@ -539,6 +540,13 @@ class TestProcessLevel:
         assert "s PROOF_IS_CORRECT" in result.stdout
         assert " engine=counting " in result.stdout
         assert loaded == "['repro.bcp.counting']"
+
+    def test_default_solve_loads_no_counting_engine(self, php4, tmp_path):
+        result, loaded = self._verify_loading(
+            [php4[0], "--proof", str(tmp_path / "again.ccp")],
+            ["repro.bcp.counting"], command="solve")
+        assert result.returncode == EXIT_UNSAT, result.stderr
+        assert loaded == "[]"
 
     def test_default_verify_leaves_the_cwd_untouched(self, tmp_path,
                                                      monkeypatch):
