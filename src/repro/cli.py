@@ -33,7 +33,6 @@ from repro.core.exceptions import (
 )
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.trace_format import read_proof, write_proof
-from repro.verify.verification import verify_proof
 
 if TYPE_CHECKING:
     from repro.obs import Obs
@@ -50,8 +49,17 @@ EXIT_INTERRUPT = 130    # 128 + SIGINT
 
 
 # Each subcommand imports what only it needs, so a ``verify`` process
-# never loads the solver.  These two stay module attributes (tracing
-# hooks wrap them here) and import their implementation on first call.
+# never loads the solver and a ``solve`` process never loads the
+# checker.  These three stay module attributes (tracing hooks wrap them
+# here) and import their implementation on first call.
+def verify_proof(formula, proof, **options):
+    """:func:`repro.verify.verification.verify_proof`, imported on
+    first call."""
+    from repro.verify.verification import verify_proof
+
+    return verify_proof(formula, proof, **options)
+
+
 def solve(formula, options=None):
     """:func:`repro.solver.cdcl.solve`, imported on first call."""
     from repro.solver.cdcl import solve

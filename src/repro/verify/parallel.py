@@ -5,43 +5,62 @@ one is a self-contained BCP run over ``F ∪ F*_{<i}``), so the proof
 indices can be sharded across a pool of worker processes.  Each worker
 builds its checker once, runs each shard through
 :func:`~repro.verify.verification.scan` (the loop sequential
-verification runs), and streams shard verdicts back.
+verification runs), and sends shard verdicts back.
 
-One transport carries the clause database to the workers: the pool
-initializer's ``initargs`` hold the formula, the proof, the engine
-class, the checker mode, the budget meter, the fault map and the
-observability fields.  Under ``fork`` the workers inherit them through
-copy-on-write, so nothing large is pickled; under ``spawn`` they are
-pickled once per worker.  Either way every worker runs the engine the
-run asked for.  :func:`select_backend` only picks the start method
-(``fork`` when available, else ``spawn``), and the choice is announced
-with a ``backend_selected`` obs event; ``REPRO_START_METHOD`` (or the
-``start_method`` parameter) forces a specific start method, which is
-how the fork-vs-spawn report-identity guarantee is tested.
+The pool
+--------
+The pool is a few file descriptors and a ``select`` loop.  Each worker
+holds two pipes to the parent: the parent sends it one ``(shard,
+attempt)`` message at a time and reads back one pickled
+:class:`ShardResult` per shard, and waits on every busy worker's result
+pipe at once.  The pool needs no executor, no manager thread and no
+queue feeder, so a run imports neither ``concurrent.futures`` nor
+``multiprocessing``.
 
-Failure reporting stays deterministic regardless of pool scheduling:
-every shard scans backward and reports the first failure it meets, and
-the parent reduces shard failures with max (the first failure a
-sequential backward scan would hit is the *highest* failing index).
+Two launchers start a worker, and the pool loop and its messages are
+the same for both:
+
+* ``fork`` (wherever ``os.fork`` exists, the default): the worker
+  inherits the formula, the proof, the engine class, the checker mode,
+  the budget meter, the fault map and the observability fields through
+  copy-on-write, so nothing large is pickled.  Its pipes are raw
+  ``os.pipe`` descriptors carrying length-prefixed pickles.  The
+  parent flushes ``sys.stdout``/``sys.stderr`` before each fork, and a
+  forked worker always leaves through ``os._exit``: no buffered output
+  is written twice, and no ``atexit`` hook or test-runner teardown runs
+  in a worker.
+* ``spawn`` (where ``os.fork`` is missing, or forced with
+  ``REPRO_START_METHOD=spawn`` or the ``start_method`` parameter):
+  ``multiprocessing`` starts a fresh interpreter, pickles the same
+  fields to it once, and hands it ``multiprocessing`` pipes.  This is
+  the only module path that imports ``multiprocessing``.
+
+:func:`select_backend` picks the launcher and the choice is announced
+with a ``backend_selected`` obs event.  Either way every worker runs
+the engine the run asked for, which is how the fork-vs-spawn
+report-identity guarantee is tested.
+
+Failure reporting stays deterministic regardless of scheduling: every
+shard scans backward and reports the first failure it meets, and the
+parent reduces shard failures with max (the first failure a sequential
+backward scan would hit is the *highest* failing index).
 
 The proof is cut into contiguous equal-count shards
-(:func:`make_shards`) and the shards are submitted high→low.  The pool
-hands work out first-in first-out, so every worker meets its shards
-with falling ceilings, and each worker's incremental checker retires
-the clauses above the current shard for good, as in a sequential
-backward scan.  Submitting high→low is also largest-first, because
-high-index checks propagate over the most clauses.  Should a worker
-ever see a rising ceiling, the checker raises ``ValueError``; an
-ordering slip fails loudly and never flips a verdict.
+(:func:`make_shards`) and handed out high→low, first in first out: a
+worker gets its next shard when its last result arrives.  So every
+worker meets its shards with falling ceilings, and each worker's
+incremental checker retires the clauses above the current shard for
+good, as in a sequential backward scan.  High→low is also
+largest-first, because high-index checks propagate over the most
+clauses.  Should a worker ever see a rising ceiling, the checker
+raises ``ValueError``; an ordering slip fails loudly and never flips a
+verdict.
 
 Fault tolerance
 ---------------
 A production verifier cannot assume its workers survive: an OOM kill or
-a segfault in a worker must degrade the run, not wedge it.  Shards are
-therefore dispatched individually through a
-:class:`~concurrent.futures.ProcessPoolExecutor`, whose prompt
-``BrokenProcessPool`` signal detects a dead worker.  The run is one
-loop over three rungs, each running only the shards that have no
+a segfault in a worker must degrade the run, not wedge it.  The run is
+one loop over three rungs, each running only the shards that have no
 result yet:
 
 0. a pool;
@@ -49,19 +68,31 @@ result yet:
 2. in process, sequentially, through the same :func:`_run_shard` —
    correctness is never sacrificed, only parallelism.
 
-A ``BrokenProcessPool`` anywhere in a pool rung, from a finished
-future or from a ``submit`` after the break, ends that rung and counts
-as a worker failure; every shard without a result climbs to the next
-rung.  A dead worker ships nothing back and a shard with a result
-never runs again, so each shard yields exactly one result.  Every lost
-shard execution is counted in :attr:`ShardRunResult.worker_failures`
-and each climb is described in :attr:`ShardRunResult.warnings`, both
-of which surface in the :class:`~repro.verify.report.VerificationReport`.
+A worker death is EOF on its result pipe (whatever ended the process:
+a crash, a ``SIGKILL``, a non-zero exit), a send that fails because
+the worker is gone, or a launcher that raises ``OSError`` (``os.fork``
+out of processes).  Each one costs the execution of the shard that
+worker held, or was about to receive, and counts as one worker
+failure; that shard climbs to the next rung.  The surviving workers go
+on with the queue; shards still queued when no worker survives climb
+too.  A dead worker ships nothing back and a shard with a result never
+runs again, so each shard yields exactly one result.  Every lost shard
+execution is counted in :attr:`ShardRunResult.worker_failures` and
+each climb is described in :attr:`ShardRunResult.warnings`, both of
+which surface in the :class:`~repro.verify.report.VerificationReport`.
+Anything else a worker raises is a checker bug: the worker sends the
+exception back and the parent raises it.
+
+The parent reaps every worker it starts, with ``os.waitpid`` for a
+forked one: on a clean finish it closes the task pipes (EOF stops an
+idle worker) and waits; after a death, a passed deadline or an
+exception it sends ``SIGKILL`` first.  No worker outlives its rung.
 
 Budgets: the parent's :class:`~repro.verify.budget.BudgetMeter` is
-handed to every worker, each of which rebases it onto its own
-engine counters and aborts its shard cleanly when the shared deadline
-(or its per-process ``max_props`` share) runs out; the parent then
+handed to every worker, each of which rebases it onto its own engine
+counters and aborts its shard cleanly when the shared deadline (or its
+per-process ``max_props`` share) runs out.  The parent also stops
+waiting at the deadline, kills the pool and starts no retry; it then
 reports ``resource_limit_exceeded`` with the work that did complete.
 
 Observability: with an :class:`~repro.obs.context.Obs` attached, each
@@ -81,47 +112,49 @@ nothing is double-counted.
 from __future__ import annotations
 
 import os
+import pickle
+import select
+import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bcp import engine_name
 from repro.bcp.engine import PropagatorBase
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ConflictClauseProof
-from repro.verify.budget import BudgetMeter
 from repro.verify.checker import ProofChecker
 from repro.verify.instrument import ReportBuilder
 from repro.verify.verification import ScanResult, scan
 
-# Worker state: set by the pool initializer from its ``initargs``, then
-# extended per process with the lazily built checker.
+if TYPE_CHECKING:
+    from repro.verify.budget import BudgetMeter
+
+# Worker state: the run's fields, adopted by each worker when it
+# starts, then extended per process with the lazily built checker.
 _SHARED: dict = {}
 
 # Test-only fault injection: shard -> number of times a worker should
 # die (hard exit, as an OOM kill would) before executing it.  Populated
-# in the parent and shipped to the workers with the initargs; workers
-# consult it with the attempt number the parent passes along, so a
-# retried shard survives.
+# in the parent and shipped to the workers with the run's fields;
+# workers consult it with the attempt number the parent passes along,
+# so a retried shard survives.
 _FAULTS: dict[tuple[int, int], int] = {}
 
 
 def fork_available() -> bool:
-    """Whether the fork-based pool backend can run on this platform."""
-    return "fork" in get_all_start_methods()
+    """Whether the fork launcher can run on this platform."""
+    return hasattr(os, "fork")
 
 
 def select_backend(start_method: str | None = None) -> str:
-    """Pick the pool's start method for a run.
+    """Pick the pool's launcher for a run.
 
     ``fork`` when available, else ``spawn`` (which every CPython
     platform has).  ``start_method`` (or a ``REPRO_START_METHOD``
-    environment override) forces a specific method; an unavailable one
-    raises ``ValueError``.
+    environment override) forces one; an unavailable one raises
+    ``ValueError``.
     """
-    methods = get_all_start_methods()
+    methods = ("fork", "spawn") if fork_available() else ("spawn",)
     if start_method is None:
         env = os.environ.get("REPRO_START_METHOD")
         if env is not None and env.strip():
@@ -130,9 +163,9 @@ def select_backend(start_method: str | None = None) -> str:
         if start_method not in methods:
             raise ValueError(
                 f"start method {start_method!r} is not available on "
-                f"this platform (have {tuple(methods)})")
+                f"this platform (have {methods})")
         return start_method
-    return "fork" if "fork" in methods else "spawn"
+    return methods[0]
 
 
 def install_fault(shard: tuple[int, int], deaths: int = 1) -> None:
@@ -192,8 +225,7 @@ def make_shards(num_indices: int, jobs: int) -> list[tuple[int, int]]:
             if bounds[i] < bounds[i + 1]]
 
 
-@dataclass
-class ShardResult:
+class ShardResult(NamedTuple):
     """One shard's :class:`~repro.verify.verification.ScanResult`
     (``scan``) plus its counters and observability payload.
 
@@ -208,42 +240,176 @@ class ShardResult:
     """
 
     scan: ScanResult
-    counter_delta: dict[str, int] = field(default_factory=dict)
-    duration: float = 0.0
-    metrics: dict | None = None
-    slowest: tuple = ()
-    trace: list = field(default_factory=list)
-    depgraph: list = field(default_factory=list)
+    counter_delta: dict[str, int]
+    duration: float
+    metrics: dict | None
+    slowest: tuple
+    trace: list
+    depgraph: list
 
 
-@dataclass
-class ShardRunResult:
+class ShardRunResult(NamedTuple):
     """Aggregated outcome of a sharded verification run: the fields of
     a :class:`~repro.verify.verification.ScanResult` plus the summed
     counters and the pool's failure record."""
 
-    num_checked: int = 0
-    num_skipped: int = 0
-    failed_index: int | None = None
-    budget_reason: str | None = None
-    stopped_at_index: int | None = None
-    counters: dict[str, int] = field(default_factory=dict)
-    worker_failures: int = 0
-    warnings: tuple[str, ...] = ()
+    num_checked: int
+    num_skipped: int
+    failed_index: int | None
+    budget_reason: str | None
+    stopped_at_index: int | None
+    counters: dict[str, int]
+    worker_failures: int
+    warnings: tuple[str, ...]
 
 
-def _init_worker(spec: dict) -> None:
-    """Pool initializer: adopt the run's ``initargs`` as worker state.
+class _Pipe:
+    """One end of an ``os.pipe`` carrying pickled messages, each after
+    its 8-byte length.  It has the ``send``/``recv``/``fileno``/
+    ``close`` of a ``multiprocessing`` connection, so the pool loop and
+    the worker loop run over either."""
 
-    Under ``fork`` the worker inherits ``spec`` with the parent's
-    memory; under ``spawn`` it arrives pickled.  The checker itself is
-    built lazily, on the worker's first shard, by
-    :func:`_worker_checker`.
-    """
+    __slots__ = ("fd",)
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def send(self, message) -> None:
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(self.fd, view):]
+
+    def recv(self):
+        """The next message; ``EOFError`` once the writer is gone."""
+        return pickle.loads(self._read(int.from_bytes(self._read(8),
+                                                      "little")))
+
+    def _read(self, size: int) -> bytes:
+        chunks = []
+        while size:
+            chunk = os.read(self.fd, size)
+            if not chunk:
+                raise EOFError("pipe closed")
+            chunks.append(chunk)
+            size -= len(chunk)
+        return b"".join(chunks)
+
+    def close(self) -> None:
+        os.close(self.fd)
+
+
+class _Worker:
+    """The parent's handle on one worker: its task and result channels
+    and its process (a pid for a forked worker, a ``multiprocessing``
+    process for a spawned one)."""
+
+    __slots__ = ("tasks", "results", "pid", "process")
+
+    def __init__(self, tasks, results, pid: int, process=None):
+        self.tasks = tasks
+        self.results = results
+        self.pid = pid
+        self.process = process
+
+    def stop(self, kill: bool) -> None:
+        """Close the channels and reap the worker; ``kill`` sends
+        ``SIGKILL`` first (a busy, stalled or dead worker)."""
+        self.tasks.close()  # EOF: an idle worker exits
+        if kill:
+            if self.process is not None:
+                self.process.kill()
+            else:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)
+        self.results.close()
+        if self.process is not None:
+            self.process.join()
+        else:
+            os.waitpid(self.pid, 0)
+
+
+def _worker_loop(tasks, results, spec: dict) -> None:
+    """A worker's life: adopt the run's fields, then scan each shard
+    the parent sends until the task channel closes."""
     _SHARED.clear()
     _SHARED.update(spec)
     _FAULTS.clear()
     _FAULTS.update(spec["faults"])
+    while True:
+        try:
+            shard, attempt = tasks.recv()
+        except EOFError:
+            return
+        try:
+            result = _shard_worker(shard, attempt)
+        except Exception as exc:                    # noqa: BLE001
+            result = exc  # a checker bug: the parent raises it
+        results.send(result)
+
+
+def _fork_worker(spec: dict, inherited: list[int]) -> _Worker:
+    """Start a worker with ``os.fork``.  ``inherited`` are the parent's
+    ends of the other workers' pipes, which the child closes so that
+    only the parent holds them."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_r, task_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (task_w, result_r, *inherited):
+                os.close(fd)
+            _worker_loop(_Pipe(task_r), _Pipe(result_w), spec)
+            code = 0
+        finally:
+            # Never return into the parent's stack: no atexit hook, no
+            # buffered-output flush, no test-runner teardown.
+            os._exit(code)
+    os.close(task_r)
+    os.close(result_w)
+    return _Worker(_Pipe(task_w), _Pipe(result_r), pid)
+
+
+def _spawn_worker(spec: dict, inherited: list[int]) -> _Worker:
+    """Start a worker in a fresh interpreter (it inherits nothing)."""
+    from multiprocessing import get_context
+
+    context = get_context("spawn")
+    task_r, task_w = context.Pipe(duplex=False)
+    result_r, result_w = context.Pipe(duplex=False)
+    process = context.Process(target=_worker_loop,
+                              args=(task_r, result_w, spec), daemon=True)
+    process.start()
+    task_r.close()
+    result_w.close()
+    return _Worker(task_w, result_r, process.pid, process)
+
+
+def _select(channels: list, timeout: float | None) -> list:
+    return select.select(channels, [], [], timeout)[0]
+
+
+def _launcher(method: str):
+    """The worker starter and the result waiter of ``method``."""
+    if method == "fork":
+        return _fork_worker, _select
+    # Not select: on Windows it takes sockets only.
+    from multiprocessing.connection import wait
+
+    return _spawn_worker, wait
 
 
 def _worker_checker() -> ProofChecker:
@@ -354,7 +520,7 @@ def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
     return _run_shard(_worker_checker(), shard, _SHARED, attempt)
 
 
-def _reduce(results: dict[tuple[int, int], ShardResult],
+def _reduce(results: dict[tuple[int, int], ShardResult], num_shards: int,
             worker_failures: int, warnings: list[str]) -> ShardRunResult:
     # A backward scan meets the highest index first: the first failure
     # or budget stop a sequential scan would report.
@@ -365,12 +531,18 @@ def _reduce(results: dict[tuple[int, int], ShardResult],
                if r.stopped_at_index is not None]
     budget_reasons = [r.budget_reason for r in scans
                       if r.budget_reason is not None]
+    if not budget_reasons and len(results) < num_shards:
+        # The deadline passed with shards still queued: report
+        # exhaustion rather than silently dropping coverage.
+        budget_reasons.append("wall-clock budget exhausted before "
+                              f"{num_shards - len(results)} shard(s) ran")
     counters: dict[str, int] = {}
     for result in results.values():
         for key, value in result.counter_delta.items():
             counters[key] = counters.get(key, 0) + value
     return ShardRunResult(
         num_checked=sum(r.num_checked for r in scans),
+        num_skipped=0,
         failed_index=max(failures) if failures else None,
         budget_reason=budget_reasons[0] if budget_reasons else None,
         stopped_at_index=max(stopped) if stopped else None,
@@ -449,10 +621,10 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     in ``worker_failures`` / ``warnings``); an exhausted budget surfaces
     as ``budget_reason`` plus partial progress.
 
-    The start method is picked by :func:`select_backend`
-    (``start_method`` / ``REPRO_START_METHOD`` force one); every worker
-    runs ``engine_cls``, so the verdict, failure index and check counts
-    are identical across start methods.
+    The launcher is picked by :func:`select_backend` (``start_method``
+    / ``REPRO_START_METHOD`` force one); every worker runs
+    ``engine_cls``, so the verdict, failure index and check counts are
+    identical across launchers.
 
     ``obs`` (and the driver's ``builder``, for slowest-K and progress)
     attach the instrumentation layer; see the module docstring for
@@ -477,11 +649,11 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     method = select_backend(start_method)
     sink.event("backend_selected", backend=method,
                engine=engine_name(engine_cls))
+    launcher = _launcher(method)
     # Inherited by forked workers, pickled once per spawned one.
-    initargs = (dict(
+    worker_spec = dict(
         spec, formula=formula, proof=proof, engine_cls=engine_cls,
-        mode=mode, meter=meter, faults=dict(_FAULTS)),)
-    context = get_context(method)
+        mode=mode, meter=meter, faults=dict(_FAULTS))
     results: dict[tuple[int, int], ShardResult] = {}
     worker_failures = 0
     warnings: list[str] = []
@@ -512,7 +684,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                               "sequential checking")
         if attempt < 2:
             worker_failures += _pool_rung(
-                context, initargs, min(jobs, len(pending)), pending,
+                launcher, worker_spec, min(jobs, len(pending)), pending,
                 attempt, meter, results, sink)
         else:
             checker = ProofChecker(formula, proof, engine_cls, mode=mode)
@@ -525,75 +697,84 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                     break
     sink.counter("repro_parallel_worker_failures_total", worker_failures,
                  help="Shard executions lost to dead workers")
-    run = _reduce(results, worker_failures, warnings)
-    if len(results) < len(shards) and run.budget_reason is None:
-        # The deadline passed with shards still queued: report
-        # exhaustion rather than silently dropping coverage.
-        run.budget_reason = ("wall-clock budget exhausted before "
-                             f"{len(shards) - len(results)} shard(s) ran")
-    return run
+    return _reduce(results, len(shards), worker_failures, warnings)
 
 
-def _pool_rung(context, initargs: tuple, workers: int,
+def _pool_rung(launcher, spec: dict, workers: int,
                pending: list[tuple[int, int]], attempt: int,
                meter: BudgetMeter | None,
                results: dict[tuple[int, int], ShardResult],
                sink: _ObsSink) -> int:
-    """Run ``pending`` on a fresh pool, in order, until each submitted
-    shard has a result or a lost execution, or the deadline passes.
-    Adds the results to ``results`` and returns the number of shard
-    executions lost to dead workers.
+    """Run ``pending`` on a fresh pool of up to ``workers`` workers, in
+    order, until each shard has a result or a lost execution, or the
+    deadline passes.  Adds the results to ``results`` and returns the
+    number of shard executions lost to dead workers.
 
-    A dead worker breaks the whole pool: every shard it had not
-    finished raises ``BrokenProcessPool``, and so does a ``submit``
-    after the break, which ends the submissions; either counts as one
-    worker failure.  Anything else a worker raises is a checker bug
-    and propagates unmasked.
+    A worker gets its next shard as soon as its last result lands.  A
+    death (see the module docstring) loses the one shard that worker
+    held; a launcher failure also ends the launching, and the rung goes
+    on with the workers it has.
     """
-    executor = ProcessPoolExecutor(
-        max_workers=workers, mp_context=context,
-        initializer=_init_worker, initargs=initargs)
-    futures = {}
+    start, wait = launcher
+    queue = list(pending)
+    live: list[_Worker] = []
+    busy: dict = {}   # result channel -> (worker, shard)
     lost = 0
-    not_done: set = set()
-    try:
+    clean = False
+
+    def fail(shard: tuple[int, int], worker: _Worker | None) -> None:
+        nonlocal lost
+        lost += 1
+        sink.event("worker_failure", shard=list(shard), attempt=attempt)
+        if worker is not None:
+            live.remove(worker)
+            worker.stop(kill=True)
+
+    def dispatch(worker: _Worker) -> None:
+        shard = queue.pop(0)
         try:
-            for shard in pending:
-                futures[executor.submit(_shard_worker, shard,
-                                        attempt)] = shard
-        except BrokenProcessPool:
-            lost += 1
-            sink.event("worker_failure", shard=list(shard),
-                       attempt=attempt)
-        not_done = set(futures)
-        sink.queue_depth(len(not_done))
-        while not_done:
+            worker.tasks.send((shard, attempt))
+        except OSError:
+            fail(shard, worker)
+        else:
+            busy[worker.results] = worker, shard
+
+    try:
+        while queue and len(live) < workers:
+            try:
+                worker = start(spec, [c.fileno() for w in live
+                                      for c in (w.tasks, w.results)])
+            except OSError:
+                fail(queue.pop(0), None)
+                break
+            live.append(worker)
+            dispatch(worker)
+        sink.queue_depth(len(busy) + len(queue))
+        while busy:
             timeout = meter.remaining_time() if meter is not None else None
             if timeout is not None and timeout <= 0:
                 break  # deadline passed: stop collecting
-            done, not_done = wait(not_done, timeout=timeout,
-                                  return_when=FIRST_COMPLETED)
-            if not done:
-                break  # wait() timed out at the deadline
-            for future in done:
-                shard = futures[future]
+            ready = wait(list(busy), timeout)
+            if not ready:
+                break  # timed out at the deadline
+            for channel in ready:
+                worker, shard = busy.pop(channel)
                 try:
-                    results[shard] = future.result()
-                except BrokenProcessPool:
-                    lost += 1
-                    sink.event("worker_failure", shard=list(shard),
-                               attempt=attempt)
-                else:
-                    sink.absorb(shard, results[shard])
-            sink.queue_depth(len(not_done))
+                    result = channel.recv()
+                except (EOFError, OSError):
+                    fail(shard, worker)
+                    continue
+                if isinstance(result, BaseException):
+                    raise result
+                results[shard] = result
+                sink.absorb(shard, result)
+                if queue:
+                    dispatch(worker)
+            sink.queue_depth(len(busy) + len(queue))
+        clean = not busy
     finally:
-        if not_done:
-            # Deadline early exit: drop queued shards and do not wait,
-            # so a straggler cannot wedge the parent.
-            executor.shutdown(wait=False, cancel_futures=True)
-        else:
-            # Every future finished: join the pool so no worker or
-            # manager thread outlives the run (an unjoined pool can
-            # print "Exception ignored" at exit).
-            executor.shutdown(wait=True)
+        # A clean finish leaves every worker idle: closing its task
+        # channel ends it.  A deadline or an exception kills the rest.
+        for worker in live:
+            worker.stop(kill=not clean)
     return lost

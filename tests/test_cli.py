@@ -548,6 +548,42 @@ class TestProcessLevel:
         assert result.returncode == EXIT_UNSAT, result.stderr
         assert loaded == "[]"
 
+    @pytest.fixture
+    def php6(self, tmp_path):
+        from repro.benchgen.registry import pigeonhole
+
+        cnf, proof = tmp_path / "php6.cnf", tmp_path / "php6.ccp"
+        write_dimacs(pigeonhole(6), cnf)
+        assert main(["solve", str(cnf), "--proof", str(proof)]) \
+            == EXIT_UNSAT
+        return str(cnf), str(proof)
+
+    def test_default_solve_loads_no_verify_module(self, php6, tmp_path):
+        result = _run_cli_process(
+            "solve", php6[0], "--proof", str(tmp_path / "again.ccp"),
+            code="import sys; from repro.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'repro.verify' "
+                 "or m.startswith('repro.verify.'))); "
+                 "raise SystemExit(code)")
+        assert result.returncode == EXIT_UNSAT, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_parallel_verify_loads_no_pool_machinery(self, php6):
+        from repro.verify.parallel import fork_available
+
+        if not fork_available():
+            pytest.skip("the spawn launcher imports multiprocessing")
+        result, loaded = self._verify_loading(
+            [*php6, "--procedure", "verification1", "--jobs", "2"],
+            ["concurrent.futures", "multiprocessing", "dataclasses",
+             "repro.verify.budget"])
+        assert result.returncode == 0, result.stderr
+        assert "s PROOF_IS_CORRECT" in result.stdout
+        assert " jobs=2" in result.stdout
+        assert loaded == "[]"
+
     def test_default_verify_leaves_the_cwd_untouched(self, tmp_path,
                                                      monkeypatch):
         from repro.benchgen.registry import pigeonhole

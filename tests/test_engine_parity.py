@@ -195,8 +195,8 @@ class TestDeletionParity:
 
 class TestStartMethodIdentity:
     """``--jobs N`` must produce identical reports whether the pool
-    forks or spawns: both start methods ship the same initargs, so the
-    workers run the same engine over the same clause database."""
+    forks or spawns: both launchers hand the workers the same fields,
+    so they run the same engine over the same clause database."""
 
     # Counter *totals* are excluded: with an incremental checker, the
     # work a check costs depends on which checks the same worker ran
