@@ -20,7 +20,6 @@ traceback.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -181,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(stream_cmd)
 
     obs_cmd = sub.add_parser(
-        "obs", help="inspect trace timelines and live runs")
+        "obs", help="inspect trace timelines")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
     timeline_cmd = obs_sub.add_parser(
@@ -191,33 +190,12 @@ def _build_parser() -> argparse.ArgumentParser:
     timeline_cmd.add_argument("trace", metavar="TRACE.jsonl",
                               help="a repro.obs.trace/v1 file "
                                    "(--trace-out of a run)")
-    timeline_cmd.add_argument("--html", metavar="PATH", default=None,
-                              help="write a self-contained Gantt+"
-                                   "critical-path HTML rendering here")
     timeline_cmd.add_argument("--top", type=int, default=5, metavar="N",
                               help="straggler rows in the attribution "
                                    "section (default 5)")
     timeline_cmd.add_argument("--quiet", action="store_true",
                               help="suppress the text rendering on "
                                    "stdout")
-
-    top_cmd = obs_sub.add_parser(
-        "top", help="show in-flight runs from their live status files")
-    top_cmd.add_argument("--live-dir", metavar="DIR",
-                         default=None,
-                         help="live status directory (default: "
-                              "$REPRO_LIVE_DIR or .repro/live)")
-    top_cmd.add_argument("--follow", action="store_true",
-                         help="keep refreshing until every run is "
-                              "done or stale (Ctrl-C to stop)")
-    top_cmd.add_argument("--interval", type=float, default=2.0,
-                         metavar="SECONDS",
-                         help="refresh interval with --follow "
-                              "(default 2.0)")
-    top_cmd.add_argument("--stale-after", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="mark a run stale after this long "
-                              "without a heartbeat (default 30)")
 
     return parser
 
@@ -258,15 +236,6 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
     group.add_argument("--stats", action="store_true",
                        help="print a 'c stats:' footer with per-phase "
                             "times, props, and slowest checks")
-    group.add_argument("--profile", metavar="PATH", default=None,
-                       help="wrap the run in cProfile; writes PATH "
-                            "(pstats), PATH.folded (flamegraph "
-                            "collapsed stacks) and PATH.phases.json")
-    group.add_argument("--live-dir", metavar="DIR",
-                       default=os.environ.get("REPRO_LIVE_DIR"),
-                       help="write a live status file here on every "
-                            "progress beat, for 'repro obs top' "
-                            "(default: $REPRO_LIVE_DIR)")
     group.add_argument("--mem-sample-period", type=float, default=None,
                        metavar="SECONDS",
                        help="also sample RSS on a background thread "
@@ -310,15 +279,13 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
                      or getattr(args, "mem_sample_period", None)
                      is not None)
     wants_depgraph = _wants_insight(args)
-    live_dir = getattr(args, "live_dir", None)
-    if not (wants_metrics or args.progress or wants_depgraph
-            or live_dir is not None):
+    if not (wants_metrics or args.progress or wants_depgraph):
         return None
     # Any instrumented run gets the RSS sampler: it only fires on
     # progress beats (or its own --mem-sample-period thread), so it
     # costs nothing on runs without a heartbeat, and it is what feeds
-    # the live view's RSS columns, the timeline memory lane, and the
-    # trace's run_summary memory section.
+    # the timeline memory lane and the trace's run_summary memory
+    # section.
     from repro.obs import DepGraphRecorder, MetricsRegistry, Obs, Tracer
     from repro.obs.mem import MemProfiler, MemSampler
 
@@ -327,9 +294,6 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
         tracer=Tracer() if args.trace_out is not None else None,
         progress_stream=sys.stderr if args.progress else None,
         depgraph=DepGraphRecorder() if wants_depgraph else None,
-        live_dir=live_dir,
-        live_meta={"command": args.command,
-                   "instance": getattr(args, "cnf", None)},
         mem=MemSampler(),
         mem_profiler=MemProfiler() if mem_profile else None)
 
@@ -397,38 +361,25 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
 
 def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
                       formula=None, proof=None):
-    """Run a verification thunk with ``--profile`` wrapping and
+    """Run a verification thunk with the memory facilities armed and
     interrupt-safe artifact flushing.
 
     Returns the report, or None when the run was interrupted — in
-    which case every requested artifact (trace, partial depgraph,
-    profile) has already been flushed atomically, so a ^C
-    never leaves a truncated or missing artifact behind.
+    which case every requested artifact (trace, partial depgraph) has
+    already been flushed atomically, so a ^C never leaves a truncated
+    or missing artifact behind.
     """
-    profiler = None
-    if getattr(args, "profile", None) is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     _start_mem(args, obs)
     try:
         report = run()
     except KeyboardInterrupt:
-        if profiler is not None:
-            profiler.disable()
         _finish_mem(obs)
         print("c error: interrupted", file=sys.stderr)
         if formula is not None and proof is not None:
             _write_insight_artifacts(obs, args, None, formula, proof)
         _write_trace(obs, args, None)
-        if profiler is not None:
-            _write_profile(args, profiler, None)
         return None
     _finish_mem(obs)
-    if profiler is not None:
-        profiler.disable()
-        _write_profile(args, profiler, report)
     return report
 
 
@@ -457,20 +408,6 @@ def _finish_mem(obs: Obs | None) -> None:
         obs.mem.sample()
     if obs.mem_profiler is not None:
         obs.mem_profiler.stop()
-
-
-def _write_profile(args: argparse.Namespace, profiler, report) -> None:
-    from repro.obs.insight import write_profile
-
-    written = write_profile(
-        args.profile, profiler,
-        phase_times=(report.stats.phase_times
-                     if report is not None and report.stats is not None
-                     else None),
-        total_time=(report.verification_time
-                    if report is not None else None))
-    print(f"c profile written to {written[0]} "
-          f"(+{len(written) - 1} sidecar(s))")
 
 
 def _print_stats_footer(args: argparse.Namespace, report,
@@ -701,51 +638,12 @@ def _cmd_verify_stream(args: argparse.Namespace) -> int:
 
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     from repro.obs import read_jsonl
-    from repro.obs.timeline import (
-        build_timeline,
-        render_timeline_html,
-        render_timeline_text,
-    )
+    from repro.obs.timeline import build_timeline, render_timeline_text
 
     doc = build_timeline(read_jsonl(args.trace), top=args.top)
-    if args.html is not None:
-        from repro.obs import atomic_write_text
-
-        atomic_write_text(args.html, render_timeline_html(doc))
-        print(f"c timeline HTML written to {args.html}")
     if not args.quiet:
         print(render_timeline_text(doc), end="")
     return 0
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.obs.live import (
-        all_settled,
-        format_top_table,
-        read_live_statuses,
-    )
-
-    live_dir = (args.live_dir or os.environ.get("REPRO_LIVE_DIR")
-                or os.path.join(".repro", "live"))
-    while True:
-        statuses = read_live_statuses(live_dir)
-        now = _time.time()
-        print(format_top_table(statuses, now=now,
-                               stale_after=args.stale_after), end="")
-        if not args.follow:
-            return 0
-        if statuses and all_settled(statuses, now=now,
-                                    stale_after=args.stale_after):
-            return 0
-        _time.sleep(args.interval)
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "timeline":
-        return _cmd_obs_timeline(args)
-    return _cmd_obs_top(args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -754,7 +652,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify,
                 "core": _cmd_core, "verify-drup": _cmd_verify_stream,
-                "verify-stream": _cmd_verify_stream, "obs": _cmd_obs}
+                "verify-stream": _cmd_verify_stream,
+                "obs": _cmd_obs_timeline}
     try:
         return handlers[args.command](args)
     except (DimacsParseError, ProofFormatError) as exc:

@@ -15,15 +15,14 @@ A zero-dependency observability layer for the verification pipeline:
   per trace with utilization, idle gaps, shard skew, critical path,
   and per-shard attribution, derived on demand by
   ``repro obs timeline``;
-* :class:`ProgressReporter` heartbeat lines, optionally mirrored to
-  :mod:`repro.obs.live` status files for ``repro obs top``;
+* :class:`ProgressReporter` heartbeat lines on stderr;
 * the :mod:`repro.obs.mem` resource profiler — heartbeat-riding RSS
   sampling (:class:`MemSampler`) and optional tracemalloc phase
   attribution (:class:`MemProfiler`);
-* the ``c stats:`` footer and schema validators for the four artifact
-  kinds (trace, depgraph, checkpoint, live status);
-* the :mod:`repro.obs.insight` subpackage — proof dependency graphs,
-  Section-5 shape analytics, and cProfile/flamegraph hooks.
+* the ``c stats:`` footer and schema validators for the three
+  artifact kinds (trace, depgraph, checkpoint);
+* the :mod:`repro.obs.insight` subpackage — proof dependency graphs
+  and Section-5 shape analytics.
 
 Instrumentation is strictly opt-in: every entry point takes
 ``obs: Obs | None = None`` and the disabled path never touches this
@@ -34,25 +33,22 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".context": ("Obs",),
-    ".export": ("atomic_write_text", "collapsed_stack_text", "run_summary",
-                "stats_footer"),
+    ".export": ("atomic_write_text", "run_summary", "stats_footer"),
     ".insight": ("DEPGRAPH_SCHEMA", "DepGraphRecorder",
                  "ProofShapeAnalytics", "analyze_proof_shape",
                  "depgraph_deterministic_view", "write_depgraph_dot",
                  "write_depgraph_jsonl"),
-    ".live": ("LiveStatusWriter", "format_bytes", "format_top_table",
-              "read_live_statuses"),
     ".mem": ("MemProfiler", "MemSampler", "parse_proc_status", "read_rss"),
     ".progress": ("ProgressReporter",),
     ".registry": ("DEFAULT_TIME_BUCKETS", "DEFAULT_WORK_BUCKETS", "Counter",
                   "Gauge", "Histogram", "MetricsRegistry"),
-    ".schema": ("CHECKPOINT_SCHEMA", "KNOWN_SCHEMAS", "LIVE_SCHEMA",
-                "TRACE_SCHEMA", "deterministic_view", "validate_any",
+    ".schema": ("CHECKPOINT_SCHEMA", "KNOWN_SCHEMAS", "TRACE_SCHEMA",
+                "deterministic_view", "validate_any",
                 "validate_checkpoint", "validate_depgraph",
-                "validate_live", "validate_trace"),
+                "validate_trace"),
     ".spans": ("Tracer", "make_run_id", "make_trace_id", "read_jsonl",
                "rebase_epoch", "worker_tracer"),
-    ".timeline": ("build_timeline", "render_timeline_html",
+    ".timeline": ("build_timeline", "format_bytes",
                   "render_timeline_text"),
 })
 
@@ -74,7 +70,6 @@ __all__ = [
     "read_jsonl",
     "make_run_id",
     "atomic_write_text",
-    "collapsed_stack_text",
     "DepGraphRecorder",
     "ProofShapeAnalytics",
     "analyze_proof_shape",
@@ -87,17 +82,11 @@ __all__ = [
     "DEPGRAPH_SCHEMA",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_WORK_BUCKETS",
-    "LIVE_SCHEMA",
-    "validate_live",
     "make_trace_id",
     "rebase_epoch",
     "worker_tracer",
     "build_timeline",
     "render_timeline_text",
-    "render_timeline_html",
-    "LiveStatusWriter",
-    "read_live_statuses",
-    "format_top_table",
     "format_bytes",
     "MemSampler",
     "MemProfiler",

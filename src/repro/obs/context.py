@@ -56,8 +56,6 @@ class Obs:
                  progress_interval: float = 0.5,
                  run_id: str | None = None,
                  depgraph=None,
-                 live_dir=None,
-                 live_meta: dict | None = None,
                  mem=None,
                  mem_profiler=None):
         if run_id is None:
@@ -72,13 +70,6 @@ class Obs:
             mem.bind(metrics, tracer)
         self.progress_stream = progress_stream
         self.progress_interval = progress_interval
-        # The live view rides the progress heartbeat: a live_dir turns
-        # progress on even without a console stream (console stays
-        # quiet, the status file still updates — see repro.obs.live).
-        self.live_dir = live_dir
-        self.live_meta = dict(live_meta or {})
-        self.wants_progress = (progress_stream is not None
-                               or live_dir is not None)
         self.started = time.perf_counter()
 
     @classmethod
@@ -203,22 +194,11 @@ class Obs:
 
     def progress_reporter(self, total: int,
                           label: str = "checks") -> ProgressReporter | None:
-        if not self.wants_progress:
+        if self.progress_stream is None:
             return None
-        status_writer = None
-        if self.live_dir is not None:
-            from repro.obs.live import LiveStatusWriter
-
-            status_writer = LiveStatusWriter(
-                self.live_dir, self.run_id, meta=self.live_meta,
-                mem_provider=(self.mem.live_view
-                              if self.mem is not None else None))
         return ProgressReporter(total, label=label,
                                 stream=self.progress_stream,
                                 interval=self.progress_interval,
-                                status_writer=status_writer,
-                                console=self.progress_stream
-                                is not None,
                                 on_beat=(self.mem.sample
                                          if self.mem is not None
                                          else None))

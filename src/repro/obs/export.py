@@ -12,10 +12,6 @@ Every file-producing exporter goes through :func:`atomic_write_text`
 (write ``path.tmp``, then ``os.replace``): a reader never observes a
 truncated artifact, and an interrupted run (KeyboardInterrupt, budget
 exhaustion) leaves either the previous artifact or a complete new one.
-
-:func:`collapsed_stack_text` serves the ``--profile`` hook: it folds a
-:class:`cProfile.Profile` into the ``frame;frame;frame weight`` lines
-``flamegraph.pl`` and speedscope consume.
 """
 
 from __future__ import annotations
@@ -70,58 +66,6 @@ def run_summary(obs, command: str, report=None,
         "analytics": (analytics.as_dict()
                       if analytics is not None else None),
     }
-
-
-def _frame_name(func: tuple) -> str:
-    """A short human frame label for one pstats func triple."""
-    filename, lineno, funcname = func
-    if filename == "~":  # C builtins: ('~', 0, "<built-in ...>")
-        return funcname
-    return f"{os.path.basename(filename)}:{lineno}({funcname})"
-
-
-def collapsed_stack_text(profile) -> str:
-    """Fold a profile into flamegraph collapsed-stack lines.
-
-    ``profile`` is a :class:`cProfile.Profile` or
-    :class:`pstats.Stats`.  cProfile records a call *graph* (callers
-    per function), not full stacks, so each function's self time is
-    attributed to its **primary caller chain** — at every step the
-    caller contributing the most cumulative time — which is the
-    standard approximation ``gprof2dot``-style tools use.  Weights are
-    self-time microseconds; zero-weight frames are dropped.
-    """
-    import pstats
-
-    stats = (profile if isinstance(profile, pstats.Stats)
-             else pstats.Stats(profile))
-    table = stats.stats  # func -> (cc, nc, tt, ct, callers)
-
-    def primary_chain(func: tuple) -> list[str]:
-        chain = [_frame_name(func)]
-        seen = {func}
-        current = func
-        while True:
-            callers = table[current][4]
-            candidates = [(entry[3], caller)
-                          for caller, entry in callers.items()
-                          if caller in table and caller not in seen]
-            if not candidates:
-                break
-            _, current = max(candidates, key=lambda pair: pair[0])
-            seen.add(current)
-            chain.append(_frame_name(current))
-        chain.reverse()
-        return chain
-
-    lines = []
-    for func, (_cc, _nc, tt, _ct, _callers) in sorted(
-            table.items(), key=lambda item: _frame_name(item[0])):
-        weight = int(tt * 1_000_000)
-        if weight <= 0:
-            continue
-        lines.append(";".join(primary_chain(func)) + f" {weight}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def stats_footer(stats: dict | None,

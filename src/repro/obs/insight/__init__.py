@@ -1,10 +1,9 @@
-"""Proof insight: provenance graphs, shape analytics, profiling.
+"""Proof insight: provenance graphs and shape analytics.
 
 The semantic layer on top of :mod:`repro.obs`'s counters and spans —
-*why* each clause verified (:mod:`~repro.obs.insight.depgraph`), how
-the proof's shape compares to the paper's Section-5 predictions
-(:mod:`~repro.obs.insight.analytics`), and where the time went
-(:mod:`~repro.obs.insight.profiling`).
+*why* each clause verified (:mod:`~repro.obs.insight.depgraph`) and
+how the proof's shape compares to the paper's Section-5 predictions
+(:mod:`~repro.obs.insight.analytics`).
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                   "depgraph_deterministic_view", "depgraph_records",
                   "depgraph_to_dot", "read_depgraph_jsonl",
                   "write_depgraph_dot", "write_depgraph_jsonl"),
-    ".profiling": ("profile_session", "write_profile"),
 })
 
 __all__ = [
@@ -31,9 +29,7 @@ __all__ = [
     "depgraph_to_dot",
     "estimated_resolutions",
     "is_local",
-    "profile_session",
     "read_depgraph_jsonl",
     "write_depgraph_dot",
     "write_depgraph_jsonl",
-    "write_profile",
 ]

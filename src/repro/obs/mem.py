@@ -108,8 +108,7 @@ class MemSampler:
     ``reader`` is the RSS source (:func:`read_rss`, injectable for
     tests).  :meth:`sample` never raises: failures are counted and
     past :data:`MAX_CONSECUTIVE_FAILURES` the sampler marks itself
-    ``dead`` — the run's verdict and exit code are unaffected, and
-    ``repro obs top`` surfaces the silence as staleness.
+    ``dead`` — the run's verdict and exit code are unaffected.
     """
 
     def __init__(self, metrics=None, tracer=None, reader=read_rss,
@@ -123,7 +122,6 @@ class MemSampler:
         self.failures = 0
         self._consecutive_failures = 0
         self.dead = False
-        self.last_beat: float | None = None
         self._peak = 0
         self._last_rss = 0
         self._thread: threading.Thread | None = None
@@ -159,7 +157,6 @@ class MemSampler:
         entry = {"ts": now, "rss_bytes": rss, "peak_rss_bytes": peak}
         with self._lock:
             self.source = source
-            self.last_beat = now
             self._last_rss = rss
             if peak > self._peak:
                 self._peak = peak
@@ -222,14 +219,6 @@ class MemSampler:
     @property
     def rss_bytes(self) -> int | None:
         return self._last_rss or None
-
-    def live_view(self) -> dict | None:
-        """The compact per-beat record the live status file embeds."""
-        if self.last_beat is None:
-            return None
-        return {"rss_bytes": self._last_rss,
-                "peak_rss_bytes": self._peak,
-                "updated": self.last_beat}
 
     def summary(self) -> dict:
         return {"peak_rss_bytes": self.peak_rss_bytes,

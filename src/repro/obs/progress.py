@@ -24,54 +24,38 @@ class ProgressReporter:
     update — used by tests); the final :meth:`finish` line is never
     throttled, so every enabled run ends with a complete count.
 
-    ``status_writer`` (optional, see
-    :class:`~repro.obs.live.LiveStatusWriter`) receives every emitted
-    beat as a structured update; ``console=False`` keeps the status
-    writer fed without printing lines (a run watched only through
-    ``repro obs top``).
-
-    ``on_beat`` (optional) runs once per emitted beat *before* the
-    status write — the memory sampler rides here, so each live status
-    update carries a fresh RSS reading.  It is exception-guarded: a
-    failing beat hook can never break the heartbeat, let alone the
-    run.
+    ``on_beat`` (optional) runs once per emitted beat — the memory
+    sampler rides here, so each heartbeat takes a fresh RSS reading.
+    It is exception-guarded: a failing beat hook can never break the
+    heartbeat, let alone the run.
     """
 
     def __init__(self, total: int, label: str = "checks",
                  stream=None, interval: float = 0.5,
-                 clock=time.monotonic, status_writer=None,
-                 console: bool = True, on_beat=None):
+                 clock=time.monotonic, on_beat=None):
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
-        self.status_writer = status_writer
-        self.console = console
         self.on_beat = on_beat
         self._clock = clock
         self._start = clock()
         self._last_emit: float | None = None
         self.lines_emitted = 0
 
-    def _emit(self, done: int, now: float, final: bool = False) -> None:
+    def _emit(self, done: int, now: float) -> None:
         if self.on_beat is not None:
             try:
                 self.on_beat()
             except Exception:
                 pass
         elapsed = now - self._start
-        eta = None
         line = (f"c progress: {done}/{self.total} {self.label}, "
                 f"{elapsed:.1f}s elapsed")
         if done and 0 < done < self.total and elapsed > 0:
             eta = elapsed * (self.total - done) / done
             line += f", eta {eta:.0f}s"
-        if self.console:
-            print(line, file=self.stream, flush=True)
-        if self.status_writer is not None:
-            self.status_writer.update(
-                done, self.total, self.label, elapsed, eta,
-                state="done" if final else "running")
+        print(line, file=self.stream, flush=True)
         self._last_emit = now
         self.lines_emitted += 1
 
@@ -85,4 +69,4 @@ class ProgressReporter:
 
     def finish(self, done: int) -> None:
         """Emit the final line unconditionally."""
-        self._emit(done, self._clock(), final=True)
+        self._emit(done, self._clock())

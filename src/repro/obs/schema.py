@@ -1,6 +1,6 @@
 """Artifact schemas for the observability layer, plus validators.
 
-Four artifact kinds leave a verification run:
+Three artifact kinds leave a verification run:
 
 * a **trace log** (``repro.obs.trace/v1``) — JSONL, one event per line
   (see :mod:`repro.obs.spans`).  It is the one telemetry artifact: the
@@ -14,10 +14,7 @@ Four artifact kinds leave a verification run:
   JSON object recording a streaming verification's trace position,
   live clause window, and budget spend (see
   :mod:`repro.verify.streaming`); written atomically mid-run, deleted
-  once a verdict is reached;
-* a **live status file** (``repro.obs.live/v1``) — one JSON object
-  per in-flight run, atomically replaced on every progress beat and
-  read by ``repro obs top`` (see :mod:`repro.obs.live`).
+  once a verdict is reached.
 
 :data:`KNOWN_SCHEMAS` maps each schema id to its validator;
 :func:`validate_any` dispatches on a document's declared schema and
@@ -47,7 +44,6 @@ What survives is the same for every rerun of the same verification.
 from __future__ import annotations
 
 from repro.obs.insight.depgraph import DEPGRAPH_SCHEMA
-from repro.obs.live import LIVE_SCHEMA
 from repro.obs.spans import TRACE_SCHEMA
 
 CHECKPOINT_SCHEMA = "repro.obs.checkpoint/v1"
@@ -344,57 +340,12 @@ def validate_checkpoint(doc) -> list[str]:
     return problems
 
 
-def validate_live(doc) -> list[str]:
-    """Structural problems of a live status file (empty: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"live status must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != LIVE_SCHEMA:
-        problems.append(f"schema must be {LIVE_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("run"), str) or not doc.get("run"):
-        problems.append("run must be a non-empty string")
-    if doc.get("state") not in ("running", "done"):
-        problems.append(f"state must be 'running' or 'done', "
-                        f"got {doc.get('state')!r}")
-    for key in ("done", "total", "pid"):
-        value = doc.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"{key} must be a non-negative int, "
-                            f"got {value!r}")
-    for key in ("elapsed", "updated"):
-        if not isinstance(doc.get(key), (int, float)):
-            problems.append(f"{key} must be a number")
-    for key in ("eta", "rate"):
-        value = doc.get(key)
-        if value is not None and not isinstance(value, (int, float)):
-            problems.append(f"{key} must be null or a number")
-    if not isinstance(doc.get("meta"), dict):
-        problems.append("meta must be an object")
-    mem = doc.get("mem")
-    if mem is not None:
-        if not isinstance(mem, dict):
-            problems.append("mem, when present, must be null or an "
-                            "object")
-        else:
-            for key in ("rss_bytes", "peak_rss_bytes"):
-                value = mem.get(key)
-                if not isinstance(value, int) or value < 0:
-                    problems.append(f"mem.{key} must be a non-negative "
-                                    f"int, got {value!r}")
-            if not isinstance(mem.get("updated"), (int, float)):
-                problems.append("mem.updated must be a number")
-    return problems
-
-
 # Schema id -> (artifact kind, validator).  JSONL kinds take the parsed
 # line list; JSON kinds take the single document object.
 KNOWN_SCHEMAS = {
     TRACE_SCHEMA: ("jsonl", validate_trace),
     DEPGRAPH_SCHEMA: ("jsonl", validate_depgraph),
     CHECKPOINT_SCHEMA: ("json", validate_checkpoint),
-    LIVE_SCHEMA: ("json", validate_live),
 }
 
 

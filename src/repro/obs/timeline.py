@@ -22,7 +22,7 @@ can't:
 * **memory** — every ``mem_sample`` instant event the
   heartbeat-riding :class:`repro.obs.mem.MemSampler` stamped into the
   trace, folded with per-shard peaks into a run-wide ``peak_rss``,
-  rendered as a sparkline lane (text) and a bar lane (HTML).
+  rendered as a sparkline lane.
 
 Orphaned and unterminated spans are counted in the document's
 ``dropped`` section, so tests can assert the merged timeline is whole.
@@ -32,10 +32,6 @@ here executes in a verification hot loop.
 """
 
 from __future__ import annotations
-
-import html as _html
-
-from repro.obs.live import format_bytes
 
 #: Default number of straggler rows kept in the attribution section.
 TOP_STRAGGLERS = 5
@@ -443,6 +439,18 @@ def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
 _BAR_WIDTH = 48
 
 
+def format_bytes(value) -> str:
+    """``62.1M``-style human bytes (``-`` when unknown)."""
+    if not isinstance(value, (int, float)) or value <= 0:
+        return "-"
+    for unit in ("B", "K", "M", "G", "T"):
+        if value < 1024 or unit == "T":
+            return (f"{value:.0f}{unit}" if unit == "B"
+                    else f"{value:.1f}{unit}")
+        value /= 1024
+    return "-"
+
+
 def _memory_lane(memory: dict, lo: float, hi: float) -> str:
     """A fixed-width RSS sparkline over the timeline window: each
     column shows the largest sample falling in that time slice,
@@ -547,135 +555,3 @@ def render_timeline_text(doc: dict) -> str:
             f"{dropped['open']} unterminated span(s)")
     return "\n".join(lines) + "\n"
 
-
-_LANE_COLORS = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759",
-                "#76b7b2", "#edc948", "#b07aa1", "#9c755f"]
-
-
-def render_timeline_html(doc: dict) -> str:
-    """A self-contained HTML Gantt + critical-path flame rendering
-    (inline CSS only, no external resources)."""
-    window = doc["window"]
-    lo, hi = window["begin"], window["end"]
-    span_wall = max(window["wall"], 1e-9)
-    lanes: list[str] = []
-    for row in doc["workers"]:
-        if row["worker"] not in lanes:
-            lanes.append(row["worker"])
-    for span in doc["spans"]:
-        if span["worker"] not in lanes:
-            lanes.append(span["worker"])
-    color = {lane: _LANE_COLORS[i % len(_LANE_COLORS)]
-             for i, lane in enumerate(lanes)}
-    critical_keys = {entry["key"] for entry in doc["critical_path"]}
-
-    def pct(value: float) -> float:
-        return (value - lo) / span_wall * 100.0
-
-    rows = []
-    for lane in lanes:
-        blocks = []
-        for span in doc["spans"]:
-            if span["worker"] != lane:
-                continue
-            left = pct(span["begin"])
-            width = max(0.05, pct(span["end"]) - left)
-            title = _html.escape(
-                f"{span['key']} {span['dur']:.4f}s")
-            edge = ("outline:2px solid #d62728;"
-                    if span["key"] in critical_keys else "")
-            blocks.append(
-                f'<div class="s" title="{title}" '
-                f'style="left:{left:.3f}%;width:{width:.3f}%;'
-                f'background:{color[lane]};{edge}"></div>')
-        rows.append(
-            f'<div class="lane"><span class="label">'
-            f'{_html.escape(lane)}</span>'
-            f'<div class="track">{"".join(blocks)}</div></div>')
-
-    flame = []
-    depth_end: list[float] = []
-    for entry in doc["critical_path"]:
-        depth = 0
-        while depth < len(depth_end) and entry["begin"] < \
-                depth_end[depth] - 1e-12:
-            depth += 1
-        if depth == len(depth_end):
-            depth_end.append(entry["end"])
-        else:
-            depth_end[depth] = entry["end"]
-        left = pct(entry["begin"])
-        width = max(0.05, pct(entry["end"]) - left)
-        title = _html.escape(
-            f"{entry['key']} {entry['dur']:.4f}s "
-            f"(self {entry['self']:.4f}s)")
-        flame.append(
-            f'<div class="f" title="{title}" '
-            f'style="left:{left:.3f}%;top:{depth * 22}px;'
-            f'width:{width:.3f}%;">'
-            f'{_html.escape(entry["key"])}</div>')
-    flame_height = max(22 * len(depth_end), 22)
-
-    memory = doc.get("memory")
-    mem_html = ""
-    if memory:
-        mem_peak = max(memory["peak_rss_bytes"], 1)
-        mem_bars = []
-        for sample in memory["samples"]:
-            left = pct(sample["ts"])
-            height = max(2.0, sample["rss_bytes"] / mem_peak * 40.0)
-            title = _html.escape(
-                f"{format_bytes(sample['rss_bytes'])} rss "
-                f"at +{sample['ts'] - lo:.3f}s "
-                f"({sample['worker']})")
-            mem_bars.append(
-                f'<div class="m" title="{title}" '
-                f'style="left:{left:.3f}%;'
-                f'height:{height:.0f}px;"></div>')
-        mem_html = (
-            f'<h2>Memory — peak '
-            f'{_html.escape(format_bytes(memory["peak_rss_bytes"]))}'
-            f'</h2>\n<div class="memlane">{"".join(mem_bars)}</div>\n')
-
-    util = doc["utilization"]
-    summary = (f"wall {window['wall']:.3f}s · critical path "
-               f"{doc['critical_path_wall']:.3f}s")
-    if util is not None:
-        summary += f" · utilization {util * 100:.1f}%"
-    if doc["shard_skew"]:
-        summary += (f" · shard skew "
-                    f"{doc['shard_skew']['skew_ratio']:.2f}x")
-    if memory:
-        summary += (f" · peak rss "
-                    f"{format_bytes(memory['peak_rss_bytes'])}")
-    return f"""<!DOCTYPE html>
-<html><head><meta charset="utf-8">
-<title>repro timeline {_html.escape(doc['run'] or '')}</title>
-<style>
-body {{ font: 13px/1.4 monospace; margin: 1.5em; color: #222; }}
-h1 {{ font-size: 16px; }}
-.lane {{ display: flex; align-items: center; margin: 2px 0; }}
-.label {{ width: 9em; flex: none; }}
-.track {{ position: relative; flex: 1; height: 18px;
-  background: #f2f2f2; }}
-.s {{ position: absolute; top: 2px; height: 14px;
-  border-radius: 2px; }}
-.flame {{ position: relative; height: {flame_height}px;
-  margin-left: 9em; }}
-.f {{ position: absolute; height: 20px; background: #d62728;
-  color: #fff; overflow: hidden; white-space: nowrap;
-  font-size: 11px; line-height: 20px; padding-left: 2px;
-  border-radius: 2px; box-sizing: border-box; }}
-.memlane {{ position: relative; height: 44px; margin-left: 9em;
-  background: #f2f2f2; }}
-.m {{ position: absolute; bottom: 0; width: 0.6%;
-  min-width: 2px; background: #76b7b2; }}
-</style></head><body>
-<h1>repro timeline — run {_html.escape(doc['run'] or '?')}</h1>
-<p>{_html.escape(summary)}</p>
-<h2>Gantt</h2>
-{''.join(rows)}
-{mem_html}<h2>Critical path</h2>
-<div class="flame">{''.join(flame)}</div>
-</body></html>
-"""

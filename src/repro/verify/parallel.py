@@ -119,7 +119,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bcp import engine_name
-from repro.bcp.engine import PropagatorBase
+from repro.bcp.engine import PropagationCounters, PropagatorBase
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.verify.checker import ProofChecker
@@ -536,10 +536,12 @@ def _reduce(results: dict[tuple[int, int], ShardResult], num_shards: int,
         # exhaustion rather than silently dropping coverage.
         budget_reasons.append("wall-clock budget exhausted before "
                               f"{num_shards - len(results)} shard(s) ran")
-    counters: dict[str, int] = {}
+    # Every field starts at 0, so a run stopped before any shard
+    # finished reports the same counters a sequential run would.
+    counters = PropagationCounters().as_dict()
     for result in results.values():
         for key, value in result.counter_delta.items():
-            counters[key] = counters.get(key, 0) + value
+            counters[key] += value
     return ShardRunResult(
         num_checked=sum(r.num_checked for r in scans),
         num_skipped=0,

@@ -558,6 +558,43 @@ class TestWatchedWorkPinned:
         assert report.bcp_counters == counters
         assert report.num_checked == checked
 
+    # The path e2e ``verify-default`` runs: ``repro solve --proof``
+    # (adaptive learning), then ``repro verify`` with no flags
+    # (verification2, incremental, watched, one process).  Rows are
+    # checked, skipped, the ``c bcp:`` counters and the core size.
+    PINNED_CLI_DEFAULT = {
+        "php6": (870, 38, dict(
+            assignments=28279, watch_visits=120431, clause_visits=118635,
+            purged=1796, detach_misses=0), 133),
+        "barrel5": (1548, 983, dict(
+            assignments=82890, watch_visits=321413, clause_visits=316593,
+            purged=4820, detach_misses=0), 659),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CLI_DEFAULT))
+    def test_cli_default_verify(self, name, tmp_path, capsys):
+        from repro.benchgen.registry import build_instance
+        from repro.cli import main
+        from repro.core.dimacs import write_dimacs
+
+        checked, skipped, counters, core = self.PINNED_CLI_DEFAULT[name]
+        formula = build_instance(name)
+        cnf, ccp = str(tmp_path / "f.cnf"), str(tmp_path / "f.ccp")
+        write_dimacs(formula, cnf)
+        assert main(["solve", cnf, "--proof", ccp]) == 20
+        capsys.readouterr()
+        assert main(["verify", cnf, ccp]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "s PROOF_IS_CORRECT"
+        fields = dict(pair.split("=") for pair in lines[1].split()[1:])
+        assert (int(fields["checked"]), int(fields["skipped"])) \
+            == (checked, skipped)
+        assert fields["engine"] == "watched" and fields["jobs"] == "1"
+        assert "c bcp: " + " ".join(f"{key}={value}" for key, value
+                                    in counters.items()) in lines
+        assert f"c unsat core: {core}/{formula.num_clauses} clauses " \
+            f"({core / formula.num_clauses:.1%})" in lines
+
     @pytest.mark.parametrize("name", sorted(PINNED_SOLVER))
     def test_solver_stats(self, name):
         from repro.benchgen.registry import build_instance

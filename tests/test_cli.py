@@ -272,6 +272,29 @@ class TestBudgetCli:
         assert code == EXIT_RESOURCE_LIMIT
         assert "s RESOURCE_LIMIT_EXCEEDED" in capsys.readouterr().out
 
+    def test_jobs_deadline_before_any_shard_prints_zero_counters(
+            self, unsat_cnf, good_proof, tmp_path, monkeypatch, capsys):
+        """A ``--jobs`` run whose deadline has passed before any shard
+        result arrives prints every ``c bcp:`` counter at 0, as a
+        sequential run does, and its trace carries the same zeros."""
+        from repro.verify.budget import BudgetMeter
+
+        monkeypatch.setattr(BudgetMeter, "remaining_time",
+                            lambda self: 0.0)
+        trace = tmp_path / "trace.jsonl"
+        code = main(["verify", str(unsat_cnf), str(good_proof),
+                     "--procedure", "verification1", "--jobs", "2",
+                     "--timeout", "60", "--trace-out", str(trace)])
+        assert code == EXIT_RESOURCE_LIMIT
+        out = capsys.readouterr().out.splitlines()
+        assert "c bcp: assignments=0 watch_visits=0 clause_visits=0 " \
+               "purged=0 detach_misses=0" in out
+        assert "c checked=0 skipped=0" in " ".join(out)
+        metrics = _run_summary(trace)["metrics"]
+        for key in ("assignments", "watch_visits", "clause_visits",
+                    "purged", "detach_misses"):
+            assert metrics[f"repro_bcp_{key}_total"]["value"] == 0
+
     def test_generous_budget_still_verifies(self, unsat_cnf, good_proof):
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--timeout", "3600", "--max-props", "1000000000"])
@@ -459,6 +482,21 @@ class TestObsFrom:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "f.cnf", "f.ccp", "--live-dir", "d"],
+        ["verify", "f.cnf", "f.ccp", "--profile", "p.prof"],
+        ["verify-stream", "f.cnf", "f.drup", "--live-dir", "d"],
+        ["obs", "top"],
+        ["obs", "timeline", "t.jsonl", "--html", "t.html"],
+    ])
+    def test_operator_surfaces_rejected(self, argv, capsys):
+        """The live view, ``--profile`` and the HTML timeline are gone:
+        each is an argparse usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def _run_cli_process(*args, code="from repro.cli import main; "

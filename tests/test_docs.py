@@ -85,10 +85,9 @@ class TestObservabilityDoc:
     def test_schemas_and_flags_documented(self):
         doc = (REPO / "docs" / "observability.md").read_text()
         for term in ("repro.obs.trace/v1", "run_summary",
-                     "repro.obs.live/v1", "--trace-out", "--progress",
+                     "--trace-out", "--progress",
                      "--stats", "deterministic_view",
-                     "repro obs timeline", "repro obs top",
-                     "--live-dir", "repro_parallel_shards_total",
+                     "repro obs timeline", "repro_parallel_shards_total",
                      "rebase_epoch", "critical path",
                      "python -m repro.obs.validate"):
             assert term in doc, term
@@ -122,7 +121,7 @@ class TestProofInsightDoc:
     def test_schemas_flags_and_formats_documented(self):
         doc = (REPO / "docs" / "proof_insight.md").read_text()
         for term in ("repro.obs.depgraph/v1", "run_summary",
-                     "--depgraph-out", "--depgraph-dot", "--profile",
+                     "--depgraph-out", "--depgraph-dot", "cProfile",
                      "Gating a run", "stats.props", "elapsed",
                      "mem.peak_rss_bytes", "repro_parallel_shards_total",
                      "build_timeline"):

@@ -1,10 +1,9 @@
 """CLI tests for the proof-insight layer.
 
 Covers the insight artifact flags (``--depgraph-out``,
-``--depgraph-dot``) and the analytics they feed, the profiling hooks
-(``--profile``), the interrupt-safe artifact flush (a ^C
-mid-verification leaves complete, schema-valid artifacts), the
-``repro obs timeline`` / ``obs top`` verbs, and the
+``--depgraph-dot``) and the analytics they feed, the interrupt-safe
+artifact flush (a ^C mid-verification leaves complete, schema-valid
+artifacts), the ``repro obs timeline`` verb, and the
 ``python -m repro.obs.validate`` dispatcher.
 """
 
@@ -116,34 +115,6 @@ class TestInsightArtifacts:
         assert "repro.obs.depgraph/v1" in out  # names the known ids
 
 
-class TestProfile:
-    def test_profile_artifacts(self, unsat_cnf, good_proof, tmp_path,
-                               capsys):
-        prof = tmp_path / "run.prof"
-        code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--profile", str(prof)])
-        assert code == 0
-        assert "c profile written to" in capsys.readouterr().out
-        assert prof.exists()
-        folded = (tmp_path / "run.prof.folded").read_text()
-        # Collapsed stacks: "frame;frame;frame weight" lines.
-        assert any(line.rsplit(" ", 1)[-1].isdigit()
-                   for line in folded.splitlines() if line)
-        phases = json.loads((tmp_path / "run.prof.phases.json")
-                            .read_text())
-        assert "phase_times" in phases
-
-    def test_profile_is_loadable_pstats(self, unsat_cnf, good_proof,
-                                        tmp_path):
-        import pstats
-
-        prof = tmp_path / "run.prof"
-        assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--profile", str(prof)]) == 0
-        stats = pstats.Stats(str(prof))
-        assert stats.total_calls > 0
-
-
 class TestInterruptFlush:
     """Satellite S1: ^C mid-verification still flushes every artifact."""
 
@@ -186,15 +157,6 @@ class TestInterruptFlush:
         assert summary["elapsed"] is None
         assert summary["stats"] is None
 
-    def test_interrupt_with_profile(self, unsat_cnf, good_proof,
-                                    tmp_path, monkeypatch, capsys):
-        self.interrupt_after(monkeypatch, 0)
-        prof = tmp_path / "run.prof"
-        code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--profile", str(prof)])
-        assert code == EXIT_INTERRUPT
-        assert prof.exists()  # the profile of the partial run
-
     def test_no_tmp_litter_after_interrupt(self, unsat_cnf, good_proof,
                                            tmp_path, monkeypatch):
         self.interrupt_after(monkeypatch, 1)
@@ -206,8 +168,7 @@ class TestInterruptFlush:
 
 
 class TestTimelineCli:
-    """The ``repro obs timeline`` / ``obs top`` operational verbs, end
-    to end through the CLI."""
+    """The ``repro obs timeline`` verb, end to end through the CLI."""
 
     def _trace(self, unsat_cnf, good_proof, tmp_path, jobs=None):
         trace = tmp_path / "trace.jsonl"
@@ -226,10 +187,8 @@ class TestTimelineCli:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("parallel backend needs fork")
         trace = self._trace(unsat_cnf, good_proof, tmp_path, jobs=2)
-        out_html = tmp_path / "timeline.html"
         capsys.readouterr()
-        assert main(["obs", "timeline", str(trace),
-                     "--html", str(out_html)]) == 0
+        assert main(["obs", "timeline", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "utilization=" in out
         assert "critical path" in out
@@ -238,7 +197,6 @@ class TestTimelineCli:
         assert doc["utilization"] is not None
         assert doc["attribution"] is not None
         assert doc["dropped"] == {"orphans": 0, "open": 0}
-        assert out_html.read_text().startswith("<!DOCTYPE html>")
         assert validate_main([str(trace)]) == 0  # sniffed
 
     def test_timeline_sequential_trace(self, unsat_cnf, good_proof,
@@ -253,24 +211,3 @@ class TestTimelineCli:
         code = main(["obs", "timeline", str(tmp_path / "nope.jsonl")])
         assert code == EXIT_ERROR
         assert "c error:" in capsys.readouterr().err
-
-    def test_live_dir_and_top(self, unsat_cnf, good_proof, tmp_path,
-                              capsys):
-        live = tmp_path / "live"
-        assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--live-dir", str(live)]) == 0
-        files = list(live.glob("*.json"))
-        assert len(files) == 1
-        doc = json.loads(files[0].read_text())
-        assert doc["schema"] == "repro.obs.live/v1"
-        assert doc["state"] == "done"
-        assert doc["meta"]["command"] == "verify"
-        capsys.readouterr()
-        assert main(["obs", "top", "--live-dir", str(live)]) == 0
-        out = capsys.readouterr().out
-        assert "RUN" in out and "done" in out
-
-    def test_top_empty_dir(self, tmp_path, capsys):
-        assert main(["obs", "top",
-                     "--live-dir", str(tmp_path / "none")]) == 0
-        assert "no live runs" in capsys.readouterr().out

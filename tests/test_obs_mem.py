@@ -4,7 +4,7 @@ Covers procfs parsing and the getrusage fallback, gauge max-merge
 associativity (the algebra the cross-worker peak-RSS aggregation
 relies on), the memory fields of the trace's ``run_summary`` event,
 sampler fault injection (a dying sampler must never touch the
-verdict), live-view staleness, and the timeline memory section.
+verdict), and the timeline memory section.
 """
 
 from repro.obs import (
@@ -13,7 +13,6 @@ from repro.obs import (
     Obs,
     Tracer,
     build_timeline,
-    format_top_table,
     parse_proc_status,
     read_jsonl,
     read_rss,
@@ -275,37 +274,6 @@ class TestMemArtifact:
         events[-1]["attrs"]["metrics"]["repro_mem_rss_bytes"] = {
             "kind": "gauge", "value": -1}
         assert any("gauge value" in p for p in validate_trace(events))
-
-
-# -- live view -------------------------------------------------------------
-
-class TestLiveMemStaleness:
-    def _doc(self, mem, updated=1000.0):
-        return {"run": "r1", "pid": 1, "state": "running",
-                "updated": updated, "done": 1, "total": 2,
-                "mem": mem}
-
-    def test_fresh_mem_stays_running(self):
-        table = format_top_table(
-            [self._doc({"rss_bytes": 10, "peak_rss_bytes": 20,
-                        "updated": 999.0})],
-            now=1000.0, stale_after=10.0)
-        assert "running" in table
-        assert "stale" not in table
-
-    def test_silent_sampler_marks_stale(self):
-        """Progress still beats (updated is fresh) but the memory
-        sampler went quiet long ago: the run shows as stale."""
-        table = format_top_table(
-            [self._doc({"rss_bytes": 10, "peak_rss_bytes": 20,
-                        "updated": 900.0})],
-            now=1000.0, stale_after=10.0)
-        assert "stale" in table
-
-    def test_no_mem_section_is_not_stale(self):
-        table = format_top_table([self._doc(None)],
-                                 now=1000.0, stale_after=10.0)
-        assert "running" in table
 
 
 # -- timeline memory lane --------------------------------------------------

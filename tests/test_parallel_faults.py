@@ -354,6 +354,21 @@ print(elapsed)
                           "ran")
         assert float(elapsed) < 3.0
 
+    def test_reduce_with_no_finished_shard(self):
+        """A deadline that passes before any shard result arrives still
+        reduces to every counter at 0, the fields of a sequential
+        run's ``PropagationCounters``."""
+        from repro.bcp.engine import PropagationCounters
+
+        reduced = parallel._reduce({}, 3, 0, [])
+        assert reduced.counters == PropagationCounters().as_dict()
+        assert list(reduced.counters) == ["assignments", "watch_visits",
+                                          "clause_visits", "purged",
+                                          "detach_misses"]
+        assert reduced.num_checked == 0
+        assert reduced.budget_reason == ("wall-clock budget exhausted "
+                                         "before 3 shard(s) ran")
+
     def test_props_budget_with_worker_death(self, instance):
         """Budget exhaustion and fault recovery compose: the run still
         ends in a well-formed partial report."""

@@ -1,21 +1,8 @@
-"""Tests for timeline reconstruction and the live operational view."""
+"""Tests for timeline reconstruction."""
 
-import io
 import json
 
-from repro.obs import (
-    LIVE_SCHEMA,
-    LiveStatusWriter,
-    ProgressReporter,
-    Tracer,
-    build_timeline,
-    format_top_table,
-    read_live_statuses,
-    render_timeline_html,
-    render_timeline_text,
-    validate_live,
-)
-from repro.obs.live import all_settled
+from repro.obs import Tracer, build_timeline, render_timeline_text
 from repro.obs.timeline import _critical_path  # noqa: F401 (API smoke)
 
 
@@ -208,88 +195,3 @@ class TestRenderers:
                 bar = line.split("|")[1]
                 assert len(bar) == 48
                 assert set(bar) <= {"#", "."}
-
-    def test_html_rendering_is_self_contained(self):
-        doc = build_timeline(make_parallel_trace().events)
-        page = render_timeline_html(doc)
-        assert page.startswith("<!DOCTYPE html>")
-        assert "http://" not in page and "https://" not in page
-        assert "worker-101" in page and "worker-202" in page
-        assert 'class="s"' in page      # Gantt blocks
-        assert 'class="f"' in page      # flame blocks
-        assert "shard[20:30]" in page
-
-
-class TestLiveStatus:
-    def test_writer_reader_round_trip(self, tmp_path):
-        live = tmp_path / "live"
-        writer = LiveStatusWriter(live, "r9", meta={
-            "command": "verify", "instance": "php5.cnf"},
-            wall=lambda: 123.0)
-        writer.update(50, 100, "checks", elapsed=2.0, eta=2.0)
-        statuses = read_live_statuses(live)
-        assert len(statuses) == 1
-        doc = statuses[0]
-        assert validate_live(doc) == []
-        assert doc["schema"] == LIVE_SCHEMA
-        assert doc["run"] == "r9"
-        assert doc["state"] == "running"
-        assert doc["done"] == 50 and doc["total"] == 100
-        assert doc["rate"] == 25.0
-        assert doc["updated"] == 123.0
-        assert doc["meta"]["instance"] == "php5.cnf"
-
-    def test_reader_skips_foreign_files(self, tmp_path):
-        (tmp_path / "junk.json").write_text("{not json")
-        (tmp_path / "other.json").write_text(
-            '{"schema": "something/else"}')
-        (tmp_path / "notes.txt").write_text("hi")
-        assert read_live_statuses(tmp_path) == []
-        assert read_live_statuses(tmp_path / "missing") == []
-
-    def test_top_table_and_stale_detection(self, tmp_path):
-        writer = LiveStatusWriter(tmp_path, "r1",
-                                  meta={"command": "verify"},
-                                  wall=lambda: 100.0)
-        writer.update(10, 40, "checks", elapsed=5.0, eta=15.0)
-        statuses = read_live_statuses(tmp_path)
-        fresh = format_top_table(statuses, now=101.0)
-        assert "running" in fresh
-        assert "10/40" in fresh
-        assert "25.0" in fresh
-        stale = format_top_table(statuses, now=500.0)
-        assert "stale" in stale
-        assert format_top_table([], now=0.0) == "no live runs\n"
-
-    def test_all_settled(self, tmp_path):
-        writer = LiveStatusWriter(tmp_path, "r1",
-                                  wall=lambda: 100.0)
-        writer.update(10, 40, "checks", elapsed=5.0, eta=None)
-        statuses = read_live_statuses(tmp_path)
-        assert not all_settled(statuses, now=101.0)
-        assert all_settled(statuses, now=500.0)  # went stale
-        writer.update(40, 40, "checks", elapsed=9.0, eta=None,
-                      state="done")
-        assert all_settled(read_live_statuses(tmp_path), now=101.0)
-
-    def test_validator_flags_problems(self):
-        assert validate_live({"schema": LIVE_SCHEMA, "run": "",
-                              "state": "bogus"}) != []
-
-    def test_progress_feeds_status_writer(self, tmp_path):
-        clock = FakeClock()
-        writer = LiveStatusWriter(tmp_path, "r1",
-                                  wall=lambda: 50.0)
-        stream = io.StringIO()
-        reporter = ProgressReporter(
-            total=4, stream=stream, interval=0.0, clock=clock,
-            status_writer=writer, console=False)
-        clock.now = 1.0
-        reporter.update(2)
-        doc = read_live_statuses(tmp_path)[0]
-        assert doc["done"] == 2 and doc["state"] == "running"
-        assert stream.getvalue() == ""  # console=False stays silent
-        clock.now = 2.0
-        reporter.finish(4)
-        doc = read_live_statuses(tmp_path)[0]
-        assert doc["done"] == 4 and doc["state"] == "done"
