@@ -40,13 +40,6 @@ class Clause:
             seen.add(lit)
         self._lits: tuple[int, ...] = tuple(sorted(seen, key=_sort_key))
 
-    @classmethod
-    def _from_sorted(cls, lits: tuple[int, ...]) -> "Clause":
-        """Internal fast path: build from an already-normalized tuple."""
-        clause = cls.__new__(cls)
-        clause._lits = lits
-        return clause
-
     @property
     def literals(self) -> tuple[int, ...]:
         """The normalized literal tuple."""

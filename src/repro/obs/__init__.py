@@ -6,8 +6,8 @@ A zero-dependency observability layer for the verification pipeline:
   :class:`Histogram` and associative snapshot merging (worker
   aggregation);
 * :class:`Tracer` spans emitting a structured JSONL event log with a
-  cross-process trace context (``trace_id`` + monotonic/wall epoch
-  anchors rebased into pool workers).  The trace is the one telemetry
+  cross-process trace context (``trace_id`` + the monotonic epoch the
+  forked pool workers share).  The trace is the one telemetry
   artifact: the CLI closes it with a ``run_summary`` event
   (:func:`run_summary`) carrying the registry snapshot, the report's
   stats, the memory summary, and the proof-shape analytics;
@@ -46,8 +46,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                 "deterministic_view", "validate_any",
                 "validate_checkpoint", "validate_depgraph",
                 "validate_trace"),
-    ".spans": ("Tracer", "make_run_id", "make_trace_id", "read_jsonl",
-               "rebase_epoch", "worker_tracer"),
+    ".spans": ("Tracer", "make_run_id", "make_trace_id", "read_jsonl"),
     ".timeline": ("build_timeline", "format_bytes",
                   "render_timeline_text"),
 })
@@ -83,8 +82,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_WORK_BUCKETS",
     "make_trace_id",
-    "rebase_epoch",
-    "worker_tracer",
     "build_timeline",
     "render_timeline_text",
     "format_bytes",

@@ -202,16 +202,3 @@ class Obs:
                                 on_beat=(self.mem.sample
                                          if self.mem is not None
                                          else None))
-
-    # -- timed phases ------------------------------------------------------
-
-    @contextmanager
-    def phase(self, name: str, sink: dict[str, float], **attrs):
-        """Time a named phase into ``sink`` (and a trace span)."""
-        start = time.perf_counter()
-        with self.span(name, **attrs):
-            try:
-                yield
-            finally:
-                sink[name] = sink.get(name, 0.0) \
-                    + time.perf_counter() - start

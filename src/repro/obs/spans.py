@@ -41,16 +41,9 @@ survives worker replay untouched, so events from any number of
 processes can be re-assembled into one timeline
 (:mod:`repro.obs.timeline`).
 
-Worker timestamps must land on the *parent's* time axis.  Under
-``fork`` the child inherits the parent's monotonic clock readings, so
-reusing the parent epoch is exact; under ``spawn`` the monotonic
-clock may (platform-dependently) restart from an unrelated origin.
-:func:`rebase_epoch` makes the choice explicit: it measures the
-monotonic-vs-wall drift against the parent's ``(epoch, epoch_wall)``
-anchor pair and, when the monotonic clocks disagree, derives a local
-epoch from the wall-clock anchor instead — worker events then carry
-parent-axis timestamps regardless of start method.  Workers build
-their tracer through :func:`worker_tracer`, which applies the rebase.
+Worker timestamps land on the *parent's* time axis: a forked worker
+reads the same monotonic clock as its parent, so its tracer reuses the
+parent's ``epoch`` verbatim.
 """
 
 from __future__ import annotations
@@ -65,12 +58,6 @@ TRACE_SCHEMA = "repro.obs.trace/v1"
 
 _run_counter = itertools.count(1)
 
-#: Monotonic-vs-wall disagreement (seconds) past which a worker's
-#: monotonic clock is declared unrelated to the parent's and the
-#: wall-clock anchor is used instead.  Fork/same-boot clocks agree to
-#: microseconds; an unrelated epoch is off by hours.
-EPOCH_DRIFT_TOLERANCE = 5.0
-
 
 def make_run_id() -> str:
     """A run id unique enough to correlate artifacts of one process
@@ -84,49 +71,6 @@ def make_trace_id() -> str:
     return os.urandom(16).hex()
 
 
-def rebase_epoch(epoch: float | None, epoch_wall: float | None,
-                 clock=time.monotonic, wall=time.time,
-                 tolerance: float = EPOCH_DRIFT_TOLERANCE,
-                 ) -> float | None:
-    """A local monotonic epoch equivalent to a parent's ``epoch``.
-
-    ``epoch`` is the parent tracer's monotonic epoch and ``epoch_wall``
-    the wall-clock time captured at that same instant (the anchor
-    pair).  When this process's monotonic clock agrees with the
-    parent's — elapsed-since-epoch matches elapsed-since-anchor within
-    ``tolerance`` — the parent epoch is reused verbatim (fork, or any
-    platform whose monotonic clock is system-wide).  Otherwise (spawn
-    onto an unrelated clock) the local epoch is derived from the wall
-    anchor: ``now_monotonic - (now_wall - epoch_wall)``, which puts
-    local timestamps on the parent axis with wall-clock-read accuracy.
-
-    ``None`` inputs degrade gracefully: no ``epoch`` means "fresh
-    tracer"; no ``epoch_wall`` (a pre-context caller) assumes a shared
-    monotonic clock, the historical behavior.
-    """
-    if epoch is None:
-        return None
-    if epoch_wall is None:
-        return epoch
-    drift = (clock() - epoch) - (wall() - epoch_wall)
-    if abs(drift) <= tolerance:
-        return epoch
-    return clock() - (wall() - epoch_wall)
-
-
-def worker_tracer(run_id: str | None = None,
-                  epoch: float | None = None,
-                  epoch_wall: float | None = None,
-                  trace_id: str | None = None,
-                  clock=time.monotonic, wall=time.time) -> "Tracer":
-    """A tracer for a pool worker, stamped with the parent's run and
-    trace ids and rebased onto the parent's time axis (see
-    :func:`rebase_epoch`)."""
-    return Tracer(run_id=run_id, clock=clock,
-                  epoch=rebase_epoch(epoch, epoch_wall, clock, wall),
-                  trace_id=trace_id)
-
-
 class Tracer:
     """Buffers trace events; write them out with :meth:`write_jsonl`.
 
@@ -138,18 +82,14 @@ class Tracer:
 
     def __init__(self, run_id: str | None = None,
                  clock=time.monotonic, epoch: float | None = None,
-                 trace_id: str | None = None, wall=time.time):
+                 trace_id: str | None = None):
         self.run_id = run_id if run_id is not None else make_run_id()
         self.trace_id = (trace_id if trace_id is not None
                          else make_trace_id())
         self._clock = clock
         # A shared epoch lets worker-side tracers stamp events on the
-        # parent's time axis; workers rebase onto it via
-        # :func:`worker_tracer` so this holds under spawn too.
+        # parent's time axis.
         self.epoch = epoch if epoch is not None else clock()
-        # Wall-clock anchor captured against the epoch: the second half
-        # of the (epoch, epoch_wall) pair :func:`rebase_epoch` needs.
-        self.epoch_wall = wall() - (clock() - self.epoch)
         self.events: list[dict] = []
         self._next_span = itertools.count(1)
         self._stack: list[int] = []

@@ -34,10 +34,6 @@ class EliminationStep:
     negative_clauses: tuple[Clause, ...]
     resolvents: tuple[Clause, ...]
 
-    @property
-    def removed_count(self) -> int:
-        return len(self.positive_clauses) + len(self.negative_clauses)
-
 
 def eliminate_variables(clauses: list[Clause], protected: set[int],
                         max_occurrences: int = 10,

@@ -14,31 +14,19 @@ holds two pipes to the parent: the parent sends it one ``(shard,
 attempt)`` message at a time and reads back one pickled
 :class:`ShardResult` per shard, and waits on every busy worker's result
 pipe at once.  The pool needs no executor, no manager thread and no
-queue feeder, so a run imports neither ``concurrent.futures`` nor
-``multiprocessing``.
+queue feeder, so a run imports no process-pool library.
 
-Two launchers start a worker, and the pool loop and its messages are
-the same for both:
-
-* ``fork`` (wherever ``os.fork`` exists, the default): the worker
-  inherits the formula, the proof, the engine class, the checker mode,
-  the budget meter, the fault map and the observability fields through
-  copy-on-write, so nothing large is pickled.  Its pipes are raw
-  ``os.pipe`` descriptors carrying length-prefixed pickles.  The
-  parent flushes ``sys.stdout``/``sys.stderr`` before each fork, and a
-  forked worker always leaves through ``os._exit``: no buffered output
-  is written twice, and no ``atexit`` hook or test-runner teardown runs
-  in a worker.
-* ``spawn`` (where ``os.fork`` is missing, or forced with
-  ``REPRO_START_METHOD=spawn`` or the ``start_method`` parameter):
-  ``multiprocessing`` starts a fresh interpreter, pickles the same
-  fields to it once, and hands it ``multiprocessing`` pipes.  This is
-  the only module path that imports ``multiprocessing``.
-
-:func:`select_backend` picks the launcher and the choice is announced
-with a ``backend_selected`` obs event.  Either way every worker runs
-the engine the run asked for, which is how the fork-vs-spawn
-report-identity guarantee is tested.
+Every worker is started with ``os.fork``: it inherits the formula, the
+proof, the engine class, the checker mode, the budget meter, the fault
+map and the observability fields through copy-on-write, so nothing
+large is pickled, and it runs the engine the run asked for.  Its pipes
+are raw ``os.pipe`` descriptors carrying length-prefixed pickles.  The
+parent flushes ``sys.stdout``/``sys.stderr`` before each fork, and a
+forked worker always leaves through ``os._exit``: no buffered output
+is written twice, and no ``atexit`` hook or test-runner teardown runs
+in a worker.  Where ``os.fork`` is missing there is no pool:
+:func:`~repro.verify.verification.verify_proof_v1` checks in one
+process and says so in a report warning.
 
 Failure reporting stays deterministic regardless of scheduling: every
 shard scans backward and reports the first failure it meets, and the
@@ -70,10 +58,10 @@ result yet:
 
 A worker death is EOF on its result pipe (whatever ended the process:
 a crash, a ``SIGKILL``, a non-zero exit), a send that fails because
-the worker is gone, or a launcher that raises ``OSError`` (``os.fork``
-out of processes).  Each one costs the execution of the shard that
-worker held, or was about to receive, and counts as one worker
-failure; that shard climbs to the next rung.  The surviving workers go
+the worker is gone, or an ``os.fork`` that raises ``OSError`` (out of
+processes).  Each one costs the execution of the shard that worker
+held, or was about to receive, and counts as one worker failure; that
+shard climbs to the next rung.  The surviving workers go
 on with the queue; shards still queued when no worker survives climb
 too.  A dead worker ships nothing back and a shard with a result never
 runs again, so each shard yields exactly one result.  Every lost shard
@@ -83,10 +71,10 @@ which surface in the :class:`~repro.verify.report.VerificationReport`.
 Anything else a worker raises is a checker bug: the worker sends the
 exception back and the parent raises it.
 
-The parent reaps every worker it starts, with ``os.waitpid`` for a
-forked one: on a clean finish it closes the task pipes (EOF stops an
-idle worker) and waits; after a death, a passed deadline or an
-exception it sends ``SIGKILL`` first.  No worker outlives its rung.
+The parent reaps every worker it forks with ``os.waitpid``: on a
+clean finish it closes the task pipes (EOF stops an idle worker) and
+waits; after a death, a passed deadline or an exception it sends
+``SIGKILL`` first.  No worker outlives its rung.
 
 Budgets: the parent's :class:`~repro.verify.budget.BudgetMeter` is
 handed to every worker, each of which rebases it onto its own engine
@@ -118,7 +106,6 @@ import sys
 import time
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.bcp import engine_name
 from repro.bcp.engine import PropagationCounters, PropagatorBase
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ConflictClauseProof
@@ -129,43 +116,17 @@ from repro.verify.verification import ScanResult, scan
 if TYPE_CHECKING:
     from repro.verify.budget import BudgetMeter
 
-# Worker state: the run's fields, adopted by each worker when it
-# starts, then extended per process with the lazily built checker.
-_SHARED: dict = {}
-
 # Test-only fault injection: shard -> number of times a worker should
 # die (hard exit, as an OOM kill would) before executing it.  Populated
-# in the parent and shipped to the workers with the run's fields;
-# workers consult it with the attempt number the parent passes along,
-# so a retried shard survives.
+# in the parent and inherited by the forked workers, which consult it
+# with the attempt number the parent passes along, so a retried shard
+# survives.
 _FAULTS: dict[tuple[int, int], int] = {}
 
 
 def fork_available() -> bool:
-    """Whether the fork launcher can run on this platform."""
+    """Whether this platform can fork the pool's workers."""
     return hasattr(os, "fork")
-
-
-def select_backend(start_method: str | None = None) -> str:
-    """Pick the pool's launcher for a run.
-
-    ``fork`` when available, else ``spawn`` (which every CPython
-    platform has).  ``start_method`` (or a ``REPRO_START_METHOD``
-    environment override) forces one; an unavailable one raises
-    ``ValueError``.
-    """
-    methods = ("fork", "spawn") if fork_available() else ("spawn",)
-    if start_method is None:
-        env = os.environ.get("REPRO_START_METHOD")
-        if env is not None and env.strip():
-            start_method = env.strip()
-    if start_method is not None:
-        if start_method not in methods:
-            raise ValueError(
-                f"start method {start_method!r} is not available on "
-                f"this platform (have {methods})")
-        return start_method
-    return methods[0]
 
 
 def install_fault(shard: tuple[int, int], deaths: int = 1) -> None:
@@ -265,9 +226,7 @@ class ShardRunResult(NamedTuple):
 
 class _Pipe:
     """One end of an ``os.pipe`` carrying pickled messages, each after
-    its 8-byte length.  It has the ``send``/``recv``/``fileno``/
-    ``close`` of a ``multiprocessing`` connection, so the pool loop and
-    the worker loop run over either."""
+    its 8-byte length."""
 
     __slots__ = ("fd",)
 
@@ -303,50 +262,60 @@ class _Pipe:
 
 
 class _Worker:
-    """The parent's handle on one worker: its task and result channels
-    and its process (a pid for a forked worker, a ``multiprocessing``
-    process for a spawned one)."""
+    """The parent's handle on one forked worker: its task and result
+    pipes and its pid."""
 
-    __slots__ = ("tasks", "results", "pid", "process")
+    __slots__ = ("tasks", "results", "pid")
 
-    def __init__(self, tasks, results, pid: int, process=None):
+    def __init__(self, tasks: _Pipe, results: _Pipe, pid: int):
         self.tasks = tasks
         self.results = results
         self.pid = pid
-        self.process = process
 
     def stop(self, kill: bool) -> None:
-        """Close the channels and reap the worker; ``kill`` sends
+        """Close the pipes and reap the worker; ``kill`` sends
         ``SIGKILL`` first (a busy, stalled or dead worker)."""
         self.tasks.close()  # EOF: an idle worker exits
         if kill:
-            if self.process is not None:
-                self.process.kill()
-            else:
-                import signal
+            import signal
 
-                os.kill(self.pid, signal.SIGKILL)
+            os.kill(self.pid, signal.SIGKILL)
         self.results.close()
-        if self.process is not None:
-            self.process.join()
-        else:
-            os.waitpid(self.pid, 0)
+        os.waitpid(self.pid, 0)
 
 
-def _worker_loop(tasks, results, spec: dict) -> None:
-    """A worker's life: adopt the run's fields, then scan each shard
-    the parent sends until the task channel closes."""
-    _SHARED.clear()
-    _SHARED.update(spec)
-    _FAULTS.clear()
-    _FAULTS.update(spec["faults"])
+def _new_checker(spec: dict) -> ProofChecker:
+    """A checker for the run in ``spec``, charged to its own engine."""
+    checker = ProofChecker(spec["formula"], spec["proof"],
+                           spec["engine_cls"], mode=spec["mode"])
+    meter: BudgetMeter | None = spec["meter"]
+    if meter is not None:
+        # Fresh engine: keep the shared deadline but charge work units
+        # against this checker's own counters.
+        checker.meter = meter.rebase(checker.engine.counters)
+    return checker
+
+
+def _worker_loop(tasks: _Pipe, results: _Pipe, spec: dict) -> None:
+    """A forked worker's life: scan each shard the parent sends until
+    the task pipe closes.  The checker is built on the first shard;
+    shards arrive high→low (see :func:`run_sharded_v1`), so its
+    ceilings only ever fall."""
+    checker = None
     while True:
         try:
             shard, attempt = tasks.recv()
         except EOFError:
             return
+        if attempt < _FAULTS.get(shard, 0):
+            # Simulate an OOM kill / segfault: bypass Python teardown so
+            # the parent sees exactly what a hard worker death looks
+            # like.
+            os._exit(1)
         try:
-            result = _shard_worker(shard, attempt)
+            if checker is None:
+                checker = _new_checker(spec)
+            result = _run_shard(checker, shard, spec, attempt)
         except Exception as exc:                    # noqa: BLE001
             result = exc  # a checker bug: the parent raises it
         results.send(result)
@@ -383,73 +352,25 @@ def _fork_worker(spec: dict, inherited: list[int]) -> _Worker:
     return _Worker(_Pipe(task_w), _Pipe(result_r), pid)
 
 
-def _spawn_worker(spec: dict, inherited: list[int]) -> _Worker:
-    """Start a worker in a fresh interpreter (it inherits nothing)."""
-    from multiprocessing import get_context
-
-    context = get_context("spawn")
-    task_r, task_w = context.Pipe(duplex=False)
-    result_r, result_w = context.Pipe(duplex=False)
-    process = context.Process(target=_worker_loop,
-                              args=(task_r, result_w, spec), daemon=True)
-    process.start()
-    task_r.close()
-    result_w.close()
-    return _Worker(task_w, result_r, process.pid, process)
-
-
-def _select(channels: list, timeout: float | None) -> list:
-    return select.select(channels, [], [], timeout)[0]
-
-
-def _launcher(method: str):
-    """The worker starter and the result waiter of ``method``."""
-    if method == "fork":
-        return _fork_worker, _select
-    # Not select: on Windows it takes sockets only.
-    from multiprocessing.connection import wait
-
-    return _spawn_worker, wait
-
-
-def _worker_checker() -> ProofChecker:
-    checker = _SHARED.get("checker")
-    if checker is None:
-        # Shards arrive high→low (see run_sharded_v1), so a worker's
-        # ceilings only ever fall.
-        checker = ProofChecker(
-            _SHARED["formula"], _SHARED["proof"], _SHARED["engine_cls"],
-            mode=_SHARED["mode"])
-        meter: BudgetMeter | None = _SHARED["meter"]
-        if meter is not None:
-            # Fresh engine in this process: keep the shared deadline but
-            # charge work units against this worker's own counters.
-            checker.meter = meter.rebase(checker.engine.counters)
-        _SHARED["checker"] = checker
-    return checker
-
-
 def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                spec: dict, attempt: int) -> ShardResult:
     """Scan one shard backward with
     :func:`~repro.verify.verification.scan` (shared by the pool
     workers and the in-process rung).
 
-    ``spec`` holds the run's observability fields (built once by
+    ``spec`` holds the run's fields (built once by
     :func:`run_sharded_v1`).  With ``obs_enabled`` set, per-check wall
     time and propagation work are observed into a shard-local
     registry, the slowest checks are kept, and the whole shard is
     wrapped in a ``shard`` trace span — stamped with the parent's
-    ``obs_trace`` id and on the parent's time axis via the shared
-    ``(obs_epoch, obs_epoch_wall)`` anchor (rebased when this
-    process's monotonic clock is unrelated, i.e. under spawn; see
-    :func:`repro.obs.spans.rebase_epoch`).  The span's end attrs carry
-    the shard's cost attribution (checks, wall, props, clause_visits)
-    and the ``attempt`` number that produced it, so the timeline can
-    tell a retried shard's spans apart.  With ``depgraph_enabled``
-    set, each passing check's dependency-graph record is buffered
-    (shipped back in :attr:`ShardResult.depgraph`, merged order-free
-    by the parent).
+    ``obs_trace`` id and on the parent's time axis through its
+    ``obs_epoch`` (a forked worker reads the parent's monotonic
+    clock).  The span's end attrs carry the shard's cost attribution
+    (checks, wall, props, clause_visits) and the ``attempt`` number
+    that produced it, so the timeline can tell a retried shard's spans
+    apart.  With ``depgraph_enabled`` set, each passing check's
+    dependency-graph record is buffered (shipped back in
+    :attr:`ShardResult.depgraph`, merged order-free by the parent).
     """
     lo, hi = shard
     counters = checker.engine.counters
@@ -459,16 +380,14 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
     if spec["obs_enabled"]:
         from repro.obs.context import Obs
         from repro.obs.registry import MetricsRegistry
-        from repro.obs.spans import worker_tracer
+        from repro.obs.spans import Tracer
 
         # A metrics-only Obs: the builder times each check into the
         # shard-local registry and emits no per-check span.  A shard
         # builds no report, so the builder has no report class.
         build = ReportBuilder(None, obs=Obs(metrics=MetricsRegistry()))
-        tracer = worker_tracer(run_id=spec["obs_run"],
-                               epoch=spec["obs_epoch"],
-                               epoch_wall=spec["obs_epoch_wall"],
-                               trace_id=spec["obs_trace"])
+        tracer = Tracer(run_id=spec["obs_run"], epoch=spec["obs_epoch"],
+                        trace_id=spec["obs_trace"])
         tracer_cm = tracer.span("shard", lo=lo, hi=hi,
                                 pid=os.getpid(), attempt=attempt)
         tracer_cm.__enter__()
@@ -509,15 +428,6 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
         slowest=build.stats().slowest_checks if build else (),
         trace=tracer.events if tracer else [],
         depgraph=records or [])
-
-
-def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
-    deaths = _FAULTS.get(shard, 0)
-    if attempt < deaths:
-        # Simulate an OOM kill / segfault: bypass Python teardown so the
-        # parent sees exactly what a hard worker death looks like.
-        os._exit(1)
-    return _run_shard(_worker_checker(), shard, _SHARED, attempt)
 
 
 def _reduce(results: dict[tuple[int, int], ShardResult], num_shards: int,
@@ -610,9 +520,7 @@ class _ObsSink:
 def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                    engine_cls: type[PropagatorBase], mode: str, jobs: int,
                    meter: BudgetMeter | None = None,
-                   obs=None, builder=None,
-                   start_method: str | None = None,
-                   ) -> ShardRunResult:
+                   obs=None, builder=None) -> ShardRunResult:
     """Check every proof index across a process pool, surviving faults.
 
     Returns a :class:`ShardRunResult` whose ``failed_index`` matches
@@ -623,10 +531,8 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     in ``worker_failures`` / ``warnings``); an exhausted budget surfaces
     as ``budget_reason`` plus partial progress.
 
-    The launcher is picked by :func:`select_backend` (``start_method``
-    / ``REPRO_START_METHOD`` force one); every worker runs
-    ``engine_cls``, so the verdict, failure index and check counts are
-    identical across launchers.
+    Every worker is forked and runs ``engine_cls``; the caller makes
+    sure the platform has ``os.fork`` (see :func:`fork_available`).
 
     ``obs`` (and the driver's ``builder``, for slowest-K and progress)
     attach the instrumentation layer; see the module docstring for
@@ -638,24 +544,16 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     """
     shards = make_shards(len(proof), jobs)[::-1]
     sink = _ObsSink(obs, builder, len(shards))
-    # The observability fields of every shard run, on the pool and in
-    # process alike.
+    # The fields of every shard run, on the pool and in process alike;
+    # forked workers inherit them.
     tracer = obs.tracer if obs is not None else None
     spec = dict(
-        obs_enabled=obs is not None,
+        formula=formula, proof=proof, engine_cls=engine_cls, mode=mode,
+        meter=meter, obs_enabled=obs is not None,
         obs_epoch=tracer.epoch if tracer is not None else None,
-        obs_epoch_wall=getattr(tracer, "epoch_wall", None),
         obs_trace=getattr(tracer, "trace_id", None),
         obs_run=obs.run_id if obs is not None else None,
         depgraph_enabled=obs is not None and obs.wants_depgraph)
-    method = select_backend(start_method)
-    sink.event("backend_selected", backend=method,
-               engine=engine_name(engine_cls))
-    launcher = _launcher(method)
-    # Inherited by forked workers, pickled once per spawned one.
-    worker_spec = dict(
-        spec, formula=formula, proof=proof, engine_cls=engine_cls,
-        mode=mode, meter=meter, faults=dict(_FAULTS))
     results: dict[tuple[int, int], ShardResult] = {}
     worker_failures = 0
     warnings: list[str] = []
@@ -686,12 +584,10 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                               "sequential checking")
         if attempt < 2:
             worker_failures += _pool_rung(
-                launcher, worker_spec, min(jobs, len(pending)), pending,
-                attempt, meter, results, sink)
+                spec, min(jobs, len(pending)), pending, attempt, meter,
+                results, sink)
         else:
-            checker = ProofChecker(formula, proof, engine_cls, mode=mode)
-            if meter is not None:
-                checker.meter = meter.rebase(checker.engine.counters)
+            checker = _new_checker(spec)
             for shard in pending:
                 results[shard] = _run_shard(checker, shard, spec, attempt)
                 sink.absorb(shard, results[shard])
@@ -702,7 +598,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     return _reduce(results, len(shards), worker_failures, warnings)
 
 
-def _pool_rung(launcher, spec: dict, workers: int,
+def _pool_rung(spec: dict, workers: int,
                pending: list[tuple[int, int]], attempt: int,
                meter: BudgetMeter | None,
                results: dict[tuple[int, int], ShardResult],
@@ -714,13 +610,12 @@ def _pool_rung(launcher, spec: dict, workers: int,
 
     A worker gets its next shard as soon as its last result lands.  A
     death (see the module docstring) loses the one shard that worker
-    held; a launcher failure also ends the launching, and the rung goes
-    on with the workers it has.
+    held; a failed fork also ends the launching, and the rung goes on
+    with the workers it has.
     """
-    start, wait = launcher
     queue = list(pending)
     live: list[_Worker] = []
-    busy: dict = {}   # result channel -> (worker, shard)
+    busy: dict = {}   # result pipe -> (worker, shard)
     lost = 0
     clean = False
 
@@ -744,8 +639,8 @@ def _pool_rung(launcher, spec: dict, workers: int,
     try:
         while queue and len(live) < workers:
             try:
-                worker = start(spec, [c.fileno() for w in live
-                                      for c in (w.tasks, w.results)])
+                worker = _fork_worker(spec, [p.fd for w in live
+                                             for p in (w.tasks, w.results)])
             except OSError:
                 fail(queue.pop(0), None)
                 break
@@ -756,13 +651,13 @@ def _pool_rung(launcher, spec: dict, workers: int,
             timeout = meter.remaining_time() if meter is not None else None
             if timeout is not None and timeout <= 0:
                 break  # deadline passed: stop collecting
-            ready = wait(list(busy), timeout)
+            ready = select.select(list(busy), [], [], timeout)[0]
             if not ready:
                 break  # timed out at the deadline
-            for channel in ready:
-                worker, shard = busy.pop(channel)
+            for pipe in ready:
+                worker, shard = busy.pop(pipe)
                 try:
-                    result = channel.recv()
+                    result = pipe.recv()
                 except (EOFError, OSError):
                     fail(shard, worker)
                     continue
@@ -776,7 +671,7 @@ def _pool_rung(launcher, spec: dict, workers: int,
         clean = not busy
     finally:
         # A clean finish leaves every worker idle: closing its task
-        # channel ends it.  A deadline or an exception kills the rest.
+        # pipe ends it.  A deadline or an exception kills the rest.
         for worker in live:
             worker.stop(kill=not clean)
     return lost

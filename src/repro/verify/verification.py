@@ -267,10 +267,10 @@ def verify_proof_v1(
     past the failure still ran).  The parallel backend is
     fault-tolerant: a dead worker's shards are retried once and then
     fall back to in-process sequential checking (see
-    :mod:`repro.verify.parallel`).  On platforms without the ``fork``
-    start method the workers start under ``spawn`` and receive the
-    formula and proof pickled; they run the requested engine either
-    way.
+    :mod:`repro.verify.parallel`).  The pool forks its workers: where
+    ``os.fork`` is missing the scan runs in one process with
+    ``jobs=1``, the same verdict and failure index, and one report
+    warning saying so.
 
     An exhausted ``budget`` aborts with ``resource_limit_exceeded`` and
     partial progress instead of a verdict.  ``obs`` attaches the
@@ -282,13 +282,18 @@ def verify_proof_v1(
     meter = budget.start() if budget is not None else None
     # A one-clause proof has nothing to shard.
     jobs = min(jobs, len(proof)) if len(proof) > 1 else 1
+    warnings = ()
+    if jobs > 1:
+        from repro.verify.parallel import fork_available
+
+        if not fork_available():
+            jobs = 1
+            warnings = ("os.fork is unavailable; checked in one process",)
     build = ReportBuilder(
         VerificationReport, obs=obs, total_checks=len(proof),
         procedure="verification1", num_proof_clauses=len(proof),
         mode=mode, jobs=jobs, engine=engine_name(engine_cls))
     if jobs > 1:
-        # The backend picks the start method itself (see
-        # select_backend).
         from repro.verify.parallel import run_sharded_v1
 
         with build.phase("pool", procedure="verification1", mode=mode,
@@ -306,7 +311,8 @@ def verify_proof_v1(
                       records=_records(obs),
                       instrument=build if obs is not None else None)
     return _report(build, obs, proof, result,
-                   checker.engine.counters.as_dict(), checker.root_stats)
+                   checker.engine.counters.as_dict(), checker.root_stats,
+                   warnings=warnings)
 
 
 def verify_proof_v2(

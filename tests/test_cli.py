@@ -371,10 +371,10 @@ class TestObservabilityCli:
 
     def test_parallel_metrics_artifact(self, unsat_cnf, good_proof,
                                        tmp_path):
-        import multiprocessing
+        from repro.verify.parallel import fork_available
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel backend needs fork")
+        if not fork_available():
+            pytest.skip("the pool forks its workers")
         trace_path = tmp_path / "trace.jsonl"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--procedure", "verification1", "--jobs", "2",
@@ -612,7 +612,7 @@ class TestProcessLevel:
         from repro.verify.parallel import fork_available
 
         if not fork_available():
-            pytest.skip("the spawn launcher imports multiprocessing")
+            pytest.skip("the pool forks its workers")
         result, loaded = self._verify_loading(
             [*php6, "--procedure", "verification1", "--jobs", "2"],
             ["concurrent.futures", "multiprocessing", "dataclasses",
@@ -659,12 +659,11 @@ class TestProcessLevel:
                     in capsys.readouterr().err
 
     def test_parallel_verify_exits_cleanly(self, tmp_path):
-        import multiprocessing
-
         from repro.benchgen.registry import pigeonhole
+        from repro.verify.parallel import fork_available
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel backend needs fork")
+        if not fork_available():
+            pytest.skip("the pool forks its workers")
         cnf, proof = tmp_path / "php.cnf", tmp_path / "php.ccp"
         write_dimacs(pigeonhole(4), cnf)
         assert main(["solve", str(cnf), "--proof", str(proof)]) \

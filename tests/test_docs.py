@@ -88,7 +88,7 @@ class TestObservabilityDoc:
                      "--trace-out", "--progress",
                      "--stats", "deterministic_view",
                      "repro obs timeline", "repro_parallel_shards_total",
-                     "rebase_epoch", "critical path",
+                     "critical path",
                      "python -m repro.obs.validate"):
             assert term in doc, term
 

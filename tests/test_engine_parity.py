@@ -5,19 +5,15 @@ every verification procedure must produce the same verdict, the same
 failed/marked indices, and the same unsat core regardless of which
 engine ran the checks.  These tests pin that contract on the paper's
 worked example and on solved instances — including under the
-adversarial mutation sweep and across the fork/spawn process-pool
-boundary, where every worker runs the engine the run asked for.
+adversarial mutation sweep and across the forked process pool, where
+every worker runs the engine the run asked for.
 """
-
-from multiprocessing import get_all_start_methods
 
 import pytest
 
 from repro.bcp import ENGINES
 from repro.benchgen.registry import pigeonhole
 from repro.core.formula import CnfFormula
-from repro.obs.context import Obs
-from repro.obs.insight.depgraph import DepGraphRecorder
 from repro.proofs.conflict_clause import (
     ENDING_FINAL_PAIR,
     ConflictClauseProof,
@@ -168,80 +164,3 @@ class TestMutationSweep:
         baseline = matrices[ENGINE_NAMES[0]]
         for engine in ENGINE_NAMES[1:]:
             assert matrices[engine] == baseline
-
-
-class TestDeletionParity:
-    """Retired (tombstoned) clauses must stay out of play whether the
-    pool's workers fork or spawn."""
-
-    @pytest.mark.skipif(not fork_available(),
-                        reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", ["watched"])
-    def test_tombstones_cross_fork_and_spawn(self, solved,
-                                             monkeypatch, engine):
-        """Retiring incremental workers must produce the same verdict
-        whether they forked (inheriting the clause database) or
-        spawned (receiving it pickled)."""
-        formula, proof, _ = solved
-        identities = {}
-        for method in ("fork", "spawn"):
-            monkeypatch.setenv("REPRO_START_METHOD", method)
-            report = verify_proof_v1(formula, proof, engine,
-                                     mode="incremental", jobs=2)
-            identities[method] = _v1_identity(report)
-        monkeypatch.delenv("REPRO_START_METHOD")
-        assert identities["fork"] == identities["spawn"]
-
-
-class TestStartMethodIdentity:
-    """``--jobs N`` must produce identical reports whether the pool
-    forks or spawns: both launchers hand the workers the same fields,
-    so they run the same engine over the same clause database."""
-
-    # Counter *totals* are excluded: with an incremental checker, the
-    # work a check costs depends on which checks the same worker ran
-    # before it, and shard-to-worker assignment is pool scheduling —
-    # nondeterministic even between two fork runs.
-    REPORT_FIELDS = ("outcome", "procedure", "num_proof_clauses",
-                     "num_checked", "num_skipped",
-                     "failed_clause_index", "failure_reason", "mode",
-                     "engine", "jobs", "worker_failures", "warnings")
-
-    @pytest.mark.skipif(not fork_available(),
-                        reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", ["watched"])
-    def test_fork_and_spawn_reports_identical(self, solved,
-                                              monkeypatch, engine):
-        formula, proof, _ = solved
-        reports = {}
-        for method in ("fork", "spawn"):
-            monkeypatch.setenv("REPRO_START_METHOD", method)
-            reports[method] = verify_proof_v1(
-                formula, proof, engine, mode="incremental", jobs=2)
-        monkeypatch.delenv("REPRO_START_METHOD")
-        for field in self.REPORT_FIELDS:
-            assert getattr(reports["fork"], field) \
-                == getattr(reports["spawn"], field), field
-        assert (set(reports["fork"].bcp_counters)
-                == set(reports["spawn"].bcp_counters))
-
-    @pytest.mark.skipif("spawn" not in get_all_start_methods(),
-                        reason="needs the spawn start method")
-    def test_spawn_workers_run_requested_engine(self, solved,
-                                                monkeypatch):
-        """Spawned workers run the engine the run asked for, so the
-        dependency graph they capture matches the sequential one (in
-        rebuild mode, where each check is free of history)."""
-        formula, proof, _ = solved
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        captured = {}
-        for jobs in (1, 2):
-            obs = Obs(depgraph=DepGraphRecorder())
-            report = verify_proof_v1(formula, proof, "counting",
-                                     mode="rebuild", jobs=jobs, obs=obs)
-            assert report.ok
-            assert report.engine == "counting"
-            assert report.warnings == ()
-            captured[jobs] = obs.depgraph.sorted_checks()
-        assert len(captured[1]) == len(proof)
-        assert captured[2] == captured[1]

@@ -9,8 +9,6 @@ clause surfaces first is not, so cores/marked sets are checked for
 validity rather than bit-equality.
 """
 
-import multiprocessing
-
 import pytest
 
 from repro.bcp.counting import CountingPropagator
@@ -25,6 +23,7 @@ from repro.proofs.conflict_clause import (
 )
 from repro.solver.cdcl import solve
 from repro.verify.checker import ProofChecker
+from repro.verify.parallel import fork_available
 from repro.verify.verification import (
     verify_proof,
     verify_proof_v1,
@@ -216,15 +215,12 @@ def php5_proof():
     return formula, ConflictClauseProof.from_log(result.log)
 
 
+@pytest.mark.skipif(not fork_available(),
+                    reason="the pool forks its workers")
 class TestParallelBackend:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_backward_workers_retire_clauses(self, php5_proof,
-                                             start_method, monkeypatch):
+    def test_backward_workers_retire_clauses(self, php5_proof):
         """Shards reach every worker high→low, so backward workers
         retire clauses and together do about the sequential work."""
-        if start_method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"platform has no {start_method} start method")
-        monkeypatch.setenv("REPRO_START_METHOD", start_method)
         formula, proof = php5_proof
         sequential = verify_proof_v1(formula, proof, WatchedPropagator,
                                      mode="incremental")

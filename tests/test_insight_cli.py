@@ -182,10 +182,10 @@ class TestTimelineCli:
 
     def test_timeline_artifact_validates(self, unsat_cnf, good_proof,
                                          tmp_path, capsys):
-        import multiprocessing
+        from repro.verify.parallel import fork_available
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel backend needs fork")
+        if not fork_available():
+            pytest.skip("the pool forks its workers")
         trace = self._trace(unsat_cnf, good_proof, tmp_path, jobs=2)
         capsys.readouterr()
         assert main(["obs", "timeline", str(trace)]) == 0

@@ -23,6 +23,7 @@ from repro.obs import (
 )
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.solver.cdcl import solve
+from repro.verify.parallel import fork_available
 from repro.verify.streaming import verify_stream
 from repro.verify.verification import (
     verify_proof_v1,
@@ -178,9 +179,8 @@ class TestInstrumentedRuns:
             == incremental["attrs"]["metrics"][key]
 
 
-@pytest.mark.skipif("fork" not in
-                    __import__("multiprocessing").get_all_start_methods(),
-                    reason="parallel backend needs fork")
+@pytest.mark.skipif(not fork_available(),
+                    reason="the pool forks its workers")
 class TestParallelAggregation:
     def test_worker_metrics_merge_into_parent(self, unsat_instance):
         formula, proof = unsat_instance

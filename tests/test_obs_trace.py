@@ -11,11 +11,9 @@ from repro.obs import (
     Tracer,
     deterministic_view,
     read_jsonl,
-    rebase_epoch,
     run_summary,
     stats_footer,
     validate_trace,
-    worker_tracer,
 )
 
 
@@ -300,50 +298,15 @@ class TestTraceContext:
         assert validate_trace(events) == []
 
 
-class TestRebaseEpoch:
-    def test_shared_monotonic_clock_reuses_parent_epoch(self):
-        """Fork (or any shared system clock): drift is ~0, so the
-        parent epoch is reused verbatim."""
-        clock = FakeClock()
-        wall = FakeClock()
-        wall.now = 1000.0
-        clock.now = 5.0
-        epoch, epoch_wall = 2.0, 997.0  # anchored 3s ago
-        assert rebase_epoch(epoch, epoch_wall, clock=clock,
-                            wall=wall) == 2.0
-
-    def test_unrelated_clock_rebases_onto_wall_anchor(self):
-        """Spawn onto a restarted monotonic clock: the local epoch is
-        derived from the wall anchor so worker timestamps land on the
-        parent axis."""
-        clock = FakeClock()
-        wall = FakeClock()
-        wall.now = 1000.0
-        clock.now = 0.25  # fresh clock, parent's epoch means nothing
-        epoch, epoch_wall = 500.0, 997.0
-        rebased = rebase_epoch(epoch, epoch_wall, clock=clock,
-                               wall=wall)
-        assert rebased == 0.25 - 3.0
-        # A timestamp taken now lands 3s after the parent anchor.
-        assert clock.now - rebased == 3.0
-
-    def test_none_inputs_degrade_gracefully(self):
-        assert rebase_epoch(None, None) is None
-        assert rebase_epoch(None, 123.0) is None
-        assert rebase_epoch(7.0, None) == 7.0
-
+class TestWorkerTracer:
     def test_worker_tracer_stamps_parent_identity(self):
+        """A forked worker's tracer, built from the parent's run id,
+        epoch and trace id, stamps its events on the parent's axis."""
         clock = FakeClock()
-        wall = FakeClock()
-        wall.now = 1000.0
-        parent = Tracer(run_id="p", clock=clock, wall=wall)
+        parent = Tracer(run_id="p", clock=clock)
         clock.now = 2.0
-        wall.now = 1002.0
-        worker = worker_tracer(run_id=parent.run_id,
-                               epoch=parent.epoch,
-                               epoch_wall=parent.epoch_wall,
-                               trace_id=parent.trace_id,
-                               clock=clock, wall=wall)
+        worker = Tracer(run_id=parent.run_id, clock=clock,
+                        epoch=parent.epoch, trace_id=parent.trace_id)
         assert worker.run_id == "p"
         assert worker.trace_id == parent.trace_id
         assert worker.epoch == parent.epoch

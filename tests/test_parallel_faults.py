@@ -137,7 +137,7 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = {key: value for key, value in os.environ.items()
-           if key not in ("PYTHONUNBUFFERED", "REPRO_START_METHOD")}
+           if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env,
@@ -263,47 +263,53 @@ print("after the pool", report.ok)
 
 
 class TestDegradedPlatform:
-    def test_no_fork_substitutes_arena_over_spawn(self, instance,
-                                                  monkeypatch):
-        """A fork-less platform neither degrades to sequential nor
-        substitutes another engine: spawned workers run the one the run
-        asked for, and the report carries no warning."""
+    """Where ``os.fork`` is missing there is no pool: the run checks in
+    one process and says so in one report warning."""
+
+    NO_FORK = "os.fork is unavailable; checked in one process"
+
+    @pytest.mark.parametrize("fixture", ["instance", "bad_instance"])
+    def test_no_fork_matches_sequential(self, fixture, request,
+                                        monkeypatch):
+        formula, proof = request.getfixturevalue(fixture)
+        sequential = verify_proof_v1(formula, proof, jobs=1)
+        monkeypatch.delattr(os, "fork")
+        report = verify_proof_v1(formula, proof, jobs=2)
+        assert report.outcome == sequential.outcome
+        assert (report.failed_clause_index
+                == sequential.failed_clause_index)
+        assert report.num_checked == sequential.num_checked
+
+    def test_no_fork_report_says_one_process(self, instance, monkeypatch):
         formula, proof = instance
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
         monkeypatch.delattr(os, "fork")
         report = verify_proof_v1(formula, proof, "counting", jobs=2)
         assert report.ok
-        assert report.num_checked == len(proof)
+        assert report.jobs == 1
         assert report.engine == "counting"
-        assert report.warnings == ()
+        assert report.warnings == (self.NO_FORK,)
+        assert report.worker_failures == 0
 
-    def test_run_sharded_substitutes_arena_over_spawn(self, instance,
-                                                      monkeypatch):
-        """run_sharded_v1 on a spawn-only platform keeps the engine
-        class it was given and reports no warning."""
-        from repro.bcp.counting import CountingPropagator
+    @pytest.mark.parametrize("fixture,code", [("instance", 0),
+                                              ("bad_instance", 1)])
+    def test_no_fork_cli_warns_and_keeps_exit_code(
+            self, fixture, code, request, monkeypatch, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core.dimacs import write_dimacs
+        from repro.proofs.trace_format import write_proof
 
-        formula, proof = instance
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        formula, proof = request.getfixturevalue(fixture)
+        cnf, ccp = tmp_path / "f.cnf", tmp_path / "f.ccp"
+        write_dimacs(formula, cnf)
+        write_proof(proof, ccp)
+        argv = ["verify", str(cnf), str(ccp),
+                "--procedure", "verification1", "--jobs", "2"]
         monkeypatch.delattr(os, "fork")
-        run = run_sharded_v1(formula, proof, CountingPropagator,
-                             "incremental", 2)
-        assert run.failed_index is None
-        assert run.num_checked == len(proof)
-        assert run.warnings == ()
-
-    def test_forced_start_method_must_exist(self, instance, monkeypatch):
-        from repro.bcp.watched import WatchedPropagator
-
-        formula, proof = instance
-        # The pool has two launchers; forkserver is not one of them.
-        with pytest.raises(ValueError, match="not available"):
-            run_sharded_v1(formula, proof, WatchedPropagator,
-                           "incremental", 2, start_method="forkserver")
-        monkeypatch.delattr(os, "fork")
-        with pytest.raises(ValueError, match="not available"):
-            run_sharded_v1(formula, proof, WatchedPropagator,
-                           "incremental", 2, start_method="fork")
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert f"c warning: {self.NO_FORK}\n" in out
+        assert out.count("c warning:") == 1
+        assert " jobs=1" in out
 
 
 class TestParallelBudget:
@@ -461,20 +467,14 @@ class TestTraceReplayUnderFaults:
         assert doc["dropped"] == {"orphans": 0, "open": 0}
 
 
-class TestSpawnTraceRebasing:
-    def test_spawn_run_yields_coherent_timeline(self, instance,
-                                                monkeypatch):
-        """Under ``REPRO_START_METHOD=spawn`` the workers rebase onto
-        the parent's time axis (see ``repro.obs.spans.rebase_epoch``):
-        shard spans must land *inside* the parent's pool span, carry
-        the parent's trace id, and build a coherent timeline — the
-        regression this guards is worker timestamps on an unrelated
-        monotonic origin."""
+class TestForkTraceCoherence:
+    def test_fork_run_yields_coherent_timeline(self, instance):
+        """Forked workers stamp their spans on the parent's monotonic
+        clock: shard spans land inside the parent's pool span, carry
+        the parent's trace id, and build a timeline with no orphan."""
         from repro.obs import MetricsRegistry, Obs, Tracer, \
             build_timeline
 
-        # Every platform has the spawn launcher.
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         formula, proof = instance
         obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
         report = verify_proof_v1(formula, proof, jobs=2,
@@ -487,9 +487,8 @@ class TestSpawnTraceRebasing:
         shard_spans = [s for s in doc["spans"]
                        if s["name"] == "shard"]
         assert shard_spans
-        slack = 2.0  # wall-anchor rebase is wall-read accurate
         for span in shard_spans:
-            assert span["begin"] >= pool["begin"] - slack
-            assert span["end"] <= pool["end"] + slack
+            assert pool["begin"] <= span["begin"] <= span["end"] \
+                <= pool["end"]
         assert doc["utilization"] is not None
         assert doc["dropped"]["orphans"] == 0
