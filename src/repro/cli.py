@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="write the core as DIMACS here")
 
     stream_cmd = sub.add_parser(
-        "verify-stream", aliases=["verify-drup"],
+        "verify-stream",
         help="forward-check a DRUP trace (with deletions) in one "
              "bounded-memory streaming pass (chunked parse, "
              "deletion-aware eviction, checkpoint/resume)")
@@ -236,16 +236,6 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
     group.add_argument("--stats", action="store_true",
                        help="print a 'c stats:' footer with per-phase "
                             "times, props, and slowest checks")
-    group.add_argument("--mem-sample-period", type=float, default=None,
-                       metavar="SECONDS",
-                       help="also sample RSS on a background thread "
-                            "every SECONDS (default: one sample per "
-                            "progress heartbeat only)")
-    group.add_argument("--mem-profile", action="store_true",
-                       help="attribute allocation peaks to phases "
-                            "with tracemalloc (expensive — adds a "
-                            "tracemalloc section to the trace's "
-                            "run_summary)")
     if insight:
         group.add_argument("--depgraph-out", metavar="PATH",
                            default=None,
@@ -269,33 +259,20 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
     A metrics registry comes only with ``--trace-out`` (the trace's
     ``run_summary`` carries its snapshot), ``--stats`` (the footer's
     props and slowest-check lines come from the instrumented per-check
-    path) and the memory flags (the sampler's ``repro_mem_*`` gauges
-    live in it).  Any insight output flag attaches a dependency-graph
+    path).  Any insight output flag attaches a dependency-graph
     recorder (the analytics are computed from its records).
     """
-    mem_profile = getattr(args, "mem_profile", False)
-    wants_metrics = (args.trace_out is not None or args.stats
-                     or mem_profile
-                     or getattr(args, "mem_sample_period", None)
-                     is not None)
+    wants_metrics = args.trace_out is not None or args.stats
     wants_depgraph = _wants_insight(args)
     if not (wants_metrics or args.progress or wants_depgraph):
         return None
-    # Any instrumented run gets the RSS sampler: it only fires on
-    # progress beats (or its own --mem-sample-period thread), so it
-    # costs nothing on runs without a heartbeat, and it is what feeds
-    # the timeline memory lane and the trace's run_summary memory
-    # section.
     from repro.obs import DepGraphRecorder, MetricsRegistry, Obs, Tracer
-    from repro.obs.mem import MemProfiler, MemSampler
 
     return Obs(
         metrics=MetricsRegistry() if wants_metrics else None,
         tracer=Tracer() if args.trace_out is not None else None,
         progress_stream=sys.stderr if args.progress else None,
-        depgraph=DepGraphRecorder() if wants_depgraph else None,
-        mem=MemSampler(),
-        mem_profiler=MemProfiler() if mem_profile else None)
+        depgraph=DepGraphRecorder() if wants_depgraph else None)
 
 
 def _write_trace(obs: Obs | None, args: argparse.Namespace, report,
@@ -361,53 +338,21 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
 
 def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
                       formula=None, proof=None):
-    """Run a verification thunk with the memory facilities armed and
-    interrupt-safe artifact flushing.
+    """Run a verification thunk with interrupt-safe artifact flushing.
 
     Returns the report, or None when the run was interrupted — in
     which case every requested artifact (trace, partial depgraph) has
     already been flushed atomically, so a ^C never leaves a truncated
     or missing artifact behind.
     """
-    _start_mem(args, obs)
     try:
-        report = run()
+        return run()
     except KeyboardInterrupt:
-        _finish_mem(obs)
         print("c error: interrupted", file=sys.stderr)
         if formula is not None and proof is not None:
             _write_insight_artifacts(obs, args, None, formula, proof)
         _write_trace(obs, args, None)
         return None
-    _finish_mem(obs)
-    return report
-
-
-def _start_mem(args: argparse.Namespace, obs: Obs | None) -> None:
-    """Arm the memory facilities for one run: a first sample (so even
-    a heartbeat-less run records a baseline), the optional background
-    sampling thread, and the optional tracemalloc profiler."""
-    if obs is None:
-        return
-    if obs.mem_profiler is not None:
-        obs.mem_profiler.start()
-    if obs.mem is not None:
-        obs.mem.sample()
-        period = getattr(args, "mem_sample_period", None)
-        if period is not None and period > 0:
-            obs.mem.start(period)
-
-
-def _finish_mem(obs: Obs | None) -> None:
-    """Disarm them: stop the thread, take a final sample (the peak a
-    short run would otherwise miss), stop tracemalloc."""
-    if obs is None:
-        return
-    if obs.mem is not None:
-        obs.mem.stop()
-        obs.mem.sample()
-    if obs.mem_profiler is not None:
-        obs.mem_profiler.stop()
 
 
 def _print_stats_footer(args: argparse.Namespace, report,
@@ -573,6 +518,10 @@ def _cmd_verify_stream(args: argparse.Namespace) -> int:
         print("c error: --resume requires --checkpoint",
               file=sys.stderr)
         return EXIT_ERROR
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        print("c error: --checkpoint-every must be >= 1",
+              file=sys.stderr)
+        return EXIT_ERROR
     formula = read_dimacs(args.cnf)
     obs = _obs_from(args)
 
@@ -640,6 +589,9 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     from repro.obs import read_jsonl
     from repro.obs.timeline import build_timeline, render_timeline_text
 
+    if args.top < 0:
+        print("c error: --top must be >= 0", file=sys.stderr)
+        return EXIT_ERROR
     doc = build_timeline(read_jsonl(args.trace), top=args.top)
     if not args.quiet:
         print(render_timeline_text(doc), end="")
@@ -651,8 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     ``c error:`` diagnostics and typed exit codes, never tracebacks."""
     args = _build_parser().parse_args(argv)
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify,
-                "core": _cmd_core, "verify-drup": _cmd_verify_stream,
-                "verify-stream": _cmd_verify_stream,
+                "core": _cmd_core, "verify-stream": _cmd_verify_stream,
                 "obs": _cmd_obs_timeline}
     try:
         return handlers[args.command](args)

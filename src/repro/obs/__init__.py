@@ -16,9 +16,8 @@ A zero-dependency observability layer for the verification pipeline:
   and per-shard attribution, derived on demand by
   ``repro obs timeline``;
 * :class:`ProgressReporter` heartbeat lines on stderr;
-* the :mod:`repro.obs.mem` resource profiler — heartbeat-riding RSS
-  sampling (:class:`MemSampler`) and optional tracemalloc phase
-  attribution (:class:`MemProfiler`);
+* :func:`read_rss` — one read of the process's current and peak
+  resident set (the kernel's high-water mark);
 * the ``c stats:`` footer and schema validators for the three
   artifact kinds (trace, depgraph, checkpoint);
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs
@@ -38,7 +37,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                  "ProofShapeAnalytics", "analyze_proof_shape",
                  "depgraph_deterministic_view", "write_depgraph_dot",
                  "write_depgraph_jsonl"),
-    ".mem": ("MemProfiler", "MemSampler", "parse_proc_status", "read_rss"),
+    ".mem": ("parse_proc_status", "read_rss"),
     ".progress": ("ProgressReporter",),
     ".registry": ("DEFAULT_TIME_BUCKETS", "DEFAULT_WORK_BUCKETS", "Counter",
                   "Gauge", "Histogram", "MetricsRegistry"),
@@ -85,8 +84,6 @@ __all__ = [
     "build_timeline",
     "render_timeline_text",
     "format_bytes",
-    "MemSampler",
-    "MemProfiler",
     "read_rss",
     "parse_proc_status",
 ]

@@ -4,7 +4,7 @@ Every instrumented entry point accepts ``obs: Obs | None = None``.
 ``None`` — the default everywhere — is the *disabled fast path*: the
 drivers branch on it once per check at most, the BCP hot loops never
 see it at all, and no registry, tracer, or clock is touched.  An
-:class:`Obs` carries up to three optional facilities:
+:class:`Obs` carries up to four optional facilities:
 
 * ``metrics`` — a :class:`~repro.obs.registry.MetricsRegistry`;
 * ``tracer`` — a :class:`~repro.obs.spans.Tracer` (JSONL event log);
@@ -16,14 +16,7 @@ see it at all, and no registry, tracer, or clock is touched.  An
   DepGraphRecorder`; with one attached the verification scan appends
   each checked clause's conflict-analysis antecedents (the proof
   dependency graph) to its record list, and the parallel parent folds
-  worker record buffers in like metric snapshots;
-* ``mem`` — a :class:`~repro.obs.mem.MemSampler`; it rides the
-  progress heartbeat (one RSS read per beat) and feeds the same
-  metrics registry and tracer, so memory samples carry the run's
-  trace context.  A ``mem_profiler``
-  (:class:`~repro.obs.mem.MemProfiler`) additionally marks traced
-  allocation peaks at span boundaries when ``--mem-profile`` asked
-  for it.
+  worker record buffers in like metric snapshots.
 
 The helpers (`span`, `event`, `counter_add`, ...) are null-safe with
 respect to the *facilities* — an ``Obs`` with only a tracer ignores
@@ -34,7 +27,7 @@ call helpers unconditionally.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 from repro.obs.progress import ProgressReporter
 from repro.obs.registry import (
@@ -55,26 +48,20 @@ class Obs:
                  progress_stream=None,
                  progress_interval: float = 0.5,
                  run_id: str | None = None,
-                 depgraph=None,
-                 mem=None,
-                 mem_profiler=None):
+                 depgraph=None):
         if run_id is None:
             run_id = tracer.run_id if tracer is not None else make_run_id()
         self.run_id = run_id
         self.metrics = metrics
         self.tracer = tracer
         self.depgraph = depgraph
-        self.mem = mem
-        self.mem_profiler = mem_profiler
-        if mem is not None:
-            mem.bind(metrics, tracer)
         self.progress_stream = progress_stream
         self.progress_interval = progress_interval
         self.started = time.perf_counter()
 
     @classmethod
     def enabled(cls, tracing: bool = True, progress_stream=None,
-                depgraph: bool = False, mem: bool = True) -> "Obs":
+                depgraph: bool = False) -> "Obs":
         """An Obs with everything on — the library-user one-liner."""
         if depgraph:
             from repro.obs.insight.depgraph import DepGraphRecorder
@@ -82,38 +69,17 @@ class Obs:
             recorder = DepGraphRecorder()
         else:
             recorder = None
-        if mem:
-            from repro.obs.mem import MemSampler
-
-            sampler = MemSampler()
-        else:
-            sampler = None
         return cls(metrics=MetricsRegistry(),
                    tracer=Tracer() if tracing else None,
                    progress_stream=progress_stream,
-                   depgraph=recorder, mem=sampler)
+                   depgraph=recorder)
 
     # -- tracing -----------------------------------------------------------
 
     def span(self, name: str, **attrs):
-        if self.mem_profiler is not None:
-            return self._profiled_span(name, **attrs)
         if self.tracer is None:
             return _NULL
         return self.tracer.span(name, **attrs)
-
-    @contextmanager
-    def _profiled_span(self, name: str, **attrs):
-        """A span that also marks the tracemalloc phase attribution at
-        its boundary (``--mem-profile`` only — never the default
-        path)."""
-        inner = (self.tracer.span(name, **attrs)
-                 if self.tracer is not None else _NULL)
-        with inner as end_attrs:
-            try:
-                yield end_attrs
-            finally:
-                self.mem_profiler.mark(name)
 
     def event(self, name: str, **attrs) -> None:
         if self.tracer is not None:
@@ -198,7 +164,4 @@ class Obs:
             return None
         return ProgressReporter(total, label=label,
                                 stream=self.progress_stream,
-                                interval=self.progress_interval,
-                                on_beat=(self.mem.sample
-                                         if self.mem is not None
-                                         else None))
+                                interval=self.progress_interval)

@@ -2,8 +2,8 @@
 
 * :func:`run_summary` — the attrs of the ``run_summary`` event the CLI
   appends to every ``--trace-out`` trace: the registry snapshot, the
-  report's stats, the memory summary, and the proof-shape analytics,
-  so the trace is the run's one telemetry artifact;
+  report's stats, the process's resident set, and the proof-shape
+  analytics, so the trace is the run's one telemetry artifact;
 * :func:`stats_footer` — the human ``c stats:`` lines the CLI prints
   with ``--stats`` (DIMACS-style comment lines, like DRAT-trim's
   verbose statistics).
@@ -45,14 +45,14 @@ def run_summary(obs, command: str, report=None,
     ``report`` is None for an interrupted run (``interrupted: true``,
     ``elapsed: null``); ``analytics`` is the run's
     :class:`~repro.obs.insight.analytics.ProofShapeAnalytics`, when a
-    dependency graph was recorded.  ``mem`` is the sampler's summary,
-    plus the tracemalloc phase attribution under ``--mem-profile``.
+    dependency graph was recorded.  ``mem`` is one
+    :func:`~repro.obs.mem.read_rss` of this process: the current and
+    peak (kernel high-water mark) resident set and their source, each
+    null when the read fails.
     """
-    mem = None
-    if obs.mem is not None:
-        mem = obs.mem.summary()
-        if obs.mem_profiler is not None:
-            mem["tracemalloc"] = obs.mem_profiler.document()
+    from repro.obs.mem import read_rss
+
+    rss, peak, source = read_rss() or (None, None, None)
     stats = report.stats if report is not None else None
     return {
         "command": command,
@@ -62,7 +62,8 @@ def run_summary(obs, command: str, report=None,
         "stats": stats.as_dict() if stats is not None else None,
         "metrics": (obs.metrics.snapshot()
                     if obs.metrics is not None else {}),
-        "mem": mem,
+        "mem": {"rss_bytes": rss, "peak_rss_bytes": peak,
+                "source": source},
         "analytics": (analytics.as_dict()
                       if analytics is not None else None),
     }

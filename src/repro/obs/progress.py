@@ -23,32 +23,21 @@ class ProgressReporter:
     ``interval`` is the minimum seconds between lines (0 prints every
     update — used by tests); the final :meth:`finish` line is never
     throttled, so every enabled run ends with a complete count.
-
-    ``on_beat`` (optional) runs once per emitted beat — the memory
-    sampler rides here, so each heartbeat takes a fresh RSS reading.
-    It is exception-guarded: a failing beat hook can never break the
-    heartbeat, let alone the run.
     """
 
     def __init__(self, total: int, label: str = "checks",
                  stream=None, interval: float = 0.5,
-                 clock=time.monotonic, on_beat=None):
+                 clock=time.monotonic):
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
-        self.on_beat = on_beat
         self._clock = clock
         self._start = clock()
         self._last_emit: float | None = None
         self.lines_emitted = 0
 
     def _emit(self, done: int, now: float) -> None:
-        if self.on_beat is not None:
-            try:
-                self.on_beat()
-            except Exception:
-                pass
         elapsed = now - self._start
         line = (f"c progress: {done}/{self.total} {self.label}, "
                 f"{elapsed:.1f}s elapsed")

@@ -19,10 +19,8 @@ can't:
 * **attribution** — per-shard wall/checks/props/clause-visits rows
   (plus per-shard ``peak_rss`` when workers reported it) and the top
   stragglers;
-* **memory** — every ``mem_sample`` instant event the
-  heartbeat-riding :class:`repro.obs.mem.MemSampler` stamped into the
-  trace, folded with per-shard peaks into a run-wide ``peak_rss``,
-  rendered as a sparkline lane.
+* **memory** — the run-wide peak resident set: the larger of the
+  parent's ``run_summary`` peak and every shard's ``peak_rss``.
 
 Orphaned and unterminated spans are counted in the document's
 ``dropped`` section, so tests can assert the merged timeline is whole.
@@ -92,8 +90,7 @@ def _assemble_spans(events: list[dict]) -> tuple[list[dict], int, str,
                 "id": span_id, "name": event.get("name", ""),
                 "parent": event.get("parent"),
                 "begin": event["ts"], "end": None, "dur": None,
-                "attrs": dict(event.get("attrs", {})),
-                "events": []}
+                "attrs": dict(event.get("attrs", {}))}
         elif kind == "end":
             span = open_spans.pop(span_id, None)
             if span is None:
@@ -101,20 +98,12 @@ def _assemble_spans(events: list[dict]) -> tuple[list[dict], int, str,
                 # span rather than losing the data.
                 span = {"id": span_id, "name": event.get("name", ""),
                         "parent": event.get("parent"),
-                        "begin": event["ts"], "attrs": {},
-                        "events": []}
+                        "begin": event["ts"], "attrs": {}}
             span["end"] = event["ts"]
             span["dur"] = event.get("dur",
                                     event["ts"] - span["begin"])
             span["attrs"].update(event.get("attrs", {}))
             spans.append(span)
-        elif kind == "event":
-            holder = open_spans.get(span_id)
-            record = {"ts": event["ts"],
-                      "name": event.get("name", ""),
-                      "attrs": dict(event.get("attrs", {}))}
-            if holder is not None:
-                holder["events"].append(record)
     # Close still-open spans at their begin time so a live tail still
     # renders; callers can tell from open_count.
     open_count = len(open_spans)
@@ -285,43 +274,26 @@ def _attribution(spans: list[dict], top: int = TOP_STRAGGLERS,
             "skew": _shard_skew(shards)}
 
 
-def _memory_section(spans: list[dict],
+def _memory_section(events: list[dict],
                     attribution: dict | None) -> dict | None:
-    """The timeline's memory lane: every ``mem_sample`` instant event
-    (emitted by :class:`repro.obs.mem.MemSampler` riding the progress
-    heartbeat) plus the run-wide peak RSS.
-
-    The peak folds in per-shard ``peak_rss`` end-attrs too, so a
-    parallel run whose parent sampled little still reports the true
-    max across workers.  None when the trace carries no memory data
-    at all (sampler disabled) — renderers skip the lane entirely.
+    """The run-wide peak resident set: the larger of the parent's
+    ``run_summary`` peak (the kernel's high-water mark, read once at
+    the end of the run) and every per-shard ``peak_rss`` end-attr a
+    pool worker reported.  None when the trace carries neither —
+    renderers then skip the memory line.
     """
-    samples = []
-    for span in spans:
-        for record in span.get("events", ()):
-            if record.get("name") != "mem_sample":
-                continue
-            attrs = record.get("attrs", {})
-            rss = attrs.get("rss_bytes")
-            if not isinstance(rss, (int, float)):
-                continue
-            samples.append({
-                "ts": record["ts"],
-                "rss_bytes": int(rss),
-                "peak_rss_bytes": attrs.get("peak_rss_bytes"),
-                "worker": span["worker"]})
-    samples.sort(key=lambda s: s["ts"])
-    peaks = [s["peak_rss_bytes"] for s in samples
-             if isinstance(s["peak_rss_bytes"], (int, float))]
-    peaks.extend(s["rss_bytes"] for s in samples)
+    peaks = [(event.get("attrs", {}).get("mem") or {}).get(
+                 "peak_rss_bytes")
+             for event in events
+             if event.get("type") == "event"
+             and event.get("name") == "run_summary"]
     if attribution:
-        peaks.extend(row["peak_rss"] for row in attribution["shards"]
-                     if isinstance(row.get("peak_rss"),
-                                   (int, float)))
+        peaks.extend(row.get("peak_rss")
+                     for row in attribution["shards"])
+    peaks = [peak for peak in peaks if isinstance(peak, (int, float))]
     if not peaks:
         return None
-    return {"samples": samples,
-            "peak_rss_bytes": int(max(peaks))}
+    return {"peak_rss_bytes": int(max(peaks))}
 
 
 def _critical_path(spans: list[dict]) -> list[dict]:
@@ -405,7 +377,7 @@ def build_timeline(events: list[dict], top: int = TOP_STRAGGLERS,
     workers, utilization = _worker_stats(spans) if spans else ([],
                                                                None)
     attribution = _attribution(spans, top=top)
-    memory = _memory_section(spans, attribution)
+    memory = _memory_section(events, attribution)
     critical = _critical_path(spans)
     doc = {
         "run": run_id,
@@ -449,24 +421,6 @@ def format_bytes(value) -> str:
                     else f"{value:.1f}{unit}")
         value /= 1024
     return "-"
-
-
-def _memory_lane(memory: dict, lo: float, hi: float) -> str:
-    """A fixed-width RSS sparkline over the timeline window: each
-    column shows the largest sample falling in that time slice,
-    scaled against the run peak (`` .:-=+*#`` from empty to peak)."""
-    levels = " .:-=+*#"
-    peak = max(memory["peak_rss_bytes"], 1)
-    cols = [0] * _BAR_WIDTH
-    span = max(hi - lo, 1e-9)
-    for sample in memory["samples"]:
-        col = int((sample["ts"] - lo) / span * _BAR_WIDTH)
-        col = min(max(col, 0), _BAR_WIDTH - 1)
-        cols[col] = max(cols[col], sample["rss_bytes"])
-    return "".join(
-        levels[min(len(levels) - 1,
-                   int(value / peak * (len(levels) - 1) + 0.5))]
-        if value else " " for value in cols)
 
 
 def _bar(begin: float, end: float, lo: float, hi: float) -> str:
@@ -521,11 +475,9 @@ def render_timeline_text(doc: dict) -> str:
     memory = doc.get("memory")
     if memory:
         lines.append("")
-        lane = _memory_lane(memory, lo, hi)
         lines.append(
-            f"  {'memory':<14} |{lane}| "
-            f"peak={format_bytes(memory['peak_rss_bytes'])} "
-            f"samples={len(memory['samples'])}")
+            f"  {'memory':<14} "
+            f"peak={format_bytes(memory['peak_rss_bytes'])}")
     lines.append("")
     lines.append(
         f"critical path ({doc['critical_path_wall']:.3f}s of "

@@ -33,8 +33,8 @@ style limits plus the streaming driver's memory cap:
     (:data:`~repro.verify.streaming.ENGINE_OVERHEAD_WORDS_PER_CLAUSE`
     words per clause) — the earlier pool-words-only model
     under-reported short clauses severely.  It remains an estimate:
-    runs with a memory sampler cross-check it against measured RSS at
-    every window shift and flag divergence as ``mem_estimate_drift``.
+    instrumented streaming runs read the measured RSS once per window
+    shift and flag divergence as ``mem_estimate_drift``.
     Unlike time and work, memory pressure is relieved by deletion
     events, so these axes are checked against a *current* value the
     driver passes in — drivers that track no live set simply never

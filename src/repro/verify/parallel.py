@@ -413,7 +413,7 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
         tracer_cm.__exit__(None, None, None)
         # Cost attribution on the span's end attrs: the timeline
         # reconstructor reads these into its per-shard attribution
-        # rows, straggler ranking, and memory lane.
+        # rows, straggler ranking, and run-wide memory peak.
         tracer.events[-1]["attrs"].update(
             checks=result.num_checked, wall=duration,
             props=(delta.get("assignments", 0)

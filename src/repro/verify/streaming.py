@@ -26,12 +26,13 @@ When dead clauses outnumber live ones by ``DEFAULT_WINDOW_SLACK``, the
 checker rebuilds a fresh engine over only the live clauses — the
 "window shift" — which reclaims those leftovers.  Propagation-work
 accounting is carried across shifts, so budgets and reports see one
-continuous run.  A run carrying
-a memory sampler (``obs.mem``) also cross-checks the ``max_bytes`` *estimate*
-against *measured* RSS at every shift: growth past both an absolute
-floor and a multiple of the estimate emits a ``mem_estimate_drift``
-trace event and bumps ``repro_mem_estimate_drift_total`` — the model
-being wrong is surfaced, never fatal.
+continuous run.  An instrumented run (``obs`` attached) also
+cross-checks the ``max_bytes`` *estimate* against *measured* RSS
+(one :func:`~repro.obs.mem.read_rss` per shift): growth past both an
+absolute floor and a multiple of the estimate emits a
+``mem_estimate_drift`` trace event and bumps
+``repro_mem_estimate_drift_total`` — the model being wrong is
+surfaced, never fatal.
 
 **Checkpoint/resume.**  Every ``checkpoint_every`` events (and on
 interrupt or budget exhaustion) the driver flushes a small JSON resume
@@ -261,7 +262,7 @@ def verify_stream(formula: CnfFormula, proof, *,
     ``resume`` raise ``ValueError``.  Interrupts (``KeyboardInterrupt``
     — the CLI maps SIGTERM onto it too) flush a final checkpoint before
     propagating, so a killed run is resumable; ``resume=True`` requires
-    ``checkpoint_path``.
+    ``checkpoint_path``, and ``checkpoint_every`` must be at least 1.
     """
     in_memory = isinstance(proof, DrupProof)
     if in_memory and (checkpoint_path is not None or resume):
@@ -269,6 +270,9 @@ def verify_stream(formula: CnfFormula, proof, *,
                          "in-memory DrupProof")
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got "
+                         f"{checkpoint_every}")
 
     build = ReportBuilder(StreamingCheckReport, obs=obs,
                           total_checks=(len(proof.events)
@@ -359,15 +363,15 @@ def verify_stream(formula: CnfFormula, proof, *,
         # RSS baseline for the estimate-vs-measured cross-check: any
         # resident growth past this point is attributable to the
         # proof's live set (plus interpreter/allocator noise — hence
-        # the drift floor).  Only armed when the run carries a memory
-        # sampler; a dead sampler silently disarms it.
-        mem_sampler = getattr(obs, "mem", None) \
-            if obs is not None else None
+        # the drift floor).  Only armed on an instrumented run; a
+        # failed read silently disarms it.
         baseline_rss = None
-        if mem_sampler is not None:
-            baseline_sample = mem_sampler.sample()
-            if baseline_sample is not None:
-                baseline_rss = baseline_sample["rss_bytes"]
+        if obs is not None:
+            from repro.obs.mem import read_rss
+
+            reading = read_rss()
+            if reading is not None:
+                baseline_rss = reading[0]
 
         meter = budget.start(engine.counters) \
             if budget is not None else None
@@ -515,10 +519,10 @@ def verify_stream(formula: CnfFormula, proof, *,
         # every shift (the natural cadence: the live set just changed
         # shape).  A large multiple says the max_bytes model no longer
         # tracks reality — surfaced as an event, never a failure.
-        if mem_sampler is not None and baseline_rss is not None:
-            shift_sample = mem_sampler.sample()
-            if shift_sample is not None:
-                growth = shift_sample["rss_bytes"] - baseline_rss
+        if baseline_rss is not None:
+            reading = read_rss()
+            if reading is not None:
+                growth = reading[0] - baseline_rss
                 estimate = live_bytes()
                 if growth > MEM_DRIFT_FLOOR_BYTES \
                         and growth > MEM_DRIFT_FACTOR \

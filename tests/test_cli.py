@@ -150,7 +150,7 @@ class TestDrupCli:
         assert drup_path.exists()
         assert "DRUP trace written" in capsys.readouterr().out
 
-        code = main(["verify-drup", str(unsat_cnf), str(drup_path)])
+        code = main(["verify-stream", str(unsat_cnf), str(drup_path)])
         assert code == 0
         assert "s PROOF_IS_CORRECT" in capsys.readouterr().out
 
@@ -158,25 +158,9 @@ class TestDrupCli:
                                                tmp_path, capsys):
         drup_path = tmp_path / "out.drup"
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
-        code = main(["verify-drup", str(sat_cnf), str(drup_path)])
+        code = main(["verify-stream", str(sat_cnf), str(drup_path)])
         assert code == 1
         assert "failed at event" in capsys.readouterr().out
-
-    def test_verify_drup_is_verify_stream(self, unsat_cnf, tmp_path,
-                                          capsys):
-        """``verify-drup`` is an alias: both names print the same
-        verdict and counts."""
-        drup_path = tmp_path / "out.drup"
-        main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
-        capsys.readouterr()
-        lines = {}
-        for command in ("verify-drup", "verify-stream"):
-            assert main([command, str(unsat_cnf), str(drup_path)]) == 0
-            out = capsys.readouterr().out.splitlines()
-            lines[command] = [line.split(" time=")[0] for line in out
-                              if line.startswith(("s ", "c additions="))]
-        assert lines["verify-drup"] == lines["verify-stream"]
-        assert lines["verify-drup"][0] == "s PROOF_IS_CORRECT"
 
 
 @pytest.fixture
@@ -248,7 +232,7 @@ class TestErrorHandling:
     def test_garbage_drup_exits_65(self, unsat_cnf, tmp_path, capsys):
         bad = tmp_path / "bad.drup"
         bad.write_text("1 2 without terminator\n")
-        code = main(["verify-drup", str(unsat_cnf), str(bad)])
+        code = main(["verify-stream", str(unsat_cnf), str(bad)])
         assert code == EXIT_PARSE_ERROR
         assert capsys.readouterr().err.startswith("c error:")
 
@@ -267,7 +251,7 @@ class TestBudgetCli:
         drup_path = tmp_path / "t.drup"
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
         capsys.readouterr()
-        code = main(["verify-drup", str(unsat_cnf), str(drup_path),
+        code = main(["verify-stream", str(unsat_cnf), str(drup_path),
                      "--timeout", "0.000001"])
         assert code == EXIT_RESOURCE_LIMIT
         assert "s RESOURCE_LIMIT_EXCEEDED" in capsys.readouterr().out
@@ -367,7 +351,11 @@ class TestObservabilityCli:
         assert summary["elapsed"] > 0
         assert summary["stats"]["checks"] > 0
         assert "repro_verify_checks_total" in summary["metrics"]
-        assert summary["mem"]["num_samples"] >= 1
+        # One read of this process's resident set, at the end of the
+        # run: the peak is the kernel's high-water mark.
+        mem = summary["mem"]
+        assert set(mem) == {"rss_bytes", "peak_rss_bytes", "source"}
+        assert mem["peak_rss_bytes"] >= mem["rss_bytes"] > 0
 
     def test_parallel_metrics_artifact(self, unsat_cnf, good_proof,
                                        tmp_path):
@@ -409,13 +397,13 @@ class TestObservabilityCli:
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
         capsys.readouterr()
         trace_path = tmp_path / "trace.jsonl"
-        code = main(["verify-drup", str(unsat_cnf), str(drup_path),
+        code = main(["verify-stream", str(unsat_cnf), str(drup_path),
                      "--trace-out", str(trace_path), "--stats"])
         assert code == 0
         out = capsys.readouterr().out
         assert "c stats: total=" in out
         summary = _run_summary(trace_path)
-        assert summary["command"] == "verify-drup"
+        assert summary["command"] == "verify-stream"
         assert "repro_drup_additions_total" in summary["metrics"]
 
     def test_artifacts_written_on_bad_proof(self, sat_cnf, unsat_cnf,
@@ -430,6 +418,25 @@ class TestObservabilityCli:
         summary = _run_summary(trace_path)
         assert summary["interrupted"] is False
         assert summary["stats"] is not None
+
+    @pytest.mark.parametrize("cnf, expected", [("unsat_cnf", 0),
+                                               ("sat_cnf", 1)])
+    def test_failed_rss_read_keeps_verdict(self, request, good_proof,
+                                           tmp_path, monkeypatch,
+                                           capsys, cnf, expected):
+        """With every RSS read failing, a traced run keeps its verdict
+        and exit code, and its trace validates with null memory."""
+        import repro.obs.mem as mem
+        from repro.obs import build_timeline, read_jsonl
+
+        monkeypatch.setattr(mem, "read_rss", lambda: None)
+        trace_path = tmp_path / "trace.jsonl"
+        code = main(["verify", str(request.getfixturevalue(cnf)),
+                     str(good_proof), "--trace-out", str(trace_path)])
+        assert code == expected
+        assert _run_summary(trace_path)["mem"] == {
+            "rss_bytes": None, "peak_rss_bytes": None, "source": None}
+        assert build_timeline(read_jsonl(trace_path))["memory"] is None
 
 
 class TestObsFrom:
@@ -455,6 +462,11 @@ class TestObsFrom:
                         "--trace-out", str(tmp_path / "t.jsonl"))
         assert obs.tracer is not None
         assert obs.metrics is not None
+
+    def test_progress_alone_builds_no_registry(self):
+        obs = self._obs("--progress")
+        assert obs.progress_stream is not None
+        assert obs.metrics is None and obs.tracer is None
 
     @pytest.mark.parametrize("argv", [
         ["verify", "f.cnf", "f.ccp", "--metrics-out", "m.json"],
@@ -493,6 +505,22 @@ class TestObsFrom:
     def test_operator_surfaces_rejected(self, argv, capsys):
         """The live view, ``--profile`` and the HTML timeline are gone:
         each is an argparse usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "f.cnf", "f.ccp", "--mem-sample-period", "0.05"],
+        ["verify", "f.cnf", "f.ccp", "--mem-profile"],
+        ["verify-stream", "f.cnf", "f.drup", "--mem-profile"],
+        ["verify-drup", "f.cnf", "f.drup"],
+    ])
+    def test_memory_flags_and_command_alias_rejected(self, argv,
+                                                     capsys):
+        """The RSS sampler, tracemalloc profiler and the second name
+        of ``verify-stream`` are gone: each is an argparse usage
+        error."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -649,14 +677,13 @@ class TestProcessLevel:
         assert "invalid choice: 'arena'" in capsys.readouterr().err
         # The forward DRUP checker has one engine and one read size:
         # neither is an option.
-        for command in ("verify-drup", "verify-stream"):
-            for flag, value in (("--engine", "watched"),
-                                ("--chunk-bytes", "4096")):
-                with pytest.raises(SystemExit) as exc:
-                    main([command, "f.cnf", "f.drup", flag, value])
-                assert exc.value.code == 2
-                assert f"unrecognized arguments: {flag}" \
-                    in capsys.readouterr().err
+        for flag, value in (("--engine", "watched"),
+                            ("--chunk-bytes", "4096")):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-stream", "f.cnf", "f.drup", flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" \
+                in capsys.readouterr().err
 
     def test_parallel_verify_exits_cleanly(self, tmp_path):
         from repro.benchgen.registry import pigeonhole

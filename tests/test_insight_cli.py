@@ -199,6 +199,35 @@ class TestTimelineCli:
         assert doc["dropped"] == {"orphans": 0, "open": 0}
         assert validate_main([str(trace)]) == 0  # sniffed
 
+    def test_timeline_peak_is_max_of_summary_and_shards(
+            self, unsat_cnf, good_proof, tmp_path):
+        """The memory peak is the parent's one end-of-run read folded
+        with every worker's shard peak — never a parent sample that
+        fell outside a span."""
+        from repro.verify.parallel import fork_available
+
+        if not fork_available():
+            pytest.skip("the pool forks its workers")
+        events = read_jsonl(self._trace(unsat_cnf, good_proof, tmp_path,
+                                        jobs=2))
+        doc = build_timeline(events)
+        parent_peak = events[-1]["attrs"]["mem"]["peak_rss_bytes"]
+        shard_peaks = [row["peak_rss"]
+                       for row in doc["attribution"]["shards"]]
+        assert parent_peak > 0 and all(shard_peaks)
+        assert doc["memory"] == {
+            "peak_rss_bytes": max(parent_peak, *shard_peaks)}
+
+    def test_timeline_negative_top_exits_error(
+            self, unsat_cnf, good_proof, tmp_path, capsys):
+        trace = self._trace(unsat_cnf, good_proof, tmp_path)
+        capsys.readouterr()
+        assert main(["obs", "timeline", str(trace), "--top", "-1"]) \
+            == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c error: --top must be >= 0" in captured.err
+
     def test_timeline_sequential_trace(self, unsat_cnf, good_proof,
                                        tmp_path, capsys):
         trace = self._trace(unsat_cnf, good_proof, tmp_path)

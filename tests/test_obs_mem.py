@@ -1,14 +1,16 @@
 """Tests for the memory telemetry layer (``repro.obs.mem``).
 
-Covers procfs parsing and the getrusage fallback, gauge max-merge
-associativity (the algebra the cross-worker peak-RSS aggregation
-relies on), the memory fields of the trace's ``run_summary`` event,
-sampler fault injection (a dying sampler must never touch the
-verdict), and the timeline memory section.
+Covers procfs parsing and the getrusage fallback (with its per-platform
+unit), gauge max-merge associativity (the algebra the cross-worker
+peak-RSS aggregation relies on), the memory fields of the trace's
+``run_summary`` event, fault injection (a failed read must never touch
+the verdict), and the timeline memory section.
 """
 
+import pytest
+
+import repro.obs.mem as mem
 from repro.obs import (
-    MemSampler,
     MetricsRegistry,
     Obs,
     Tracer,
@@ -19,11 +21,6 @@ from repro.obs import (
     render_timeline_text,
     run_summary,
     validate_trace,
-)
-from repro.obs.mem import (
-    MAX_CONSECUTIVE_FAILURES,
-    MAX_SAMPLES,
-    MemProfiler,
 )
 
 PROC_STATUS = """\
@@ -45,10 +42,12 @@ class FakeClock:
         return self.now
 
 
-def make_reader(rss=1000, peak=2000, source="proc"):
-    def reader():
-        return (rss, peak, source)
-    return reader
+@pytest.fixture
+def fixed_rss(monkeypatch):
+    """Pin :func:`read_rss` to one reading (None: a failed read)."""
+    def pin(reading):
+        monkeypatch.setattr(mem, "read_rss", lambda: reading)
+    return pin
 
 
 # -- RSS sources -----------------------------------------------------------
@@ -81,6 +80,26 @@ class TestReadRss:
         assert source == "getrusage"
         assert rss == peak > 0
 
+    @pytest.mark.parametrize("platform, scale", [("darwin", 1),
+                                                 ("linux", 1024)])
+    def test_getrusage_unit_follows_platform(self, tmp_path,
+                                             monkeypatch, platform,
+                                             scale):
+        """``ru_maxrss`` is bytes on macOS and KiB on Linux: a 20 MB
+        peak reads as 20 MB on both."""
+        import resource
+        import sys
+
+        peak = 20 * 1024 * 1024 // scale
+
+        class Usage:
+            ru_maxrss = peak
+
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+        assert read_rss(proc_status_path=str(tmp_path / "missing")) \
+            == (20 * 1024 * 1024, 20 * 1024 * 1024, "getrusage")
+
     def test_total_failure_returns_none(self, tmp_path, monkeypatch):
         import resource
 
@@ -99,7 +118,7 @@ class TestGaugeMaxMerge:
 
     def _registry_with(self, value):
         registry = MetricsRegistry()
-        registry.gauge("repro_mem_peak_rss_bytes").set(value)
+        registry.gauge("repro_mem_worker_peak_rss_bytes").set(value)
         return registry
 
     def test_merge_orders_agree(self):
@@ -112,85 +131,25 @@ class TestGaugeMaxMerge:
         right.merge(self._registry_with(values[0]).snapshot())
         right.merge(self._registry_with(values[1]).snapshot())
 
-        entry_l = left.snapshot()["repro_mem_peak_rss_bytes"]
-        entry_r = right.snapshot()["repro_mem_peak_rss_bytes"]
+        entry_l = left.snapshot()["repro_mem_worker_peak_rss_bytes"]
+        entry_r = right.snapshot()["repro_mem_worker_peak_rss_bytes"]
         assert entry_l["value"]["max"] == entry_r["value"]["max"] == 300
 
     def test_max_survives_lower_set(self):
         registry = self._registry_with(500)
-        registry.gauge("repro_mem_peak_rss_bytes").set(50)
-        entry = registry.snapshot()["repro_mem_peak_rss_bytes"]
+        registry.gauge("repro_mem_worker_peak_rss_bytes").set(50)
+        entry = registry.snapshot()["repro_mem_worker_peak_rss_bytes"]
         assert entry["value"]["value"] == 50
         assert entry["value"]["max"] == 500
 
 
-# -- the sampler -----------------------------------------------------------
+# -- a failed read ----------------------------------------------------------
 
-class TestMemSampler:
-    def test_sample_publishes_everywhere(self):
-        clock = FakeClock()
-        metrics = MetricsRegistry()
-        tracer = Tracer(run_id="r", clock=clock, epoch=0.0)
-        sampler = MemSampler(metrics=metrics, tracer=tracer,
-                             reader=make_reader(rss=1111, peak=2222),
-                             wall=clock)
-        with tracer.span("verify"):
-            entry = sampler.sample()
-        assert entry == {"ts": 0.0, "rss_bytes": 1111,
-                         "peak_rss_bytes": 2222}
-        assert sampler.peak_rss_bytes == 2222
-        assert sampler.rss_bytes == 1111
-        assert sampler.source == "proc"
-        snap = metrics.snapshot()
-        assert snap["repro_mem_rss_bytes"]["value"]["value"] == 1111
-        assert snap["repro_mem_peak_rss_bytes"]["value"]["max"] == 2222
-        events = [e for e in tracer.events if e["type"] == "event"]
-        assert events and events[0]["name"] == "mem_sample"
-        assert events[0]["attrs"]["rss_bytes"] == 1111
-
-    def test_death_after_consecutive_failures(self):
-        calls = []
-
-        def failing_reader():
-            calls.append(1)
-            raise OSError("injected procfs failure")
-
-        sampler = MemSampler(reader=failing_reader)
-        for _ in range(MAX_CONSECUTIVE_FAILURES):
-            assert sampler.sample() is None
-        assert sampler.dead
-        assert sampler.failures == MAX_CONSECUTIVE_FAILURES
-        # Dead means quiet: no further reader calls.
-        assert sampler.sample() is None
-        assert len(calls) == MAX_CONSECUTIVE_FAILURES
-        summary = sampler.summary()
-        assert summary["sampler_dead"] is True
-        assert summary["num_samples"] == 0
-
-    def test_success_resets_failure_streak(self):
-        readings = iter([None] * (MAX_CONSECUTIVE_FAILURES - 1)
-                        + [(10, 20, "fake")] + [None] * 3)
-        sampler = MemSampler(reader=lambda: next(readings))
-        for _ in range(MAX_CONSECUTIVE_FAILURES + 3):
-            sampler.sample()
-        assert not sampler.dead
-
-    def test_buffer_thinning_is_bounded(self):
-        clock = FakeClock()
-        sampler = MemSampler(reader=make_reader(), wall=clock)
-        for i in range(MAX_SAMPLES + 1):
-            clock.now = float(i)
-            sampler.sample()
-        assert len(sampler.samples) <= MAX_SAMPLES
-        # Thinning keeps a roughly uniform trajectory, oldest first.
-        ts = [s["ts"] for s in sampler.samples]
-        assert ts == sorted(ts)
-        assert sampler.summary()["num_samples"] == len(sampler.samples)
-
-    def test_dead_sampler_never_affects_verdict(self):
-        """Fault injection: an instrumented run whose sampler dies
-        (unreadable RSS source) must verify exactly as if memory
-        telemetry were absent."""
+class TestFailedRead:
+    def test_failed_read_never_affects_verdict(self, fixed_rss):
+        """Fault injection: an instrumented run whose RSS read fails
+        verifies exactly as if memory telemetry were absent, and its
+        run summary says so with nulls."""
         from repro.benchgen.php import pigeonhole
         from repro.proofs.conflict_clause import ConflictClauseProof
         from repro.solver.cdcl import solve
@@ -201,103 +160,78 @@ class TestMemSampler:
         assert result.is_unsat
         proof = ConflictClauseProof.from_log(result.log)
 
-        def failing_reader():
-            raise OSError("injected")
-
-        sampler = MemSampler(reader=failing_reader)
-        obs = Obs(metrics=MetricsRegistry(), mem=sampler)
-        sampler.sample()  # pre-run beat, already failing
+        fixed_rss(None)
+        obs = Obs(metrics=MetricsRegistry())
         report = verify_proof_v1(formula, proof, obs=obs)
-        sampler.sample()
         assert report.ok
-        assert sampler.failures > 0
-        # The run summary still reports the failing sampler.
-        mem = run_summary(obs, "verify", report)["mem"]
-        assert mem["sampler_failures"] == sampler.failures
-        assert mem["peak_rss_bytes"] is None
+        assert run_summary(obs, "verify", report)["mem"] == {
+            "rss_bytes": None, "peak_rss_bytes": None, "source": None}
 
 
 # -- the run summary -------------------------------------------------------
 
 class TestMemArtifact:
-    """The memory fields of the trace's closing ``run_summary``
-    event: the sampler summary, the tracemalloc section, and the
-    sampler's ``repro_mem_*`` gauges in the metrics snapshot."""
+    """The memory fields of the trace's closing ``run_summary`` event:
+    one :func:`read_rss` of the process, no sampled gauges."""
 
-    def _obs(self):
-        clock = FakeClock()
-        sampler = MemSampler(reader=make_reader(), wall=clock)
-        obs = Obs(metrics=MetricsRegistry(), tracer=Tracer(),
-                  mem=sampler)
-        sampler.sample()
-        clock.now = 1.0
-        sampler.sample()
-        return obs
-
-    def _trace(self, obs, tmp_path):
+    def _trace(self, tmp_path):
+        obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
         obs.event("run_summary", **run_summary(obs, "verify"))
         path = tmp_path / "trace.jsonl"
         obs.tracer.write_jsonl(str(path))
         return read_jsonl(str(path))
 
-    def test_document_validates(self, tmp_path):
-        obs = self._obs()
-        events = self._trace(obs, tmp_path)
+    def test_document_validates(self, tmp_path, fixed_rss):
+        fixed_rss((1000, 2000, "proc"))
+        events = self._trace(tmp_path)
         assert validate_trace(events) == []
         attrs = events[-1]["attrs"]
-        assert attrs["mem"]["num_samples"] == 2
-        assert attrs["mem"]["peak_rss_bytes"] == 2000
-        assert attrs["mem"]["source"] == "proc"
-        assert "tracemalloc" not in attrs["mem"]
-        peak = attrs["metrics"]["repro_mem_peak_rss_bytes"]
-        assert peak["value"]["max"] == 2000
-        # The samples themselves ride the trace as mem_sample events.
-        assert [e["name"] for e in events].count("mem_sample") == 2
+        assert attrs["mem"] == {"rss_bytes": 1000,
+                                "peak_rss_bytes": 2000,
+                                "source": "proc"}
+        assert not any(name.startswith("repro_mem_")
+                       for name in attrs["metrics"])
 
-    def test_roundtrip_through_disk(self, tmp_path):
-        obs = self._obs()
-        obs.mem_profiler = MemProfiler()
-        obs.mem_profiler.phases["checks"] = {"current_bytes": 1,
-                                             "peak_bytes": 2}
-        events = self._trace(obs, tmp_path)
+    def test_roundtrip_through_disk(self, tmp_path, fixed_rss):
+        """A failed read survives the disk round trip as nulls, and
+        the trace still validates."""
+        fixed_rss(None)
+        events = self._trace(tmp_path)
         assert validate_trace(events) == []
-        profile = events[-1]["attrs"]["mem"]["tracemalloc"]
-        assert profile == {"phases": {"checks": {"current_bytes": 1,
-                                                 "peak_bytes": 2}},
-                           "top": []}
+        assert events[-1]["attrs"]["mem"]["peak_rss_bytes"] is None
 
-    def test_validator_rejects_garbage(self, tmp_path):
-        events = self._trace(self._obs(), tmp_path)
+    def test_validator_rejects_garbage(self, tmp_path, fixed_rss):
+        fixed_rss((1000, 2000, "proc"))
+        events = self._trace(tmp_path)
         events[-1]["attrs"]["mem"] = [1, 2]
         assert any("mem must be null or an object" in p
                    for p in validate_trace(events))
-        events[-1]["attrs"]["metrics"]["repro_mem_rss_bytes"] = {
+        events[-1]["attrs"]["metrics"][
+            "repro_mem_worker_peak_rss_bytes"] = {
             "kind": "gauge", "value": -1}
         assert any("gauge value" in p for p in validate_trace(events))
 
 
-# -- timeline memory lane --------------------------------------------------
+# -- timeline memory section -----------------------------------------------
+
+def _summary_event(tracer, peak):
+    tracer.event("run_summary", command="verify",
+                 mem={"rss_bytes": peak, "peak_rss_bytes": peak,
+                      "source": "proc"})
+
 
 class TestTimelineMemory:
-    def _trace_with_samples(self):
+    def test_memory_section_built(self):
+        """A sequential run's peak is its ``run_summary`` read, even
+        though that event falls outside every span."""
         clock = FakeClock()
         tracer = Tracer(run_id="main", clock=clock, epoch=0.0)
-        sampler = MemSampler(tracer=tracer, wall=clock,
-                             reader=make_reader(rss=100, peak=150))
         with tracer.span("verify"):
             clock.now = 1.0
-            sampler.sample()
-            clock.now = 2.0
-            sampler.sample()
-            clock.now = 3.0
-        return tracer.events
-
-    def test_memory_section_built(self):
-        doc = build_timeline(self._trace_with_samples())
-        memory = doc["memory"]
-        assert memory is not None
-        assert [s["ts"] for s in memory["samples"]] == [1.0, 2.0]
-        assert memory["peak_rss_bytes"] == 150
+        _summary_event(tracer, 150)
+        doc = build_timeline(tracer.events)
+        assert doc["memory"] == {"peak_rss_bytes": 150}
+        assert "peak=150B" in render_timeline_text(doc)
 
     def test_no_samples_no_section(self):
         clock = FakeClock()
@@ -306,30 +240,30 @@ class TestTimelineMemory:
             clock.now = 1.0
         doc = build_timeline(tracer.events)
         assert doc["memory"] is None
-        # And the renderer skips the lane without complaint.
+        # And the renderer skips the memory line without complaint.
         assert "memory" not in render_timeline_text(doc)
 
     def test_shard_peaks_fold_into_run_peak(self):
-        """Per-shard peak_rss end-attrs from pool workers raise the
-        run-wide peak even when they exceed every parent sample."""
-        clock = FakeClock()
-        tracer = Tracer(run_id="main", clock=clock, epoch=0.0)
-        sampler = MemSampler(tracer=tracer, wall=clock,
-                             reader=make_reader(rss=100, peak=150))
-        with tracer.span("verify"):
-            with tracer.span("pool"):
-                worker = Tracer(run_id="w", clock=clock, epoch=0.0)
-                clock.now = 0.5
-                with worker.span("shard", lo=0, hi=4, pid=7):
-                    clock.now = 1.0
-                worker.events[-1]["attrs"].update(
-                    checks=4, wall=0.5, peak_rss=9000)
-                tracer.replay(worker.events)
-                clock.now = 1.5
-                sampler.sample()
-            clock.now = 2.0
-        doc = build_timeline(tracer.events)
-        assert doc["memory"]["peak_rss_bytes"] == 9000
-        text = render_timeline_text(doc)
-        assert "memory" in text
-        assert "rss=" in text
+        """The run-wide peak is the larger of the parent's read and
+        every per-shard ``peak_rss`` end-attr from pool workers."""
+        for parent_peak in (150, 20000):
+            clock = FakeClock()
+            tracer = Tracer(run_id="main", clock=clock, epoch=0.0)
+            with tracer.span("verify"):
+                with tracer.span("pool"):
+                    worker = Tracer(run_id="w", clock=clock, epoch=0.0)
+                    clock.now = 0.5
+                    with worker.span("shard", lo=0, hi=4, pid=7):
+                        clock.now = 1.0
+                    worker.events[-1]["attrs"].update(
+                        checks=4, wall=0.5, peak_rss=9000)
+                    tracer.replay(worker.events)
+                    clock.now = 1.5
+                clock.now = 2.0
+            _summary_event(tracer, parent_peak)
+            doc = build_timeline(tracer.events)
+            assert doc["memory"]["peak_rss_bytes"] \
+                == max(parent_peak, 9000)
+            text = render_timeline_text(doc)
+            assert "memory" in text
+            assert "rss=" in text

@@ -370,6 +370,56 @@ class TestChainWorkPinned:
             purged=0, detach_misses=0)
 
 
+class TestDriftCheck:
+    """The ``max_bytes`` estimate is cross-checked against one measured
+    RSS read per window shift on an instrumented run."""
+
+    BASE = 100 * 1024 * 1024
+
+    def _run(self, chain, chain_drup, monkeypatch, growth):
+        import repro.obs.mem as mem
+        from repro.obs import MetricsRegistry, Obs, Tracer
+
+        reads = []
+
+        def fake_read_rss():
+            # The first read is the baseline; every later one (one per
+            # window shift) sees ``growth`` more resident bytes.
+            rss = self.BASE + (growth if reads else 0)
+            reads.append(rss)
+            return (rss, rss, "proc")
+
+        monkeypatch.setattr(mem, "read_rss", fake_read_rss)
+        formula, _ = chain
+        obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
+        report = verify_stream(formula, chain_drup, obs=obs)
+        assert report.ok and report.window_shifts > 0
+        assert len(reads) == 1 + report.window_shifts
+        drifts = [e["attrs"] for e in obs.tracer.events
+                  if e["type"] == "event"
+                  and e["name"] == "mem_estimate_drift"]
+        counter = obs.metrics.snapshot().get(
+            "repro_mem_estimate_drift_total")
+        return report, drifts, counter
+
+    def test_growth_past_floor_and_estimate_flags_every_shift(
+            self, chain, chain_drup, monkeypatch):
+        growth = 64 * 1024 * 1024
+        report, drifts, counter = self._run(chain, chain_drup,
+                                            monkeypatch, growth)
+        shifts = report.window_shifts
+        assert [d["shift"] for d in drifts] == list(range(1, shifts + 1))
+        assert all(d["measured_growth_bytes"] == growth
+                   and d["estimated_live_bytes"] * 4 < growth
+                   for d in drifts)
+        assert counter["value"] == shifts
+
+    def test_no_growth_no_drift(self, chain, chain_drup, monkeypatch):
+        _, drifts, counter = self._run(chain, chain_drup, monkeypatch,
+                                       growth=0)
+        assert drifts == [] and counter is None
+
+
 class TestCli:
     def test_correct_chain(self, chain_files, capsys):
         cnf, drup = chain_files
@@ -410,6 +460,23 @@ class TestCli:
         never.write_text("2 0\n")
         assert main(["verify-stream", str(cnf), str(never)]) \
             == EXIT_PROOF_BAD
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_checkpoint_every_below_one_is_an_error(
+            self, chain_files, tmp_path, capsys, every):
+        cnf, drup = chain_files
+        token = tmp_path / "tok.json"
+        assert main(["verify-stream", str(cnf), str(drup),
+                     "--checkpoint", str(token),
+                     "--checkpoint-every", every]) == EXIT_ERROR
+        assert "c error: --checkpoint-every must be >= 1" \
+            in capsys.readouterr().err
+        assert not token.exists()
+
+    def test_checkpoint_every_zero_raises(self, chain, chain_drup):
+        formula, _ = chain
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            verify_stream(formula, chain_drup, checkpoint_every=0)
 
     def test_resume_without_checkpoint_is_an_error(self, chain_files,
                                                    capsys):
