@@ -23,11 +23,6 @@ from repro.circuits.miter import (
     equivalence_formula,
 )
 from repro.circuits.netlist import Circuit, bus
-from repro.circuits.random_circuits import (
-    random_circuit,
-    random_equivalence_pair,
-)
-from repro.circuits.rewrite import rewrite_circuit, rewrite_statistics
 from repro.circuits.tseitin import TseitinEncoder, encode_circuit
 
 __all__ = [
@@ -54,8 +49,4 @@ __all__ = [
     "alu",
     "mux_tree_selector",
     "onehot_selector",
-    "rewrite_circuit",
-    "rewrite_statistics",
-    "random_circuit",
-    "random_equivalence_pair",
 ]

@@ -20,6 +20,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -193,9 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     timeline_cmd.add_argument("--top", type=int, default=5, metavar="N",
                               help="straggler rows in the attribution "
                                    "section (default 5)")
-    timeline_cmd.add_argument("--quiet", action="store_true",
-                              help="suppress the text rendering on "
-                                   "stdout")
 
     return parser
 
@@ -593,9 +591,44 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
         print("c error: --top must be >= 0", file=sys.stderr)
         return EXIT_ERROR
     doc = build_timeline(read_jsonl(args.trace), top=args.top)
-    if not args.quiet:
-        print(render_timeline_text(doc), end="")
+    print(render_timeline_text(doc), end="")
     return 0
+
+
+class _StdoutUntilEpipe:
+    """``sys.stdout`` that points its descriptor at ``os.devnull`` once a
+    write or flush hits a closed pipe (``repro verify ... | head -1``).
+
+    The run goes on: later output is dropped, every requested artifact
+    is still written, the exit code stays the verdict's, and the
+    interpreter's final flush finds nothing to fail on.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._silence()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._silence()
+
+    def _silence(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, self._stream.fileno())
+        finally:
+            os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -605,6 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify,
                 "core": _cmd_core, "verify-stream": _cmd_verify_stream,
                 "obs": _cmd_obs_timeline}
+    stdout, sys.stdout = sys.stdout, _StdoutUntilEpipe(sys.stdout)
     try:
         return handlers[args.command](args)
     except (DimacsParseError, ProofFormatError) as exc:
@@ -616,6 +650,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("c error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

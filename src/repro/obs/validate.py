@@ -10,7 +10,9 @@ Each file is dispatched on the schema id the artifact itself declares
 the list of known schemas (never a traceback).
 
 Exit code 0 when every given artifact is schema-valid; 1 with one
-``invalid:`` line per problem otherwise.
+``invalid:`` line per problem otherwise (a file that is neither JSON
+nor JSONL is one problem); 2 with one ``c error:`` line when a file
+cannot be read.
 """
 
 from __future__ import annotations
@@ -49,7 +51,15 @@ def main(argv: list[str] | None = None) -> int:
 
     problems = 0
     for path in args.files:
-        artifact = _load(path)
+        try:
+            artifact = _load(path)
+        except OSError as exc:
+            print(f"c error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"invalid: {path}: not JSON or JSONL: {exc}")
+            problems += 1
+            continue
         found = validate_any(artifact)
         for problem in found:
             print(f"invalid: {path}: {problem}")

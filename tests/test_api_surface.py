@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.obs",
     "repro.preprocess",
     "repro.circuits",
-    "repro.aig",
     "repro.bmc",
     "repro.pipelines",
     "repro.benchgen",

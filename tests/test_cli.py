@@ -528,9 +528,12 @@ class TestObsFrom:
 
 
 def _run_cli_process(*args, code="from repro.cli import main; "
-                                  "raise SystemExit(main())", cwd=None):
+                                  "raise SystemExit(main())", cwd=None,
+                     stdout=None, **env):
     """Run the CLI (or ``code``) in a fresh interpreter with this
-    checkout's ``repro`` on the path, in ``cwd`` if given."""
+    checkout's ``repro`` on the path, in ``cwd`` if given, writing to
+    the ``stdout`` descriptor if given, with ``env`` added to the
+    environment."""
     import os
     import subprocess
     import sys
@@ -540,10 +543,11 @@ def _run_cli_process(*args, code="from repro.cli import main; "
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+                   filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **env)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          cwd=cwd, capture_output=True, text=True,
-                          timeout=120)
+                          cwd=cwd, stdout=stdout or subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 class TestProcessLevel:
@@ -649,6 +653,29 @@ class TestProcessLevel:
         assert "s PROOF_IS_CORRECT" in result.stdout
         assert " jobs=2" in result.stdout
         assert loaded == "[]"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_keeps_the_verdict(self, php6, tmp_path,
+                                             unbuffered):
+        """A reader that has gone (``repro verify ... | head -1``) costs
+        the run its stdout and nothing else: the exit code is the
+        verdict's and the trace is written.  The pipe's read end is
+        closed before the child starts, so every write fails with
+        EPIPE; block-buffered output first fails at the last flush."""
+        import os
+
+        trace = tmp_path / "t.jsonl"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _run_cli_process(
+                "verify", *php6, "--trace-out", str(trace), "--stats",
+                stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        _run_summary(trace)
 
     def test_default_verify_leaves_the_cwd_untouched(self, tmp_path,
                                                      monkeypatch):

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.bench_format import parse_bench
 from repro.core.dimacs import parse_dimacs
 from repro.core.exceptions import (
-    CircuitError,
     DimacsParseError,
     ProofFormatError,
     ReproError,
@@ -39,13 +37,6 @@ _proof_alphabet = st.sampled_from(
      "-7", "\n", " ", "p ccproof empty", "p ccproof final_pair",
      "1 0", "-1 0", "0"])
 _proof_text = st.lists(_proof_alphabet, max_size=30).map(" ".join)
-
-_bench_alphabet = st.sampled_from(
-    ["INPUT(a)", "OUTPUT(y)", "y = AND(a, a)", "y = NOT(a)", "#x",
-     "y", "=", "AND", "(", ")", "a", "\n", "INPUT", "OUTPUT",
-     "z = FROB(a)", "q = DFF(a)"])
-_bench_text = st.lists(_bench_alphabet, max_size=15).map("\n".join)
-
 
 class TestDimacsFuzz:
     @settings(max_examples=150, deadline=None)
@@ -153,17 +144,3 @@ class TestByteLevelFuzz:
                 parser(text)
             except ReproError:
                 pass
-
-
-class TestBenchFuzz:
-    @settings(max_examples=150, deadline=None)
-    @given(_bench_text)
-    @example("INPUT(a)\nOUTPUT(y)\ny = NOT(a)")
-    def test_parse_or_typed_error(self, text):
-        try:
-            circuit = parse_bench(text)
-        except CircuitError:
-            return
-        # Accepted circuits simulate without crashing.
-        assignment = {net: False for net in circuit.inputs}
-        circuit.simulate(assignment)

@@ -114,6 +114,28 @@ class TestInsightArtifacts:
         assert "unknown schema id 'nope/v9'" in out
         assert "repro.obs.depgraph/v1" in out  # names the known ids
 
+    def test_validate_missing_file_exits_error(self, tmp_path, capsys):
+        assert validate_main([str(tmp_path / "nope.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("c error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_validate_torn_json_is_invalid(self, unsat_cnf, good_proof,
+                                           tmp_path, capsys):
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"a":')
+        trace = tmp_path / "trace.jsonl"
+        assert main(["verify", str(unsat_cnf), str(good_proof),
+                     "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        # The torn file is one problem; later files are still checked.
+        assert validate_main([str(torn), str(trace)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"invalid: {torn}: ")
+        assert lines[1].startswith(f"ok: {trace} ")
+
 
 class TestInterruptFlush:
     """Satellite S1: ^C mid-verification still flushes every artifact."""
@@ -232,8 +254,15 @@ class TestTimelineCli:
                                        tmp_path, capsys):
         trace = self._trace(unsat_cnf, good_proof, tmp_path)
         capsys.readouterr()
-        assert main(["obs", "timeline", str(trace), "--quiet"]) == 0
-        assert capsys.readouterr().out == ""
+        assert main(["obs", "timeline", str(trace)]) == 0
+        assert "lanes:" in capsys.readouterr().out
+        # The text rendering is the command's only output: there is
+        # no flag to suppress it.
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "timeline", str(trace), "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quiet" \
+            in capsys.readouterr().err
 
     def test_timeline_missing_file_exits_error(self, tmp_path,
                                                capsys):

@@ -113,29 +113,3 @@ def test_proof_clause_count_matches_stats(formula):
         # Every conflict learns one clause except the terminal one,
         # which contributes the final unit + empty steps.
         assert result.log.num_deduced in (result.stats.conflicts + 1, 1)
-
-
-@_SETTINGS
-@given(st.integers(min_value=0, max_value=100_000),
-       st.integers(min_value=3, max_value=8),
-       st.integers(min_value=5, max_value=60))
-def test_rewrite_and_aig_preserve_semantics(seed, num_inputs, num_gates):
-    """Random circuit == rewritten circuit == AIG, on random vectors."""
-    import random as _random
-
-    from repro.aig.convert import circuit_to_aig
-    from repro.circuits.random_circuits import random_circuit
-    from repro.circuits.rewrite import rewrite_circuit
-
-    circuit = random_circuit(num_inputs, num_gates, seed=seed)
-    optimized = rewrite_circuit(circuit)
-    aig = circuit_to_aig(circuit)
-    rng = _random.Random(seed ^ 0xA5A5)
-    for _ in range(8):
-        assignment = {net: rng.random() < 0.5 for net in circuit.inputs}
-        want = {net: circuit.simulate(assignment)[net]
-                for net in circuit.outputs}
-        got_opt = optimized.simulate(assignment)
-        assert [got_opt[net] for net in optimized.outputs] \
-            == [want[net] for net in circuit.outputs]
-        assert aig.simulate(assignment) == want
