@@ -37,41 +37,9 @@ def check_system(system, bound: int) -> None:
     assert report.ok
 
 
-def check_sequential_equivalence() -> None:
-    """Product-machine SEC: a Gray-code counter vs a binary counter
-    observed through a Gray encoder — equivalent despite totally
-    different state encodings."""
-    from repro.bmc import (
-        binary_counter_system,
-        gray_counter_system,
-        product_system,
-    )
-    from repro.bmc.counters import counters_joint_init
-
-    # Over ALL consistent starting pairs (not just the zero state):
-    # frame 0 is symbolic, constrained only by the correspondence
-    # predicate "gray state == gray-encoding of binary state".
-    product = product_system(
-        gray_counter_system(4), binary_counter_system(4),
-        joint_init=counters_joint_init(4), free_init=True)
-    check_system(product, bound=12)
-
-    print("\n== injected bug (carry dropped in the binary counter) ==")
-    buggy = product_system(gray_counter_system(4),
-                           binary_counter_system(4, buggy=True))
-    from repro.bmc import unroll as _unroll
-    result = solve(_unroll(buggy, 12).formula)
-    assert result.is_sat
-    print("counters diverge — counterexample trace exists "
-          f"(found in {result.stats.conflicts} conflicts)")
-
-
 def main() -> None:
     # A round-robin arbiter: grants stay mutually exclusive.
     check_system(arbiter_system(5), bound=8)
-
-    # Sequential equivalence of two counter implementations.
-    check_sequential_equivalence()
 
     # Two FIFO implementations stay in agreement on any input stream.
     check_system(fifo_pair_system(4), bound=6)

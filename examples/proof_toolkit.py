@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The proof toolkit: trimming, statistics, reconstruction, lifting.
+"""The proof toolkit: trimming, statistics, insight, reconstruction.
 
 Everything that falls out of the paper's machinery beyond plain
 verification:
@@ -13,12 +13,7 @@ verification:
   DOT, and recompute the §5 shape quantities from that evidence
   alone (docs/proof_insight.md);
 * **reconstruction** (§5) — make the implicit resolution graph explicit
-  from a conflict clause proof alone, and check it;
-* **preprocessing with proof lifting** — simplify the formula first,
-  then stitch the preprocessor's deductions onto the solver's proof so
-  the combined proof verifies against the *original* formula;
-* **k-induction** — two verified UNSAT proofs certify an unbounded
-  safety property.
+  from a conflict clause proof alone, and check it.
 
 Run:  python examples/proof_toolkit.py
 """
@@ -31,12 +26,10 @@ from repro import (
     analyze_log,
     reconstruct_resolution_graph,
     solve,
-    solve_with_preprocessing,
     trim_proof,
     verify_proof,
 )
 from repro.benchgen import pigeonhole
-from repro.bmc import arbiter_system, prove_by_induction
 from repro.obs import Obs
 from repro.obs.insight import (
     analyze_proof_shape,
@@ -109,23 +102,6 @@ def main() -> None:
     print(f"reconstructed resolution graph: {rebuilt.graph.node_count} "
           f"nodes, checks ok: {check.ok}, "
           f"{rebuilt.strengthened} clauses came out strengthened")
-
-    # -- preprocessing + proof lifting --------------------------------------
-    padded = pigeonhole(4)
-    base_vars = padded.num_vars
-    padded.add_clause([base_vars + 1])
-    padded.add_clause([-(base_vars + 1), base_vars + 2])
-    solved, pre, lifted = solve_with_preprocessing(padded)
-    print(f"preprocessing: derived {len(pre.derived_units)} units, "
-          f"removed {len(pre.removed_clause_indices)} clauses; "
-          f"lifted proof verifies against the original: "
-          f"{verify_proof(padded, lifted).ok}")
-
-    # -- k-induction -------------------------------------------------------
-    induction = prove_by_induction(arbiter_system(4), k=1)
-    print(f"arbiter mutual exclusion proved for ALL bounds by "
-          f"1-induction: {induction.proved}; both certificates "
-          f"verify: {induction.verify_certificates()}")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
               "ProofFormatError", "ReproError", "ResolutionError",
               "format_dimacs", "parse_dimacs", "read_dimacs",
               "write_dimacs"),
-    ".preprocess": ("PreprocessResult", "lift_model", "lift_proof",
-                    "preprocess", "solve_with_preprocessing"),
     ".proofs": ("ConflictClauseProof", "ProofLog", "ProofSizeComparison",
                 "ProofStatistics", "ResolutionGraphProof", "analyze_log",
                 "compare_proof_sizes", "read_proof", "write_proof"),
@@ -72,11 +70,6 @@ __all__ = [
     "TrimResult",
     "reconstruct_resolution_graph",
     "ReconstructionResult",
-    "preprocess",
-    "PreprocessResult",
-    "lift_proof",
-    "lift_model",
-    "solve_with_preprocessing",
     "ProofStatistics",
     "analyze_log",
     "ReproError",

@@ -2,7 +2,7 @@
 
 A package that re-exports its submodules' names eagerly makes every
 importer pay for all of them: ``import repro.cli`` for a ``verify``
-run would load the solver, the preprocessor and the timeline
+run would load the solver, the proof-size comparison and the timeline
 reconstructor it never calls.  :func:`lazy_exports` instead maps each
 exported name to the submodule that defines it and imports that
 submodule on the first attribute access (``from pkg import name``,
@@ -14,22 +14,6 @@ from __future__ import annotations
 
 import importlib
 import sys
-import types
-
-
-class _Package(types.ModuleType):
-    """A package module whose exports win over same-named submodules."""
-
-    def __setattr__(self, name, value):
-        # The import system binds every loaded submodule on its
-        # package.  ``repro.preprocess`` is both a subpackage and an
-        # exported function; an eager ``from repro.preprocess import
-        # preprocess`` left the function bound, and so does this.
-        if (isinstance(value, types.ModuleType)
-                and value.__name__ == f"{self.__name__}.{name}"
-                and name in getattr(self, "__all__", ())):
-            return
-        super().__setattr__(name, value)
 
 
 def lazy_exports(package: str, origins: dict[str, tuple[str, ...]]):
@@ -39,7 +23,6 @@ def lazy_exports(package: str, origins: dict[str, tuple[str, ...]]):
     ``".cdcl"``), to the names it exports.  Assign the pair to the
     package's module-level ``__getattr__`` and ``__dir__``.
     """
-    sys.modules[package].__class__ = _Package
     where = {name: module for module, names in origins.items()
              for name in names}
 

@@ -1,13 +1,5 @@
 """Bounded model checking substrate and the paper's BMC model families."""
 
-from repro.bmc.induction import (
-    InductionResult,
-    base_case_formula,
-    find_induction_depth,
-    inductive_step_formula,
-    prove_by_induction,
-)
-from repro.bmc.counters import binary_counter_system, gray_counter_system
 from repro.bmc.models import (
     arbiter_instance,
     arbiter_system,
@@ -20,7 +12,6 @@ from repro.bmc.models import (
     stack_instance,
     stack_system,
 )
-from repro.bmc.product import product_system
 from repro.bmc.transition import BAD_NET, NEXT_PREFIX, TransitionSystem
 from repro.bmc.unroll import BmcInstance, unroll
 
@@ -40,12 +31,4 @@ __all__ = [
     "arbiter_instance",
     "stack_system",
     "stack_instance",
-    "prove_by_induction",
-    "find_induction_depth",
-    "InductionResult",
-    "base_case_formula",
-    "inductive_step_formula",
-    "product_system",
-    "binary_counter_system",
-    "gray_counter_system",
 ]

@@ -28,15 +28,11 @@ class TransitionSystem:
                  state_vars: Sequence[str],
                  input_vars: Sequence[str] = (),
                  init: Mapping[str, bool] | None = None,
-                 init_circuit: Circuit | None = None,
-                 observations: Sequence[str] = ()):
+                 init_circuit: Circuit | None = None):
         self.name = name
         self.step = step
         self.state_vars = list(state_vars)
         self.input_vars = list(input_vars)
-        # Observable outputs (nets of the step circuit), used by the
-        # product construction for sequential equivalence checking.
-        self.observations = list(observations)
         # Partial initial state: unconstrained state bits start free.
         self.init = dict(init or {})
         # Optional symbolic initial-state predicate I(s0): a circuit over
@@ -72,13 +68,6 @@ class TransitionSystem:
             if len(self.init_circuit.outputs) != 1:
                 raise ModelError("init circuit must have exactly one "
                                  "output (the 'initial state ok' flag)")
-        step_nets = set(self.step.inputs) \
-            | {gate.output for gate in self.step.gates}
-        for net in self.observations:
-            if net not in step_nets:
-                raise ModelError(
-                    f"observation {net!r} is not a net of the step "
-                    "circuit")
 
     @property
     def num_state_bits(self) -> int:

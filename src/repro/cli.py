@@ -99,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--max-conflicts", type=int, default=None)
     solve_cmd.add_argument("--minimize", action="store_true",
                            help="minimize learned clauses")
-    solve_cmd.add_argument("--preprocess", action="store_true",
-                           help="simplify first (units, probing, "
-                                "subsumption, variable elimination); "
-                                "the proof is lifted back to the "
-                                "original formula")
     solve_cmd.add_argument("--stats", action="store_true",
                            help="print solver statistics")
 
@@ -379,17 +374,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         max_conflicts=args.max_conflicts,
         minimize_clauses=args.minimize,
         log_proof=args.proof is not None or args.drup is not None)
-    lifted_proof = None
-    if args.preprocess:
-        from repro.preprocess.lifting import solve_with_preprocessing
-
-        result, pre, lifted_proof = solve_with_preprocessing(
-            formula, options, eliminate=True)
-        print(f"c preprocess: {len(pre.derived_units)} units, "
-              f"{len(pre.removed_clause_indices)} clauses removed, "
-              f"{len(pre.eliminations)} vars eliminated")
-    else:
-        result = solve(formula, options)
+    result = solve(formula, options)
     print(f"s {result.status}")
     if args.stats:
         stats = result.stats
@@ -403,23 +388,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_SAT
     if result.is_unsat:
         if args.proof:
-            if lifted_proof is not None:
-                proof = lifted_proof
-                extra = " (lifted across preprocessing)"
-            else:
-                proof = ConflictClauseProof.from_log(result.log)
-                sizes = compare_proof_sizes(result.log)
-                extra = (f" (resolution graph: "
-                         f"{sizes.resolution_graph_nodes} nodes)")
+            proof = ConflictClauseProof.from_log(result.log)
+            sizes = compare_proof_sizes(result.log)
             write_proof(proof, args.proof,
                         comment=f"refutation of {args.cnf}")
             print(f"c proof written to {args.proof}: {len(proof)} "
-                  f"clauses, {proof.literal_count()} literals{extra}")
-        if args.drup and lifted_proof is not None:
-            print("c --drup is not supported together with "
-                  "--preprocess (deletion lines would reference the "
-                  "simplified formula); skipping")
-        elif args.drup:
+                  f"clauses, {proof.literal_count()} literals"
+                  f" (resolution graph: "
+                  f"{sizes.resolution_graph_nodes} nodes)")
+        if args.drup:
             from repro.proofs.drup import DrupProof, write_drup
             trace = DrupProof.from_log(result.log)
             write_drup(trace, args.drup,

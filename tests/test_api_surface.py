@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 
 import pytest
 
@@ -13,7 +14,6 @@ PACKAGES = [
     "repro.proofs",
     "repro.verify",
     "repro.obs",
-    "repro.preprocess",
     "repro.circuits",
     "repro.bmc",
     "repro.pipelines",
@@ -61,6 +61,7 @@ def test_public_callables_have_docstrings():
 
 LAZY_PACKAGES = [
     "repro",
+    "repro.bcp",
     "repro.proofs",
     "repro.verify",
     "repro.obs",
@@ -89,6 +90,14 @@ class TestLazyExports:
         for name in package.__all__:
             assert namespace[name] is getattr(package, name)
 
+    def test_no_export_shadows_a_submodule(self, package_name):
+        # The import system binds a loaded submodule on its package, so
+        # an export of the same name would be overwritten by it.
+        package = importlib.import_module(package_name)
+        submodules = {info.name
+                      for info in pkgutil.iter_modules(package.__path__)}
+        assert not submodules & set(package.__all__)
+
 
 def _fresh(code: str) -> str:
     """Run ``code`` in a fresh interpreter; return its stdout."""
@@ -105,15 +114,14 @@ def _fresh(code: str) -> str:
     return result.stdout.strip()
 
 
-def test_exported_function_wins_over_same_named_subpackage():
-    # ``repro.preprocess`` names the function, even when the subpackage
-    # of that name is loaded before the export is first read.
-    assert _fresh("import repro.preprocess.lifting, repro; "
-                  "from repro.preprocess.preprocessor import preprocess; "
-                  "print(repro.preprocess is preprocess)") == "True"
-
-
 def test_bare_import_loads_no_solver_or_verifier():
     assert _fresh("import sys, repro; print(sorted(m for m in sys.modules "
+                  "if m.startswith(('repro.solver', 'repro.verify'))))") \
+        == "[]"
+
+
+def test_building_instances_loads_no_solver_or_verifier():
+    assert _fresh("import sys, repro.bmc, repro.benchgen.registry; "
+                  "print(sorted(m for m in sys.modules "
                   "if m.startswith(('repro.solver', 'repro.verify'))))") \
         == "[]"

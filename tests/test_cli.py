@@ -286,17 +286,6 @@ class TestBudgetCli:
 
 
 class TestSolveVariants:
-    def test_preprocess_flag_lifts_proof(self, unsat_cnf, tmp_path,
-                                         capsys):
-        proof_path = tmp_path / "p.ccp"
-        code = main(["solve", str(unsat_cnf), "--preprocess",
-                     "--proof", str(proof_path)])
-        assert code == EXIT_UNSAT
-        out = capsys.readouterr().out
-        assert "c preprocess:" in out
-        # The lifted proof verifies against the ORIGINAL file.
-        assert main(["verify", str(unsat_cnf), str(proof_path)]) == 0
-
     def test_minimize_flag(self, unsat_cnf, tmp_path):
         proof_path = tmp_path / "p.ccp"
         code = main(["solve", str(unsat_cnf), "--minimize",
@@ -304,25 +293,14 @@ class TestSolveVariants:
         assert code == EXIT_UNSAT
         assert main(["verify", str(unsat_cnf), str(proof_path)]) == 0
 
-    def test_preprocess_with_drup_skipped(self, unsat_cnf, tmp_path,
-                                          capsys):
-        drup_path = tmp_path / "p.drup"
-        code = main(["solve", str(unsat_cnf), "--preprocess",
-                     "--drup", str(drup_path)])
-        assert code == EXIT_UNSAT
-        assert "not supported together" in capsys.readouterr().out
-        assert not drup_path.exists()
-
-    def test_preprocess_sat_lifts_model(self, sat_cnf, capsys):
-        code = main(["solve", str(sat_cnf), "--preprocess"])
-        assert code == EXIT_SAT
-        assert "v " in capsys.readouterr().out
-
-    def test_preprocess_unsat_without_proof_file(self, unsat_cnf,
-                                                 capsys):
-        code = main(["solve", str(unsat_cnf), "--preprocess"])
-        assert code == EXIT_UNSAT
-        assert "s UNSAT" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["preprocess"])
+    def test_removed_flags_rejected(self, unsat_cnf, flag, capsys):
+        """The preprocessor and its proof lifting are gone: the flag
+        that ran them is an argparse usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(unsat_cnf), f"--{flag}"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def _run_summary(trace_path):
@@ -586,7 +564,7 @@ class TestProcessLevel:
         return result, result.stdout.splitlines()[-1]
 
     def test_verify_loads_only_the_verify_path(self, php4):
-        unused = ["repro.solver", "repro.preprocess", "repro.proofs.sizes",
+        unused = ["repro.solver", "repro.proofs.sizes",
                   "repro.proofs.resolution", "repro.obs",
                   "repro.verify.streaming", "repro.verify.parallel",
                   "pstats", "dataclasses", "inspect", "repro.bcp.counting",

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -140,17 +142,26 @@ class TestProofInsightDoc:
                 assert (REPO / piece).exists(), piece
 
 
+EXAMPLES = sorted((REPO / "examples").glob("*.py"))
+
+# Lines an example must print, beyond exiting 0.
+EXAMPLE_LINES = {
+    "proof_toolkit": ("dependency graph:", "shape from verifier evidence:",
+                      "local:"),
+}
+
+
 class TestExamples:
-    def test_proof_toolkit_runs(self, tmp_path):
-        """The walkthrough (incl. the insight section) stays runnable."""
+    @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.stem)
+    def test_example_runs(self, example, tmp_path):
+        """Every example stays runnable."""
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         result = subprocess.run(
-            [sys.executable, str(REPO / "examples" / "proof_toolkit.py")],
+            [sys.executable, str(example)],
             capture_output=True, text=True, timeout=120,
             cwd=tmp_path, env=env)
         assert result.returncode == 0, result.stderr
-        for line in ("dependency graph:", "shape from verifier evidence:",
-                     "local:", "arbiter mutual exclusion"):
+        for line in EXAMPLE_LINES.get(example.stem, ()):
             assert line in result.stdout, result.stdout
 
 

@@ -7,15 +7,13 @@ a real user would run — and asserts every stage stays sound.
 import random
 
 from repro.benchgen.php import pigeonhole
-from repro.benchgen.xor_chains import parity_contradiction
-from repro.preprocess.lifting import solve_with_preprocessing
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.drup import DrupProof, format_drup, parse_drup
 from repro.solver.cdcl import solve
 from repro.verify.streaming import verify_stream
 from repro.verify.reconstruct import reconstruct_resolution_graph
 from repro.verify.trimming import trim_proof
-from repro.verify.verification import verify_proof_v1, verify_proof_v2
+from repro.verify.verification import verify_proof_v2
 
 from tests.conftest import random_formula
 
@@ -31,20 +29,6 @@ class TestChains:
         # The trimmed proof's graph can't have more nodes than checks
         # performed resolutions — and must still sink at empty.
         assert rebuilt.graph.node_count > 0
-
-    def test_preprocess_lift_trim_verify(self):
-        formula = parity_contradiction(12)
-        # Pad so preprocessing has something to remove.
-        padded = formula.copy()
-        top = padded.num_vars
-        padded.add_clause([top + 1, top + 2])
-        padded.add_clause([top + 1, top + 2, top + 3])  # subsumed
-        result, pre, lifted = solve_with_preprocessing(padded,
-                                                       eliminate=True)
-        assert result.is_unsat
-        assert verify_proof_v2(padded, lifted).ok
-        trimmed = trim_proof(padded, lifted)
-        assert verify_proof_v1(padded, trimmed.trimmed).ok
 
     def test_drup_disk_roundtrip_forward_check(self):
         formula = pigeonhole(5)
