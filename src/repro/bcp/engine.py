@@ -141,7 +141,8 @@ class PropagatorBase:
         """Subclass hook: grow per-literal structures (watches, occs)."""
 
     def add_clause(self, enc_lits: list[int],
-                   propagate_units: bool = True) -> int:
+                   propagate_units: bool = True,
+                   attach: bool = True) -> int:
         """Add a clause of encoded literals; return its clause id.
 
         Duplicate literals are removed (order otherwise preserved).  A unit
@@ -149,6 +150,8 @@ class PropagatorBase:
         ``propagate_units`` is False (the verifier manages units itself so
         it can exclude clauses beyond its ceiling).  An empty clause is
         recorded and makes every subsequent :meth:`propagate` report it.
+        With ``attach=False`` the clause is only stored: it takes no
+        part in BCP until :meth:`attach` brings it in.
         """
         seen: set[int] = set()
         lits = []
@@ -164,6 +167,8 @@ class PropagatorBase:
         self.ensure_vars(max_var)
         cid = len(self.clauses)
         self.clauses.append(lits)
+        if not attach:
+            return cid
         if not lits:
             if self.empty_clause_cid is None:
                 self.empty_clause_cid = cid
@@ -174,6 +179,36 @@ class PropagatorBase:
                 if self.conflict_unit_cid is None:
                     self.conflict_unit_cid = cid
         return cid
+
+    def attach(self, cid: int) -> bool:
+        """Bring a clause stored with ``add_clause(..., attach=False)``
+        into BCP under the current assignment.
+
+        Backward checking of a DRUP trace attaches a deleted clause
+        once the falling ceiling passes its deletion.  The literals are
+        reordered so that the non-false ones come first, then the false
+        ones from the highest level down, and the engine indexes the
+        clause on that order (watched: its first two literals).  A
+        clause that is unit under the assignment enqueues its literal
+        with reason ``cid``.  Returns False, and enqueues nothing, when
+        every literal is false: the caller's conflict.
+        """
+        lits = self.clauses[cid]
+        if not lits:
+            if self.empty_clause_cid is None or cid < self.empty_clause_cid:
+                self.empty_clause_cid = cid
+            return False
+        values = self.values
+        levels = self.levels
+        lits.sort(key=lambda enc: (values[enc] == FALSE,
+                                   -levels[enc >> 1]))
+        self._attach(cid)
+        first = values[lits[0]]
+        if first == FALSE:
+            return False
+        if first == UNDEF and (len(lits) == 1 or values[lits[1]] == FALSE):
+            self.enqueue(lits[0], cid)
+        return True
 
     def clause_lits(self, cid: int):
         """The literals of clause ``cid`` (a sequence of encoded

@@ -5,7 +5,15 @@ sequence ``F*`` of conflict clauses the solver deduced, terminated either
 by the **final conflicting pair** of unit clauses ``(l), (¬l)``
 (Section 2: "the pair of unit clauses ~x and x is called the final
 conflicting pair") or — for degenerate refutations such as an empty input
-clause — by the empty clause itself.
+clause, and for DRUP traces — by the empty clause itself.  A DRUP trace
+that never derives the empty clause reads into a proof with ending
+``none``, which no verifier accepts.
+
+A proof read from a DRUP trace also carries its **deletion schedule**:
+``(at, target)`` pairs saying that a clause left the live set once
+``at`` proof clauses had been added.  ``target`` is a proof clause
+index ``j``, or ``~k`` for clause ``k`` of the formula (see
+:meth:`repro.proofs.drup.DrupProof.to_proof`).
 
 The proof carries *no* derivation information: each clause is certified
 afresh by the verifier's BCP check, which is exactly what makes the
@@ -25,18 +33,22 @@ if TYPE_CHECKING:
 
 ENDING_FINAL_PAIR = "final_pair"
 ENDING_EMPTY = "empty"
+ENDING_NONE = "none"
+ENDINGS = (ENDING_FINAL_PAIR, ENDING_EMPTY, ENDING_NONE)
 
 
 class ConflictClauseProof:
     """An ordered set of deduced clauses, the paper's ``F*``."""
 
     def __init__(self, clauses: Sequence[Sequence[int]],
-                 ending: str = ENDING_FINAL_PAIR):
-        if ending not in (ENDING_FINAL_PAIR, ENDING_EMPTY):
+                 ending: str = ENDING_FINAL_PAIR,
+                 deletions: Sequence[tuple[int, int]] = ()):
+        if ending not in ENDINGS:
             raise ProofFormatError(f"unknown proof ending {ending!r}")
         self._clauses: list[tuple[int, ...]] = [
             tuple(clause) for clause in clauses]
         self.ending = ending
+        self.deletions: tuple[tuple[int, int], ...] = tuple(deletions)
         self.validate_structure()
 
     @classmethod
@@ -79,7 +91,7 @@ class ConflictClauseProof:
                 raise ProofFormatError(
                     "proof does not end with a conflicting pair of unit "
                     f"clauses (got {second_last} and {last})")
-        else:
+        elif self.ending == ENDING_EMPTY:
             if not self._clauses or self._clauses[-1]:
                 raise ProofFormatError(
                     "an empty-ended proof must end with the empty clause")
@@ -119,8 +131,10 @@ class ConflictClauseProof:
         if not isinstance(other, ConflictClauseProof):
             return NotImplemented
         return (self.ending == other.ending
-                and self._clauses == other._clauses)
+                and self._clauses == other._clauses
+                and self.deletions == other.deletions)
 
     def __repr__(self) -> str:
         return (f"ConflictClauseProof(num_clauses={len(self._clauses)}, "
-                f"literals={self.literal_count()}, ending={self.ending!r})")
+                f"literals={self.literal_count()}, ending={self.ending!r}, "
+                f"deletions={len(self.deletions)})")

@@ -10,8 +10,11 @@ deletes clauses (as BerkMin did), emitting DRUP is a natural extension:
     <lits> 0       — addition (checked by RUP, as in the paper)
     d <lits> 0     — deletion
 
-This module defines the event-stream proof object and its text format;
-the forward checker lives in :mod:`repro.verify.streaming`.
+This module defines the event-stream proof object and its text format.
+The checkers read a trace as a :class:`ConflictClauseProof` with a
+deletion schedule (:meth:`DrupProof.to_proof`, or
+:func:`repro.proofs.trace_format.read_proof` on a file) and check it
+backward, honouring the deletions.
 """
 
 from __future__ import annotations
@@ -19,9 +22,18 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from os import PathLike
+from typing import TYPE_CHECKING
 
 from repro.core.exceptions import ProofFormatError
+from repro.proofs.conflict_clause import (
+    ENDING_EMPTY,
+    ENDING_NONE,
+    ConflictClauseProof,
+)
 from repro.proofs.log import ProofLog
+
+if TYPE_CHECKING:
+    from repro.core.formula import CnfFormula
 
 ADD = "add"
 DELETE = "delete"
@@ -85,6 +97,57 @@ class DrupProof:
             raise ProofFormatError(
                 "a DRUP trace must end with the empty-clause addition")
 
+    def to_proof(self, formula: CnfFormula | None = None,
+                 ) -> ConflictClauseProof:
+        """The trace as a proof with a deletion schedule (see
+        :func:`resolve_events`); errors name the event index."""
+        return resolve_events(enumerate(self.events), formula,
+                              where="event")
+
+
+def _key(literals) -> tuple[int, ...]:
+    return tuple(sorted(set(literals)))
+
+
+def resolve_events(numbered_events, formula: CnfFormula | None = None,
+                   where: str = "line") -> ConflictClauseProof:
+    """Read ``(number, event)`` pairs into a proof the backward
+    checkers take.
+
+    Additions become the proof's clauses, up to the first empty clause,
+    which ends the proof (ending ``empty``); the events after it are not
+    read.  A trace without one gets ending ``none``.  Each deletion is
+    resolved, as it is read, to the most recently added live clause
+    with the same literal set: a proof clause, or a clause of
+    ``formula``.  It becomes the pair ``(at, target)`` of
+    :attr:`ConflictClauseProof.deletions`, ``at`` being the number of
+    proof clauses added before it.  A deletion that names no live
+    clause raises :class:`ProofFormatError` naming ``where`` and the
+    pair's number.
+    """
+    live: dict[tuple[int, ...], list[int]] = {}
+    if formula is not None:
+        for k, clause in enumerate(formula):
+            live.setdefault(_key(clause.literals), []).append(~k)
+    clauses: list[tuple[int, ...]] = []
+    deletions: list[tuple[int, int]] = []
+    for number, event in numbered_events:
+        if event.kind == ADD:
+            if not event.literals:
+                clauses.append(())
+                return ConflictClauseProof(clauses, ENDING_EMPTY,
+                                           deletions)
+            live.setdefault(_key(event.literals), []).append(len(clauses))
+            clauses.append(event.literals)
+            continue
+        targets = live.get(_key(event.literals))
+        if not targets:
+            raise ProofFormatError(
+                f"{where} {number}: deletion of unknown or "
+                f"already-deleted clause {list(event.literals)}")
+        deletions.append((len(clauses), targets.pop()))
+    return ConflictClauseProof(clauses, ENDING_NONE, deletions)
+
 
 def format_drup(proof: DrupProof, comment: str | None = None) -> str:
     """Render the event stream as DRUP text."""
@@ -104,9 +167,9 @@ def parse_drup_line(raw_line: str,
                     line_number: int) -> DrupEvent | None:
     """Parse one DRUP text line into an event (None: comment/blank).
 
-    Shared by the whole-text :func:`parse_drup` and the chunked
-    :class:`repro.proofs.stream.DrupStreamReader`, so both surfaces
-    raise byte-identical :class:`ProofFormatError` diagnostics.
+    Shared by :func:`parse_drup` and
+    :func:`repro.proofs.trace_format.parse_proof`, so both raise
+    identical :class:`ProofFormatError` diagnostics.
     """
     line = raw_line.strip()
     if not line or line.startswith("c"):
@@ -131,14 +194,18 @@ def parse_drup_line(raw_line: str,
     return DrupEvent(kind, literals)
 
 
-def parse_drup(text: str) -> DrupProof:
-    """Parse DRUP text into an event stream."""
-    events: list[DrupEvent] = []
+def numbered_events(text: str):
+    """Yield ``(line number, event)`` for each event line of DRUP
+    text."""
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         event = parse_drup_line(raw_line, line_number)
         if event is not None:
-            events.append(event)
-    return DrupProof(events)
+            yield line_number, event
+
+
+def parse_drup(text: str) -> DrupProof:
+    """Parse DRUP text into an event stream."""
+    return DrupProof([event for _, event in numbered_events(text)])
 
 
 def write_drup(proof: DrupProof, path: str | PathLike,

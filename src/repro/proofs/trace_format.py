@@ -13,12 +13,17 @@ Example::
     -1 3 4 0
     -1 0
     1 0
+
+A file without the ``p ccproof`` header is read as a DRUP trace
+(:mod:`repro.proofs.drup`): ``d`` lines delete clauses, and the proof
+gets a deletion schedule resolved against the formula.
 """
 
 from __future__ import annotations
 
 import io
 from os import PathLike
+from typing import TYPE_CHECKING
 
 from repro.core.exceptions import ProofFormatError
 from repro.proofs.conflict_clause import (
@@ -26,6 +31,9 @@ from repro.proofs.conflict_clause import (
     ENDING_FINAL_PAIR,
     ConflictClauseProof,
 )
+
+if TYPE_CHECKING:
+    from repro.core.formula import CnfFormula
 
 _HEADER_PREFIX = "p ccproof"
 
@@ -47,8 +55,29 @@ def format_proof(proof: ConflictClauseProof,
     return out.getvalue()
 
 
-def parse_proof(text: str) -> ConflictClauseProof:
-    """Parse trace text back into a :class:`ConflictClauseProof`."""
+def _is_drup(text: str) -> bool:
+    """Does the first line that is not blank or a comment lack the
+    ``p`` header?"""
+    for raw_line in io.StringIO(text):
+        line = raw_line.strip()
+        if line and not line.startswith("c"):
+            return not line.startswith("p")
+    return True
+
+
+def parse_proof(text: str,
+                formula: CnfFormula | None = None) -> ConflictClauseProof:
+    """Parse trace text back into a :class:`ConflictClauseProof`.
+
+    Text without a ``p ccproof`` header is a DRUP trace: its deletions
+    are resolved against ``formula`` and the proof's own clauses (see
+    :func:`repro.proofs.drup.resolve_events`), so a deletion of a
+    formula clause needs ``formula``.
+    """
+    if _is_drup(text):
+        from repro.proofs.drup import numbered_events, resolve_events
+
+        return resolve_events(numbered_events(text), formula)
     ending: str | None = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
@@ -93,7 +122,17 @@ def write_proof(proof: ConflictClauseProof, path: str | PathLike,
         handle.write(format_proof(proof, comment=comment))
 
 
-def read_proof(path: str | PathLike) -> ConflictClauseProof:
-    """Read a conflict clause proof from a trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_proof(handle.read())
+def read_proof(path: str | PathLike,
+               formula: CnfFormula | None = None) -> ConflictClauseProof:
+    """Read a conflict clause proof or a DRUP trace from a file (see
+    :func:`parse_proof`).  Bytes that are not UTF-8 raise
+    :class:`ProofFormatError` naming their line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ProofFormatError(
+            f"line {line}: bytes that are not UTF-8 text") from exc
+    return parse_proof(text, formula)

@@ -31,6 +31,17 @@ Both modes produce the same verdict for every check (BCP conflict
 existence is order-invariant); the conflicting clause they report — and
 hence the marked sets of ``Proof_verification2`` — may differ when a
 check admits several distinct conflicts.
+
+**Deletions.**  A proof read from a DRUP trace carries a deletion
+schedule (:attr:`ConflictClauseProof.deletions`): proof clause ``i``
+is checked against the clauses still live when it was added.  The
+incremental checker loads every deleted clause detached, and attaches
+it to the persistent root once the falling ceiling passes its deletion
+(:meth:`PropagatorBase.attach`): a unit clause puts its literal on the
+root trail, a falsified one is a root conflict, any other is watched.
+Attaching only adds implications, so the root stays a fixpoint that
+only ever grows between retractions.  ``rebuild`` mode refuses a proof
+with deletions.
 """
 
 from __future__ import annotations
@@ -48,6 +59,17 @@ if TYPE_CHECKING:
     from repro.verify.budget import BudgetMeter
 
 CHECKER_MODES = ("rebuild", "incremental")
+
+
+def check_mode(mode: str, proof: ConflictClauseProof) -> None:
+    """Refuse an unknown mode, and ``rebuild`` on a proof with
+    deletions (its checks keep no root to attach deleted clauses to)."""
+    if mode not in CHECKER_MODES:
+        raise ValueError(f"unknown checker mode {mode!r}; "
+                         f"expected one of {CHECKER_MODES}")
+    if mode == "rebuild" and proof.deletions:
+        raise ValueError("mode rebuild cannot check a proof with "
+                         "deletions; use mode incremental")
 
 
 class CheckOutcome(NamedTuple):
@@ -70,9 +92,7 @@ class ProofChecker:
                  engine_cls: type[PropagatorBase] = WatchedPropagator,
                  mode: str = "incremental",
                  meter: "BudgetMeter | None" = None):
-        if mode not in CHECKER_MODES:
-            raise ValueError(f"unknown checker mode {mode!r}; "
-                             f"expected one of {CHECKER_MODES}")
+        check_mode(mode, proof)
         self.formula = formula
         self.proof = proof
         self.mode = mode
@@ -86,10 +106,18 @@ class ProofChecker:
         self.num_input = formula.num_clauses
         # (cid, encoded literal) of every unit clause, in cid order.
         self.units: list[tuple[int, int]] = []
-        for clause in formula:
-            self._load([encode(lit) for lit in clause.literals])
-        for lits in proof:
-            self._load([encode(lit) for lit in lits])
+        # (position, cid) of each deleted clause, the latest deletion
+        # last: the clause rejoins the root once the ceiling falls to
+        # cid num_input + position - 1.
+        self._detached: list[tuple[int, int]] = sorted(
+            (at, self.num_input + target if target >= 0 else ~target)
+            for at, target in proof.deletions)
+        detached = {cid for _, cid in self._detached}
+        for cid, clause in enumerate(formula):
+            self._load([encode(lit) for lit in clause.literals],
+                       cid not in detached)
+        for cid, lits in enumerate(proof, start=self.num_input):
+            self._load([encode(lit) for lit in lits], cid not in detached)
         self._unit_cids = [cid for cid, _ in self.units]
         # Root-trail maintenance counts (plain ints, always on — the
         # cheap observable form of the rebuild-vs-incremental savings;
@@ -106,11 +134,11 @@ class ProofChecker:
         # justifies (each asserted clause justifies at most one literal).
         self._root_reason_pos: dict[int, int] = {}
 
-    def _load(self, enc_lits: list[int]) -> int:
-        cid = self.engine.add_clause(enc_lits, propagate_units=False)
-        if self.engine.clause_len(cid) == 1:
+    def _load(self, enc_lits: list[int], attach: bool) -> None:
+        cid = self.engine.add_clause(enc_lits, propagate_units=False,
+                                     attach=attach)
+        if attach and self.engine.clause_len(cid) == 1:
             self.units.append((cid, self.engine.clause_lits(cid)[0]))
-        return cid
 
     def cid_of_proof_clause(self, index: int) -> int:
         return self.num_input + index
@@ -223,6 +251,34 @@ class ProofChecker:
         else:
             self._lower_root(ceiling)
         self._root_ceiling = ceiling
+        if self._detached \
+                and self._detached[-1][0] > ceiling - self.num_input:
+            self._attach_live(ceiling)
+
+    def _attach_live(self, ceiling: int) -> None:
+        """Attach the deleted clauses below ``ceiling`` whose deletion
+        the ceiling has passed, and close the root over them."""
+        engine = self.engine
+        position = ceiling - self.num_input
+        start = len(engine.trail)
+        detached = self._detached
+        while detached and detached[-1][0] > position:
+            cid = detached.pop()[1]
+            if cid >= ceiling:
+                continue    # added above the ceiling: never checked
+            if engine.clause_len(cid) == 1:
+                at = bisect_left(self._unit_cids, cid)
+                self._unit_cids.insert(at, cid)
+                self.units.insert(at, (cid, engine.clause_lits(cid)[0]))
+            if not engine.attach(cid) and self._root_conflict is None:
+                self._root_conflict = cid
+        if self._root_conflict is not None:
+            return
+        confl = engine.propagate()
+        if confl is not None:
+            self._root_conflict = confl
+            return
+        self._record_root_positions(start)
 
     def _record_root_positions(self, start: int) -> None:
         trail = self.engine.trail

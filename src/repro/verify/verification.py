@@ -52,9 +52,12 @@ from repro.bcp.engine import PropagatorBase
 from repro.bcp.watched import WatchedPropagator
 from repro.core.exceptions import BudgetExhausted
 from repro.core.formula import CnfFormula
-from repro.proofs.conflict_clause import ENDING_FINAL_PAIR, \
-    ConflictClauseProof
-from repro.verify.checker import CHECKER_MODES, ProofChecker
+from repro.proofs.conflict_clause import (
+    ENDING_EMPTY,
+    ENDING_FINAL_PAIR,
+    ConflictClauseProof,
+)
+from repro.verify.checker import ProofChecker, check_mode
 from repro.verify.conflict_analysis import collect_responsible
 from repro.verify.instrument import ReportBuilder
 from repro.verify.report import (
@@ -70,12 +73,6 @@ if TYPE_CHECKING:
 
 # The scan's stand-in for an instrumentation hook on the fast path.
 _NO_HOOK = nullcontext()
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in CHECKER_MODES:
-        raise ValueError(f"unknown checker mode {mode!r}; "
-                         f"expected one of {CHECKER_MODES}")
 
 
 def _resolve_jobs(jobs: int, obs=None) -> int:
@@ -241,6 +238,11 @@ def _report(build: ReportBuilder, obs, proof: ConflictClauseProof,
                 f"BCP on the falsified clause {proof[result.failed_index]}"
                 " did not produce a conflict"),
             **fields)
+    if proof.ending not in (ENDING_FINAL_PAIR, ENDING_EMPTY):
+        return build.build(
+            PROOF_IS_NOT_CORRECT,
+            failure_reason="the trace never derives the empty clause",
+            **fields)
     return build.build(PROOF_IS_CORRECT, **fields)
 
 
@@ -276,7 +278,7 @@ def verify_proof_v1(
     partial progress instead of a verdict.  ``obs`` attaches the
     optional instrumentation layer (metrics, tracing, progress).
     """
-    _check_mode(mode)
+    check_mode(mode, proof)
     engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode)
     jobs = _resolve_jobs(jobs, obs)
     meter = budget.start() if budget is not None else None
@@ -337,7 +339,7 @@ def verify_proof_v2(
     ratio — the quantity Section 6's efficiency claim rests on — is
     exported as the ``repro_verify_marked_ratio`` gauge.
     """
-    _check_mode(mode)
+    check_mode(mode, proof)
     engine_cls = _resolve_engine_cls(engine_cls, obs, mode=mode)
     build = ReportBuilder(
         VerificationReport, obs=obs, total_checks=len(proof),
@@ -348,7 +350,9 @@ def verify_proof_v2(
         checker = ProofChecker(formula, proof, engine_cls, mode=mode,
                                meter=meter)
     num_input = formula.num_clauses
-    ending = 2 if proof.ending == ENDING_FINAL_PAIR else 1
+    # The clauses the refutation ends with seed the marks; a trace
+    # without an empty clause ends with none, and is refused.
+    ending = {ENDING_FINAL_PAIR: 2, ENDING_EMPTY: 1}.get(proof.ending, 0)
     marked = {checker.cid_of_proof_clause(len(proof) - k)
               for k in range(1, ending + 1)}
     with build.phase("checks"):

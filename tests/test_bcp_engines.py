@@ -595,6 +595,35 @@ class TestWatchedWorkPinned:
         assert f"c unsat core: {core}/{formula.num_clauses} clauses " \
             f"({core / formula.num_clauses:.1%})" in lines
 
+    # ``repro verify`` of the DRUP trace from the same solve as barrel5's
+    # PINNED_CLI_DEFAULT row: 993 deletions honoured, fewer watch visits.
+    PINNED_CLI_DRUP = (1538, 993, dict(
+        assignments=82549, watch_visits=308676, clause_visits=303828,
+        purged=4848, detach_misses=0), 659)
+
+    def test_cli_default_verify_drup(self, tmp_path, capsys):
+        from repro.benchgen.registry import build_instance
+        from repro.cli import main
+        from repro.core.dimacs import write_dimacs
+
+        checked, skipped, counters, core = self.PINNED_CLI_DRUP
+        assert counters["watch_visits"] \
+            < self.PINNED_CLI_DEFAULT["barrel5"][2]["watch_visits"]
+        formula = build_instance("barrel5")
+        cnf, drup = str(tmp_path / "f.cnf"), str(tmp_path / "f.drup")
+        write_dimacs(formula, cnf)
+        assert main(["solve", cnf, "--drup", drup]) == 20
+        assert "2531 additions, 993 deletions" in capsys.readouterr().out
+        assert main(["verify", cnf, drup]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "s PROOF_IS_CORRECT"
+        assert lines[1].startswith(f"c checked={checked} "
+                                   f"skipped={skipped} ")
+        assert "c bcp: " + " ".join(f"{key}={value}" for key, value
+                                    in counters.items()) in lines
+        assert f"c unsat core: {core}/{formula.num_clauses} clauses " \
+            f"({core / formula.num_clauses:.1%})" in lines
+
     @pytest.mark.parametrize("name", sorted(PINNED_SOLVER))
     def test_solver_stats(self, name):
         from repro.benchgen.registry import build_instance
