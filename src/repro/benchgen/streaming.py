@@ -1,9 +1,9 @@
-"""Deletion-heavy proof families for the streaming verifier.
+"""Deletion-heavy DRUP traces: the implication-chain family.
 
-The benchmark registry's instances exercise RUP *checking*; the
-streaming driver needs traces that exercise *eviction* — proofs whose
-total clause volume dwarfs the live window at every point.  The
-implication chain is the minimal such family:
+The benchmark registry's instances exercise RUP *checking*; these
+traces exercise *deletions* — proofs whose total clause volume dwarfs
+the live window at every point.  The implication chain is the minimal
+such family:
 
     formula:  (x1), (¬x_i ∨ x_{i+1}) for i < n, (¬x_n)
 
@@ -11,14 +11,13 @@ The refutation derives the unit ``(x_{i+1})`` from ``(x_i)`` and the
 ``i``-th implication, then deletes the implication and the unit that
 fell out of the window — so with window ``w`` the live proof-added set
 never exceeds ``w + 1`` clauses while the trace carries ``n``
-additions and ``~2n`` deletions.  Choosing ``n = factor * (w + 1)``
-gives a proof whose addition volume is ``factor``× any budget that
-admits the window — the shape behind the ROADMAP's "verify a proof
-10x larger than the configured memory cap" metric.
+additions and ``~2n`` deletions, of units and of clauses of the
+formula alike.  Every prefix of the trace is unit-refutable, which
+makes it the worst case for a backward checker: each check meets a
+root conflict through the rest of the chain.
 
 :func:`write_deletion_chain_drup` streams the trace to disk line by
-line, so generating a larger-than-RAM proof never materializes it —
-the generator honors the same discipline the checker does.
+line, so a large instance is never materialized.
 """
 
 from __future__ import annotations

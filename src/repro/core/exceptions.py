@@ -33,12 +33,6 @@ class ProofFormatError(ReproError):
     """Raised when a proof file or proof object is structurally malformed."""
 
 
-class CheckpointError(ReproError):
-    """Raised when a streaming-verification resume token is unusable:
-    missing, structurally invalid, or recorded against a different
-    formula/proof than the one being resumed."""
-
-
 class BudgetExhausted(ReproError):
     """Internal control-flow signal: a check budget ran out.
 

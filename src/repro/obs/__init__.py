@@ -18,8 +18,8 @@ A zero-dependency observability layer for the verification pipeline:
 * :class:`ProgressReporter` heartbeat lines on stderr;
 * :func:`read_rss` — one read of the process's current and peak
   resident set (the kernel's high-water mark);
-* the ``c stats:`` footer and schema validators for the three
-  artifact kinds (trace, depgraph, checkpoint);
+* the ``c stats:`` footer and schema validators for the two
+  artifact kinds (trace, depgraph);
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs
   and Section-5 shape analytics.
 
@@ -41,10 +41,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".progress": ("ProgressReporter",),
     ".registry": ("DEFAULT_TIME_BUCKETS", "DEFAULT_WORK_BUCKETS", "Counter",
                   "Gauge", "Histogram", "MetricsRegistry"),
-    ".schema": ("CHECKPOINT_SCHEMA", "KNOWN_SCHEMAS", "TRACE_SCHEMA",
-                "deterministic_view", "validate_any",
-                "validate_checkpoint", "validate_depgraph",
-                "validate_trace"),
+    ".schema": ("KNOWN_SCHEMAS", "TRACE_SCHEMA", "deterministic_view",
+                "validate_any", "validate_depgraph", "validate_trace"),
     ".spans": ("Tracer", "make_run_id", "make_trace_id", "read_jsonl"),
     ".timeline": ("build_timeline", "format_bytes",
                   "render_timeline_text"),
@@ -74,8 +72,6 @@ __all__ = [
     "write_depgraph_dot",
     "write_depgraph_jsonl",
     "KNOWN_SCHEMAS",
-    "CHECKPOINT_SCHEMA",
-    "validate_checkpoint",
     "TRACE_SCHEMA",
     "DEPGRAPH_SCHEMA",
     "DEFAULT_TIME_BUCKETS",

@@ -9,9 +9,8 @@ memory-bound long before they are CPU-bound).
 from ``/proc/self/status`` (``VmRSS``/``VmHWM``) with a
 ``resource.getrusage`` fallback on platforms without procfs.  The peak
 is the kernel's high-water mark, so one read at the end of a run gives
-the run's exact peak: the trace's ``run_summary`` takes one, each pool
-worker takes one per shard, and the streaming checker takes one per
-window shift for its drift check.  A failed read returns ``None`` and
+the run's exact peak: the trace's ``run_summary`` takes one, and each
+pool worker takes one per shard.  A failed read returns ``None`` and
 never changes a verdict.
 """
 

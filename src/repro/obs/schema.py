@@ -1,6 +1,6 @@
 """Artifact schemas for the observability layer, plus validators.
 
-Three artifact kinds leave a verification run:
+Two artifact kinds leave a verification run, both JSONL:
 
 * a **trace log** (``repro.obs.trace/v1``) — JSONL, one event per line
   (see :mod:`repro.obs.spans`).  It is the one telemetry artifact: the
@@ -9,12 +9,7 @@ Three artifact kinds leave a verification run:
   memory summary, and the proof-shape analytics;
 * a **dependency graph** (``repro.obs.depgraph/v1``) — JSONL, one
   antecedent record per checked proof clause (see
-  :mod:`repro.obs.insight.depgraph`);
-* a **checkpoint / resume token** (``repro.obs.checkpoint/v1``) — one
-  JSON object recording a streaming verification's trace position,
-  live clause window, and budget spend (see
-  :mod:`repro.verify.streaming`); written atomically mid-run, deleted
-  once a verdict is reached.
+  :mod:`repro.obs.insight.depgraph`).
 
 :data:`KNOWN_SCHEMAS` maps each schema id to its validator;
 :func:`validate_any` dispatches on a document's declared schema and
@@ -45,8 +40,6 @@ from __future__ import annotations
 
 from repro.obs.insight.depgraph import DEPGRAPH_SCHEMA
 from repro.obs.spans import TRACE_SCHEMA
-
-CHECKPOINT_SCHEMA = "repro.obs.checkpoint/v1"
 
 _EVENT_TYPES = ("header", "begin", "end", "event")
 
@@ -300,57 +293,15 @@ def validate_depgraph(lines) -> list[str]:
     return problems
 
 
-def validate_checkpoint(doc) -> list[str]:
-    """Structural problems of a streaming resume token (empty: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"checkpoint must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
-        problems.append(f"schema must be {CHECKPOINT_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    for key in ("offset", "next_line", "next_index", "additions",
-                "deletions", "peak_live_clauses", "window_shifts"):
-        value = doc.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"{key} must be a non-negative int, "
-                            f"got {value!r}")
-    for key in ("formula_sha256", "proof_sha256", "engine"):
-        if not isinstance(doc.get(key), str) or not doc[key]:
-            problems.append(f"{key} must be a non-empty string")
-    deleted = doc.get("deleted_formula_indices")
-    if not isinstance(deleted, list) \
-            or not all(isinstance(i, int) and i >= 0 for i in deleted):
-        problems.append("deleted_formula_indices must be a list of "
-                        "non-negative ints")
-    live = doc.get("live_additions")
-    if not isinstance(live, list) \
-            or not all(isinstance(lits, list)
-                       and all(isinstance(lit, int) and lit != 0
-                               for lit in lits)
-                       for lits in live):
-        problems.append("live_additions must be a list of clauses "
-                        "(lists of non-zero int literals)")
-    spent = doc.get("budget_spent")
-    if not isinstance(spent, dict) \
-            or not isinstance(spent.get("props"), int) \
-            or not isinstance(spent.get("seconds"), (int, float)):
-        problems.append("budget_spent must be "
-                        "{'props': int, 'seconds': number}")
-    return problems
-
-
-# Schema id -> (artifact kind, validator).  JSONL kinds take the parsed
-# line list; JSON kinds take the single document object.
+# Schema id -> validator of the parsed line list.
 KNOWN_SCHEMAS = {
-    TRACE_SCHEMA: ("jsonl", validate_trace),
-    DEPGRAPH_SCHEMA: ("jsonl", validate_depgraph),
-    CHECKPOINT_SCHEMA: ("json", validate_checkpoint),
+    TRACE_SCHEMA: validate_trace,
+    DEPGRAPH_SCHEMA: validate_depgraph,
 }
 
 
 def declared_schema(artifact) -> str | None:
-    """The schema id an artifact declares (header line for JSONL)."""
+    """The schema id an artifact declares (its header line)."""
     if isinstance(artifact, dict):
         return artifact.get("schema")
     if isinstance(artifact, list) and artifact \
@@ -369,11 +320,7 @@ def validate_any(artifact) -> list[str]:
     if schema not in KNOWN_SCHEMAS:
         known = ", ".join(sorted(KNOWN_SCHEMAS))
         return [f"unknown schema id {schema!r}; known schemas: {known}"]
-    kind, validator = KNOWN_SCHEMAS[schema]
-    if kind == "json" and not isinstance(artifact, dict):
-        return [f"{schema} artifacts are single JSON objects, "
-                f"got {type(artifact).__name__}"]
-    return validator(artifact)
+    return KNOWN_SCHEMAS[schema](artifact)
 
 
 def deterministic_view(summary: dict) -> dict:

@@ -243,7 +243,7 @@ def _shard_skew(shards: list[dict]) -> dict | None:
 def _attribution(spans: list[dict], top: int = TOP_STRAGGLERS,
                  ) -> dict | None:
     """Per-shard cost rows from shard-span attrs; None for runs with
-    no shard spans (sequential / streaming)."""
+    no shard spans (sequential runs)."""
     shards = []
     for span in spans:
         if span["name"] != "shard":

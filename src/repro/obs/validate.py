@@ -3,7 +3,7 @@
 CI (and anyone debugging an artifact) validates observability outputs
 without writing throwaway Python::
 
-    python -m repro.obs.validate trace.jsonl depgraph.jsonl ckpt.json
+    python -m repro.obs.validate trace.jsonl depgraph.jsonl
 
 Each file is dispatched on the schema id the artifact itself declares
 (the header line of a JSONL artifact); an unknown id is reported with

@@ -4,11 +4,9 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".conflict_clause": ("ENDING_EMPTY", "ENDING_FINAL_PAIR",
-                         "ConflictClauseProof"),
+                         "ENDING_NONE", "ConflictClauseProof"),
     ".drup": ("DrupEvent", "DrupProof", "format_drup", "parse_drup",
               "parse_drup_line", "read_drup", "write_drup"),
-    ".stream": ("DEFAULT_CHUNK_BYTES", "DrupStreamReader", "StreamedEvent",
-                "iter_drup_file", "read_drup_chunked"),
     ".log": ("ProofLog", "ProofStep"),
     ".resolution": ("CheckResult", "ResolutionGraphProof",
                     "ResolutionNode"),
@@ -25,6 +23,7 @@ __all__ = [
     "ConflictClauseProof",
     "ENDING_FINAL_PAIR",
     "ENDING_EMPTY",
+    "ENDING_NONE",
     "ResolutionGraphProof",
     "ResolutionNode",
     "CheckResult",
@@ -42,11 +41,6 @@ __all__ = [
     "parse_drup_line",
     "read_drup",
     "write_drup",
-    "DrupStreamReader",
-    "StreamedEvent",
-    "iter_drup_file",
-    "read_drup_chunked",
-    "DEFAULT_CHUNK_BYTES",
     "parse_proof",
     "read_proof",
     "write_proof",

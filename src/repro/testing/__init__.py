@@ -4,8 +4,8 @@ Two complementary harnesses:
 
 * :mod:`repro.testing.mutate` — adversarial mutation of known-good
   proofs (logical faults: the checkers must reject);
-* :mod:`repro.testing.faults` — operational faults against the
-  streaming verifier's process envelope (truncation, corruption,
+* :mod:`repro.testing.faults` — operational faults against
+  ``repro verify``'s process envelope (truncation, corruption,
   signals, budgets, worker death: typed exit codes, never tracebacks).
 """
 

@@ -1,19 +1,19 @@
-"""Process-level fault injection for the streaming verifier.
+"""Process-level fault injection for ``repro verify`` on DRUP traces.
 
 :mod:`repro.testing.mutate` attacks the *logical* content of proofs;
 this module attacks the *operational* envelope: what happens when the
 trace file is truncated mid-clause, when a byte rots, when the process
-is SIGKILLed-adjacent (SIGINT/SIGTERM), when memory budgets trip, when
-a parallel worker dies.  The contract under test is the CLI's typed
+is SIGKILLed-adjacent (SIGINT/SIGTERM), when a budget trips, when a
+parallel worker dies.  The contract under test is the CLI's typed
 exit-code surface:
 
 ========  =====================================================
 ``0``     verdict reached, proof correct
 ``1``     verdict reached, proof incorrect
-``2``     operational error (unusable checkpoint, bad flags)
-``3``     resource limit: partial report + resume token
+``2``     operational error (bad flags)
+``3``     resource limit: partial report, no verdict
 ``65``    malformed input (truncation, corruption, bad deletion)
-``130``   interrupted — with a resumable checkpoint on disk
+``130``   interrupted — with the requested trace flushed
 ========  =====================================================
 
 Every scenario asserts the *absence of a traceback* on stderr: a fault
@@ -32,13 +32,11 @@ or programmatically via :func:`run_suite`.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 
 import repro
@@ -55,11 +53,12 @@ EXIT_RESOURCE_LIMIT = 3
 EXIT_PARSE_ERROR = 65
 EXIT_INTERRUPT = 130
 
-#: Chain length of the shared small instance (fast, still shifts
-#: windows and writes checkpoints).
+#: Chain length of the shared small instance.
 _SMALL_N = 2000
 #: Chain lengths tried by the signal scenarios: big enough that the
 #: child cannot finish before the signal lands; escalate if it does.
+#: Every prefix of the chain is unit-refutable, so each backward check
+#: propagates the rest of the chain: the run grows with n squared.
 _SIGNAL_NS = (20000, 80000)
 
 
@@ -139,7 +138,7 @@ def _instance(workdir: str, n_vars: int = _SMALL_N, window: int = 8,
 def scenario_pristine(workdir: str) -> FaultOutcome:
     """Control: the untampered instance verifies with exit 0."""
     cnf, drup = _instance(workdir)
-    proc = _run_cli(["verify-stream", cnf, drup])
+    proc = _run_cli(["verify", cnf, drup])
     return _judge("pristine", proc, (EXIT_OK,),
                   want_stdout="s PROOF_IS_CORRECT")
 
@@ -153,7 +152,7 @@ def scenario_truncate_mid_clause(workdir: str) -> FaultOutcome:
     torn = os.path.join(workdir, "torn.drup")
     with open(torn, "wb") as handle:
         handle.write(data[:cut])
-    proc = _run_cli(["verify-stream", cnf, torn])
+    proc = _run_cli(["verify", cnf, torn])
     return _judge("truncate-mid-clause", proc, (EXIT_PARSE_ERROR,),
                   want_stderr="c error:")
 
@@ -169,7 +168,7 @@ def scenario_clean_truncation(workdir: str) -> FaultOutcome:
     short = os.path.join(workdir, "short.drup")
     with open(short, "wb") as handle:
         handle.write(clipped)
-    proc = _run_cli(["verify-stream", cnf, short])
+    proc = _run_cli(["verify", cnf, short])
     return _judge("clean-truncation", proc, (EXIT_PROOF_BAD,),
                   want_stdout="s PROOF_IS_NOT_CORRECT")
 
@@ -183,31 +182,22 @@ def scenario_corrupt_bytes(workdir: str) -> FaultOutcome:
     rotten = os.path.join(workdir, "rotten.drup")
     with open(rotten, "wb") as handle:
         handle.write(bytes(data))
-    proc = _run_cli(["verify-stream", cnf, rotten])
+    proc = _run_cli(["verify", cnf, rotten])
     return _judge("corrupt-bytes", proc, (EXIT_PARSE_ERROR,),
                   want_stderr="c error:")
 
 
 def scenario_unknown_deletion(workdir: str) -> FaultOutcome:
-    """A deletion names a clause that was never added.  Strict mode
-    refuses the trace (exit 65); ``--lenient-deletions`` skips it with
-    a warning and still reaches the verdict."""
+    """A deletion names a clause that is not live: the trace is
+    refused when it is read (exit 65)."""
     cnf, drup = _instance(workdir)
     bogus = os.path.join(workdir, "bogus-del.drup")
     with open(drup) as src, open(bogus, "w") as dst:
         dst.write("d 5 7 0\n")
         dst.write(src.read())
-    strict = _run_cli(["verify-stream", cnf, bogus])
-    outcome = _judge("unknown-deletion", strict, (EXIT_PARSE_ERROR,),
-                     want_stderr="c error:")
-    if not outcome.passed:
-        return outcome
-    lenient = _run_cli(["verify-stream", cnf, bogus,
-                        "--lenient-deletions"])
-    outcome = _judge("unknown-deletion", lenient, (EXIT_OK,),
-                     want_stdout="c warning:",
-                     detail="strict 65, lenient 0 with warning")
-    return outcome
+    proc = _run_cli(["verify", cnf, bogus])
+    return _judge("unknown-deletion", proc, (EXIT_PARSE_ERROR,),
+                  want_stderr="c error: line 1: deletion of unknown")
 
 
 def scenario_foreign_variable(workdir: str) -> FaultOutcome:
@@ -220,126 +210,50 @@ def scenario_foreign_variable(workdir: str) -> FaultOutcome:
         handle.write("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
     with open(drup, "w") as handle:
         handle.write("9 0\n-9 1 0\n0\n")
-    proc = _run_cli(["verify-stream", cnf, drup])
+    proc = _run_cli(["verify", cnf, drup])
     return _judge("foreign-variable", proc, (EXIT_PROOF_BAD,),
                   want_stdout="s PROOF_IS_NOT_CORRECT")
 
 
-def scenario_live_clause_budget(workdir: str) -> FaultOutcome:
-    """A hard live-clause cap trips mid-run: exit 3, a schema-valid
-    resume token on disk, and an uncapped resume finishes the job."""
+def scenario_rebuild_deletions(workdir: str) -> FaultOutcome:
+    """``--mode rebuild`` keeps no root to attach deleted clauses to, so
+    it refuses a trace with deletions: one ``c error:`` line, exit 2."""
     cnf, drup = _instance(workdir)
-    token = os.path.join(workdir, "live-budget.json")
-    proc = _run_cli(["verify-stream", cnf, drup,
-                     "--max-live-clauses", "3",
-                     "--checkpoint", token])
-    outcome = _judge("live-clause-budget", proc,
-                     (EXIT_RESOURCE_LIMIT,),
-                     want_stdout="s RESOURCE_LIMIT_EXCEEDED")
-    if not outcome.passed:
-        return outcome
-    return _resume_and_expect_correct("live-clause-budget", workdir,
-                                      cnf, drup, token)
+    proc = _run_cli(["verify", cnf, drup, "--mode", "rebuild"])
+    return _judge("rebuild-deletions", proc, (EXIT_ERROR,),
+                  want_stderr="c error: mode rebuild")
 
 
 def scenario_props_budget(workdir: str) -> FaultOutcome:
-    """Same ladder one rung up: the propagation budget trips, the
-    resume token carries the spent work, the resumed (uncapped) run
-    reaches the verdict."""
+    """The propagation budget trips mid-run: exit 3 with the partial
+    report's outcome, no verdict."""
     cnf, drup = _instance(workdir)
-    token = os.path.join(workdir, "props-budget.json")
-    proc = _run_cli(["verify-stream", cnf, drup,
-                     "--max-props", "2000",
-                     "--checkpoint", token,
-                     "--checkpoint-every", "200"])
-    outcome = _judge("props-budget", proc, (EXIT_RESOURCE_LIMIT,),
-                     want_stdout="s RESOURCE_LIMIT_EXCEEDED")
-    if not outcome.passed:
-        return outcome
-    return _resume_and_expect_correct("props-budget", workdir, cnf,
-                                      drup, token)
-
-
-def _resume_and_expect_correct(name: str, workdir: str, cnf: str,
-                               drup: str, token: str) -> FaultOutcome:
-    if not os.path.exists(token):
-        return FaultOutcome(name, False, None,
-                            (EXIT_RESOURCE_LIMIT,),
-                            "no resume token on disk")
-    doc = json.loads(open(token).read())
-    if doc.get("schema") != "repro.obs.checkpoint/v1":
-        return FaultOutcome(name, False, None,
-                            (EXIT_RESOURCE_LIMIT,),
-                            f"bad token schema {doc.get('schema')!r}")
-    proc = _run_cli(["verify-stream", cnf, drup,
-                     "--checkpoint", token, "--resume"])
-    outcome = _judge(name, proc, (EXIT_OK,),
-                     want_stdout="s PROOF_IS_CORRECT",
-                     detail="exit 3 + valid token, resume reached "
-                            "the verdict")
-    if outcome.passed and os.path.exists(token):
-        return FaultOutcome(name, False, proc.returncode, (EXIT_OK,),
-                            "spent token not deleted after verdict")
-    return outcome
-
-
-def scenario_corrupt_checkpoint(workdir: str) -> FaultOutcome:
-    """Garbage where the resume token should be: exit 2 with a
-    one-line diagnostic, not a traceback — and a token recorded
-    against a different formula is refused the same way."""
-    cnf, drup = _instance(workdir)
-    token = os.path.join(workdir, "garbage.json")
-    with open(token, "w") as handle:
-        handle.write('{"schema": "repro.obs.checkpoint/v1", "offse')
-    proc = _run_cli(["verify-stream", cnf, drup,
-                     "--checkpoint", token, "--resume"])
-    outcome = _judge("corrupt-checkpoint", proc, (EXIT_ERROR,),
-                     want_stderr="c error:")
-    if not outcome.passed:
-        return outcome
-    # Record a real token against a *different* instance, then try to
-    # resume this one with it.
-    other_cnf, other_drup = _instance(workdir, n_vars=300, window=2,
-                                      tag="other")
-    _run_cli(["verify-stream", other_cnf, other_drup,
-              "--max-props", "200", "--checkpoint", token])
-    if not os.path.exists(token):
-        return FaultOutcome("corrupt-checkpoint", False, None,
-                            (EXIT_ERROR,), "mismatch setup run left "
-                            "no token")
-    proc = _run_cli(["verify-stream", cnf, drup,
-                     "--checkpoint", token, "--resume"])
-    return _judge("corrupt-checkpoint", proc, (EXIT_ERROR,),
-                  want_stderr="c error:",
-                  detail="garbage and digest-mismatch tokens both "
-                         "refused with exit 2")
+    proc = _run_cli(["verify", cnf, drup, "--max-props", "2000"])
+    return _judge("props-budget", proc, (EXIT_RESOURCE_LIMIT,),
+                  want_stdout="s RESOURCE_LIMIT_EXCEEDED")
 
 
 def _signal_scenario(name: str, signame: str,
                      workdir: str) -> FaultOutcome:
-    """Interrupt a run mid-flight, expect exit 130 plus a resume token,
-    and prove the resumed run reaches the uninterrupted verdict with
-    the uninterrupted (cumulative) event counts."""
+    """Interrupt a run mid-check: exit 130, no traceback, and the
+    ``--trace-out`` trace on disk, closed by its ``run_summary``."""
     signum = getattr(signal, signame)
     for n_vars in _SIGNAL_NS:
         cnf, drup = _instance(workdir, n_vars=n_vars, window=8,
                               tag=f"sig{n_vars}")
-        token = os.path.join(workdir, f"{name}.json")
+        trace = os.path.join(workdir, f"{name}.jsonl")
         try:
-            os.unlink(token)
+            os.unlink(trace)
         except FileNotFoundError:
             pass
         child = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "verify-stream",
-             cnf, drup, "--checkpoint", token,
-             "--checkpoint-every", "500"],
+            [sys.executable, "-m", "repro.cli", "verify", cnf, drup,
+             "--progress", "--trace-out", trace],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=_cli_env())
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline \
-                and not os.path.exists(token) \
-                and child.poll() is None:
-            time.sleep(0.01)
+        # The first heartbeat comes from the first check, well after
+        # main() installed its signal handling.
+        child.stderr.readline()
         if child.poll() is not None:
             child.communicate()
             continue                 # finished early: bigger instance
@@ -350,44 +264,32 @@ def _signal_scenario(name: str, signame: str,
             problems.append(f"exit {child.returncode} != 130")
         if "Traceback" in stderr:
             problems.append("traceback leaked")
-        if not os.path.exists(token):
-            problems.append("no resume token after interrupt")
+        if not os.path.exists(trace):
+            problems.append("no trace after interrupt")
+        elif '"run_summary"' not in open(trace).read().splitlines()[-1]:
+            problems.append("trace not closed by its run_summary")
         if problems:
             return FaultOutcome(name, False, child.returncode,
                                 (EXIT_INTERRUPT,),
                                 "; ".join(problems) + " | "
                                 + " / ".join(stderr.strip()
                                              .splitlines()[-3:]))
-        proc = _run_cli(["verify-stream", cnf, drup,
-                         "--checkpoint", token, "--resume"])
-        outcome = _judge(name, proc, (EXIT_OK,),
-                         want_stdout="s PROOF_IS_CORRECT")
-        if not outcome.passed:
-            return outcome
-        want = f"additions={n_vars} "
-        if want not in proc.stdout:
-            return FaultOutcome(
-                name, False, proc.returncode, (EXIT_OK,),
-                f"resumed counts drifted (wanted {want.strip()}): "
-                + " / ".join(proc.stdout.splitlines()[:2]))
         return FaultOutcome(name, True, EXIT_INTERRUPT,
                             (EXIT_INTERRUPT,),
-                            f"exit 130, resume reached the verdict "
-                            f"with exact counts (n={n_vars})")
+                            f"exit 130, trace flushed (n={n_vars})")
     return FaultOutcome(name, False, None, (EXIT_INTERRUPT,),
                         "child kept finishing before the signal "
                         f"landed (tried n={_SIGNAL_NS})")
 
 
 def scenario_sigint(workdir: str) -> FaultOutcome:
-    """^C lands mid-run: exit 130, resume token on disk, resumed run
-    reaches the verdict with exact cumulative counts."""
-    return _signal_scenario("sigint-resume", "SIGINT", workdir)
+    """^C lands mid-run: exit 130 with the trace flushed."""
+    return _signal_scenario("sigint", "SIGINT", workdir)
 
 
 def scenario_sigterm(workdir: str) -> FaultOutcome:
     """A supervisor's SIGTERM gets the same treatment as ^C."""
-    return _signal_scenario("sigterm-resume", "SIGTERM", workdir)
+    return _signal_scenario("sigterm", "SIGTERM", workdir)
 
 
 def scenario_worker_death(workdir: str) -> FaultOutcome:
@@ -442,11 +344,10 @@ SCENARIOS = {
     "corrupt-bytes": scenario_corrupt_bytes,
     "unknown-deletion": scenario_unknown_deletion,
     "foreign-variable": scenario_foreign_variable,
-    "live-clause-budget": scenario_live_clause_budget,
+    "rebuild-deletions": scenario_rebuild_deletions,
     "props-budget": scenario_props_budget,
-    "corrupt-checkpoint": scenario_corrupt_checkpoint,
-    "sigint-resume": scenario_sigint,
-    "sigterm-resume": scenario_sigterm,
+    "sigint": scenario_sigint,
+    "sigterm": scenario_sigterm,
     "worker-death": scenario_worker_death,
 }
 
@@ -479,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.faults",
-        description="fault-injection sweep over the streaming "
-                    "verifier's typed exit-code surface")
+        description="fault-injection sweep over repro verify's "
+                    "typed exit-code surface")
     parser.add_argument("--only", action="append", metavar="NAME",
                         help="run only this scenario (repeatable)")
     parser.add_argument("--list", action="store_true",

@@ -41,10 +41,11 @@ Expectations
 Each mutation carries the strongest guarantee its construction supports:
 
 ``EXPECT_REJECT_ALL``
-    Every checker must reject: verification1 in every configuration,
-    verification2, and (for trace mutations) the forward DRUP checker.
-    Structural corruptions are rejected by ``ProofFormatError`` at build
-    time — the same signal a file parser gives — which counts.
+    Every checker must reject: verification1 in every configuration
+    and verification2.  Structural corruptions are rejected by
+    ``ProofFormatError`` at build time — the same signal a file parser
+    gives — which counts; for a trace mutation that includes a deletion
+    of a clause that is not live.
 
 ``EXPECT_REJECT_V1``
     verification1 must reject (it checks *every* clause), while
@@ -63,6 +64,11 @@ Each mutation carries the strongest guarantee its construction supports:
     still asserts crash-freedom and that all verification1
     configurations agree with each other.
 
+Whatever the class, verification2 may accept a proof that
+verification1 rejects only when the clause verification1 fails on is
+one it never marked, and it may not reject a proof that verification1
+accepts.
+
 The guaranteed-rejection constructions rely on the insertion point's
 clause set not being refutable by BCP alone — otherwise *every* clause
 is trivially RUP there and even a fresh-variable unit is derivable.
@@ -74,9 +80,11 @@ expectation to ``EXPECT_ANY`` when the guarantee cannot hold.
 Differential driver
 -------------------
 :func:`run_differential` feeds every mutation to verification1 (both
-modes × ``jobs`` 1 and 4), verification2, and — for trace
-mutations — the forward DRUP checker, and collects violations of the
-expectations above into a :class:`DifferentialSummary`.
+modes × ``jobs`` 1 and 4) and verification2, and collects violations
+of the expectations above into a :class:`DifferentialSummary`.  A trace
+mutation is read with its deletions (:meth:`DrupProof.to_proof`) and
+checked backward like any proof, in the incremental configurations
+only: rebuild mode refuses deletions.
 """
 
 from __future__ import annotations
@@ -93,7 +101,6 @@ from repro.proofs.conflict_clause import (
 )
 from repro.proofs.drup import ADD, DELETE, DrupEvent, DrupProof
 from repro.verify.checker import ProofChecker
-from repro.verify.streaming import verify_stream
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
 EXPECT_REJECT_ALL = "reject_all"
@@ -134,7 +141,9 @@ class ProofMutation:
         Structurally corrupt mutations raise :class:`ProofFormatError`
         here — exactly where :func:`repro.proofs.trace_format.
         parse_proof` would raise for the equivalent file — which the
-        differential driver counts as rejection by every checker.
+        differential driver counts as rejection by every checker.  A
+        trace mutation builds its :class:`DrupProof`; the driver reads
+        it against the formula, which is where a bad deletion raises.
         """
         if self.kind == KIND_CC:
             return ConflictClauseProof(list(self.clauses), self.ending)
@@ -213,13 +222,16 @@ class ProofMutator:
         return cached
 
     def _drup_tail_refutable(self, last_add: int) -> bool:
-        """Is the trace's active clause set just before its final
-        derivation refutable by BCP alone?  (Probed by forward-checking
-        the genuine trace prefix with an early empty-clause addition.)"""
+        """Is the trace's live clause set just before its final
+        derivation refutable by BCP alone?  (Probed by checking an
+        early empty-clause addition after the genuine trace prefix.)"""
         if self._drup_refutable is None:
             probe = DrupProof(list(self.drup.events[:last_add])
-                              + [DrupEvent(ADD, ())])
-            self._drup_refutable = verify_stream(self.formula, probe).ok
+                              + [DrupEvent(ADD, ())]).to_proof(
+                                  self.formula)
+            checker = ProofChecker(self.formula, probe)
+            self._drup_refutable = checker.check_clause(
+                len(probe) - 1).conflict
         return self._drup_refutable
 
     def _cc(self, operator: str, description: str, expectation: str,
@@ -462,7 +474,7 @@ class ProofMutator:
             injected_ev = list(events)
             injected_ev.insert(0, DrupEvent(ADD, (fresh,)))
             expectation = (EXPECT_ANY if self._prefix_refutable(0)
-                           else EXPECT_REJECT_ALL)
+                           else EXPECT_REJECT_V1)
             out.append(self._drup(
                 "inject_non_rup",
                 f"inject fresh-variable addition ({fresh}) before the "
@@ -475,7 +487,7 @@ class ProofMutator:
                 injected_ev.insert(adds[-1], DrupEvent(ADD, (fresh,)))
                 expectation = (EXPECT_ANY
                                if self._drup_tail_refutable(adds[-1])
-                               else EXPECT_REJECT_ALL)
+                               else EXPECT_REJECT_V1)
                 out.append(self._drup(
                     "inject_non_rup",
                     f"inject fresh-variable addition ({fresh}) before "
@@ -484,8 +496,8 @@ class ProofMutator:
         return out
 
     def op_corrupt_deletion(self) -> list[ProofMutation]:
-        """Corrupt the DRUP deletion stream: deleting a clause that was
-        never added must be rejected by the forward checker."""
+        """Corrupt the DRUP deletion stream: deleting a clause that is
+        not live must be refused when the trace is read."""
         if self.drup is None:
             return []
         out = []
@@ -539,7 +551,6 @@ class MutationVerdict:
     v1_outcomes: dict[tuple[str, int], bool] = field(
         default_factory=dict)
     v2_accepted: bool | None = None
-    drup_accepted: bool | None = None
     checker_runs: int = 0
     problems: list[str] = field(default_factory=list)
 
@@ -596,6 +607,10 @@ def check_mutation(formula: CnfFormula, mutation: ProofMutation,
     tag = _tag(mutation)
     try:
         proof = mutation.build()
+        if mutation.kind == KIND_DRUP:
+            proof = proof.to_proof(formula)
+            v1_configs = [(mode, jobs) for mode, jobs in v1_configs
+                          if mode == "incremental"]
     except ProofFormatError:
         verdict.rejected_at_parse = True
         if mutation.expectation == EXPECT_ACCEPT:
@@ -610,27 +625,23 @@ def check_mutation(formula: CnfFormula, mutation: ProofMutation,
         verdict.problems.append(
             f"{tag}: build crashed with {type(exc).__name__}: {exc}")
         return verdict
-
-    if mutation.kind == KIND_DRUP:
-        _judge_drup(formula, proof, verdict, tag)
-        return verdict
-    _judge_cc(formula, proof, verdict, tag, v1_configs, engine)
+    _judge(formula, proof, verdict, tag, v1_configs, engine)
     return verdict
 
 
-def _judge_cc(formula: CnfFormula, proof: ConflictClauseProof,
-              verdict: MutationVerdict, tag: str, v1_configs,
-              engine=None) -> None:
+def _judge(formula: CnfFormula, proof: ConflictClauseProof,
+           verdict: MutationVerdict, tag: str, v1_configs,
+           engine=None) -> None:
     expectation = verdict.mutation.expectation
+    failed: set[int | None] = set()
     for mode, jobs in v1_configs:
         try:
             report = verify_proof_v1(formula, proof, engine, mode=mode,
                                      jobs=jobs)
-        except ReproError as exc:
+        except ReproError:
             # A typed refusal counts as rejection.
             verdict.v1_outcomes[(mode, jobs)] = False
             verdict.checker_runs += 1
-            del exc
             continue
         except Exception as exc:  # noqa: BLE001
             verdict.problems.append(
@@ -639,8 +650,13 @@ def _judge_cc(formula: CnfFormula, proof: ConflictClauseProof,
             continue
         verdict.v1_outcomes[(mode, jobs)] = report.ok
         verdict.checker_runs += 1
+        if not report.ok:
+            failed.add(report.failed_clause_index)
+    marked: tuple[int, ...] = ()
     try:
-        verdict.v2_accepted = verify_proof_v2(formula, proof, engine).ok
+        v2 = verify_proof_v2(formula, proof, engine)
+        verdict.v2_accepted = v2.ok
+        marked = v2.marked_proof_indices
         verdict.checker_runs += 1
     except ReproError:
         verdict.v2_accepted = False
@@ -657,6 +673,16 @@ def _judge_cc(formula: CnfFormula, proof: ConflictClauseProof,
             f"{verdict.v1_outcomes}")
         return
     v1_accepts = accepted.pop() if accepted else None
+    if v1_accepts is False and verdict.v2_accepted:
+        # verification2 skips only unmarked clauses (paper Section 4).
+        for index in failed & set(marked):
+            verdict.problems.append(
+                f"{tag}: verification2 accepted past marked clause "
+                f"{index}, which verification1 rejects")
+    if v1_accepts and verdict.v2_accepted is False:
+        verdict.problems.append(
+            f"{tag}: verification2 rejected a proof verification1 "
+            "accepts")
     if expectation in (EXPECT_REJECT_ALL, EXPECT_REJECT_V1) \
             and v1_accepts:
         verdict.problems.append(
@@ -673,28 +699,6 @@ def _judge_cc(formula: CnfFormula, proof: ConflictClauseProof,
                 f"{tag}: verification2 rejected a benign mutation")
 
 
-def _judge_drup(formula: CnfFormula, proof: DrupProof,
-                verdict: MutationVerdict, tag: str) -> None:
-    expectation = verdict.mutation.expectation
-    try:
-        verdict.drup_accepted = verify_stream(formula, proof).ok
-        verdict.checker_runs += 1
-    except ReproError:
-        verdict.drup_accepted = False
-        verdict.checker_runs += 1
-    except Exception as exc:  # noqa: BLE001
-        verdict.problems.append(
-            f"{tag}: DRUP checker crashed with "
-            f"{type(exc).__name__}: {exc}")
-        return
-    if expectation == EXPECT_REJECT_ALL and verdict.drup_accepted:
-        verdict.problems.append(
-            f"{tag}: DRUP checker accepted a corrupt trace")
-    if expectation == EXPECT_ACCEPT and not verdict.drup_accepted:
-        verdict.problems.append(
-            f"{tag}: DRUP checker rejected a benign mutation")
-
-
 def run_differential(formula: CnfFormula, proof: ConflictClauseProof,
                      drup: DrupProof | None = None, seed: int = 0,
                      v1_configs=DEFAULT_V1_CONFIGS,
@@ -704,9 +708,8 @@ def run_differential(formula: CnfFormula, proof: ConflictClauseProof,
     checker fleet; the summary is ``ok`` iff no expectation was
     violated and no checker crashed outside ``ReproError``.
 
-    ``engine`` selects the conflict-clause checkers' BCP engine (a
-    :data:`repro.bcp.ENGINES` name or class; default watched; the
-    forward DRUP checker always runs watched) — the
+    ``engine`` selects the checkers' BCP engine (a
+    :data:`repro.bcp.ENGINES` name or class; default watched) — the
     expectations are engine-independent, so sweeping the same mutations
     under each engine is the adversarial half of the engine-parity
     guarantee.

@@ -11,9 +11,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".report": ("PROOF_IS_CORRECT", "PROOF_IS_NOT_CORRECT",
                 "RESOURCE_LIMIT_EXCEEDED", "UnsatCore",
                 "VerificationReport", "VerificationStats"),
-    ".streaming": ("CHECKPOINT_SCHEMA", "StreamingCheckReport",
-                   "load_checkpoint", "validate_checkpoint",
-                   "verify_stream"),
     ".reconstruct": ("ReconstructionResult",
                      "reconstruct_resolution_graph"),
     ".trimming": ("TrimResult", "trim_proof"),
@@ -26,11 +23,6 @@ __all__ = [
     "verify_proof_v1",
     "verify_proof_v2",
     "trim_proof",
-    "verify_stream",
-    "StreamingCheckReport",
-    "load_checkpoint",
-    "validate_checkpoint",
-    "CHECKPOINT_SCHEMA",
     "TrimResult",
     "reconstruct_resolution_graph",
     "ReconstructionResult",

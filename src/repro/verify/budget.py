@@ -8,8 +8,8 @@ gracefully: stop at a declared budget and report *partial progress*
 ``resource_limit_exceeded`` outcome, never an unbounded run and never a
 raw exception at the API surface.
 
-Four budget axes are supported, mirroring DRAT-trim's ``-t``/``-L``
-style limits plus the streaming driver's memory cap:
+Two budget axes are supported, mirroring DRAT-trim's ``-t``/``-L``
+style limits:
 
 ``timeout``
     Wall-clock seconds, measured with ``time.monotonic`` from
@@ -24,26 +24,8 @@ style limits plus the streaming driver's memory cap:
     Wall-clock limits are machine-dependent; work units are not, so CI
     budgets stay meaningful across hardware.
 
-``max_live_clauses`` / ``max_bytes``
-    The **memory** axes, consumed by the streaming forward checker
-    (:mod:`repro.verify.streaming`): the number of *live* proof-added
-    clauses and their estimated resident footprint.  The estimate
-    charges one 32-bit word per literal, one offset word per
-    clause, and the engine's watch-table bookkeeping
-    (:data:`~repro.verify.streaming.ENGINE_OVERHEAD_WORDS_PER_CLAUSE`
-    words per clause) — the earlier pool-words-only model
-    under-reported short clauses severely.  It remains an estimate:
-    instrumented streaming runs read the measured RSS once per window
-    shift and flag divergence as ``mem_estimate_drift``.
-    Unlike time and work, memory pressure is relieved by deletion
-    events, so these axes are checked against a *current* value the
-    driver passes in — drivers that track no live set simply never
-    trip them.  Exhaustion degrades to the same
-    ``resource_limit_exceeded`` partial report, never an OOM kill.
-
 Granularity: budgets are consulted *between* checks (per proof clause,
-per DRUP event, per shard index), not inside a single BCP run.  A single
-check can therefore overshoot by one BCP fixpoint; that is bounded by
+per shard index), not inside a single BCP run.  A single check can therefore overshoot by one BCP fixpoint; that is bounded by
 the clause database and keeps the hot loops budget-free.  In the
 parallel backend each worker enforces the shared deadline itself and the
 ``max_props`` limit against its own counters, so the aggregate may
@@ -71,9 +53,7 @@ class CheckBudget:
     """Declarative resource limits for one verification run.
 
     ``timeout`` is wall-clock seconds; ``max_props`` is propagation work
-    units (``assignments + clause_visits``); ``max_live_clauses`` and
-    ``max_bytes`` cap the streaming checker's live clause set (count
-    and estimated bytes).  ``None`` disables an axis; a budget with
+    units (``assignments + clause_visits``).  ``None`` disables an axis; a budget with
     every axis ``None`` is valid and never trips.  Call :meth:`start`
     to obtain the mutable :class:`BudgetMeter` that a single run
     charges against — the budget itself stays immutable and reusable
@@ -82,24 +62,18 @@ class CheckBudget:
 
     timeout: float | None = None
     max_props: int | None = None
-    max_live_clauses: int | None = None
-    max_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(
                 f"timeout must be positive, got {self.timeout!r}")
-        for axis in ("max_props", "max_live_clauses", "max_bytes"):
-            value = getattr(self, axis)
-            if value is not None and value <= 0:
-                raise ValueError(
-                    f"{axis} must be positive, got {value!r}")
+        if self.max_props is not None and self.max_props <= 0:
+            raise ValueError(
+                f"max_props must be positive, got {self.max_props!r}")
 
     @property
     def unlimited(self) -> bool:
-        return (self.timeout is None and self.max_props is None
-                and self.max_live_clauses is None
-                and self.max_bytes is None)
+        return self.timeout is None and self.max_props is None
 
     def start(self, counters: PropagationCounters | None = None,
               ) -> "BudgetMeter":
@@ -140,16 +114,9 @@ class BudgetMeter:
             return None
         return self.deadline - time.monotonic()
 
-    def exhausted(self, counters: PropagationCounters | None = None, *,
-                  live_clauses: int | None = None,
-                  live_bytes: int | None = None) -> str | None:
-        """The reason the budget is exhausted, or None if it is not.
-
-        ``live_clauses``/``live_bytes`` are the streaming driver's
-        current live-set accounting; callers that track no live set
-        omit them and the memory axes never trip (keyword-only, so
-        every pre-memory call site is unchanged).
-        """
+    def exhausted(self, counters: PropagationCounters | None = None,
+                  ) -> str | None:
+        """The reason the budget is exhausted, or None if it is not."""
         if self.deadline is not None:
             over = time.monotonic() - self.deadline
             if over >= 0:
@@ -160,24 +127,10 @@ class BudgetMeter:
             if used >= self.budget.max_props:
                 return (f"propagation budget of {self.budget.max_props} "
                         f"work units exhausted ({used} used)")
-        if self.budget.max_live_clauses is not None \
-                and live_clauses is not None \
-                and live_clauses > self.budget.max_live_clauses:
-            return (f"live-clause budget of "
-                    f"{self.budget.max_live_clauses} exceeded "
-                    f"({live_clauses} live)")
-        if self.budget.max_bytes is not None \
-                and live_bytes is not None \
-                and live_bytes > self.budget.max_bytes:
-            return (f"memory budget of {self.budget.max_bytes} bytes "
-                    f"exceeded ({live_bytes} bytes live)")
         return None
 
-    def ensure(self, counters: PropagationCounters | None = None, *,
-               live_clauses: int | None = None,
-               live_bytes: int | None = None) -> None:
+    def ensure(self, counters: PropagationCounters | None = None) -> None:
         """Raise :class:`BudgetExhausted` if the budget ran out."""
-        reason = self.exhausted(counters, live_clauses=live_clauses,
-                                live_bytes=live_bytes)
+        reason = self.exhausted(counters)
         if reason is not None:
             raise BudgetExhausted(reason)

@@ -18,10 +18,6 @@ construction point:
   :class:`~repro.obs.context.Obs` is attached);
 * it feeds the metrics registry and tracer, keeping the drivers' loops
   free of exporter knowledge.
-
-The builder is generic over the report class so the forward DRUP
-checker's :class:`~repro.verify.streaming.StreamingCheckReport` shares
-it with :class:`~repro.verify.report.VerificationReport`.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ class ReportBuilder:
     """
 
     def __init__(self, report_cls, *, obs=None, total_checks: int = 0,
-                 progress_label: str = "checks", **common):
+                 **common):
         self._report_cls = report_cls
         self._common = dict(common)
         self.obs = obs
@@ -58,8 +54,7 @@ class ReportBuilder:
         # Min-heap of (seconds, -index): the root is the fastest of the
         # current slowest-K, evicted when something slower arrives.
         self._slowest: list[tuple[float, int]] = []
-        self.progress = (obs.progress_reporter(total_checks,
-                                               progress_label)
+        self.progress = (obs.progress_reporter(total_checks)
                          if obs is not None else None)
 
     # -- phases ------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.verify import (
     verify_proof,
     verify_proof_v1,
     verify_proof_v2,
-    verify_stream,
 )
 
 
@@ -57,31 +56,6 @@ class TestCheckBudget:
         rebased = meter.rebase(PropagationCounters())
         assert rebased.deadline == meter.deadline
 
-    def test_memory_axis_validation(self):
-        with pytest.raises(ValueError):
-            CheckBudget(max_live_clauses=0)
-        with pytest.raises(ValueError):
-            CheckBudget(max_live_clauses=-1)
-        with pytest.raises(ValueError):
-            CheckBudget(max_bytes=0)
-        assert not CheckBudget(max_live_clauses=5).unlimited
-        assert not CheckBudget(max_bytes=1024).unlimited
-
-    def test_memory_axes_trip_only_when_measured(self):
-        """The memory axes are opt-in per call: a caller that never
-        reports live totals (the non-streaming checkers) cannot trip
-        them."""
-        counters = PropagationCounters()
-        meter = CheckBudget(max_live_clauses=3,
-                            max_bytes=100).start(counters)
-        assert meter.exhausted(counters) is None
-        assert meter.exhausted(counters, live_clauses=3) is None
-        reason = meter.exhausted(counters, live_clauses=4)
-        assert reason is not None and "live-clause budget" in reason
-        assert meter.exhausted(counters, live_bytes=100) is None
-        reason = meter.exhausted(counters, live_bytes=101)
-        assert reason is not None and "memory budget" in reason
-
 
 class TestBudgetedVerification:
     @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
@@ -117,14 +91,14 @@ class TestBudgetedVerification:
 
     def test_drup_timeout_budget(self, instance):
         formula, _, drup = instance
-        report = verify_stream(formula, drup,
-                               budget=CheckBudget(timeout=1e-9))
+        report = verify_proof(formula, drup.to_proof(formula),
+                              budget=CheckBudget(timeout=1e-9))
         assert report.exhausted and not report.ok
-        assert report.stopped_at_event is not None
+        assert report.stopped_at_index is not None
         assert "budget" in report.failure_reason
 
     def test_drup_generous_budget_is_invisible(self, instance):
         formula, _, drup = instance
-        report = verify_stream(formula, drup,
-                               budget=CheckBudget(timeout=3600))
+        report = verify_proof(formula, drup.to_proof(formula),
+                              budget=CheckBudget(timeout=3600))
         assert report.ok and not report.exhausted

@@ -80,20 +80,24 @@ class TestVerify:
 
 
 class TestCore:
+    """``repro verify --core-out`` writes the core it reports."""
+
     def test_core_extraction(self, unsat_cnf, tmp_path, capsys):
         proof_path = tmp_path / "out.ccp"
         core_path = tmp_path / "core.cnf"
         main(["solve", str(unsat_cnf), "--proof", str(proof_path)])
-        code = main(["core", str(unsat_cnf), str(proof_path),
-                     "--output", str(core_path)])
+        code = main(["verify", str(unsat_cnf), str(proof_path),
+                     "--core-out", str(core_path)])
         assert code == 0
+        assert f"c core written to {core_path}" \
+            in capsys.readouterr().out
         core = read_dimacs(core_path)
         assert dpll_solve(core).is_unsat
         assert core.num_clauses <= 4  # the padding clause is dropped
 
     def test_core_matches_verify(self, tmp_path, capsys):
-        """``repro core`` extracts the core ``repro verify`` reports,
-        on an instance whose rebuild and incremental cores differ."""
+        """The file holds the core ``repro verify`` reports, on an
+        instance whose rebuild and incremental cores differ."""
         from repro.benchgen.random_unsat import random_ksat
         from repro.proofs.trace_format import read_proof
         from repro.verify.verification import verify_proof
@@ -108,17 +112,17 @@ class TestCore:
                  for mode in ("rebuild", "incremental")}
         assert sizes["rebuild"] != sizes["incremental"]
         capsys.readouterr()
-        assert main(["verify", str(cnf), str(proof_path)]) == 0
+        assert main(["verify", str(cnf), str(proof_path),
+                     "--core-out", str(core_path)]) == 0
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("c unsat core:"))
         reported = int(line.split()[3].split("/")[0])
-        assert main(["core", str(cnf), str(proof_path),
-                     "--output", str(core_path)]) == 0
+        assert reported == sizes["incremental"]
         assert read_dimacs(core_path).num_clauses == reported
 
     def test_extract_core_matches_cli(self, tmp_path, capsys):
         """The library's ``extract_core`` returns the core ``repro
-        core`` prints: both default to incremental mode."""
+        verify --core-out`` writes: both default to incremental mode."""
         from repro.benchgen.random_unsat import random_ksat
         from repro.proofs.trace_format import read_proof
         from repro.verify.core_extraction import extract_core
@@ -127,18 +131,51 @@ class TestCore:
         write_dimacs(random_ksat(20, 92, seed=4), cnf)
         assert main(["solve", str(cnf), "--proof",
                      str(proof_path)]) == EXIT_UNSAT
-        capsys.readouterr()
-        assert main(["core", str(cnf), str(proof_path)]) == 0
-        line = next(line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("c core:"))
-        reported = int(line.split()[2].split("/")[0])
+        core_path = tmp_path / "core.cnf"
+        assert main(["verify", str(cnf), str(proof_path),
+                     "--core-out", str(core_path)]) == 0
         core = extract_core(read_dimacs(cnf), read_proof(proof_path))
-        assert core.size == reported
+        assert core.as_formula().clauses \
+            == read_dimacs(core_path).clauses
 
     def test_core_rejects_bad_proof(self, sat_cnf, unsat_cnf, tmp_path):
         proof_path = tmp_path / "out.ccp"
+        core_path = tmp_path / "core.cnf"
         main(["solve", str(unsat_cnf), "--proof", str(proof_path)])
-        assert main(["core", str(sat_cnf), str(proof_path)]) == 1
+        assert main(["verify", str(sat_cnf), str(proof_path),
+                     "--core-out", str(core_path)]) == 1
+        assert not core_path.exists()
+
+    def test_core_needs_verification2(self, unsat_cnf, good_proof,
+                                      tmp_path, capsys):
+        code = main(["verify", str(unsat_cnf), str(good_proof),
+                     "--procedure", "verification1",
+                     "--core-out", str(tmp_path / "core.cnf")])
+        assert code == EXIT_ERROR
+        assert "c error: --core-out requires --procedure " \
+            "verification2" in capsys.readouterr().err
+
+    def test_drup_core_solves_unsat(self, tmp_path, capsys):
+        """A DRUP trace with deletions yields a core: ``repro solve``
+        refutes it (exit 20)."""
+        from repro.benchgen.registry import build_instance
+
+        cnf, drup = tmp_path / "barrel5.cnf", tmp_path / "barrel5.drup"
+        core_path = tmp_path / "core.cnf"
+        write_dimacs(build_instance("barrel5"), cnf)
+        assert main(["solve", str(cnf), "--drup", str(drup)]) \
+            == EXIT_UNSAT
+        assert "993 deletions" in capsys.readouterr().out
+        assert main(["verify", str(cnf), str(drup),
+                     "--core-out", str(core_path)]) == 0
+        assert main(["solve", str(core_path)]) == EXIT_UNSAT
+
+    @pytest.mark.parametrize("command", ["core", "verify-stream"])
+    def test_removed_commands_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "f.cnf", "f.proof"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestDrupCli:
@@ -150,7 +187,7 @@ class TestDrupCli:
         assert drup_path.exists()
         assert "DRUP trace written" in capsys.readouterr().out
 
-        code = main(["verify-stream", str(unsat_cnf), str(drup_path)])
+        code = main(["verify", str(unsat_cnf), str(drup_path)])
         assert code == 0
         assert "s PROOF_IS_CORRECT" in capsys.readouterr().out
 
@@ -158,9 +195,10 @@ class TestDrupCli:
                                                tmp_path, capsys):
         drup_path = tmp_path / "out.drup"
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
-        code = main(["verify-stream", str(sat_cnf), str(drup_path)])
+        code = main(["verify", str(sat_cnf), str(drup_path)])
         assert code == 1
-        assert "failed at event" in capsys.readouterr().out
+        assert "c questionable clause at chronological index" \
+            in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -232,7 +270,7 @@ class TestErrorHandling:
     def test_garbage_drup_exits_65(self, unsat_cnf, tmp_path, capsys):
         bad = tmp_path / "bad.drup"
         bad.write_text("1 2 without terminator\n")
-        code = main(["verify-stream", str(unsat_cnf), str(bad)])
+        code = main(["verify", str(unsat_cnf), str(bad)])
         assert code == EXIT_PARSE_ERROR
         assert capsys.readouterr().err.startswith("c error:")
 
@@ -251,7 +289,7 @@ class TestBudgetCli:
         drup_path = tmp_path / "t.drup"
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
         capsys.readouterr()
-        code = main(["verify-stream", str(unsat_cnf), str(drup_path),
+        code = main(["verify", str(unsat_cnf), str(drup_path),
                      "--timeout", "0.000001"])
         assert code == EXIT_RESOURCE_LIMIT
         assert "s RESOURCE_LIMIT_EXCEEDED" in capsys.readouterr().out
@@ -375,14 +413,14 @@ class TestObservabilityCli:
         main(["solve", str(unsat_cnf), "--drup", str(drup_path)])
         capsys.readouterr()
         trace_path = tmp_path / "trace.jsonl"
-        code = main(["verify-stream", str(unsat_cnf), str(drup_path),
+        code = main(["verify", str(unsat_cnf), str(drup_path),
                      "--trace-out", str(trace_path), "--stats"])
         assert code == 0
         out = capsys.readouterr().out
         assert "c stats: total=" in out
         summary = _run_summary(trace_path)
-        assert summary["command"] == "verify-stream"
-        assert "repro_drup_additions_total" in summary["metrics"]
+        assert summary["command"] == "verify"
+        assert "repro_verify_checks_total" in summary["metrics"]
 
     def test_artifacts_written_on_bad_proof(self, sat_cnf, unsat_cnf,
                                             good_proof, tmp_path,
@@ -680,15 +718,12 @@ class TestProcessLevel:
             main(["verify", "f.cnf", "f.proof", "--engine", "arena"])
         assert exc.value.code == 2
         assert "invalid choice: 'arena'" in capsys.readouterr().err
-        # The forward DRUP checker has one engine and one read size:
-        # neither is an option.
-        for flag, value in (("--engine", "watched"),
-                            ("--chunk-bytes", "4096")):
-            with pytest.raises(SystemExit) as exc:
-                main(["verify-stream", "f.cnf", "f.drup", flag, value])
-            assert exc.value.code == 2
-            assert f"unrecognized arguments: {flag}" \
-                in capsys.readouterr().err
+        # The DRUP reader has one read size: it is not an option.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "f.cnf", "f.drup", "--chunk-bytes", "4096"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --chunk-bytes" \
+            in capsys.readouterr().err
 
     def test_parallel_verify_exits_cleanly(self, tmp_path):
         from repro.benchgen.registry import pigeonhole
@@ -706,3 +741,55 @@ class TestProcessLevel:
                 "--procedure", "verification1", "--jobs", "2")
             assert result.returncode == 0, result.stderr
             assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_exits_130_with_the_trace(self, tmp_path, jobs):
+        """SIGTERM lands where ^C does: exit 130, the trace flushed and
+        closed by its ``run_summary``, and no pool worker left running
+        in the run's process group."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+        from repro.benchgen.streaming import (
+            deletion_chain_formula,
+            write_deletion_chain_drup,
+        )
+        from repro.verify.parallel import fork_available
+
+        if jobs > 1 and not fork_available():
+            pytest.skip("the pool forks its workers")
+        # Every prefix of the chain is unit-refutable, so its backward
+        # check does work quadratic in n: the run outlasts the signal.
+        n = 6000
+        cnf, drup = tmp_path / "chain.cnf", tmp_path / "chain.drup"
+        trace = tmp_path / "trace.jsonl"
+        write_dimacs(deletion_chain_formula(n), cnf)
+        write_deletion_chain_drup(drup, n, window=8)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "verify", str(cnf), str(drup),
+             "--procedure", "verification1", "--jobs", str(jobs),
+             "--progress", "--trace-out", str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True)
+        try:
+            # The first heartbeat follows the first finished check (one
+            # process) or shard (the pool).
+            assert child.stderr.readline().startswith("c progress:")
+            child.send_signal(signal.SIGTERM)
+            _, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.communicate()
+        assert child.returncode == 130, err
+        assert "Traceback" not in err
+        assert "c error: interrupted" in err
+        assert _run_summary(trace)["interrupted"] is True
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)

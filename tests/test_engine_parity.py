@@ -21,7 +21,6 @@ from repro.proofs.conflict_clause import (
 from repro.proofs.drup import DrupProof
 from repro.solver.cdcl import solve
 from repro.testing import run_differential
-from repro.verify.streaming import verify_stream
 from repro.verify.parallel import fork_available
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
@@ -111,10 +110,18 @@ class TestSolvedInstance:
         assert verify_proof_v1(report.core.as_formula(), trimmed).ok
 
     def test_forward_drup_verdict(self, solved):
+        """The DRUP trace of the same solve, whose forward reading
+        honours its deletions, checked backward: verification1 reads
+        identically on every engine."""
         formula, _, drup = solved
-        report = verify_stream(formula, drup)
-        assert report.ok
-        assert report.engine == "watched"
+        proof = drup.to_proof(formula)
+        assert proof.deletions
+        baseline = verify_proof_v1(formula, proof, "watched")
+        for engine in ENGINE_NAMES:
+            report = verify_proof_v1(formula, proof, engine)
+            assert report.ok and report.engine == engine
+            assert _v1_identity(report) == _v1_identity(baseline)
+            assert verify_proof_v2(formula, proof, engine).ok
 
     @pytest.mark.skipif(not fork_available(),
                         reason="needs a process pool")
@@ -140,8 +147,7 @@ class TestMutationSweep:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_expectations_hold(self, solved, engine):
         formula, proof, drup = solved
-        # ``engine`` reaches the conflict-clause checkers; the trace
-        # mutations always run on the forward checker's watched engine.
+        # ``engine`` reaches every checker, on the trace mutations too.
         summary = run_differential(formula, proof, drup=drup,
                                    v1_configs=self.CONFIGS,
                                    engine=engine)

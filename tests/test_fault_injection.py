@@ -3,8 +3,7 @@
 Each scenario drives the real CLI in a subprocess (or the in-process
 pool hooks, for worker death) and asserts the typed exit-code
 contract: faults surface as one-line diagnostics and partial reports,
-never tracebacks — and interrupted runs leave a resume token that
-reaches the uninterrupted verdict.  The sweep runs once per module;
+never tracebacks — and interrupted runs flush their trace.  The sweep runs once per module;
 each test reports one scenario, so a regression names its fault.
 """
 
@@ -33,13 +32,9 @@ def test_scenario(sweep, name):
 
 
 def test_sweep_covers_the_exit_code_surface(sweep):
-    # Budget scenarios end on the *resume* leg (exit 0), so exit 3 is
-    # covered by their details rather than the final expected code.
     codes = {code for outcome in sweep.values()
              for code in outcome.expected_exit}
-    assert {0, 1, 2, 65, 130} <= codes
-    assert any("exit 3" in sweep[name].detail
-               for name in ("live-clause-budget", "props-budget"))
+    assert {0, 1, 2, 3, 65, 130} <= codes
 
 
 def test_unknown_scenario_rejected():

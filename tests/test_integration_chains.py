@@ -10,10 +10,9 @@ from repro.benchgen.php import pigeonhole
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.proofs.drup import DrupProof, format_drup, parse_drup
 from repro.solver.cdcl import solve
-from repro.verify.streaming import verify_stream
 from repro.verify.reconstruct import reconstruct_resolution_graph
 from repro.verify.trimming import trim_proof
-from repro.verify.verification import verify_proof_v2
+from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
 from tests.conftest import random_formula
 
@@ -37,7 +36,7 @@ class TestChains:
         trace = DrupProof.from_log(result.log)
         reloaded = parse_drup(format_drup(trace, comment="roundtrip"))
         assert reloaded == trace
-        assert verify_stream(formula, reloaded).ok
+        assert verify_proof_v1(formula, reloaded.to_proof(formula)).ok
 
     def test_both_checkers_agree_on_random_formulas(self):
         rng = random.Random(4242)
@@ -47,11 +46,11 @@ class TestChains:
             result = solve(formula)
             if not result.is_unsat:
                 continue
-            backward = verify_proof_v2(
+            proof = verify_proof_v2(
                 formula, ConflictClauseProof.from_log(result.log))
-            forward = verify_stream(formula,
-                                    DrupProof.from_log(result.log))
-            assert backward.ok and forward.ok
+            trace = verify_proof_v2(
+                formula, DrupProof.from_log(result.log).to_proof(formula))
+            assert proof.ok and trace.ok
             compared += 1
         assert compared > 2
 
@@ -63,4 +62,5 @@ class TestChains:
         assert trim_proof(formula, proof).report.ok
         assert reconstruct_resolution_graph(formula,
                                             proof).graph.check().ok
-        assert verify_stream(formula, DrupProof.from_log(result.log)).ok
+        trace = DrupProof.from_log(result.log).to_proof(formula)
+        assert verify_proof_v2(formula, trace).ok

@@ -25,7 +25,7 @@ from repro.testing import (
     ProofMutator,
     run_differential,
 )
-from repro.verify.streaming import verify_stream
+from repro.verify.verification import verify_proof_v1
 
 
 def _solved(formula):
@@ -117,13 +117,13 @@ class TestDifferential:
 class TestCheckerHardening:
     def test_drup_foreign_variable_no_crash(self, tiny):
         """Regression: the harness found that a trace mentioning a
-        variable outside the formula crashed the forward checker with
-        IndexError instead of returning a verdict."""
+        variable outside the formula crashed a checker with IndexError
+        instead of returning a verdict."""
         formula = tiny[0]
         foreign = formula.num_vars + 3
         trace = DrupProof([DrupEvent(ADD, (foreign,)),
                            DrupEvent(ADD, ())])
-        report = verify_stream(formula, trace)
+        report = verify_proof_v1(formula, trace.to_proof(formula))
         assert not report.ok
 
     def test_literal_zero_rejected_in_cc_proof(self):

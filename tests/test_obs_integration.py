@@ -24,7 +24,6 @@ from repro.obs import (
 from repro.proofs.conflict_clause import ConflictClauseProof
 from repro.solver.cdcl import solve
 from repro.verify.parallel import fork_available
-from repro.verify.streaming import verify_stream
 from repro.verify.verification import (
     verify_proof_v1,
     verify_proof_v2,
@@ -82,7 +81,8 @@ class TestNoOpGuard:
         formula = CnfFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
         result = solve(formula)
         assert result.is_unsat
-        assert verify_stream(formula, DrupProof.from_log(result.log)).ok
+        trace = DrupProof.from_log(result.log).to_proof(formula)
+        assert verify_proof_v2(formula, trace).ok
 
 
 class TestStatsAlwaysOn:
