@@ -158,10 +158,8 @@ class Obs:
 
     # -- progress ----------------------------------------------------------
 
-    def progress_reporter(self, total: int,
-                          label: str = "checks") -> ProgressReporter | None:
+    def progress_reporter(self, total: int) -> ProgressReporter | None:
         if self.progress_stream is None:
             return None
-        return ProgressReporter(total, label=label,
-                                stream=self.progress_stream,
+        return ProgressReporter(total, stream=self.progress_stream,
                                 interval=self.progress_interval)

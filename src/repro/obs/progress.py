@@ -25,11 +25,9 @@ class ProgressReporter:
     throttled, so every enabled run ends with a complete count.
     """
 
-    def __init__(self, total: int, label: str = "checks",
-                 stream=None, interval: float = 0.5,
+    def __init__(self, total: int, stream=None, interval: float = 0.5,
                  clock=time.monotonic):
         self.total = total
-        self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
         self._clock = clock
@@ -39,7 +37,7 @@ class ProgressReporter:
 
     def _emit(self, done: int, now: float) -> None:
         elapsed = now - self._start
-        line = (f"c progress: {done}/{self.total} {self.label}, "
+        line = (f"c progress: {done}/{self.total} checks, "
                 f"{elapsed:.1f}s elapsed")
         if done and 0 < done < self.total and elapsed > 0:
             eta = elapsed * (self.total - done) / done

@@ -124,6 +124,30 @@ class Tracer:
                 "span": span_id, "parent": parent, "name": name,
                 "dur": end_ts - begin_ts, "attrs": dict(end_attrs)})
 
+    def end_open_spans(self, **attrs) -> None:
+        """End, now, every span that has a begin event but no end.
+
+        An interrupt (SIGINT, SIGTERM) can land between a span's begin
+        and its ``finally``, or inside the ``finally`` before the end
+        event is recorded; an interrupted run calls this before writing
+        its trace, so the trace stays balanced.  ``attrs`` go on each
+        end event.
+        """
+        open_spans: dict[int, dict] = {}
+        for event in self.events:
+            if event["type"] == "begin":
+                open_spans[event["span"]] = event
+            elif event["type"] == "end":
+                open_spans.pop(event["span"], None)
+        for begin in reversed(list(open_spans.values())):
+            end_ts = self._ts()
+            self.events.append({
+                "ts": end_ts, "run": self.run_id, "trace": self.trace_id,
+                "type": "end", "span": begin["span"],
+                "parent": begin["parent"], "name": begin["name"],
+                "dur": end_ts - begin["ts"], "attrs": dict(attrs)})
+        self._stack.clear()
+
     def event(self, name: str, **attrs) -> None:
         """Record an instant event inside the current span."""
         self.events.append({

@@ -131,6 +131,29 @@ class TestTracer:
         events = read_jsonl(io.StringIO(buffer.getvalue()))
         assert validate_trace(events) == []
 
+    def test_end_open_spans_balances_an_interrupted_trace(self):
+        """An interrupt can land after a span's begin event and before
+        its end: an interrupted run ends such spans before writing."""
+        clock = FakeClock()
+        tracer = Tracer(run_id="r1", clock=clock)
+        with tracer.span("checks"):
+            with tracer.span("check", index=7):
+                clock.advance(0.5)
+        # The interrupt cut the check span's end event short.
+        tracer.events = [event for event in tracer.events
+                         if (event["type"], event["name"])
+                         != ("end", "check")]
+        tracer.end_open_spans(interrupted=True)
+        buffer = io.StringIO()
+        tracer.write_jsonl(buffer)
+        events = read_jsonl(io.StringIO(buffer.getvalue()))
+        assert validate_trace(events) == []
+        end = events[-1]
+        assert (end["type"], end["name"], end["dur"], end["attrs"]) \
+            == ("end", "check", 0.5, {"interrupted": True})
+        tracer.end_open_spans()
+        assert len(tracer.events) == 4
+
     def test_validator_flags_problems(self):
         assert validate_trace([]) != []
         bad = [{"ts": 0.0, "run": "r", "type": "header",
