@@ -26,6 +26,8 @@ import argparse
 import os
 import signal
 import sys
+import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from repro.bcp import ENGINES
@@ -234,12 +236,16 @@ def _write_trace(obs: Obs | None, args: argparse.Namespace, report,
     """
     if obs is None or args.trace_out is None:
         return
+    elapsed = time.perf_counter() - obs.started
     from repro.obs import run_summary
 
     if report is None:
         obs.tracer.end_open_spans(interrupted=True)
-    obs.event("run_summary",
-              **run_summary(obs, args.command, report, analytics))
+    summary = run_summary(obs, args.command, report, analytics)
+    if report is not None:
+        # From the parse through the report: what the phases split.
+        summary["elapsed"] = elapsed
+    obs.event("run_summary", **summary)
     obs.tracer.write_jsonl(args.trace_out)
     print(f"c trace written to {args.trace_out}")
 
@@ -283,25 +289,6 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
     if report is None:
         return None
     return analyze_proof_shape(proof, report, obs.depgraph)
-
-
-def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
-                      formula=None, proof=None):
-    """Run a verification thunk with interrupt-safe artifact flushing.
-
-    Returns the report, or None when the run was interrupted — in
-    which case every requested artifact (trace, partial depgraph) has
-    already been flushed atomically, so a ^C never leaves a truncated
-    or missing artifact behind.
-    """
-    try:
-        return run()
-    except KeyboardInterrupt:
-        print("c error: interrupted", file=sys.stderr)
-        if formula is not None and proof is not None:
-            _write_insight_artifacts(obs, args, None, formula, proof)
-        _write_trace(obs, args, None)
-        return None
 
 
 def _print_stats_footer(args: argparse.Namespace, report,
@@ -377,18 +364,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("c error: --core-out requires --procedure verification2",
               file=sys.stderr)
         return EXIT_ERROR
-    formula = read_dimacs(args.cnf, strict=args.strict)
-    proof = read_proof(args.proof, formula)
+    # Load the checker first: the run's clock (run_summary.elapsed)
+    # times parse through report, not the loading of code.
+    import repro.verify.verification  # noqa: F401
     obs = _obs_from(args)
-    report = _run_instrumented(
-        args, obs, lambda: verify_proof(
+    proof = None
+    try:
+        with _span(obs, "parse"):
+            formula = read_dimacs(args.cnf, strict=args.strict)
+            proof = read_proof(args.proof, formula)
+        report = verify_proof(
             formula, proof, procedure=args.procedure,
-            engine_cls=args.engine,
-            mode=args.mode, jobs=args.jobs,
-            budget=_budget_from(args), obs=obs),
-        formula, proof)
-    if report is None:
+            engine_cls=args.engine, mode=args.mode, jobs=args.jobs,
+            budget=_budget_from(args), obs=obs)
+    except KeyboardInterrupt:
+        # Flush every requested artifact (trace, partial depgraph)
+        # atomically: a ^C never leaves one truncated or missing.
+        print("c error: interrupted", file=sys.stderr)
+        if proof is not None:
+            _write_insight_artifacts(obs, args, None, formula, proof)
+        _write_trace(obs, args, None)
         return EXIT_INTERRUPT
+    with _span(obs, "report"):
+        code, analytics = _print_report(args, obs, report, formula,
+                                        proof)
+    _write_trace(obs, args, report, analytics)
+    return code
+
+
+def _span(obs: Obs | None, name: str):
+    """A top-level trace span of ``repro verify`` (parse, report)."""
+    return obs.span(name) if obs is not None else nullcontext()
+
+
+def _print_report(args: argparse.Namespace, obs: Obs | None, report,
+                  formula, proof):
+    """Print the verdict lines and write --core-out and the insight
+    artifacts; returns the exit code and the proof-shape analytics."""
     print(f"s {report.outcome.upper()}")
     print(f"c checked={report.num_checked} skipped={report.num_skipped}"
           f" time={report.verification_time:.3f}s"
@@ -406,10 +418,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     analytics = _write_insight_artifacts(obs, args, report, formula,
                                          proof)
     _print_stats_footer(args, report, report.bcp_counters, analytics)
-    _write_trace(obs, args, report, analytics)
     if report.exhausted:
         print(f"c budget exhausted: {report.failure_reason}")
-        return EXIT_RESOURCE_LIMIT
+        return EXIT_RESOURCE_LIMIT, analytics
     if not report.ok:
         if report.failed_clause_index is None:
             print(f"c {report.failure_reason}")
@@ -417,7 +428,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"c questionable clause at chronological index "
                   f"{report.failed_clause_index}: "
                   f"{proof[report.failed_clause_index]}")
-        return EXIT_PROOF_BAD
+        return EXIT_PROOF_BAD, analytics
     if report.core is not None:
         print(f"c unsat core: {report.core.size}/"
               f"{formula.num_clauses} clauses "
@@ -426,7 +437,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         write_dimacs(report.core.as_formula(), args.core_out,
                      comment=f"unsat core of {args.cnf}")
         print(f"c core written to {args.core_out}")
-    return 0
+    return 0, analytics
 
 
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:

@@ -99,18 +99,15 @@ class Obs:
         if self.metrics is not None:
             self.metrics.gauge(name, help=help).set(value)
 
-    def observe_seconds(self, name: str, value: float,
-                        help: str = "") -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                name, help=help,
-                buckets=DEFAULT_TIME_BUCKETS).observe(value)
-
-    def observe_work(self, name: str, value: int, help: str = "") -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                name, help=help,
-                buckets=DEFAULT_WORK_BUCKETS).observe(value)
+    def histogram(self, name: str, help: str = "", work: bool = False):
+        """The named histogram, with time buckets (or work-unit buckets
+        when ``work``); None without a registry.  Callers look it up
+        once and observe into it directly."""
+        if self.metrics is None:
+            return None
+        return self.metrics.histogram(
+            name, help=help,
+            buckets=DEFAULT_WORK_BUCKETS if work else DEFAULT_TIME_BUCKETS)
 
     def record_bcp_counters(self, counters: dict[str, int]) -> None:
         """Publish engine ``PropagationCounters`` totals as counters.

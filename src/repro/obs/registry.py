@@ -33,6 +33,7 @@ Design constraints, in priority order:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 # Upper bounds (seconds) for duration histograms: tuned to per-check
 # BCP times, which span ~10us (trivial re-checks) to seconds (huge
@@ -138,14 +139,7 @@ class Histogram:
         self.max: float = 0.0
 
     def observe(self, value: float) -> None:
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.buckets[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
         if value > self.max:

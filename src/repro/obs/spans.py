@@ -1,11 +1,11 @@
 """Tracing spans: a structured JSONL event log for verification runs.
 
-A :class:`Tracer` records *spans* (named, nested intervals — a whole
-verification, one shard, one check) and *instant events* (a worker
-retry, a budget trip, the resolved worker count) against a monotonic
-clock.  Events are buffered as plain dicts and serialized as one JSON
-object per line (JSONL), the format every trace viewer and ``jq``
-one-liner can consume.
+A :class:`Tracer` records *spans* (named, nested intervals — a phase
+of the run, one shard) and *instant events* (a worker retry, a budget
+trip, the resolved worker count) against a monotonic clock.  Events
+are buffered as plain dicts and serialized as one JSON object per line
+(JSONL), the format every trace viewer and ``jq`` one-liner can
+consume.
 
 Event schema (``repro.obs.trace/v1``) — every event carries:
 
@@ -22,9 +22,9 @@ Event schema (``repro.obs.trace/v1``) — every event carries:
 ``parent``
     The enclosing span's id (None for root spans).
 ``name``
-    The span/event name (``"verify"``, ``"check"``, ``"shard"``, ...).
+    The span/event name (``"parse"``, ``"checks"``, ``"shard"``, ...).
 ``attrs``
-    A flat JSON object of metric-free context (check index, shard
+    A flat JSON object of metric-free context (procedure, shard
     bounds, worker count...).
 
 ``end`` events additionally carry ``dur`` (seconds).  Workers in the
@@ -123,6 +123,20 @@ class Tracer:
                 "trace": self.trace_id, "type": "end",
                 "span": span_id, "parent": parent, "name": name,
                 "dur": end_ts - begin_ts, "attrs": dict(end_attrs)})
+
+    def split_tail(self, name: str, seconds: float) -> None:
+        """Hand the last ``seconds`` of the span that just ended to a
+        sibling span ``name``: work that ran interleaved inside it (the
+        marking walks between the checks) shows as one span of its
+        total, and the two do not overlap."""
+        end = self.events[-1]
+        end["ts"] -= seconds
+        end["dur"] -= seconds
+        begin = {**end, "type": "begin", "span": next(self._next_span),
+                 "name": name, "attrs": {}}
+        del begin["dur"]
+        self.events += [begin, {**begin, "type": "end", "dur": seconds,
+                                "ts": end["ts"] + seconds, "attrs": {}}]
 
     def end_open_spans(self, **attrs) -> None:
         """End, now, every span that has a begin event but no end.

@@ -42,20 +42,13 @@ TOP_STRAGGLERS = 5
 def _span_key(name: str, attrs: dict, seen: dict) -> str:
     """A stable identity for a span, independent of numeric span ids.
 
-    Shard spans are keyed by their clause-index bounds, check spans by
-    the check index; anything else by name plus an occurrence counter.
-    Stable keys are what make the critical path comparable across
-    repeated runs at a fixed shard layout.
+    Shard spans are keyed by their clause-index bounds; anything else
+    by name plus an occurrence counter.  Stable keys are what make the
+    critical path comparable across repeated runs at a fixed shard
+    layout.
     """
     if "lo" in attrs and "hi" in attrs:
         return f"{name}[{attrs['lo']}:{attrs['hi']}]"
-    if "index" in attrs:
-        return f"{name}#{attrs['index']}"
-    # Replay folds a shard=[lo, hi] attr into every worker event, so
-    # only use it for spans with no more specific identity.
-    shard = attrs.get("shard")
-    if isinstance(shard, (list, tuple)) and len(shard) == 2:
-        return f"{name}[{shard[0]}:{shard[1]}]"
     count = seen.get(name, 0)
     seen[name] = count + 1
     return name if count == 0 else f"{name}@{count}"
@@ -170,7 +163,7 @@ def _worker_stats(spans: list[dict]) -> tuple[list[dict], float]:
 
     Busy time is the union of each lane's *lane-root* span intervals
     (spans whose parent lives in a different lane, or nowhere), so
-    nested check spans don't double-count.  Utilization is measured
+    nested spans don't double-count.  Utilization is measured
     against the worker window — first worker begin to last worker end
     — which isolates pool efficiency from setup/teardown; for the
     ``main`` lane it is measured against the whole trace window.
@@ -249,13 +242,8 @@ def _attribution(spans: list[dict], top: int = TOP_STRAGGLERS,
         if span["name"] != "shard":
             continue
         attrs = span["attrs"]
-        lo = attrs.get("lo")
-        hi = attrs.get("hi")
-        if lo is None and isinstance(attrs.get("shard"),
-                                     (list, tuple)):
-            lo, hi = attrs["shard"][0], attrs["shard"][1]
         shards.append({
-            "shard": [lo, hi],
+            "shard": [attrs.get("lo"), attrs.get("hi")],
             "key": span["key"],
             "wall": attrs.get("wall", span["dur"]),
             "checks": attrs.get("checks"),

@@ -1,29 +1,24 @@
 """The shared instrumented report builder.
 
-Before this module, every verification driver hand-rolled its reports:
-a dozen call sites each remembered to compute
-``verification_time=time.perf_counter() - start`` and to copy the
-``mode``/``jobs``/``warnings`` boilerplate — a drift bug waiting to
-happen (and one that did happen: early versions disagreed on whether
-setup time counted).  :class:`ReportBuilder` is now the single
-construction point:
-
-* it owns the run clock, so every report's ``verification_time`` is
-  measured identically (setup included);
-* it owns the common fields (``procedure``, ``mode``, ``jobs``,
-  ``warnings``), so a driver states them once;
-* it accumulates the :class:`~repro.verify.report.VerificationStats`
-  breakdown (phase times always — that is a handful of clock reads per
-  run; per-check timing, histograms, and slowest-K only when an
-  :class:`~repro.obs.context.Obs` is attached);
-* it feeds the metrics registry and tracer, keeping the drivers' loops
-  free of exporter knowledge.
+:class:`ReportBuilder` is the single construction point of every
+verification report.  It owns the run clock, so every report's
+``verification_time`` is measured identically, and the common fields
+(``procedure``, ``mode``, ``jobs``, ``warnings``), so a driver states
+them once.  It accumulates the
+:class:`~repro.verify.report.VerificationStats` breakdown: disjoint
+phase times always (a handful of clock reads per run) and, with an
+:class:`~repro.obs.context.Obs` attached, what
+:func:`~repro.verify.verification.scan` times inline — each check into
+two histograms, the slowest-K heap and the progress heartbeat, and the
+marking walks into one total.  It feeds the metrics registry and the
+tracer, keeping the drivers' loops free of exporter knowledge.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections import defaultdict
 from contextlib import contextmanager, nullcontext
 
 from repro.verify.report import VerificationStats
@@ -38,9 +33,8 @@ class ReportBuilder:
     ``report_cls`` is the report class to build (every one has a
     ``bcp_counters`` field); ``common`` fields are
     merged into every :meth:`build` call (per-call fields win).  When
-    ``obs`` is given, the builder also maintains per-check metrics and
-    a progress heartbeat; when it is ``None`` the per-check surface is
-    a single ``is None`` branch.
+    ``obs`` is given, the builder also keeps per-check metrics and a
+    progress heartbeat; the histograms are looked up once, here.
     """
 
     def __init__(self, report_cls, *, obs=None, total_checks: int = 0,
@@ -49,65 +43,64 @@ class ReportBuilder:
         self._common = dict(common)
         self.obs = obs
         self._start = time.perf_counter()
-        self._phase_times: dict[str, float] = {}
+        self._phase_times: dict[str, float] = defaultdict(float)
         self._checks = 0
+        # Seconds of marking walks the scan timed; :meth:`phase` moves
+        # them out of the phase they ran in.
+        self.marking = 0.0
         # Min-heap of (seconds, -index): the root is the fastest of the
         # current slowest-K, evicted when something slower arrives.
         self._slowest: list[tuple[float, int]] = []
-        self.progress = (obs.progress_reporter(total_checks)
-                         if obs is not None else None)
+        self.progress = self._seconds = self._work = None
+        if obs is not None:
+            self.progress = obs.progress_reporter(total_checks)
+            self._seconds = obs.histogram(
+                "repro_check_seconds",
+                help="Wall time per proof-clause check")
+            self._work = obs.histogram(
+                "repro_check_work", work=True,
+                help="Propagation work units per check")
 
     # -- phases ------------------------------------------------------------
 
     @contextmanager
     def phase(self, name: str, **attrs):
-        """Time a coarse phase (setup, checks, pool...).
+        """Time a coarse phase (build, checks, core, pool): two clock
+        reads, so it runs with or without obs.
 
-        Cheap enough to run unconditionally: two clock reads per phase,
-        a handful of phases per run.  Emits a trace span when tracing
-        is on.
+        The marking walks timed inside it are the ``marking`` phase
+        instead, so no two phases overlap; with a tracer the phase is a
+        span, and their total a span that ends where it ends.
         """
         start = time.perf_counter()
+        before = self.marking
         with (self.obs.span(name, **attrs) if self.obs is not None
               else nullcontext()):
             try:
                 yield
             finally:
-                self._phase_times[name] = self._phase_times.get(
-                    name, 0.0) + time.perf_counter() - start
+                marking = self.marking - before
+                self._phase_times[name] += \
+                    time.perf_counter() - start - marking
+        if marking:
+            self._phase_times["marking"] += marking
+            if self.obs is not None and self.obs.tracer is not None:
+                self.obs.tracer.split_tail("marking", marking)
 
     # -- per-check instrumentation ----------------------------------------
 
-    @contextmanager
-    def check(self, index: int, counters=None):
-        """Instrument one proof-clause check (obs-enabled path only).
-
-        Wraps the check in a ``check`` trace span, observes wall time
-        and propagation work into histograms, maintains the slowest-K
-        heap, and ticks the progress heartbeat.  Drivers call this only
-        when ``obs`` is attached; the disabled path calls the checker
-        directly.
-        """
-        obs = self.obs
-        work_before = counters.total_work() if counters is not None else 0
-        start = time.perf_counter()
-        with obs.span("check", index=index):
-            try:
-                yield
-            finally:
-                seconds = time.perf_counter() - start
-                self._checks += 1
-                obs.observe_seconds(
-                    "repro_check_seconds", seconds,
-                    help="Wall time per proof-clause check")
-                self.merge_slowest(((index, seconds),))
-                if counters is not None:
-                    obs.observe_work(
-                        "repro_check_work",
-                        counters.total_work() - work_before,
-                        help="Propagation work units per check")
-                if self.progress is not None:
-                    self.progress.update(self._checks)
+    def observe_check(self, index: int, seconds: float,
+                      work: int) -> None:
+        """Record one check the scan timed (obs-enabled path only):
+        its wall time and propagation work into the histograms, the
+        slowest-K heap, and a progress tick."""
+        self._checks += 1
+        if self._seconds is not None:
+            self._seconds.observe(seconds)
+            self._work.observe(work)
+        self.merge_slowest(((index, seconds),))
+        if self.progress is not None:
+            self.progress.update(self._checks)
 
     def merge_slowest(self, slowest) -> None:
         """Fold ``(index, seconds)`` pairs into the slowest-K heap (one
@@ -152,8 +145,7 @@ class ReportBuilder:
         # Checks that ran without per-check timing (the disabled fast
         # path, or pool workers whose observations were not merged)
         # still count toward the stats breakdown.
-        num_checked = merged.get("num_checked",
-                                 merged.get("num_additions"))
+        num_checked = merged.get("num_checked")
         if isinstance(num_checked, int) and num_checked > self._checks:
             self._checks = num_checked
         # Finish the heartbeat only after the reconciliation above, so

@@ -382,9 +382,9 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
         from repro.obs.registry import MetricsRegistry
         from repro.obs.spans import Tracer
 
-        # A metrics-only Obs: the builder times each check into the
-        # shard-local registry and emits no per-check span.  A shard
-        # builds no report, so the builder has no report class.
+        # A metrics-only Obs: the scan times each check into the
+        # builder's shard-local histograms.  A shard builds no report,
+        # so the builder has no report class.
         build = ReportBuilder(None, obs=Obs(metrics=MetricsRegistry()))
         tracer = Tracer(run_id=spec["obs_run"], epoch=spec["obs_epoch"],
                         trace_id=spec["obs_trace"])
@@ -420,8 +420,8 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                    + delta.get("clause_visits", 0)),
             clause_visits=delta.get("clause_visits", 0),
             peak_rss=peak_rss)
-        obs.observe_seconds("repro_shard_seconds", duration,
-                            help="Wall time per shard")
+        obs.histogram("repro_shard_seconds",
+                      help="Wall time per shard").observe(duration)
     return ShardResult(
         result, counter_delta=delta, duration=duration,
         metrics=build.obs.metrics.snapshot() if build else None,

@@ -58,15 +58,15 @@ class UnsatCore(NamedTuple):
 class VerificationStats(NamedTuple):
     """Typed per-run breakdown built by the instrumented report builder.
 
-    ``total_time`` is the run's wall time; ``phase_times`` maps phase
-    name (``setup``, ``checks``, ``marking``, ``pool``, ``reduce``...)
-    to accumulated seconds.  ``props`` is the engines' total
-    propagation work (``assignments + clause_visits``, summed over all
-    workers) and ``checks`` the number of BCP checks it paid for.
-    ``slowest_checks`` names the slowest-K proof indices with their
-    per-check wall time, slowest first — populated only when the run
-    carried an :class:`~repro.obs.context.Obs` (per-check timing is
-    part of the opt-in instrumentation, never of the disabled fast
+    ``total_time`` is the run's wall time; ``phase_times`` maps each
+    phase (``build``, ``checks``, ``marking``, ``core``, ``pool``) to
+    its seconds, and no two phases overlap.  ``props`` is the engines'
+    total propagation work (``assignments + clause_visits``, summed
+    over all workers) and ``checks`` the number of BCP checks it paid
+    for.  ``slowest_checks`` names the slowest-K proof indices with
+    their per-check wall time, slowest first — populated only when the
+    run carried an :class:`~repro.obs.context.Obs` (per-check timing
+    is part of the opt-in instrumentation, never of the disabled fast
     path).
     """
 

@@ -31,12 +31,12 @@ the ``resource_limit_exceeded`` outcome and partial progress
 (``num_checked``, ``stopped_at_index``) instead of running unbounded.
 
 Instrumentation: both accept an optional :class:`~repro.obs.context.
-Obs`.  With one attached, every check is timed into histograms, phases
-and checks become trace spans, a progress heartbeat ticks, and the
-report's :class:`~repro.verify.report.VerificationStats` gains the
-slowest-K check indices.  Without one (the default), the drivers take
-a registry-free fast path — per-check cost is an ``is None`` branch
-and a no-op context manager.
+Obs`.  With one attached, the scan times every check into histograms
+and every marking walk into one total, phases become trace spans, a
+progress heartbeat ticks, and the report's
+:class:`~repro.verify.report.VerificationStats` gains the slowest-K
+check indices.  Without one (the default), the drivers take a
+registry-free fast path: per check, the scan reads no clock.
 All reports are built through the shared
 :class:`~repro.verify.instrument.ReportBuilder`, the single place
 ``verification_time`` and the stats breakdown are computed.
@@ -44,7 +44,7 @@ All reports are built through the shared
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bcp import engine_name, resolve_engine
@@ -70,10 +70,6 @@ from repro.verify.report import (
 
 if TYPE_CHECKING:
     from repro.verify.budget import CheckBudget
-
-# The scan's stand-in for an instrumentation hook on the fast path.
-_NO_HOOK = nullcontext()
-
 
 def _resolve_jobs(jobs: int, obs=None) -> int:
     """Validate the worker count; with instrumentation attached it is
@@ -143,9 +139,10 @@ def scan(checker: ProofChecker, indices, marked: set[int] | None = None,
     every clause not in it and adds each conflict's responsible clauses
     to it, so marks only grow as a backward scan goes; newly marked
     clauses are promoted into the engine's core tier.  ``records``
-    receives one dependency-graph record per conflict.  ``instrument``
-    is the :class:`ReportBuilder` that times each check and marking
-    walk; None is the fast path.
+    receives one dependency-graph record per conflict.  With an
+    ``instrument`` (a :class:`ReportBuilder`) the scan times each
+    check and each marking walk inline and hands the builder the
+    readings; None is the fast path, which reads no clock.
 
     The scan stops at the first check without a conflict, or when the
     checker's budget meter runs out.
@@ -154,30 +151,35 @@ def scan(checker: ProofChecker, indices, marked: set[int] | None = None,
     counters = engine.counters
     num_input = checker.num_input
     walk = marked is not None or records is not None
+    timed = instrument is not None
     checked = skipped = 0
     for index in indices:
         cid = num_input + index
         if marked is not None and cid not in marked:
             skipped += 1
             continue
-        if records is not None:
+        if timed or records is not None:
             work_before = counters.total_work()
+            start = time.perf_counter()
         try:
-            with _NO_HOOK if instrument is None \
-                    else instrument.check(index, counters):
-                outcome = checker.check_clause(index)
+            outcome = checker.check_clause(index)
         except BudgetExhausted as exc:
             return ScanResult(checked, skipped, budget_reason=str(exc),
                               stopped_at_index=index)
+        if timed:
+            instrument.observe_check(
+                index, time.perf_counter() - start,
+                counters.total_work() - work_before)
         if walk and outcome.confl_cid is not None:
             # Before reset(): the walk reads the post-propagation
             # reasons.  One walk serves both the marking and the
             # dependency record — the depgraph is the paper's marking
             # machinery made visible, not a second pass.
-            with _NO_HOOK if instrument is None \
-                    else instrument.phase("marking"):
-                responsible = collect_responsible(engine,
-                                                  outcome.confl_cid)
+            if timed:
+                start = time.perf_counter()
+            responsible = collect_responsible(engine, outcome.confl_cid)
+            if timed:
+                instrument.marking += time.perf_counter() - start
             if marked is not None:
                 # Later checks then find their conflicts over marked
                 # clauses first, and so mark fewer new ones.
@@ -305,7 +307,7 @@ def verify_proof_v1(
         return _report(build, obs, proof, run, run.counters,
                        worker_failures=run.worker_failures,
                        warnings=run.warnings)
-    with build.phase("setup", procedure="verification1", mode=mode):
+    with build.phase("build", procedure="verification1", mode=mode):
         checker = ProofChecker(formula, proof, engine_cls, mode=mode,
                                meter=meter)
     with build.phase("checks"):
@@ -346,7 +348,7 @@ def verify_proof_v2(
         procedure="verification2", num_proof_clauses=len(proof),
         mode=mode, engine=engine_name(engine_cls))
     meter = budget.start() if budget is not None else None
-    with build.phase("setup", procedure="verification2", mode=mode):
+    with build.phase("build", procedure="verification2", mode=mode):
         checker = ProofChecker(formula, proof, engine_cls, mode=mode,
                                meter=meter)
     num_input = formula.num_clauses

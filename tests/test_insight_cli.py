@@ -179,6 +179,29 @@ class TestInterruptFlush:
         assert summary["elapsed"] is None
         assert summary["stats"] is None
 
+    def test_interrupted_parse_flushes_the_trace(self, unsat_cnf,
+                                                 good_proof, tmp_path,
+                                                 monkeypatch):
+        """The trace starts at the parse, so a ^C there still leaves
+        a valid trace: the parse span, then the interrupted summary."""
+        import repro.cli
+
+        def interrupted(path, formula=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.cli, "read_proof", interrupted)
+        trace = tmp_path / "trace.jsonl"
+        code = main(["verify", str(unsat_cnf), str(good_proof),
+                     "--depgraph-out", str(tmp_path / "dep.jsonl"),
+                     "--trace-out", str(trace)])
+        assert code == EXIT_INTERRUPT
+        events = read_jsonl(trace)
+        assert validate_trace(events) == []
+        assert [e["name"] for e in events
+                if e["type"] == "end"] == ["parse"]
+        assert events[-1]["attrs"]["interrupted"] is True
+        assert not (tmp_path / "dep.jsonl").exists()
+
     def test_no_tmp_litter_after_interrupt(self, unsat_cnf, good_proof,
                                            tmp_path, monkeypatch):
         self.interrupt_after(monkeypatch, 1)

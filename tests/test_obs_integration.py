@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.core.dimacs import write_dimacs
 from repro.obs import (
     MetricsRegistry,
     Obs,
@@ -94,9 +95,21 @@ class TestStatsAlwaysOn:
         stats = report.stats
         assert stats is not None
         assert stats.checks == report.num_checked
-        assert set(stats.phase_times) >= {"setup", "checks"}
-        assert stats.total_time >= sum(stats.phase_times.values()) * 0.5
+        assert set(stats.phase_times) >= {"build", "checks"}
+        assert stats.total_time >= sum(stats.phase_times.values())
         assert stats.slowest_checks == ()  # per-check timing needs obs
+
+    def test_marking_is_out_of_the_checks(self, unsat_instance):
+        """With obs attached the marking walks are timed into their
+        own phase, not into the checks they ran between."""
+        formula, proof = unsat_instance
+        report = verify_proof_v2(formula, proof,
+                                 obs=Obs(metrics=MetricsRegistry()))
+        stats = report.stats
+        assert list(stats.phase_times) == ["build", "checks", "marking",
+                                           "core"]
+        assert stats.phase_times["marking"] > 0
+        assert stats.total_time >= sum(stats.phase_times.values())
 
     def test_slowest_checks_need_obs(self, unsat_instance):
         formula, proof = unsat_instance
@@ -133,13 +146,9 @@ class TestInstrumentedRuns:
         assert metrics["repro_bcp_assignments_total"]["value"] \
             == report.bcp_counters["assignments"]
         assert "repro_checker_root_builds_total" in metrics
-        buffer = io.StringIO()
-        obs.tracer.write_jsonl(buffer)
-        events = read_jsonl(io.StringIO(buffer.getvalue()))
-        assert validate_trace(events) == []
-        check_spans = [e for e in events
-                       if e["name"] == "check" and e["type"] == "begin"]
-        assert len(check_spans) == report.num_checked
+        # Per-check timing lives in the histograms, not in spans.
+        assert [e["name"] for e in obs.tracer.events
+                if e["type"] == "begin"] == ["build", "checks"]
 
     def test_v2_marked_ratio(self, unsat_instance):
         formula, proof = unsat_instance
@@ -230,3 +239,89 @@ class TestProgressIntegration:
         assert all(line.startswith("c progress: ") for line in lines)
         assert lines[-1].startswith(
             f"c progress: {report.num_checked}/{len(proof)} checks")
+
+
+PHASES = ["parse", "build", "checks", "marking", "core", "report"]
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """php6 and barrel5 with their solver proofs, as CLI input files."""
+    from repro.benchgen.registry import build_instance
+    from repro.cli import main
+
+    directory = tmp_path_factory.mktemp("solved")
+    files = {}
+    for name in ("php6", "barrel5"):
+        cnf, ccp = directory / f"{name}.cnf", directory / f"{name}.ccp"
+        write_dimacs(build_instance(name), cnf)
+        assert main(["solve", str(cnf), "--proof", str(ccp)]) == 20
+        files[name] = (str(cnf), str(ccp))
+    return files
+
+
+class TestVerifyTrace:
+    """A default ``repro verify --trace-out`` is six phase spans, not
+    events per check."""
+
+    def _verify(self, solved, name, tmp_path, capsys, *flags):
+        from repro.cli import main
+
+        trace = tmp_path / f"{name}.jsonl"
+        capsys.readouterr()
+        assert main(["verify", *solved[name], "--trace-out", str(trace),
+                     *flags]) == 0
+        out, err = capsys.readouterr()
+        checked = int(out.split("c checked=")[1].split()[0])
+        return read_jsonl(trace), checked, err
+
+    @pytest.mark.parametrize("name", ["php6", "barrel5"])
+    def test_six_disjoint_phases_cover_the_run(self, solved, name,
+                                               tmp_path, capsys):
+        events, checked, _ = self._verify(solved, name, tmp_path, capsys)
+        assert validate_trace(events) == []
+        spans = [e for e in events if e["type"] == "end"]
+        assert [e["name"] for e in spans] == PHASES
+        assert all(e["parent"] is None for e in spans)
+        begins = {e["span"]: e["ts"] for e in events
+                  if e["type"] == "begin"}
+        for before, after in zip(spans, spans[1:]):
+            assert before["ts"] <= begins[after["span"]]
+        summary = events[-1]["attrs"]
+        covered = sum(e["dur"] for e in spans)
+        assert covered <= summary["elapsed"]
+        assert covered >= 0.95 * summary["elapsed"]
+        histogram = summary["metrics"]["repro_check_seconds"]["value"]
+        assert histogram["count"] == checked
+        assert summary["metrics"]["repro_check_work"]["value"][
+            "count"] == checked
+
+    def test_event_count_does_not_grow_with_the_proof(self, solved,
+                                                      tmp_path, capsys):
+        small, small_checked, _ = self._verify(solved, "php6", tmp_path,
+                                               capsys)
+        large, large_checked, _ = self._verify(solved, "barrel5",
+                                               tmp_path, capsys)
+        assert small_checked != large_checked
+        assert len(small) == len(large) <= 40
+
+    def test_progress_finishes_at_the_check_count(self, solved,
+                                                  tmp_path, capsys):
+        _, checked, err = self._verify(solved, "php6", tmp_path, capsys,
+                                       "--progress")
+        last = err.splitlines()[-1]
+        assert last.startswith(f"c progress: {checked}/")
+
+    def test_timeline_critical_path_runs_through_the_phases(
+            self, solved, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import build_timeline
+
+        events, _, _ = self._verify(solved, "barrel5", tmp_path, capsys)
+        path = build_timeline(events)["critical_path"]
+        assert [entry["key"] for entry in path] == PHASES
+        assert main(["obs", "timeline",
+                     str(tmp_path / "barrel5.jsonl")]) == 0
+        text = capsys.readouterr().out
+        lines = text.split("critical path")[1].splitlines()[1:7]
+        assert [line.split()[0] for line in lines] == PHASES
